@@ -82,7 +82,7 @@ class RunManifest:
 
 
 def _manifest(args, inputs, outputs, t0, seed=None) -> None:
-    skip = {"func", "command", "log_level", "threads"}
+    skip = {"func", "command", "log_level"}
     config = {k: v for k, v in vars(args).items() if k not in skip}
     primary = outputs[0]
     path = os.path.join(primary, "manifest.json") if os.path.isdir(primary) \
@@ -258,8 +258,6 @@ def build_parser() -> _Parser:
                      description="SPAD array timestamp analysis toolkit")
     parser.add_argument("--log-level", default="warning",
                         choices=["debug", "info", "warning", "error"])
-    parser.add_argument("--threads", type=int, default=1,
-                        help="reserved; analysis currently runs single-threaded")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 

@@ -30,7 +30,7 @@ import numpy as np
 from .coincidence import DEFAULT_WINDOW_PS, PixelIndex
 from .errors import CalibrationError, DataError, FitError
 from .peakfit import fit_gaussian
-from .timestream import PhotonStream
+from .timestream import PhotonStream, record_order
 
 SCHEMA_VERSION = 1
 
@@ -249,7 +249,7 @@ def apply_delays(stream: PhotonStream, delays) -> PhotonStream:
     oow = (time < 0) | (time >= period)
     if stream.out_of_window is not None:
         oow |= stream.out_of_window
-    order = np.lexsort((stream.pixel, time, stream.cycle_index))
+    order = record_order(stream.cycle_index, time, stream.pixel)
     return PhotonStream(
         header=stream.header,
         cycle_index=stream.cycle_index[order],

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .timestream import PhotonStream, SensorConfig, StreamHeader
+from .timestream import PhotonStream, SensorConfig, StreamHeader, record_order
 
 MAX_MEAN_RECORDS_PER_CYCLE = 10_000.0
 
@@ -360,7 +360,7 @@ def simulate(config: SimConfig) -> tuple[PhotonStream, SimTruth]:
         truth.n_dropped += int(len(keep) - keep.sum())
         cyc, pix, time = cyc[keep], pix[keep], time[keep]
         origin, class_id = origin[keep], class_id[keep]
-        order = np.lexsort((pix, time, cyc))
+        order = record_order(cyc, time, pix)
         parts_cyc.append(cyc[order])
         parts_pix.append(pix[order])
         parts_time.append(time[order])
@@ -570,7 +570,7 @@ def simulate_code_density(sensor: SensorConfig, widths_ps, counts_per_pixel,
     slots = rng.integers(0, n_slots, total)
     times = np.rint(slots * clock + codes * sensor.mean_bin_width_ps)
 
-    order = np.lexsort((pix, times, cycles))
+    order = record_order(cycles, times, pix)
     return PhotonStream(
         header=StreamHeader(sensor=sensor,
                             metadata={"source": "simulation",

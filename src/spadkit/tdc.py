@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CalibrationError, DataError
-from .timestream import PhotonStream, SensorConfig
+from .timestream import PhotonStream, SensorConfig, record_order
 
 logger = logging.getLogger(__name__)
 
@@ -195,7 +195,7 @@ def apply_lut(stream: PhotonStream, lut: TdcLut) -> PhotonStream:
     fine = lut.offsets[pix, codes] + lut.widths[pix, codes] / 2.0
     times = base + fine
 
-    order = np.lexsort((stream.pixel, times, stream.cycle_index))
+    order = record_order(stream.cycle_index, times, stream.pixel)
     return PhotonStream(
         header=stream.header,
         cycle_index=stream.cycle_index[order],

@@ -33,6 +33,16 @@ Records inside a cycle are sorted by (time_ps, pixel); the readers reject
 unsorted input rather than silently reordering it.  Empty cycles need not
 be serialized -- the acquisition length in cycles travels in the
 ``total_cycles`` metadata key when it differs from the serialized count.
+
+Two readers parse the record payload:
+
+* ``read_stream`` -- the streaming reader, one cycle at a time; every
+  structural error it raises carries the cycle index and byte offset;
+* ``PhotonStream.read`` -- a vectorized scan of the cycle headers and a
+  gather of the records into columns.  When a cycle mixes raw and plain
+  records, or the bytes hold any structural defect, it hands the buffer
+  to ``read_stream``, which accepts the former and raises the precise
+  error for the latter, so both readers fail identically.
 """
 
 from __future__ import annotations
@@ -56,6 +66,7 @@ STREAMING_CYCLE_COUNT = 0xFFFF_FFFF_FFFF_FFFF
 
 _HEADER = struct.Struct("<4sHHQHI")          # magic .. clock_period_ps
 _U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 _CYCLE_HEADER = struct.Struct("<QI")          # cycle_index, record_count
 _REC_PLAIN = struct.Struct("<HQB")
@@ -129,6 +140,12 @@ class StreamHeader:
 # ---------------------------------------------------------------------------
 # columnar stream
 
+def record_order(cycle_index: np.ndarray, time_ps: np.ndarray,
+                 pixel: np.ndarray) -> np.ndarray:
+    """Permutation that puts records in stream order: (cycle, time, pixel)."""
+    return np.lexsort((pixel, time_ps, cycle_index))
+
+
 @dataclass
 class PhotonStream:
     """All records of a stream as parallel arrays, cycle-major order.
@@ -188,9 +205,7 @@ class PhotonStream:
                 raise StreamFormatError("record time outside cycle")
         elif not (in_window | self.out_of_window).all():
             raise StreamFormatError("record time outside cycle and not tagged")
-        key = (self.cycle_index.astype(np.int64), self.time_ps, self.pixel)
-        order = _lex_nondecreasing(*key)
-        if not order:
+        if not _lex_ordered(self.cycle_index, self.time_ps, self.pixel).all():
             raise StreamFormatError("records not sorted by (cycle, time, pixel)")
         if self.total_cycles <= int(self.cycle_index[-1]):
             raise StreamFormatError("total_cycles smaller than last cycle index")
@@ -305,53 +320,25 @@ class PhotonStream:
                 return cls.read(fh)
         buf = source.read()
         header, cycle_count, pos = _parse_header(buf)
+        columns = _gather_columns(buf, pos, header.sensor, cycle_count)
+        if columns is None:
+            # Mixed raw/plain records or a structural defect: the streaming
+            # reader accepts the one and raises the precise error for the
+            # other.  Cycles pass through one at a time rather than as a
+            # list, which would hold every record object at once.
+            header, cycles = read_stream(io.BytesIO(buf))
+            last_index = -1
 
-        scan = _scan_cycles(buf, pos)
-        if scan is None:
-            return cls._read_slow(buf, pos, header, cycle_count)
-        idx_arr, cnt_arr, pos_arr, flags = scan
+            def tracking_last():
+                nonlocal last_index
+                for cycle in cycles:
+                    last_index = cycle.cycle_index
+                    yield cycle
 
-        n_cycles = len(idx_arr)
-        total_rec = int(cnt_arr.sum())
-        pixel = np.empty(0, dtype=np.uint16)
-        time_ps = np.empty(0, dtype=np.float64)
-        raw_code = None
-        if total_rec:
-            dtype = _DT_RAW if flags & _FLAG_RAW else _DT_PLAIN
-            isz = dtype.itemsize
-            u8 = np.frombuffer(buf, dtype=np.uint8)
-            rec_first = np.concatenate(([0], np.cumsum(cnt_arr)))
-            pix_parts, t_parts, raw_parts = [], [], []
-            for c0, c1 in _slab_runs(rec_first[:-1], _IO_CHUNK):
-                cnts = cnt_arr[c0:c1]
-                m = int(rec_first[c1] - rec_first[c0])
-                local = np.arange(m) - np.repeat(rec_first[c0:c1] - rec_first[c0],
-                                                 cnts)
-                byte0 = np.repeat(pos_arr[c0:c1], cnts) + local * isz
-                mat = np.empty((m, isz), dtype=np.uint8)
-                for j in range(isz):
-                    mat[:, j] = u8[byte0 + j]
-                rec = mat.view(dtype).reshape(m)
-                if not (rec["flags"] == flags).all():
-                    # A cycle mixes raw and plain records, so the scan's
-                    # stride assumption is wrong from that record on.  The
-                    # per-cycle parser handles (or precisely rejects) it.
-                    return cls._read_slow(buf, pos, header, cycle_count)
-                pix_parts.append(rec["pixel"].copy())
-                t_parts.append(rec["time"].astype(np.float64))
-                if flags & _FLAG_RAW:
-                    raw_parts.append(rec["raw"].copy())
-            pixel = np.concatenate(pix_parts)
-            time_ps = np.concatenate(t_parts)
-            if raw_parts:
-                raw_code = np.concatenate(raw_parts)
-
-        cycle_rep = np.repeat(idx_arr, cnt_arr)
-        _validate_columns(cycle_rep, pixel, time_ps, header.sensor)
-        if cycle_count != STREAMING_CYCLE_COUNT and cycle_count != n_cycles:
-            raise StreamFormatError(
-                f"header promises {cycle_count} cycles, found {n_cycles}")
-        last_index = int(idx_arr[-1]) if n_cycles else -1
+            stream = cls.from_cycles(header, tracking_last())
+            stream.total_cycles = _total_cycles(header, last_index)
+            return stream
+        cycle_rep, pixel, time_ps, raw_code, last_index = columns
         return cls(
             header=header,
             cycle_index=cycle_rep,
@@ -360,59 +347,6 @@ class PhotonStream:
             raw_code=raw_code,
             total_cycles=_total_cycles(header, last_index),
         )
-
-    @classmethod
-    def _read_slow(cls, buf: bytes, pos: int, header: StreamHeader,
-                   cycle_count: int) -> "PhotonStream":
-        """Cycle-at-a-time parse for layouts the vectorized path declines."""
-        sensor = header.sensor
-        chunks_cyc, chunks_pix, chunks_t, chunks_raw = [], [], [], []
-        n_cycles = 0
-        prev_index = -1
-        while pos < len(buf):
-            if len(buf) - pos < _CYCLE_HEADER.size:
-                raise StreamFormatError("unexpected end of stream",
-                                        cycle_index=n_cycles, offset=pos)
-            index, count = _CYCLE_HEADER.unpack_from(buf, pos)
-            if index <= prev_index:
-                raise StreamFormatError(
-                    "cycle index not strictly increasing", cycle_index=index,
-                    offset=pos)
-            prev_index = index
-            pos += _CYCLE_HEADER.size
-            block, raw, pos = _parse_record_block(buf, pos, count, index)
-            _validate_block(block, sensor, index)
-            chunks_cyc.append(np.full(count, index, dtype=np.uint64))
-            chunks_pix.append(block["pixel"].copy())
-            chunks_t.append(block["time"].astype(np.float64))
-            chunks_raw.append(raw)
-            n_cycles += 1
-
-        if cycle_count != STREAMING_CYCLE_COUNT and cycle_count != n_cycles:
-            raise StreamFormatError(
-                f"header promises {cycle_count} cycles, found {n_cycles}")
-
-        raw_code = None
-        if chunks_raw and all(r is not None for r in chunks_raw):
-            raw_code = np.concatenate(chunks_raw) if chunks_raw else None
-        elif any(r is not None for r in chunks_raw):
-            # Mixed raw/non-raw cycles: keep codes where present, 0 elsewhere.
-            raw_code = np.concatenate([
-                r if r is not None else np.zeros(len(c), dtype=np.uint32)
-                for r, c in zip(chunks_raw, chunks_cyc)])
-
-        stream = cls(
-            header=header,
-            cycle_index=(np.concatenate(chunks_cyc) if chunks_cyc
-                         else np.empty(0, dtype=np.uint64)),
-            pixel=(np.concatenate(chunks_pix) if chunks_pix
-                   else np.empty(0, dtype=np.uint16)),
-            time_ps=(np.concatenate(chunks_t) if chunks_t
-                     else np.empty(0, dtype=np.float64)),
-            raw_code=raw_code,
-            total_cycles=_total_cycles(header, prev_index),
-        )
-        return stream
 
 
 # ---------------------------------------------------------------------------
@@ -462,19 +396,26 @@ def read_stream(source: BinaryIO) -> tuple[StreamHeader, Iterator[AcquisitionCyc
         raise StreamFormatError(f"invalid sensor header: {exc}") from None
 
     (meta_count,) = _U16.unpack(_read_exact(source, 2, "metadata count"))
+    offset = _HEADER.size + _U16.size + _U64.size   # up to the first cycle
     metadata = {}
     for _ in range(meta_count):
         key = _read_length_prefixed(source, "metadata key")
         val = _read_length_prefixed(source, "metadata value")
-        metadata[key] = val
+        metadata[key.decode("utf-8", errors="replace")] = \
+            val.decode("utf-8", errors="replace")
+        offset += 2 * _U16.size + len(key) + len(val)
     (cycle_count,) = _U64.unpack(_read_exact(source, 8, "cycle count"))
 
     header = StreamHeader(sensor=sensor, version=version, metadata=metadata)
-    return header, _iter_cycles(source, sensor, cycle_count)
+    return header, _iter_cycles(source, sensor, cycle_count, offset)
 
 
-def _iter_cycles(source: BinaryIO, sensor: SensorConfig,
-                 cycle_count: int) -> Iterator[AcquisitionCycle]:
+def _iter_cycles(source: BinaryIO, sensor: SensorConfig, cycle_count: int,
+                 offset: int) -> Iterator[AcquisitionCycle]:
+    # ``offset`` counts the bytes consumed so far instead of asking the
+    # source, so pipes report positions too.  Errors point at the cycle
+    # header or record at fault.
+    n_pixels, period = sensor.num_pixels, sensor.cycle_period_ps
     prev_index = -1
     seen = 0
     while True:
@@ -482,48 +423,59 @@ def _iter_cycles(source: BinaryIO, sensor: SensorConfig,
         if not head:
             break
         if len(head) < _CYCLE_HEADER.size:
-            raise StreamFormatError("unexpected end of stream",
-                                    cycle_index=seen)
+            raise StreamFormatError(
+                "unexpected end of stream while reading a cycle header",
+                offset=offset)
         index, count = _CYCLE_HEADER.unpack(head)
         if index <= prev_index:
             raise StreamFormatError("cycle index not strictly increasing",
-                                    cycle_index=index)
+                                    cycle_index=index, offset=offset)
         prev_index = index
+        offset += _CYCLE_HEADER.size
 
         records = []
         prev_key = (-1, -1)
         for _ in range(count):
-            fixed = _read_exact(source, _REC_PLAIN.size,
-                                f"record in cycle {index}")
+            fixed = source.read(_REC_PLAIN.size)
+            if len(fixed) < _REC_PLAIN.size:
+                raise StreamFormatError(
+                    "unexpected end of stream while reading a record",
+                    cycle_index=index, offset=offset)
             pixel, time_ps, flags = _REC_PLAIN.unpack(fixed)
             raw = None
             if flags & _FLAG_RAW:
-                (raw,) = struct.unpack("<I", _read_exact(
-                    source, 4, f"raw code in cycle {index}"))
+                code = source.read(_U32.size)
+                if len(code) < _U32.size:
+                    raise StreamFormatError(
+                        "unexpected end of stream while reading a raw code",
+                        cycle_index=index, offset=offset)
+                (raw,) = _U32.unpack(code)
             if flags & ~_FLAG_RAW:
                 raise StreamFormatError(
                     f"corrupt record (reserved flag bits 0x{flags:02x})",
-                    cycle_index=index)
-            if pixel >= sensor.num_pixels:
+                    cycle_index=index, offset=offset)
+            if pixel >= n_pixels:
                 raise StreamFormatError(
                     f"corrupt record (pixel {pixel} out of range)",
-                    cycle_index=index)
-            if time_ps >= sensor.cycle_period_ps:
+                    cycle_index=index, offset=offset)
+            if time_ps >= period:
                 raise StreamFormatError(
                     f"corrupt record (time {time_ps} outside cycle)",
-                    cycle_index=index)
+                    cycle_index=index, offset=offset)
             key = (time_ps, pixel)
             if key < prev_key:
-                raise StreamFormatError(
-                    "records not sorted by (time, pixel)", cycle_index=index)
+                raise StreamFormatError("records not sorted by (time, pixel)",
+                                        cycle_index=index, offset=offset)
             prev_key = key
             records.append(TimestampRecord(pixel, time_ps, raw))
+            offset += _REC_PLAIN.size if raw is None else _REC_RAW.size
         seen += 1
         yield AcquisitionCycle(index, tuple(records))
 
     if cycle_count != STREAMING_CYCLE_COUNT and seen != cycle_count:
         raise StreamFormatError(
-            f"header promises {cycle_count} cycles, found {seen}")
+            f"header promises {cycle_count} cycles, found {seen}",
+            offset=offset)
 
 
 # ---------------------------------------------------------------------------
@@ -591,6 +543,9 @@ def read_csv(source, sensor: SensorConfig) -> list[AcquisitionCycle]:
             raise StreamFormatError("non-integer field", line=lineno) from None
         if cyc < 0 or pixel < 0 or time_ps < 0:
             raise StreamFormatError("negative field", line=lineno)
+        if cyc >= 1 << 64:
+            raise StreamFormatError(f"cycle index {cyc} exceeds u64",
+                                    line=lineno)
         if pixel >= sensor.num_pixels:
             raise StreamFormatError(f"pixel {pixel} out of range", line=lineno)
         if time_ps >= sensor.cycle_period_ps:
@@ -665,9 +620,9 @@ def _read_exact(source: BinaryIO, n: int, what: str) -> bytes:
     return data
 
 
-def _read_length_prefixed(source: BinaryIO, what: str) -> str:
+def _read_length_prefixed(source: BinaryIO, what: str) -> bytes:
     (n,) = _U16.unpack(_read_exact(source, 2, what + " length"))
-    return _read_exact(source, n, what).decode("utf-8", errors="replace")
+    return _read_exact(source, n, what)
 
 
 def _parse_header(buf: bytes) -> tuple[StreamHeader, int, int]:
@@ -681,91 +636,18 @@ def _parse_header(buf: bytes) -> tuple[StreamHeader, int, int]:
     return header, cycle_count, fh.tell()
 
 
-def _parse_record_block(buf: bytes, pos: int, count: int,
-                        cycle_index: int) -> tuple[np.ndarray, np.ndarray | None, int]:
-    """Parse ``count`` records starting at ``pos``.
+def _lex_ordered(*keys: np.ndarray) -> np.ndarray:
+    """Per adjacent pair of rows: lexicographically nondecreasing?
 
-    Fast path assumes every record shares the first record's flags byte,
-    which holds for any stream this package writes; alignment is verified
-    against the parsed flags column before the result is trusted, so mixed
-    streams fall back to the per-record path.
+    ``keys`` run from most to least significant.  Each key is compared in
+    its own dtype: a difference wraps on unsigned columns, and a cast of
+    uint64 indices to int64 turns those from 2**63 on negative.
     """
-    if count == 0:
-        return np.empty(0, dtype=_DT_PLAIN), None, pos
-    if len(buf) - pos < _REC_PLAIN.size:
-        raise StreamFormatError("unexpected end of stream",
-                                cycle_index=cycle_index, offset=pos)
-    first_flags = buf[pos + 10]
-    dtype = _DT_RAW if first_flags & _FLAG_RAW else _DT_PLAIN
-    end = pos + count * dtype.itemsize
-    if first_flags in (0, _FLAG_RAW) and end <= len(buf):
-        block = np.frombuffer(buf, dtype=dtype, count=count, offset=pos)
-        if (block["flags"] == first_flags).all():
-            raw = block["raw"].copy() if first_flags & _FLAG_RAW else None
-            return block, raw, end
-
-    # Slow path: records with heterogeneous flags (or corruption; the
-    # per-record parser produces the precise error).
-    if count > (len(buf) - pos) // _REC_PLAIN.size:
-        # The buffer cannot possibly hold this many records; refuse before
-        # allocating anything proportional to the claimed count.
-        raise StreamFormatError(
-            f"record count {count} exceeds remaining data",
-            cycle_index=cycle_index, offset=pos)
-    pixels = np.empty(count, dtype=np.uint16)
-    times = np.empty(count, dtype=np.uint64)
-    flags_arr = np.empty(count, dtype=np.uint8)
-    raws = np.zeros(count, dtype=np.uint32)
-    any_raw = False
-    for k in range(count):
-        if len(buf) - pos < _REC_PLAIN.size:
-            raise StreamFormatError("unexpected end of stream",
-                                    cycle_index=cycle_index, offset=pos)
-        pixel, time_ps, flags = _REC_PLAIN.unpack_from(buf, pos)
-        pos += _REC_PLAIN.size
-        if flags & _FLAG_RAW:
-            if len(buf) - pos < 4:
-                raise StreamFormatError("unexpected end of stream",
-                                        cycle_index=cycle_index, offset=pos)
-            (raws[k],) = struct.unpack_from("<I", buf, pos)
-            pos += 4
-            any_raw = True
-        pixels[k], times[k], flags_arr[k] = pixel, time_ps, flags
-    block = np.empty(count, dtype=_DT_PLAIN)
-    block["pixel"], block["time"], block["flags"] = pixels, times, flags_arr
-    return block, (raws if any_raw else None), pos
-
-
-def _validate_block(block: np.ndarray, sensor: SensorConfig,
-                    cycle_index: int) -> None:
-    if len(block) == 0:
-        return
-    flags = block["flags"]
-    if (flags & np.uint8(0xFF ^ _FLAG_RAW)).any():
-        raise StreamFormatError("corrupt record (reserved flag bits)",
-                                cycle_index=cycle_index)
-    if int(block["pixel"].max()) >= sensor.num_pixels:
-        raise StreamFormatError("corrupt record (pixel out of range)",
-                                cycle_index=cycle_index)
-    if int(block["time"].max()) >= sensor.cycle_period_ps:
-        raise StreamFormatError("corrupt record (time outside cycle)",
-                                cycle_index=cycle_index)
-    t = block["time"].astype(np.int64)
-    p = block["pixel"].astype(np.int64)
-    if not _lex_nondecreasing(np.zeros_like(t), t, p):
-        raise StreamFormatError("records not sorted by (time, pixel)",
-                                cycle_index=cycle_index)
-
-
-def _lex_nondecreasing(major: np.ndarray, mid: np.ndarray,
-                       minor: np.ndarray) -> bool:
-    if len(major) < 2:
-        return True
-    dmaj = np.diff(major)
-    dmid = np.diff(mid)
-    dmin = np.diff(minor)
-    ok = (dmaj > 0) | ((dmaj == 0) & ((dmid > 0) | ((dmid == 0) & (dmin >= 0))))
-    return bool(ok.all())
+    ok = None
+    for key in reversed(keys):
+        a, b = key[:-1], key[1:]
+        ok = (a <= b) if ok is None else (a < b) | ((a == b) & ok)
+    return ok
 
 
 def _run_bounds(values: np.ndarray) -> list[tuple[int, int]]:
@@ -812,12 +694,10 @@ def _scan_cycles(buf: bytes, pos: int) -> tuple[
 
     Returns (cycle indices, record counts, record block offsets, shared flags
     byte) when every cycle is well formed and each cycle's first record
-    carries the same flags byte; any anomaly returns None and the caller
-    falls back to the per-cycle parser, which either accepts the unusual but
-    legal layout or raises the precise structural error.  The shared flags
+    carries the same flags byte; any anomaly returns None.  The shared flags
     byte fixes the record stride, so a record that deviates mid-cycle would
-    desynchronize this scan; the caller cross-checks the parsed flags column
-    before trusting the result.
+    desynchronize this scan; `_gather_columns` cross-checks the parsed flags
+    column before trusting the result.
     """
     n_buf = len(buf)
     hsz = _CYCLE_HEADER.size
@@ -858,44 +738,64 @@ def _scan_cycles(buf: bytes, pos: int) -> tuple[
             flags)
 
 
-def _validate_columns(cycles: np.ndarray, pixels: np.ndarray,
-                      times: np.ndarray, sensor: SensorConfig) -> None:
-    """Whole-stream version of `_validate_block` (minus the flags check).
+def _gather_columns(buf: bytes, pos: int, sensor: SensorConfig,
+                    cycle_count: int) -> tuple[
+        np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, int] | None:
+    """Vectorized parse of the cycles that start at ``pos``.
 
-    Reports the earliest offending cycle, and within a cycle prefers the
-    pixel-range error over time-range over ordering, exactly as the
-    per-cycle validation would.
+    Returns (cycle index per record, pixel, time_ps, raw_code, last
+    serialized cycle index), or None when a cycle mixes raw and plain
+    records or the bytes break any structural rule; `PhotonStream.read`
+    then hands them to the streaming reader.
     """
-    if len(pixels) == 0:
-        return
-    none = np.iinfo(np.int64).max
-    bad_pix = pixels >= sensor.num_pixels
-    bad_time = times >= sensor.cycle_period_ps
-    cyc_pix = int(cycles[np.argmax(bad_pix)]) if bad_pix.any() else none
-    cyc_time = int(cycles[np.argmax(bad_time)]) if bad_time.any() else none
+    scan = _scan_cycles(buf, pos)
+    if scan is None:
+        return None
+    idx_arr, cnt_arr, pos_arr, flags = scan
+    if cycle_count not in (STREAMING_CYCLE_COUNT, len(idx_arr)):
+        return None
 
-    cyc_sort = none
-    if len(pixels) > 1:
-        # Only within-cycle pairs matter; the scan already guarantees the
-        # cycle indices themselves increase.
-        same = cycles[1:] == cycles[:-1]
-        dt = np.diff(times)
-        dpix = np.diff(pixels.astype(np.int64))
-        ok = ~same | (dt > 0) | ((dt == 0) & (dpix >= 0))
-        if not ok.all():
-            cyc_sort = int(cycles[int(np.argmax(~ok)) + 1])
+    pixel = np.empty(0, dtype=np.uint16)
+    time_ps = np.empty(0, dtype=np.float64)
+    raw_code = None
+    if cnt_arr.sum():
+        dtype = _DT_RAW if flags & _FLAG_RAW else _DT_PLAIN
+        isz = dtype.itemsize
+        u8 = np.frombuffer(buf, dtype=np.uint8)
+        rec_first = np.concatenate(([0], np.cumsum(cnt_arr)))
+        pix_parts, t_parts, raw_parts = [], [], []
+        for c0, c1 in _slab_runs(rec_first[:-1], _IO_CHUNK):
+            cnts = cnt_arr[c0:c1]
+            m = int(rec_first[c1] - rec_first[c0])
+            local = np.arange(m) - np.repeat(rec_first[c0:c1] - rec_first[c0],
+                                             cnts)
+            byte0 = np.repeat(pos_arr[c0:c1], cnts) + local * isz
+            mat = np.empty((m, isz), dtype=np.uint8)
+            for j in range(isz):
+                mat[:, j] = u8[byte0 + j]
+            rec = mat.view(dtype).reshape(m)
+            if not (rec["flags"] == flags).all():
+                # A cycle mixes raw and plain records, so the scan's stride
+                # assumption is wrong from that record on.
+                return None
+            pix_parts.append(rec["pixel"].copy())
+            t_parts.append(rec["time"].astype(np.float64))
+            if flags & _FLAG_RAW:
+                raw_parts.append(rec["raw"].copy())
+        pixel = np.concatenate(pix_parts)
+        time_ps = np.concatenate(t_parts)
+        if raw_parts:
+            raw_code = np.concatenate(raw_parts)
 
-    first = min(cyc_pix, cyc_time, cyc_sort)
-    if first == none:
-        return
-    if first == cyc_pix:
-        raise StreamFormatError("corrupt record (pixel out of range)",
-                                cycle_index=first)
-    if first == cyc_time:
-        raise StreamFormatError("corrupt record (time outside cycle)",
-                                cycle_index=first)
-    raise StreamFormatError("records not sorted by (time, pixel)",
-                            cycle_index=first)
+    # The scan guarantees increasing cycle indices, so the order check
+    # only bites on (time, pixel) within a cycle.
+    cycle_rep = np.repeat(idx_arr, cnt_arr)
+    if len(pixel) and (int(pixel.max()) >= sensor.num_pixels
+                       or time_ps.max() >= sensor.cycle_period_ps
+                       or not _lex_ordered(cycle_rep, time_ps, pixel).all()):
+        return None
+    last_index = int(idx_arr[-1]) if len(idx_arr) else -1
+    return cycle_rep, pixel, time_ps, raw_code, last_index
 
 
 def _total_cycles(header: StreamHeader, last_index: int) -> int:

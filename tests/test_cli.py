@@ -209,6 +209,9 @@ def test_usage_errors_exit_one(capsys):
         main(["coincidence", "--in", "x", "--pair", "banana",
               "--out", "y"])
     assert exc.value.code == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "2", "dcr", "--in", "x", "--out", "y"])
+    assert exc.value.code == 1
 
 
 def test_delays_flag_matches_library_application(tmp_path):

@@ -34,6 +34,44 @@ def roundtrip(cycles, header=HEADER):
     return data, h, list(it)
 
 
+def read_via_stream(data):
+    """The streaming reader's cycles as columns; the acquisition spans the
+    last serialized cycle (the test headers carry no total_cycles)."""
+    h, it = read_stream(io.BytesIO(data))
+    cycles = list(it)
+    last = cycles[-1].cycle_index if cycles else -1
+    return PhotonStream.from_cycles(h, cycles, total_cycles=last + 1)
+
+
+def assert_same_stream(got, want):
+    assert got.header == want.header
+    for name in ("cycle_index", "pixel", "time_ps", "raw_code"):
+        g, w = getattr(got, name), getattr(want, name)
+        if w is None:
+            assert g is None, name
+        else:
+            assert g.dtype == w.dtype and np.array_equal(g, w), name
+    assert got.total_cycles == want.total_cycles
+
+
+def read_outcome(read, data):
+    """``read(data)``, or the fields of the format error it raises."""
+    try:
+        return read(data)
+    except StreamFormatError as exc:
+        return (str(exc), exc.cycle_index, exc.offset)
+
+
+def assert_readers_agree(data):
+    want = read_outcome(read_via_stream, data)
+    got = read_outcome(lambda b: PhotonStream.read(io.BytesIO(b)), data)
+    if isinstance(want, PhotonStream):
+        assert isinstance(got, PhotonStream), got
+        assert_same_stream(got, want)
+    else:
+        assert got == want
+
+
 # ---------------------------------------------------------------------------
 # basic round trips
 
@@ -100,6 +138,24 @@ def test_truncated_mid_cycle_names_cycle():
     h, it = read_stream(io.BytesIO(data[:-4]))
     with pytest.raises(StreamFormatError, match="cycle 0"):
         list(it)
+
+
+def test_truncated_stream_same_error_from_both_readers():
+    cycles = [AcquisitionCycle(0, (TimestampRecord(1, 5), TimestampRecord(2, 6))),
+              AcquisitionCycle(3, (TimestampRecord(4, 7, raw_code=9),
+                                   TimestampRecord(5, 8)))]
+    data = stream_bytes(HEADER, cycles)
+    # 32-byte header, 12-byte cycle header, 11-byte plain records: stop
+    # 7 bytes into cycle 0's second record
+    cut = data[:32 + 12 + 11 + 7]
+    with pytest.raises(StreamFormatError) as streamed:
+        list(read_stream(io.BytesIO(cut))[1])
+    with pytest.raises(StreamFormatError) as columnar:
+        PhotonStream.read(io.BytesIO(cut))
+    for exc in (streamed.value, columnar.value):
+        assert (exc.cycle_index, exc.offset) == (0, 32 + 12 + 11)
+    for n in range(32, len(data)):
+        assert_readers_agree(data[:n])
 
 
 def test_cycle_count_mismatch():
@@ -208,6 +264,29 @@ def test_columnar_validate_rejects_unsorted():
     )
     with pytest.raises(StreamFormatError, match="sorted"):
         ps.validate()
+    # (cycle, time) tie broken by a decreasing pixel
+    ps = PhotonStream(
+        HEADER,
+        cycle_index=np.array([0, 0], dtype=np.uint64),
+        pixel=np.array([9, 3], dtype=np.uint16),
+        time_ps=np.array([50.0, 50.0]),
+    )
+    with pytest.raises(StreamFormatError, match="sorted"):
+        ps.validate()
+
+
+def test_cycle_index_beyond_2_63_roundtrip():
+    index = 2**63 + 5
+    cycles = [AcquisitionCycle(0, (TimestampRecord(3, 10),)),
+              AcquisitionCycle(index, (TimestampRecord(2, 40),
+                                       TimestampRecord(1, 70)))]
+    ps = PhotonStream.from_cycles(HEADER, cycles)
+    buf = io.BytesIO()
+    ps.write(buf)
+    back = PhotonStream.read(io.BytesIO(buf.getvalue()))
+    assert list(back.as_cycles()) == cycles
+    assert back.total_cycles == index + 1
+    assert list(read_stream(io.BytesIO(buf.getvalue()))[1]) == cycles
 
 
 def test_out_of_window_stream_refuses_serialization():
@@ -250,6 +329,11 @@ def test_csv_non_monotone_cycle_rejected():
 def test_csv_out_of_range_field_names_line():
     with pytest.raises(StreamFormatError, match="line 2"):
         read_csv(io.StringIO("cycle_index,pixel,time_ps\n0,999,5\n"), SENSOR)
+    # one past the largest u64 cycle index
+    with pytest.raises(StreamFormatError, match="line 2"):
+        read_csv(io.StringIO("0,3,100\n18446744073709551616,3,100\n"), SENSOR)
+    got = read_csv(io.StringIO("18446744073709551615,3,100\n"), SENSOR)
+    assert got[0].cycle_index == 2**64 - 1
 
 
 def test_csv_bad_field_count():
@@ -278,9 +362,11 @@ def cycles_strategy(draw):
             draw(st.tuples(st.integers(0, sensor.cycle_period_ps - 1),
                            st.integers(0, sensor.num_pixels - 1)))
             for _ in range(n))
-        use_raw = draw(st.booleans())
+        # plain, raw, or both kinds of record inside one cycle
+        kinds = draw(st.sampled_from([(False,), (True,), (False, True)]))
         recs = tuple(
-            TimestampRecord(p, t, draw(st.integers(0, 139)) if use_raw else None)
+            TimestampRecord(p, t, draw(st.integers(0, 139))
+                            if draw(st.sampled_from(kinds)) else None)
             for t, p in keys)
         cycles.append(AcquisitionCycle(index, recs))
     return cycles
@@ -294,6 +380,8 @@ def test_property_roundtrip_bit_identical(cycles):
     back = list(it)
     assert back == cycles
     assert stream_bytes(h, back) == data
+    assert_same_stream(PhotonStream.read(io.BytesIO(data)),
+                       read_via_stream(data))
 
 
 @settings(max_examples=150, deadline=None)
@@ -318,14 +406,8 @@ def test_property_parser_total_on_mutations(data):
         blob[pos] = data.draw(st.integers(0, 255))
     cut = data.draw(st.integers(0, len(blob)))
     for candidate in (bytes(blob), bytes(blob[:cut])):
-        try:
-            list(read_stream(io.BytesIO(candidate))[1])
-        except StreamFormatError:
-            pass
-        try:
-            PhotonStream.read(io.BytesIO(candidate))
-        except StreamFormatError:
-            pass
+        # only StreamFormatError may escape, and both readers agree on it
+        assert_readers_agree(candidate)
 
 
 @settings(max_examples=60, deadline=None)
