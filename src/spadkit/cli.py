@@ -101,7 +101,23 @@ def _pair(text: str) -> tuple[int, int]:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected 'A,B' pixel pair, got {text!r}") from None
+    if a >= b:
+        raise argparse.ArgumentTypeError(
+            f"pair must be ordered A < B, got {text!r}")
     return a, b
+
+
+def _positive(kind):
+    """Argument type: a finite ``kind`` (int or float) above zero."""
+    def parse(text: str):
+        value = kind(text)  # argparse reports a ValueError as usage error
+        if not 0 < value < float("inf"):
+            raise argparse.ArgumentTypeError(
+                f"must be finite and > 0, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__  # names the type in argparse's message
+    return parse
 
 
 def _load_json(path: str) -> dict:
@@ -272,7 +288,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("dcr", help="dark count rates and hot pixels")
     p.add_argument("--in", required=True)
-    p.add_argument("--subsets", type=int, default=None,
+    p.add_argument("--subsets", type=_positive(int), default=None,
                    help="also report per-subset rates for drift checks")
     p.add_argument("--hot-threshold", type=float,
                    default=DEFAULT_HOT_THRESHOLD_CPS)
@@ -282,8 +298,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("coincidence", help="two-pixel dt histogram")
     p.add_argument("--in", required=True)
     p.add_argument("--pair", required=True, type=_pair, metavar="A,B")
-    p.add_argument("--window", type=float, default=DEFAULT_WINDOW_PS)
-    p.add_argument("--bin", type=float, default=None,
+    p.add_argument("--window", type=_positive(float),
+                   default=DEFAULT_WINDOW_PS)
+    p.add_argument("--bin", type=_positive(float), default=None,
                    help="bin width in ps (default: 3 TDC bins)")
     p.add_argument("--delays", default=None, help="delay JSON to correct by")
     p.add_argument("--lut", default=None, help="TDC LUT for raw-code input")
@@ -293,7 +310,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("fit", help="Gaussian peak fit on a histogram JSON")
     p.add_argument("--in", required=True)
     p.add_argument("--two-peaks", action="store_true")
-    p.add_argument("--hint", type=float, default=5000.0,
+    p.add_argument("--hint", type=_positive(float), default=5000.0,
                    help="expected peak separation for --two-peaks")
     p.add_argument("--svg", default=None, help="write data+model overlay")
     p.add_argument("--out", required=True)
@@ -301,11 +318,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("ct-scan", help="cross-talk probability vs distance")
     p.add_argument("--in", required=True)
-    p.add_argument("--dmax", type=int, default=DEFAULT_D_MAX)
-    p.add_argument("--nhot", type=int, default=DEFAULT_N_HOT)
+    p.add_argument("--dmax", type=_positive(int), default=DEFAULT_D_MAX)
+    p.add_argument("--nhot", type=_positive(int), default=DEFAULT_N_HOT)
     p.add_argument("--hot-threshold", type=float,
                    default=DEFAULT_HOT_THRESHOLD_CPS)
-    p.add_argument("--window", type=float, default=DEFAULT_WINDOW_PS)
+    p.add_argument("--window", type=_positive(float),
+                   default=DEFAULT_WINDOW_PS)
     p.add_argument("--delays", default=None)
     p.add_argument("--lut", default=None)
     p.add_argument("--svg", default=None)
@@ -315,7 +333,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("calibrate",
                        help="per-pixel delays from neighbor cross-talk")
     p.add_argument("--in", required=True)
-    p.add_argument("--window", type=float, default=DEFAULT_WINDOW_PS)
+    p.add_argument("--window", type=_positive(float),
+                   default=DEFAULT_WINDOW_PS)
     p.add_argument("--lut", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_calibrate)
@@ -325,9 +344,10 @@ def build_parser() -> _Parser:
     p.add_argument("--in", required=True)
     p.add_argument("--pair", required=True, type=_pair, metavar="A,B")
     p.add_argument("--delays", default=None)
-    p.add_argument("--hint", type=float, default=5000.0)
-    p.add_argument("--window", type=float, default=DEFAULT_WINDOW_PS)
-    p.add_argument("--bin", type=float, default=None)
+    p.add_argument("--hint", type=_positive(float), default=5000.0)
+    p.add_argument("--window", type=_positive(float),
+                   default=DEFAULT_WINDOW_PS)
+    p.add_argument("--bin", type=_positive(float), default=None)
     p.add_argument("--lut", default=None)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_report)

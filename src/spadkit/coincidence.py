@@ -126,27 +126,6 @@ def default_bin_width_ps(stream: PhotonStream) -> float:
     return 3.0 * stream.sensor.mean_bin_width_ps
 
 
-def _check_pair_args(sensor: SensorConfig, pair: tuple[int, int],
-                     window_ps: float, bin_width_ps: float | None,
-                     delays: np.ndarray | None):
-    a, b = pair
-    if a == b:
-        raise ValueError("pair pixels must differ")
-    if a > b:
-        raise ValueError("pair must be ordered pixel_a < pixel_b")
-    if not (0 <= a < sensor.num_pixels and 0 <= b < sensor.num_pixels):
-        raise ValueError(f"pair {pair} outside 0..{sensor.num_pixels - 1}")
-    if bin_width_ps is None:
-        bin_width_ps = 3.0 * sensor.mean_bin_width_ps
-    if window_ps <= 0 or bin_width_ps <= 0:
-        raise ValueError("window and bin width must be positive")
-    if delays is not None:
-        delays = np.asarray(delays, dtype=np.float64)
-        if delays.shape != (sensor.num_pixels,):
-            raise ValueError("delays must cover every pixel")
-    return a, b, float(bin_width_ps), delays
-
-
 def _pair_counts(cyc_a, t_a, cyc_b, t_b, window_ps, bin_width_ps):
     """Bin dt = t_b - t_a over same-cycle cross pairs.
 
@@ -187,6 +166,40 @@ def _pair_counts(cyc_a, t_a, cyc_b, t_b, window_ps, bin_width_ps):
     return counts, total
 
 
+def _histogram(sensor: SensorConfig, records_for, pair: tuple[int, int],
+               window_ps: float, bin_width_ps: float | None,
+               delays: np.ndarray | None) -> DeltaHistogram:
+    """Body of ``build_histogram`` and ``PixelIndex.histogram``, which
+    differ only in ``records_for(pixel)``: that pixel's cycle-sorted
+    (cycle_index, time_ps)."""
+    a, b = pair
+    if a == b:
+        raise ValueError("pair pixels must differ")
+    if a > b:
+        raise ValueError("pair must be ordered pixel_a < pixel_b")
+    if not (0 <= a < sensor.num_pixels and 0 <= b < sensor.num_pixels):
+        raise ValueError(f"pair {pair} outside 0..{sensor.num_pixels - 1}")
+    if bin_width_ps is None:
+        bin_width_ps = 3.0 * sensor.mean_bin_width_ps
+    if window_ps <= 0 or bin_width_ps <= 0:
+        raise ValueError("window and bin width must be positive")
+    if delays is not None:
+        delays = np.asarray(delays, dtype=np.float64)
+        if delays.shape != (sensor.num_pixels,):
+            raise ValueError("delays must cover every pixel")
+
+    cyc_a, t_a = records_for(a)
+    cyc_b, t_b = records_for(b)
+    if delays is not None:
+        t_a = t_a - delays[a]
+        t_b = t_b - delays[b]
+    counts, total = _pair_counts(cyc_a, t_a, cyc_b, t_b, window_ps,
+                                 bin_width_ps)
+    return DeltaHistogram(pixel_a=a, pixel_b=b, window_ps=float(window_ps),
+                          bin_width_ps=float(bin_width_ps), counts=counts,
+                          total_pairs=total)
+
+
 def build_histogram(stream: PhotonStream, pair: tuple[int, int],
                     window_ps: float = DEFAULT_WINDOW_PS,
                     bin_width_ps: float | None = None,
@@ -197,25 +210,14 @@ def build_histogram(stream: PhotonStream, pair: tuple[int, int],
     before differencing, which is how a delay calibration enters an
     uncorrected stream.
     """
-    a, b, bin_width_ps, delays = _check_pair_args(
-        stream.sensor, pair, window_ps, bin_width_ps, delays)
+    def records_for(pixel):
+        # Stream order is cycle-major, so the masked records stay sorted
+        # by cycle.
+        mask = stream.pixel == pixel
+        return stream.cycle_index[mask], stream.time_ps[mask]
 
-    mask_a = stream.pixel == a
-    mask_b = stream.pixel == b
-    # Stream order is cycle-major, so these stay sorted by cycle.
-    cyc_a = stream.cycle_index[mask_a]
-    cyc_b = stream.cycle_index[mask_b]
-    t_a = stream.time_ps[mask_a]
-    t_b = stream.time_ps[mask_b]
-    if delays is not None:
-        t_a = t_a - delays[a]
-        t_b = t_b - delays[b]
-
-    counts, total = _pair_counts(cyc_a, t_a, cyc_b, t_b, window_ps,
-                                 bin_width_ps)
-    return DeltaHistogram(pixel_a=a, pixel_b=b, window_ps=float(window_ps),
-                          bin_width_ps=float(bin_width_ps), counts=counts,
-                          total_pairs=total)
+    return _histogram(stream.sensor, records_for, pair, window_ps,
+                      bin_width_ps, delays)
 
 
 class PixelIndex:
@@ -259,19 +261,8 @@ class PixelIndex:
                   bin_width_ps: float | None = None,
                   delays: np.ndarray | None = None) -> DeltaHistogram:
         """Same contract as ``build_histogram``, served from the index."""
-        a, b, bin_width_ps, delays = _check_pair_args(
-            self.sensor, pair, window_ps, bin_width_ps, delays)
-        cyc_a, t_a = self.records_for(a)
-        cyc_b, t_b = self.records_for(b)
-        if delays is not None:
-            t_a = t_a - delays[a]
-            t_b = t_b - delays[b]
-        counts, total = _pair_counts(cyc_a, t_a, cyc_b, t_b, window_ps,
-                                     bin_width_ps)
-        return DeltaHistogram(pixel_a=a, pixel_b=b,
-                              window_ps=float(window_ps),
-                              bin_width_ps=float(bin_width_ps),
-                              counts=counts, total_pairs=total)
+        return _histogram(self.sensor, self.records_for, pair, window_ps,
+                          bin_width_ps, delays)
 
 
 def normalize_histogram(hist: DeltaHistogram) -> DeltaHistogram:

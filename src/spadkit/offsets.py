@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -250,11 +250,5 @@ def apply_delays(stream: PhotonStream, delays) -> PhotonStream:
     if stream.out_of_window is not None:
         oow |= stream.out_of_window
     order = record_order(stream.cycle_index, time, stream.pixel)
-    return PhotonStream(
-        header=stream.header,
-        cycle_index=stream.cycle_index[order],
-        pixel=stream.pixel[order],
-        time_ps=time[order],
-        raw_code=None if stream.raw_code is None else stream.raw_code[order],
-        total_cycles=stream.total_cycles,
-        out_of_window=oow[order] if oow.any() else None)
+    return replace(stream, time_ps=time,
+                   out_of_window=oow if oow.any() else None).take(order)

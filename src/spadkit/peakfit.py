@@ -344,22 +344,19 @@ def _fwhm_sigma(x, y, bg, amp, peak):
 # ---------------------------------------------------------------------------
 # public API
 
-def fit_gaussian(hist: DeltaHistogram,
-                 init: tuple[float, float, float, float] | None = None,
-                 center_bounds: tuple[float, float] | None = None) -> GaussianFit:
-    """Fit one Gaussian peak on a flat background.
+def fit_gaussian(hist: DeltaHistogram) -> GaussianFit:
+    """Fit one Gaussian peak on a flat background."""
+    x, y, weights = _fit_arrays(hist)
+    return fit_peak(x, y, weights=weights)
 
-    ``init`` overrides the automatic (bg, amplitude, center, sigma) seed;
+
+def fit_peak(x, y, *, weights=None,
+             center_bounds: tuple[float, float] | None = None) -> GaussianFit:
+    """Core single-peak fit on plain arrays (histogram-free entry point).
+
     ``center_bounds`` boxes the peak position, which stabilizes fits when
     the expected location is known.
     """
-    x, y, weights = _fit_arrays(hist)
-    return fit_peak(x, y, weights=weights, init=init, center_bounds=center_bounds)
-
-
-def fit_peak(x, y, *, weights=None, init=None,
-             center_bounds: tuple[float, float] | None = None) -> GaussianFit:
-    """Core single-peak fit on plain arrays (histogram-free entry point)."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if len(x) < 10:
@@ -371,8 +368,7 @@ def fit_peak(x, y, *, weights=None, init=None,
     if np.ptp(y) == 0.0:
         return _flat_result(x, y, weights)
 
-    p0 = np.array(init, dtype=np.float64) if init is not None \
-        else _single_peak_seed(x, y)
+    p0 = _single_peak_seed(x, y)
     lower = np.array([-np.inf, -np.inf, -np.inf, 1e-9])
     upper = np.full(4, np.inf)
     if center_bounds is not None:

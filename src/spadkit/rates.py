@@ -12,7 +12,7 @@ trend across per-subset reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -84,14 +84,7 @@ def compute_rates(stream: PhotonStream, *,
         else:
             sub_s = duration_s * sub.total_cycles / stream.total_cycles
         labeled.append((f"subset {k}", _rates_for(sub, sub_s, hot_threshold_cps)))
-    return RateReport(
-        rates_cps=report.rates_cps,
-        median_rate_cps=report.median_rate_cps,
-        hot_pixels=report.hot_pixels,
-        duration_s=report.duration_s,
-        hot_threshold_cps=report.hot_threshold_cps,
-        subset_reports=tuple(labeled),
-    )
+    return replace(report, subset_reports=tuple(labeled))
 
 
 def split_subsets(stream: PhotonStream, n: int) -> list[PhotonStream]:
@@ -115,18 +108,10 @@ def split_subsets(stream: PhotonStream, n: int) -> list[PhotonStream]:
     out = []
     for k in range(n):
         lo, hi = bounds[k], bounds[k + 1]
-        mask = (stream.cycle_index >= lo) & (stream.cycle_index < hi)
-        out.append(PhotonStream(
-            header=stream.header,
-            cycle_index=stream.cycle_index[mask] - np.uint64(lo),
-            pixel=stream.pixel[mask].copy(),
-            time_ps=stream.time_ps[mask].copy(),
-            raw_code=None if stream.raw_code is None
-            else stream.raw_code[mask].copy(),
-            total_cycles=hi - lo,
-            out_of_window=None if stream.out_of_window is None
-            else stream.out_of_window[mask].copy(),
-        ))
+        sub = stream.take((stream.cycle_index >= lo)
+                          & (stream.cycle_index < hi))
+        out.append(replace(sub, cycle_index=sub.cycle_index - np.uint64(lo),
+                           total_cycles=hi - lo))
     return out
 
 

@@ -369,22 +369,17 @@ def simulate(config: SimConfig) -> tuple[PhotonStream, SimTruth]:
 
     header = StreamHeader(sensor=sensor, metadata={
         "source": "simulation", "seed": str(config.seed)})
+    # total_cycles >= 1, so every part list is non-empty.
     stream = PhotonStream(
         header=header,
-        cycle_index=np.concatenate(parts_cyc) if parts_cyc
-        else np.array([], dtype=np.uint64),
-        pixel=np.concatenate(parts_pix) if parts_pix
-        else np.array([], dtype=np.uint16),
-        time_ps=np.concatenate(parts_time) if parts_time
-        else np.array([], dtype=np.float64),
-        raw_code=None,
+        cycle_index=np.concatenate(parts_cyc),
+        pixel=np.concatenate(parts_pix),
+        time_ps=np.concatenate(parts_time),
         total_cycles=total_cycles,
     )
     if config.include_lineage:
-        truth.origin = np.concatenate(parts_origin) if parts_origin \
-            else np.array([], dtype=np.uint8)
-        truth.class_id = np.concatenate(parts_class) if parts_class \
-            else np.array([], dtype=np.int16)
+        truth.origin = np.concatenate(parts_origin)
+        truth.class_id = np.concatenate(parts_class)
     return stream, truth
 
 
@@ -570,12 +565,11 @@ def simulate_code_density(sensor: SensorConfig, widths_ps, counts_per_pixel,
     slots = rng.integers(0, n_slots, total)
     times = np.rint(slots * clock + codes * sensor.mean_bin_width_ps)
 
-    order = record_order(cycles, times, pix)
-    return PhotonStream(
+    stream = PhotonStream(
         header=StreamHeader(sensor=sensor,
                             metadata={"source": "simulation",
                                       "seed": str(seed)}),
-        cycle_index=cycles[order], pixel=pix[order],
-        time_ps=times[order], raw_code=codes[order],
+        cycle_index=cycles, pixel=pix, time_ps=times, raw_code=codes,
         total_cycles=n_cycles,
     )
+    return stream.take(record_order(cycles, times, pix))

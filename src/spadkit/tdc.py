@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -121,14 +121,13 @@ class TdcLut:
         return cls.from_json_dict(doc, sensor)
 
 
-def build_lut(stream: PhotonStream,
-              min_counts: int = MIN_COUNTS_PER_PIXEL) -> TdcLut:
+def build_lut(stream: PhotonStream) -> TdcLut:
     """Estimate per-pixel bin widths from a uniform-illumination run.
 
     Pixels are flagged unusable when their total count is below
-    ``min_counts`` or when any code never fired (a dead code makes the
-    positive-width invariant unsatisfiable; with uniform light and enough
-    counts this only happens to genuinely defective channels).
+    ``MIN_COUNTS_PER_PIXEL`` or when any code never fired (a dead code
+    makes the positive-width invariant unsatisfiable; with uniform light
+    and enough counts this only happens to genuinely defective channels).
     """
     sensor = stream.sensor
     if stream.raw_code is None:
@@ -144,7 +143,7 @@ def build_lut(stream: PhotonStream,
     counts = counts.reshape(sensor.num_pixels, bins)
     totals = counts.sum(axis=1)
 
-    starved = totals < min_counts
+    starved = totals < MIN_COUNTS_PER_PIXEL
     dead_code = (counts == 0).any(axis=1)
     unusable = frozenset(np.flatnonzero(starved | dead_code).tolist())
     if unusable:
@@ -165,8 +164,9 @@ def apply_lut(stream: PhotonStream, lut: TdcLut) -> PhotonStream:
         time_ps = clock_base(time_ps) + offset[pixel, code] + width[pixel, code] / 2
 
     The coarse clock base is whatever multiple of the clock period the raw
-    record's time field encodes.  The result stream drops raw codes and is
-    re-sorted, since calibrated fine times can reorder ties.
+    record's time field encodes.  The result stream drops raw codes, keeps
+    any out-of-window tags, and is re-sorted, since calibrated fine times
+    can reorder ties.
     """
     sensor = stream.sensor
     if (sensor.num_pixels, sensor.tdc_bins_per_clock, sensor.clock_period_ps) != \
@@ -196,11 +196,4 @@ def apply_lut(stream: PhotonStream, lut: TdcLut) -> PhotonStream:
     times = base + fine
 
     order = record_order(stream.cycle_index, times, stream.pixel)
-    return PhotonStream(
-        header=stream.header,
-        cycle_index=stream.cycle_index[order],
-        pixel=stream.pixel[order],
-        time_ps=times[order],
-        raw_code=None,
-        total_cycles=stream.total_cycles,
-    )
+    return replace(stream, time_ps=times, raw_code=None).take(order)

@@ -155,7 +155,8 @@ class PhotonStream:
     freshly read or simulated streams hold integer-valued times.
     ``out_of_window`` marks records pushed outside [0, cycle_period) by a
     delay correction; such streams are analysis artifacts and cannot be
-    serialized.
+    serialized.  ``take`` is the only way to derive a stream (corrected,
+    re-sorted, sliced) and the one place that lists the record columns.
     """
 
     header: StreamHeader
@@ -210,6 +211,19 @@ class PhotonStream:
         if self.total_cycles <= int(self.cycle_index[-1]):
             raise StreamFormatError("total_cycles smaller than last cycle index")
 
+    def take(self, index) -> "PhotonStream":
+        """The records picked by a boolean mask or an index permutation.
+
+        Header and ``total_cycles`` carry over unchanged.
+        """
+        def pick(column):
+            return None if column is None else column[index]
+
+        return replace(self, cycle_index=self.cycle_index[index],
+                       pixel=self.pixel[index], time_ps=self.time_ps[index],
+                       raw_code=pick(self.raw_code),
+                       out_of_window=pick(self.out_of_window))
+
     @classmethod
     def from_cycles(cls, header: StreamHeader,
                     cycles: Iterable[AcquisitionCycle],
@@ -251,14 +265,20 @@ class PhotonStream:
     # -- binary I/O --------------------------------------------------------
 
     def write(self, sink: BinaryIO | str) -> int:
-        """Serialize to the binary container.  Returns bytes written."""
+        """Serialize to the binary container.  Returns bytes written.
+
+        Refuses, before touching ``sink``, what the readers would reject.
+        """
+        self.validate()
         if self.out_of_window is not None and self.out_of_window.any():
             raise StreamFormatError(
                 "stream holds out-of-window records and cannot be serialized")
         if isinstance(sink, str):
             with open(sink, "wb") as fh:
-                return self.write(fh)
+                return self._write_valid(fh)
+        return self._write_valid(sink)
 
+    def _write_valid(self, sink: BinaryIO) -> int:
         header = self.header
         # The in-memory count is authoritative; an inherited metadata entry
         # (e.g. on a slice of a stream read from disk) must not survive.

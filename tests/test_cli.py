@@ -212,6 +212,22 @@ def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--threads", "2", "dcr", "--in", "x", "--out", "y"])
     assert exc.value.code == 1
+    # out-of-range values are usage errors, not tracebacks
+    for argv in (["dcr", "--subsets", "0"],
+                 ["ct-scan", "--dmax", "0"],
+                 ["ct-scan", "--nhot", "-1"],
+                 ["ct-scan", "--window", "0"],
+                 ["calibrate", "--window", "inf"],
+                 ["coincidence", "--pair", "1,2", "--window", "-5"],
+                 ["coincidence", "--pair", "1,2", "--bin", "nan"],
+                 ["coincidence", "--pair", "3,3"],
+                 ["report", "--pair", "4,3"],
+                 ["report", "--pair", "1,2", "--hint", "0"],
+                 ["fit", "--hint", "-1"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--in", "x", "--out", "y"])
+        assert exc.value.code == 1, argv
+        assert "error: argument" in capsys.readouterr().err
 
 
 def test_delays_flag_matches_library_application(tmp_path):

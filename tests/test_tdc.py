@@ -7,6 +7,8 @@ import pytest
 from scipy import stats
 
 from spadkit import CalibrationError, DataError, PhotonStream, SensorConfig, StreamHeader
+from spadkit.offsets import apply_delays
+from spadkit.simulator import simulate_code_density
 from spadkit.tdc import TdcLut, apply_lut, build_lut
 
 SENSOR = SensorConfig()
@@ -161,3 +163,16 @@ def test_lut_constructor_rejects_bad_usable_rows():
         TdcLut(sensor=SENSOR, widths=widths)
     # same row is fine once pixel 5 is declared unusable
     TdcLut(sensor=SENSOR, widths=widths, unusable=frozenset({5}))
+
+
+def test_apply_keeps_out_of_window_tags():
+    widths = np.full(BINS, CLOCK / BINS)
+    stream = simulate_code_density(SENSOR, widths, 200, seed=3)
+    delays = np.where(np.arange(SENSOR.num_pixels) % 2, 3000.0, -3000.0)
+    shifted = apply_delays(stream, delays)
+    assert shifted.out_of_window is not None and shifted.out_of_window.any()
+    lut = TdcLut(SENSOR, np.tile(widths, (SENSOR.num_pixels, 1)))
+    out = apply_lut(shifted, lut)
+    assert out.out_of_window is not None
+    assert out.out_of_window.sum() == shifted.out_of_window.sum()
+    out.validate()

@@ -302,6 +302,23 @@ def test_out_of_window_stream_refuses_serialization():
         ps.write(io.BytesIO())
 
 
+def test_write_refuses_what_the_readers_reject():
+    def stream_with(**columns):
+        base = dict(cycle_index=np.array([0, 0], dtype=np.uint64),
+                    pixel=np.array([1, 2], dtype=np.uint16),
+                    time_ps=np.array([100.0, 200.0]))
+        return PhotonStream(HEADER, **{**base, **columns})
+
+    too_high = np.array([1, SENSOR.num_pixels], dtype=np.uint16)
+    for bad in (stream_with(time_ps=np.array([-5.0, 200.0])),  # untagged
+                stream_with(pixel=too_high),
+                stream_with(time_ps=np.array([200.0, 100.0]))):  # unsorted
+        sink = io.BytesIO()
+        with pytest.raises(StreamFormatError):
+            bad.write(sink)
+        assert sink.getvalue() == b""
+
+
 # ---------------------------------------------------------------------------
 # CSV
 
