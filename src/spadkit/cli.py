@@ -81,15 +81,17 @@ class RunManifest:
             json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
 
 
-def _manifest(args, inputs, outputs, t0, seed=None) -> None:
+def _manifest(args, outputs, t0, seed=None) -> None:
     skip = {"func", "command", "log_level"}
     config = {k: v for k, v in vars(args).items() if k not in skip}
+    inputs = tuple(config[k] for k in ("config", "in", "delays", "lut")
+                   if config.get(k))
     primary = outputs[0]
     path = os.path.join(primary, "manifest.json") if os.path.isdir(primary) \
         else primary + ".manifest.json"
     RunManifest(
         subcommand=args.command, config=config,
-        inputs=tuple(inputs), outputs=tuple(outputs),
+        inputs=inputs, outputs=tuple(outputs),
         version=__version__, wall_time_s=round(time.monotonic() - t0, 3),
         seed=seed,
     ).write(path)
@@ -156,7 +158,7 @@ def _cmd_simulate(args) -> int:
         with open(args.truth, "w") as fh:
             json.dump(truth.to_json_dict(), fh)
         outputs.append(args.truth)
-    _manifest(args, [args.config], outputs, t0, seed=config.seed)
+    _manifest(args, outputs, t0, seed=config.seed)
     return EXIT_OK
 
 
@@ -167,7 +169,7 @@ def _cmd_dcr(args) -> int:
                            n_subsets=args.subsets)
     with open(args.out, "w") as fh:
         json.dump(report.to_json_dict(), fh)
-    _manifest(args, [getattr(args, "in")], [args.out], t0)
+    _manifest(args, [args.out], t0)
     return EXIT_OK
 
 
@@ -181,30 +183,23 @@ def _cmd_coincidence(args) -> int:
     except DataError:
         pass  # too sparse to normalize; counts alone are still useful
     hist.save(args.out)
-    inputs = [p for p in (getattr(args, "in"), args.delays, args.lut) if p]
-    _manifest(args, inputs, [args.out], t0)
+    _manifest(args, [args.out], t0)
     return EXIT_OK
 
 
 def _cmd_fit(args) -> int:
     t0 = time.monotonic()
     hist = DeltaHistogram.load(getattr(args, "in"))
-    if args.two_peaks:
-        fit = fit_two_peaks(hist, separation_hint_ps=args.hint)
-        kind = "two_peak_fit"
-    else:
-        fit = fit_gaussian(hist)
-        kind = "gaussian_fit"
-    doc = {"schema_version": 1, "kind": kind}
-    doc.update(fit.to_json_dict())
+    fit = fit_two_peaks(hist, separation_hint_ps=args.hint) \
+        if args.two_peaks else fit_gaussian(hist)
     with open(args.out, "w") as fh:
-        json.dump(doc, fh)
+        json.dump(fit.to_json_dict(), fh)
     outputs = [args.out]
     if args.svg is not None:
         with open(args.svg, "w") as fh:
             fh.write(histogram_svg(hist, fit))
         outputs.append(args.svg)
-    _manifest(args, [getattr(args, "in")], outputs, t0)
+    _manifest(args, outputs, t0)
     return EXIT_OK
 
 
@@ -221,8 +216,7 @@ def _cmd_ct_scan(args) -> int:
         with open(args.svg, "w") as fh:
             fh.write(ct_curve_svg(curve))
         outputs.append(args.svg)
-    inputs = [p for p in (getattr(args, "in"), args.delays, args.lut) if p]
-    _manifest(args, inputs, outputs, t0)
+    _manifest(args, outputs, t0)
     return EXIT_OK
 
 
@@ -233,7 +227,7 @@ def _cmd_calibrate(args) -> int:
     vec = solve_delays(measurements,
                        num_pixels=stream.sensor.num_pixels)
     vec.save(args.out)
-    _manifest(args, [getattr(args, "in")], [args.out], t0)
+    _manifest(args, [args.out], t0)
     return EXIT_DEGRADED if vec.degraded else EXIT_OK
 
 
@@ -254,15 +248,12 @@ def _cmd_report(args) -> int:
     fit_path = os.path.join(args.out, "fit.json")
     svg_path = os.path.join(args.out, "report.svg")
     hist.save(hist_path)
-    doc = {"schema_version": 1, "kind": "two_peak_fit"}
-    doc.update(fit.to_json_dict())
     with open(fit_path, "w") as fh:
-        json.dump(doc, fh)
+        json.dump(fit.to_json_dict(), fh)
     with open(svg_path, "w") as fh:
         fh.write(histogram_svg(
             hist, fit, title=f"pixels {args.pair[0]},{args.pair[1]}"))
-    inputs = [p for p in (getattr(args, "in"), args.delays, args.lut) if p]
-    _manifest(args, inputs, [args.out, hist_path, fit_path, svg_path], t0)
+    _manifest(args, [args.out, hist_path, fit_path, svg_path], t0)
     return EXIT_OK
 
 
@@ -290,7 +281,7 @@ def build_parser() -> _Parser:
     p.add_argument("--in", required=True)
     p.add_argument("--subsets", type=_positive(int), default=None,
                    help="also report per-subset rates for drift checks")
-    p.add_argument("--hot-threshold", type=float,
+    p.add_argument("--hot-threshold", type=_positive(float),
                    default=DEFAULT_HOT_THRESHOLD_CPS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_dcr)
@@ -320,7 +311,7 @@ def build_parser() -> _Parser:
     p.add_argument("--in", required=True)
     p.add_argument("--dmax", type=_positive(int), default=DEFAULT_D_MAX)
     p.add_argument("--nhot", type=_positive(int), default=DEFAULT_N_HOT)
-    p.add_argument("--hot-threshold", type=float,
+    p.add_argument("--hot-threshold", type=_positive(float),
                    default=DEFAULT_HOT_THRESHOLD_CPS)
     p.add_argument("--window", type=_positive(float),
                    default=DEFAULT_WINDOW_PS)

@@ -120,10 +120,10 @@ def n_bins(window_ps: float, bin_width_ps: float) -> int:
     return int(np.ceil(2.0 * window_ps / bin_width_ps))
 
 
-def default_bin_width_ps(stream: PhotonStream) -> float:
-    # Three mean TDC bins: fine enough for ~100 ps peaks, coarse enough
-    # to keep background bins populated.
-    return 3.0 * stream.sensor.mean_bin_width_ps
+def default_bin_width_ps(source: PhotonStream | PixelIndex) -> float:
+    """Three mean TDC bins of ``source.sensor``: fine enough for ~100 ps
+    peaks, coarse enough to keep background bins populated."""
+    return 3.0 * source.sensor.mean_bin_width_ps
 
 
 def _pair_counts(cyc_a, t_a, cyc_b, t_b, window_ps, bin_width_ps):
@@ -166,12 +166,14 @@ def _pair_counts(cyc_a, t_a, cyc_b, t_b, window_ps, bin_width_ps):
     return counts, total
 
 
-def _histogram(sensor: SensorConfig, records_for, pair: tuple[int, int],
-               window_ps: float, bin_width_ps: float | None,
+def _histogram(source, records_for, pair: tuple[int, int], window_ps: float,
+               bin_width_ps: float | None,
                delays: np.ndarray | None) -> DeltaHistogram:
     """Body of ``build_histogram`` and ``PixelIndex.histogram``, which
-    differ only in ``records_for(pixel)``: that pixel's cycle-sorted
+    differ only in ``source`` (the stream or the index; both carry the
+    sensor) and ``records_for(pixel)``: that pixel's cycle-sorted
     (cycle_index, time_ps)."""
+    sensor = source.sensor
     a, b = pair
     if a == b:
         raise ValueError("pair pixels must differ")
@@ -180,7 +182,7 @@ def _histogram(sensor: SensorConfig, records_for, pair: tuple[int, int],
     if not (0 <= a < sensor.num_pixels and 0 <= b < sensor.num_pixels):
         raise ValueError(f"pair {pair} outside 0..{sensor.num_pixels - 1}")
     if bin_width_ps is None:
-        bin_width_ps = 3.0 * sensor.mean_bin_width_ps
+        bin_width_ps = default_bin_width_ps(source)
     if window_ps <= 0 or bin_width_ps <= 0:
         raise ValueError("window and bin width must be positive")
     if delays is not None:
@@ -216,8 +218,8 @@ def build_histogram(stream: PhotonStream, pair: tuple[int, int],
         mask = stream.pixel == pixel
         return stream.cycle_index[mask], stream.time_ps[mask]
 
-    return _histogram(stream.sensor, records_for, pair, window_ps,
-                      bin_width_ps, delays)
+    return _histogram(stream, records_for, pair, window_ps, bin_width_ps,
+                      delays)
 
 
 class PixelIndex:
@@ -261,7 +263,7 @@ class PixelIndex:
                   bin_width_ps: float | None = None,
                   delays: np.ndarray | None = None) -> DeltaHistogram:
         """Same contract as ``build_histogram``, served from the index."""
-        return _histogram(self.sensor, self.records_for, pair, window_ps,
+        return _histogram(self, self.records_for, pair, window_ps,
                           bin_width_ps, delays)
 
 

@@ -1,8 +1,15 @@
 """Gaussian peak fitting on coincidence histograms.
 
-Model for a single peak on a flat background:
+One model serves every fit: a flat background plus N Gaussian peaks,
 
-    f(dt) = bg + A * exp(-(dt - mu)^2 / (2 sigma^2))
+    f(dt) = bg + sum_k A_k * exp(-(dt - mu_k)^2 / (2 sigma_k^2))
+
+with the parameter vector laid out as (bg, A1, mu1, s1, A2, mu2, s2, ...).
+``fit_peak``/``fit_gaussian`` fit N = 1 (one peak per adjacent-pixel
+cross-talk histogram), ``fit_two_peaks`` fits N = 2 (cross-talk and
+bunching peaks on one histogram).  Only this module knows the layout: a
+fit result evaluates itself (``model``) and names itself (the ``kind`` in
+``to_json_dict``).
 
 The solver is a damped Gauss-Newton iteration (Levenberg-Marquardt
 flavor): the normal equations get a multiplicative damping term that
@@ -21,7 +28,7 @@ against its own error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -35,102 +42,93 @@ LAMBDA_START = 1e-3
 LAMBDA_MAX = 1e12
 SIGNIFICANCE_SIGMAS = 3.0
 
+SCHEMA_VERSION = 1
+
 
 # ---------------------------------------------------------------------------
 # model
 
 def gauss_model(x: np.ndarray, params: np.ndarray) -> np.ndarray:
-    bg, amp, mu, sigma = params
-    z = (x - mu) / sigma
-    return bg + amp * np.exp(-0.5 * z * z)
+    """Flat background plus one Gaussian per (amp, mu, sigma) triple."""
+    y = params[0]
+    for i in range(1, len(params), 3):
+        amp, mu, sigma = params[i:i + 3]
+        z = (x - mu) / sigma
+        y = y + amp * np.exp(-0.5 * z * z)
+    return y
 
 
 def gauss_jacobian(x: np.ndarray, params: np.ndarray) -> np.ndarray:
-    """Analytic d model / d (bg, amp, mu, sigma), shape (n, 4)."""
-    bg, amp, mu, sigma = params
-    z = (x - mu) / sigma
-    e = np.exp(-0.5 * z * z)
-    jac = np.empty((len(x), 4))
+    """Analytic d model / d params, shape (n, len(params))."""
+    jac = np.empty((len(x), len(params)))
     jac[:, 0] = 1.0
-    jac[:, 1] = e
-    jac[:, 2] = amp * e * z / sigma
-    jac[:, 3] = amp * e * z * z / sigma
-    return jac
-
-
-def two_gauss_model(x: np.ndarray, params: np.ndarray) -> np.ndarray:
-    bg, a1, mu1, s1, a2, mu2, s2 = params
-    z1 = (x - mu1) / s1
-    z2 = (x - mu2) / s2
-    return bg + a1 * np.exp(-0.5 * z1 * z1) + a2 * np.exp(-0.5 * z2 * z2)
-
-
-def two_gauss_jacobian(x: np.ndarray, params: np.ndarray) -> np.ndarray:
-    bg, a1, mu1, s1, a2, mu2, s2 = params
-    jac = np.empty((len(x), 7))
-    jac[:, 0] = 1.0
-    for k, (a, mu, s) in enumerate(((a1, mu1, s1), (a2, mu2, s2))):
-        z = (x - mu) / s
+    for i in range(1, len(params), 3):
+        amp, mu, sigma = params[i:i + 3]
+        z = (x - mu) / sigma
         e = np.exp(-0.5 * z * z)
-        jac[:, 1 + 3 * k] = e
-        jac[:, 2 + 3 * k] = a * e * z / s
-        jac[:, 3 + 3 * k] = a * e * z * z / s
+        jac[:, i] = e
+        jac[:, i + 1] = amp * e * z / sigma
+        jac[:, i + 2] = amp * e * z * z / sigma
     return jac
+
+
+# The two-peak names stay as aliases: one model serves both shapes.
+two_gauss_model = gauss_model
+two_gauss_jacobian = gauss_jacobian
 
 
 # ---------------------------------------------------------------------------
 # results
 
 @dataclass(frozen=True)
-class GaussianFit:
-    bg: float
+class PeakComponent:
+    """One fitted Gaussian: its parameter triple, errors and contrast."""
+
     amplitude: float
     center_ps: float
     sigma_ps: float
-    bg_err: float
     amplitude_err: float
     center_err_ps: float
     sigma_err_ps: float
     contrast: float
     contrast_err: float
     significant: bool
+
+    @property
+    def _params(self) -> tuple[float, float, float]:
+        return self.amplitude, self.center_ps, self.sigma_ps
+
+    def to_json_dict(self) -> dict:
+        return {
+            "amplitude": self.amplitude, "amplitude_err": self.amplitude_err,
+            "center_ps": self.center_ps, "center_err_ps": self.center_err_ps,
+            "sigma_ps": self.sigma_ps, "sigma_err_ps": self.sigma_err_ps,
+            "contrast": self.contrast, "contrast_err": self.contrast_err,
+            "significant": self.significant,
+        }
+
+
+@dataclass(frozen=True, kw_only=True)
+class GaussianFit(PeakComponent):
+    """Single-peak fit: the peak plus background and fit statistics."""
+
+    bg: float
+    bg_err: float
     chi2: float
     dof: int
     n_iterations: int
     covariance: np.ndarray
 
+    def model(self, x: np.ndarray) -> np.ndarray:
+        return gauss_model(x, np.array([self.bg, *self._params]))
+
     def to_json_dict(self) -> dict:
         return {
+            "schema_version": SCHEMA_VERSION, "kind": "gaussian_fit",
             "bg": self.bg, "bg_err": self.bg_err,
-            "amplitude": self.amplitude, "amplitude_err": self.amplitude_err,
-            "center_ps": self.center_ps, "center_err_ps": self.center_err_ps,
-            "sigma_ps": self.sigma_ps, "sigma_err_ps": self.sigma_err_ps,
-            "contrast": self.contrast, "contrast_err": self.contrast_err,
-            "significant": self.significant,
+            **super().to_json_dict(),
             "chi2": self.chi2, "dof": self.dof,
             "n_iterations": self.n_iterations,
-        }
-
-
-@dataclass(frozen=True)
-class PeakComponent:
-    amplitude: float
-    center_ps: float
-    sigma_ps: float
-    amplitude_err: float
-    center_err_ps: float
-    sigma_err_ps: float
-    contrast: float
-    contrast_err: float
-    significant: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "amplitude": self.amplitude, "amplitude_err": self.amplitude_err,
-            "center_ps": self.center_ps, "center_err_ps": self.center_err_ps,
-            "sigma_ps": self.sigma_ps, "sigma_err_ps": self.sigma_err_ps,
-            "contrast": self.contrast, "contrast_err": self.contrast_err,
-            "significant": self.significant,
         }
 
 
@@ -153,8 +151,13 @@ class TwoPeakFit:
     n_iterations: int
     covariance: np.ndarray
 
+    def model(self, x: np.ndarray) -> np.ndarray:
+        return gauss_model(
+            x, np.array([self.bg, *self.near._params, *self.far._params]))
+
     def to_json_dict(self) -> dict:
         return {
+            "schema_version": SCHEMA_VERSION, "kind": "two_peak_fit",
             "bg": self.bg, "bg_err": self.bg_err,
             "near_peak": self.near.to_json_dict(),
             "far_peak": self.far.to_json_dict(),
@@ -168,7 +171,7 @@ class TwoPeakFit:
 # ---------------------------------------------------------------------------
 # solver
 
-def _levmar(x, y, weights, model, jacobian, p0, *, lower, upper):
+def _levmar(x, y, weights, p0, *, lower, upper):
     """Damped Gauss-Newton least squares with box projection.
 
     Returns (params, covariance, chi2, iterations).  Raises FitError on
@@ -178,7 +181,7 @@ def _levmar(x, y, weights, model, jacobian, p0, *, lower, upper):
     p = np.clip(p, lower, upper)
 
     def chi2_of(params):
-        r = y - model(x, params)
+        r = y - gauss_model(x, params)
         return float(np.sum(weights * r * r))
 
     chi2 = chi2_of(p)
@@ -192,8 +195,8 @@ def _levmar(x, y, weights, model, jacobian, p0, *, lower, upper):
     while it < MAX_ITERATIONS:
         it += 1
         if normal is None:
-            jac = jacobian(x, p)
-            r = y - model(x, p)
+            jac = gauss_jacobian(x, p)
+            r = y - gauss_model(x, p)
             jw = jac * weights[:, None]
             normal = jac.T @ jw
             grad = jw.T @ r
@@ -239,7 +242,7 @@ def _levmar(x, y, weights, model, jacobian, p0, *, lower, upper):
         raise FitError(f"fit did not converge in {MAX_ITERATIONS} iterations",
                        last_estimate=p)
 
-    jac = jacobian(x, p)
+    jac = gauss_jacobian(x, p)
     cov = _gauss_newton_covariance(jac, weights)
     return p, cov, chi2, it
 
@@ -292,6 +295,20 @@ def _contrast_and_error(amp, bg, cov, i_amp, i_bg):
         return contrast, np.inf
     var = va / bg**2 + amp**2 * vb / bg**4 - 2.0 * amp * cab / bg**3
     return contrast, float(np.sqrt(max(var, 0.0)))
+
+
+def _component(p, cov, errs, i) -> PeakComponent:
+    """The peak whose (amplitude, center, sigma) sit at ``p[i:i + 3]``;
+    ``p[0]`` is the shared background."""
+    amp, bg = p[i], p[0]
+    contrast, contrast_err = _contrast_and_error(amp, bg, cov, i, 0)
+    return PeakComponent(
+        amplitude=float(amp), center_ps=float(p[i + 1]),
+        sigma_ps=float(abs(p[i + 2])), amplitude_err=float(errs[i]),
+        center_err_ps=float(errs[i + 1]), sigma_err_ps=float(errs[i + 2]),
+        contrast=float(contrast), contrast_err=float(contrast_err),
+        significant=_is_significant(amp, errs[i], bg, errs[0],
+                                    contrast, contrast_err))
 
 
 # ---------------------------------------------------------------------------
@@ -375,21 +392,12 @@ def fit_peak(x, y, *, weights=None,
         lower[2], upper[2] = center_bounds
         p0[2] = np.clip(p0[2], lower[2], upper[2])
 
-    p, cov, chi2, it = _levmar(x, y, weights, gauss_model, gauss_jacobian,
-                               p0, lower=lower, upper=upper)
-    bg, amp, mu, sigma = p
+    p, cov, chi2, it = _levmar(x, y, weights, p0, lower=lower, upper=upper)
     errs = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    contrast, contrast_err = _contrast_and_error(amp, bg, cov, 1, 0)
-    significant = _is_significant(amp, errs[1], bg, errs[0],
-                                  contrast, contrast_err)
     return GaussianFit(
-        bg=float(bg), amplitude=float(amp), center_ps=float(mu),
-        sigma_ps=float(abs(sigma)),
-        bg_err=float(errs[0]), amplitude_err=float(errs[1]),
-        center_err_ps=float(errs[2]), sigma_err_ps=float(errs[3]),
-        contrast=float(contrast), contrast_err=float(contrast_err),
-        significant=significant, chi2=float(chi2), dof=len(x) - 4,
-        n_iterations=it, covariance=cov)
+        **asdict(_component(p, cov, errs, 1)),
+        bg=float(p[0]), bg_err=float(errs[0]), chi2=float(chi2),
+        dof=len(x) - 4, n_iterations=it, covariance=cov)
 
 
 def _flat_result(x, y, weights):
@@ -444,26 +452,12 @@ def fit_two_peaks(hist: DeltaHistogram,
     target = mu1 + side * separation_hint_ps
     lower[5] = target - 0.6 * separation_hint_ps
     upper[5] = target + 0.6 * separation_hint_ps
-    p, cov, chi2, it = _levmar(x, y, weights, two_gauss_model,
-                               two_gauss_jacobian, p0, lower=lower, upper=upper)
+    p, cov, chi2, it = _levmar(x, y, weights, p0, lower=lower, upper=upper)
 
     errs = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    comps = []
-    for k in (0, 1):
-        i = 1 + 3 * k
-        contrast, contrast_err = _contrast_and_error(p[i], p[0], cov, i, 0)
-        amp_err = errs[i]
-        significant = _is_significant(p[i], amp_err, p[0], errs[0],
-                                      contrast, contrast_err)
-        comps.append((PeakComponent(
-            amplitude=float(p[i]), center_ps=float(p[i + 1]),
-            sigma_ps=float(abs(p[i + 2])), amplitude_err=float(amp_err),
-            center_err_ps=float(errs[i + 1]), sigma_err_ps=float(errs[i + 2]),
-            contrast=float(contrast), contrast_err=float(contrast_err),
-            significant=significant), i))
-
-    comps.sort(key=lambda ci: abs(ci[0].center_ps))
-    (near, i_near), (far, i_far) = comps
+    (near, i_near), (far, i_far) = sorted(
+        ((_component(p, cov, errs, i), i) for i in (1, 4)),
+        key=lambda ci: abs(ci[0].center_ps))
 
     if near.significant and far.significant:
         gap = abs(far.center_ps - near.center_ps)

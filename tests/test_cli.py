@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import xml.etree.ElementTree as ET
 
@@ -12,7 +13,9 @@ from spadkit.cli import main
 from spadkit.coincidence import DeltaHistogram
 from spadkit.crosstalk import CtCurve
 from spadkit.offsets import DelayVector
-from spadkit.simulator import BeamSpec, DcrProfile, SimConfig
+from spadkit.simulator import BeamSpec, DcrProfile, SimConfig, simulate
+from spadkit.tdc import TdcLut
+from spadkit.timestream import SensorConfig, record_order
 
 
 def write_config(path, config: SimConfig) -> str:
@@ -137,6 +140,30 @@ def test_calibrate_full_chain_exit_zero(tmp_path):
     assert vec.gap_pixels == ()
 
 
+def test_manifest_lists_every_input(tmp_path):
+    # A raw-code flood: each record's time is cut to its clock base and
+    # the fine time becomes a TDC code, which a uniform LUT maps back.
+    sensor = SensorConfig(num_pixels=8)
+    config = SimConfig(sensor=sensor, seed=5, duration_s=2.0,
+                       dcr=DcrProfile(base_cps=3000.0),
+                       ct_profile=((1, 0.05),))
+    stream, _truth = simulate(config)
+    clock = sensor.clock_period_ps
+    base = np.floor(stream.time_ps / clock) * clock
+    codes = (stream.time_ps - base) / sensor.mean_bin_width_ps
+    order = record_order(stream.cycle_index, base, stream.pixel)
+    raw = dataclasses.replace(stream, time_ps=base,
+                              raw_code=codes.astype(np.uint32)).take(order)
+    raw_path, lut_path = tmp_path / "raw.spk1", tmp_path / "lut.json"
+    raw.write(str(raw_path))
+    widths = np.full((8, sensor.tdc_bins_per_clock), sensor.mean_bin_width_ps)
+    TdcLut(sensor, widths).save(str(lut_path))
+    out = tmp_path / "delays.json"
+    assert main(["calibrate", "--in", str(raw_path), "--lut", str(lut_path),
+                 "--out", str(out)]) == 0
+    assert read_manifest(out)["inputs"] == [str(raw_path), str(lut_path)]
+
+
 def test_calibrate_degraded_exit_three(tmp_path):
     # only ten adjacent pixels are lit: most pairs have no peak
     config = SimConfig(seed=4, duration_s=5.0,
@@ -223,7 +250,10 @@ def test_usage_errors_exit_one(capsys):
                  ["coincidence", "--pair", "3,3"],
                  ["report", "--pair", "4,3"],
                  ["report", "--pair", "1,2", "--hint", "0"],
-                 ["fit", "--hint", "-1"]):
+                 ["fit", "--hint", "-1"],
+                 ["dcr", "--hot-threshold", "nan"],
+                 ["dcr", "--hot-threshold", "-1"],
+                 ["ct-scan", "--hot-threshold", "0"]):
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--in", "x", "--out", "y"])
         assert exc.value.code == 1, argv

@@ -230,3 +230,47 @@ def test_two_peaks_flat_is_error():
 def test_bad_hint_rejected():
     with pytest.raises(ValueError, match="hint"):
         fit_two_peaks(hist_from_counts(np.full(201, 10)), separation_hint_ps=-5.0)
+
+
+# ---------------------------------------------------------------------------
+# one model for one or more peaks
+
+def test_model_adds_one_gaussian_per_triple():
+    p = np.array([5.0, 60.0, -120.0, 210.0, 35.0, 4900.0, 330.0])
+    second = np.array([0.0, *p[4:]])
+    np.testing.assert_allclose(gauss_model(X, p),
+                               gauss_model(X, p[:4]) + gauss_model(X, second),
+                               rtol=1e-12)
+    assert gauss_jacobian(X, p).shape == (len(X), 7)
+    np.testing.assert_array_equal(gauss_jacobian(X, p)[:, :4],
+                                  gauss_jacobian(X, p[:4]))
+
+
+def test_fits_evaluate_their_own_model():
+    rng = np.random.default_rng(10)
+    one = fit_gaussian(hist_from_counts(
+        rng.poisson(gauss_model(X, np.array([60.0, 300.0, 500.0, 400.0])))))
+    np.testing.assert_array_equal(
+        one.model(X),
+        gauss_model(X, np.array([one.bg, one.amplitude, one.center_ps,
+                                 one.sigma_ps])))
+    two = fit_two_peaks(hist_from_counts(two_peak_counts(rng)),
+                        separation_hint_ps=5000.0)
+    near, far = two.near, two.far
+    np.testing.assert_array_equal(
+        two.model(X),
+        gauss_model(X, np.array([two.bg, near.amplitude, near.center_ps,
+                                 near.sigma_ps, far.amplitude, far.center_ps,
+                                 far.sigma_ps])))
+    flat = fit_gaussian(hist_from_counts(np.full(201, 37)))
+    np.testing.assert_array_equal(flat.model(X), np.full(len(X), 37.0))
+
+
+def test_fit_documents_name_their_kind():
+    rng = np.random.default_rng(11)
+    h = hist_from_counts(two_peak_counts(rng))
+    one = fit_gaussian(h).to_json_dict()
+    two = fit_two_peaks(h, separation_hint_ps=5000.0).to_json_dict()
+    assert (one["schema_version"], one["kind"]) == (1, "gaussian_fit")
+    assert (two["schema_version"], two["kind"]) == (1, "two_peak_fit")
+    assert "kind" not in two["near_peak"] and "kind" not in two["far_peak"]

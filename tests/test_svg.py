@@ -66,6 +66,17 @@ def test_histogram_svg_overlays_two_peak_fit():
     ET.fromstring(text)
 
 
+def test_histogram_svg_draws_the_fit_model():
+    class Level:
+        def model(self, x):
+            return np.full(len(x), 50.0)
+
+    text = histogram_svg(gaussian_hist(), Level())
+    overlay = elements(text, "polyline")[1].get("points").split()
+    assert len(overlay) == 400
+    assert len({pt.split(",")[1] for pt in overlay}) == 1
+
+
 def test_empty_histogram_still_renders():
     hist = DeltaHistogram(pixel_a=0, pixel_b=1, window_ps=1000.0,
                           bin_width_ps=100.0,

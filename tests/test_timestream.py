@@ -310,9 +310,16 @@ def test_write_refuses_what_the_readers_reject():
         return PhotonStream(HEADER, **{**base, **columns})
 
     too_high = np.array([1, SENSOR.num_pixels], dtype=np.uint16)
+    # Times are written rounded to integer ps, so the rounded times must
+    # be valid: the last case rounds up to the cycle period, the last but
+    # one to a (time, pixel) tie in the wrong pixel order.
+    period = SENSOR.cycle_period_ps
     for bad in (stream_with(time_ps=np.array([-5.0, 200.0])),  # untagged
                 stream_with(pixel=too_high),
-                stream_with(time_ps=np.array([200.0, 100.0]))):  # unsorted
+                stream_with(time_ps=np.array([200.0, 100.0])),  # unsorted
+                stream_with(pixel=np.array([5, 3], dtype=np.uint16),
+                            time_ps=np.array([10.4, 10.5])),
+                stream_with(time_ps=np.array([100.0, period - 0.4]))):
         sink = io.BytesIO()
         with pytest.raises(StreamFormatError):
             bad.write(sink)
