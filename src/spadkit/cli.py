@@ -26,6 +26,7 @@ from . import __version__
 from .coincidence import (DEFAULT_WINDOW_PS, DeltaHistogram, build_histogram,
                           normalize_histogram)
 from .crosstalk import DEFAULT_D_MAX, DEFAULT_N_HOT, ct_scan
+from .documents import read_json, write_json
 from .errors import CalibrationError, DataError, FitError, StreamFormatError
 from .offsets import DelayVector, apply_delays, measure_offsets, solve_delays
 from .peakfit import fit_gaussian, fit_two_peaks
@@ -33,7 +34,7 @@ from .rates import DEFAULT_HOT_THRESHOLD_CPS, compute_rates
 from .simulator import SimConfig, simulate
 from .svg import ct_curve_svg, histogram_svg
 from .tdc import TdcLut, apply_lut
-from .timestream import PhotonStream
+from .timestream import PhotonStream, SensorConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -51,50 +52,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-@dataclasses.dataclass(frozen=True)
-class RunManifest:
-    """Record of one CLI run, written next to its primary output."""
-
-    subcommand: str
-    config: dict
-    inputs: tuple[str, ...]
-    outputs: tuple[str, ...]
-    version: str
-    wall_time_s: float
-    seed: int | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "kind": "run_manifest",
-            "subcommand": self.subcommand,
-            "config": self.config,
-            "inputs": list(self.inputs),
-            "outputs": list(self.outputs),
-            "version": self.version,
-            "wall_time_s": self.wall_time_s,
-            "seed": self.seed,
-        }
-
-    def write(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-
-
 def _manifest(args, outputs, t0, seed=None) -> None:
+    """Write the run's record next to its primary output."""
     skip = {"func", "command", "log_level"}
     config = {k: v for k, v in vars(args).items() if k not in skip}
-    inputs = tuple(config[k] for k in ("config", "in", "delays", "lut")
-                   if config.get(k))
     primary = outputs[0]
     path = os.path.join(primary, "manifest.json") if os.path.isdir(primary) \
         else primary + ".manifest.json"
-    RunManifest(
-        subcommand=args.command, config=config,
-        inputs=inputs, outputs=tuple(outputs),
-        version=__version__, wall_time_s=round(time.monotonic() - t0, 3),
-        seed=seed,
-    ).write(path)
+    write_json(path, {
+        "schema_version": 1, "kind": "run_manifest",
+        "subcommand": args.command, "config": config,
+        "inputs": [config[k] for k in ("config", "in", "delays", "lut")
+                   if config.get(k)],
+        "outputs": outputs, "version": __version__,
+        "wall_time_s": round(time.monotonic() - t0, 3), "seed": seed,
+    }, indent=2, sort_keys=True)
 
 
 def _pair(text: str) -> tuple[int, int]:
@@ -122,14 +94,6 @@ def _positive(kind):
     return parse
 
 
-def _load_json(path: str) -> dict:
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path} is not valid JSON: {exc}") from None
-
-
 def _read_stream(path: str, lut_path: str | None = None) -> PhotonStream:
     stream = PhotonStream.read(path)
     if lut_path is not None:
@@ -137,10 +101,15 @@ def _read_stream(path: str, lut_path: str | None = None) -> PhotonStream:
     return stream
 
 
-def _load_delays(path: str | None) -> np.ndarray | None:
+def _load_delays(path: str | None,
+                 sensor: SensorConfig) -> np.ndarray | None:
     if path is None:
         return None
-    return DelayVector.load(path).delays_ps
+    delays = DelayVector.load(path).delays_ps
+    if len(delays) != sensor.num_pixels:
+        raise DataError(f"{path} holds {len(delays)} delays but the stream "
+                        f"has {sensor.num_pixels} pixels")
+    return delays
 
 
 # ---------------------------------------------------------------------------
@@ -148,15 +117,18 @@ def _load_delays(path: str | None) -> np.ndarray | None:
 
 def _cmd_simulate(args) -> int:
     t0 = time.monotonic()
-    config = SimConfig.from_json_dict(_load_json(args.config))
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
+    try:
+        config = SimConfig.from_json_dict(read_json(args.config))
+        if args.seed is not None:
+            config = dataclasses.replace(config, seed=args.seed)
+        config.validated()
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"invalid config {args.config}: {exc}") from None
     stream, truth = simulate(config)
     stream.write(args.out)
     outputs = [args.out]
     if args.truth is not None:
-        with open(args.truth, "w") as fh:
-            json.dump(truth.to_json_dict(), fh)
+        write_json(args.truth, truth.to_json_dict())
         outputs.append(args.truth)
     _manifest(args, outputs, t0, seed=config.seed)
     return EXIT_OK
@@ -167,8 +139,7 @@ def _cmd_dcr(args) -> int:
     stream = _read_stream(getattr(args, "in"))
     report = compute_rates(stream, hot_threshold_cps=args.hot_threshold,
                            n_subsets=args.subsets)
-    with open(args.out, "w") as fh:
-        json.dump(report.to_json_dict(), fh)
+    write_json(args.out, report.to_json_dict())
     _manifest(args, [args.out], t0)
     return EXIT_OK
 
@@ -177,7 +148,7 @@ def _cmd_coincidence(args) -> int:
     t0 = time.monotonic()
     stream = _read_stream(getattr(args, "in"), args.lut)
     hist = build_histogram(stream, args.pair, args.window, args.bin,
-                           delays=_load_delays(args.delays))
+                           delays=_load_delays(args.delays, stream.sensor))
     try:
         hist = normalize_histogram(hist)
     except DataError:
@@ -190,10 +161,12 @@ def _cmd_coincidence(args) -> int:
 def _cmd_fit(args) -> int:
     t0 = time.monotonic()
     hist = DeltaHistogram.load(getattr(args, "in"))
-    fit = fit_two_peaks(hist, separation_hint_ps=args.hint) \
-        if args.two_peaks else fit_gaussian(hist)
-    with open(args.out, "w") as fh:
-        json.dump(fit.to_json_dict(), fh)
+    try:
+        fit = fit_two_peaks(hist, separation_hint_ps=args.hint) \
+            if args.two_peaks else fit_gaussian(hist)
+    except ValueError as exc:  # e.g. too few bins for the model
+        raise DataError(f"cannot fit {getattr(args, 'in')}: {exc}") from None
+    write_json(args.out, fit.to_json_dict())
     outputs = [args.out]
     if args.svg is not None:
         with open(args.svg, "w") as fh:
@@ -209,7 +182,7 @@ def _cmd_ct_scan(args) -> int:
     report = compute_rates(stream, hot_threshold_cps=args.hot_threshold)
     curve = ct_scan(stream, report, d_max=args.dmax, n_hot=args.nhot,
                     window_ps=args.window,
-                    delays=_load_delays(args.delays))
+                    delays=_load_delays(args.delays, stream.sensor))
     curve.save(args.out)
     outputs = [args.out]
     if args.svg is not None:
@@ -234,7 +207,7 @@ def _cmd_calibrate(args) -> int:
 def _cmd_report(args) -> int:
     t0 = time.monotonic()
     stream = _read_stream(getattr(args, "in"), args.lut)
-    delays = _load_delays(args.delays)
+    delays = _load_delays(args.delays, stream.sensor)
     hist = build_histogram(stream, args.pair, args.window, args.bin,
                            delays=delays)
     try:
@@ -248,8 +221,7 @@ def _cmd_report(args) -> int:
     fit_path = os.path.join(args.out, "fit.json")
     svg_path = os.path.join(args.out, "report.svg")
     hist.save(hist_path)
-    with open(fit_path, "w") as fh:
-        json.dump(fit.to_json_dict(), fh)
+    write_json(fit_path, fit.to_json_dict())
     with open(svg_path, "w") as fh:
         fh.write(histogram_svg(
             hist, fit, title=f"pixels {args.pair[0]},{args.pair[1]}"))

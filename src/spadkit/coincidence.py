@@ -13,11 +13,11 @@ turns the histogram into a correlation estimate whose background sits at
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .documents import Document, as_float
 from .errors import DataError
 from .timestream import PhotonStream, SensorConfig
 
@@ -30,7 +30,7 @@ _PAIR_CHUNK = 1 << 26
 
 
 @dataclass(frozen=True)
-class DeltaHistogram:
+class DeltaHistogram(Document):
     """Coincidence histogram for one ordered pixel pair.
 
     ``counts[i]`` covers dt in [edge_i, edge_{i+1}); the final bin also
@@ -97,23 +97,11 @@ class DeltaHistogram:
                 total_pairs=int(doc["total_pairs"]),
                 normalized=(np.asarray(normalized, dtype=np.float64)
                             if normalized is not None else None),
-                median_count=doc.get("median_count"),
+                median_count=(as_float(doc["median_count"])
+                              if normalized is not None else None),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"malformed histogram document: {exc}") from None
-
-    def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh)
-
-    @classmethod
-    def load(cls, path: str) -> "DeltaHistogram":
-        with open(path) as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"histogram file is not valid JSON: {exc}") from None
-        return cls.from_json_dict(doc)
 
 
 def n_bins(window_ps: float, bin_width_ps: float) -> int:

@@ -21,7 +21,6 @@ a probability-versus-distance curve, one point per pixel separation.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -29,6 +28,7 @@ import numpy as np
 
 from .coincidence import DEFAULT_WINDOW_PS, DeltaHistogram, PixelIndex, \
     build_histogram
+from .documents import Document
 from .errors import DataError, FitError
 from .peakfit import SIGNIFICANCE_SIGMAS, fit_gaussian
 from .rates import RateReport
@@ -73,14 +73,6 @@ class CtEstimate:
     def distance(self) -> int:
         return abs(self.target - self.source)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "source": self.source, "target": self.target,
-            "probability": self.probability, "error": self.error,
-            "n_source": self.n_source, "significant": self.significant,
-            "upper_limit": self.upper_limit,
-        }
-
 
 @dataclass(frozen=True)
 class CtPoint:
@@ -100,7 +92,7 @@ class CtPoint:
 
 
 @dataclass(frozen=True)
-class CtCurve:
+class CtCurve(Document):
     """Cross-talk probability versus pixel separation.
 
     ``pairs`` records every (hot pixel, neighbor) pair that entered the
@@ -156,21 +148,8 @@ class CtCurve:
             pairs = tuple((int(s), int(t)) for s, t in doc["pairs"])
             return cls(points=points, pairs=pairs,
                        window_ps=float(doc["window_ps"]))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"malformed curve document: {exc}") from None
-
-    def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh)
-
-    @classmethod
-    def load(cls, path: str) -> "CtCurve":
-        with open(path) as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"curve file is not valid JSON: {exc}") from None
-        return cls.from_json_dict(doc)
 
 
 def _estimate_from_histogram(hist: DeltaHistogram, source: int, target: int,

@@ -21,13 +21,13 @@ than 20% of the pairs fell out.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .coincidence import DEFAULT_WINDOW_PS, PixelIndex
+from .documents import Document, as_bool, as_float, decode_fields
 from .errors import CalibrationError, DataError, FitError
 from .peakfit import fit_gaussian
 from .timestream import PhotonStream, record_order
@@ -61,23 +61,20 @@ class OffsetMeasurement:
             raise ValueError("measurements are defined on adjacent pairs")
 
     def to_json_dict(self) -> dict:
-        return {
-            "pixel_low": self.pixel_low, "pixel_high": self.pixel_high,
-            "off_ps": self.off_ps, "sigma_ps": self.sigma_ps,
-            "valid": self.valid,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "OffsetMeasurement":
-        return cls(pixel_low=int(doc["pixel_low"]),
-                   pixel_high=int(doc["pixel_high"]),
-                   off_ps=float(doc["off_ps"]),
-                   sigma_ps=float(doc["sigma_ps"]),
-                   valid=bool(doc["valid"]))
+        return decode_fields(cls, doc, off_ps=_measured, sigma_ps=_measured)
+
+
+def _measured(value) -> float:
+    # write_json stores the nan/inf of an invalid measurement as null.
+    return math.nan if value is None else as_float(value)
 
 
 @dataclass(frozen=True, eq=False)
-class DelayVector:
+class DelayVector(Document):
     """Per-pixel delays, mean-zero by construction."""
 
     delays_ps: np.ndarray
@@ -90,6 +87,8 @@ class DelayVector:
         object.__setattr__(self, "delays_ps", d)
         if d.ndim != 1 or len(d) < 2:
             raise ValueError("need delays for at least two pixels")
+        if not np.isfinite(d).all():
+            raise ValueError("delays must be finite")
         if abs(d.mean()) > MEAN_TOL_PS:
             raise ValueError("delay vector must have zero mean")
 
@@ -126,22 +125,9 @@ class DelayVector:
                                  for m in doc.get("provenance", [])),
                 gap_pixels=tuple((int(a), int(b))
                                  for a, b in doc.get("gap_pixels", [])),
-                degraded=bool(doc.get("degraded", False)))
-        except (KeyError, TypeError, ValueError) as exc:
+                degraded=as_bool(doc.get("degraded", False)))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"malformed delay document: {exc}") from None
-
-    def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh)
-
-    @classmethod
-    def load(cls, path: str) -> "DelayVector":
-        with open(path) as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"delay file is not valid JSON: {exc}") from None
-        return cls.from_json_dict(doc)
 
 
 def measure_offsets(stream: PhotonStream,

@@ -31,10 +31,12 @@ source in time by |N(0, ct_jitter)|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
+from .documents import as_float, as_list, decode_fields, pairs
 from .errors import DataError
 from .timestream import PhotonStream, SensorConfig, StreamHeader, record_order
 
@@ -55,15 +57,6 @@ ORIGIN_PAIR_B = 3
 ORIGIN_CT = 4
 
 ORIGIN_NAMES = ("dark", "beam_single", "pair_a", "pair_b", "crosstalk")
-
-
-def _pairs(obj):
-    """Key/value pairs from either a mapping or a pair sequence.
-
-    Hand-written configs tend to use JSON objects ({"17": 2500}) where
-    to_json_dict emits pair lists ([[17, 2500]]); accept both.
-    """
-    return obj.items() if isinstance(obj, dict) else obj
 
 
 def theoretical_contrast(mix) -> float:
@@ -110,17 +103,9 @@ class DcrProfile:
             raise ValueError("dark rates must be >= 0")
         return rates
 
-    def to_json_dict(self) -> dict:
-        return {"base_cps": self.base_cps,
-                "overrides": [[p, r] for p, r in self.overrides],
-                "drift_scale": self.drift_scale}
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "DcrProfile":
-        return cls(base_cps=float(d.get("base_cps", 0.0)),
-                   overrides=tuple((int(p), float(r)) for p, r
-                                   in _pairs(d.get("overrides", []))),
-                   drift_scale=float(d.get("drift_scale", 1.0)))
+        return decode_fields(cls, d, overrides=pairs(int, float))
 
 
 @dataclass(frozen=True)
@@ -131,16 +116,9 @@ class BeamSpec:
     rate_cps: float
     mix: tuple[tuple[str, float], ...] = (("c0", 1.0),)
 
-    def to_json_dict(self) -> dict:
-        return {"pixel": self.pixel, "rate_cps": self.rate_cps,
-                "mix": [[label, w] for label, w in self.mix]}
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "BeamSpec":
-        mix = tuple((str(label), float(w))
-                    for label, w in _pairs(d.get("mix", [])))
-        return cls(pixel=int(d["pixel"]), rate_cps=float(d["rate_cps"]),
-                   mix=mix or (("c0", 1.0),))
+        return decode_fields(cls, d, mix=pairs(str, float))
 
 
 @dataclass(frozen=True)
@@ -228,47 +206,18 @@ class SimConfig:
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        s = self.sensor
-        return {
-            "sensor": {"num_pixels": s.num_pixels,
-                       "cycle_period_ps": s.cycle_period_ps,
-                       "tdc_bins_per_clock": s.tdc_bins_per_clock,
-                       "clock_period_ps": s.clock_period_ps},
-            "seed": self.seed,
-            "duration_s": self.duration_s,
-            "dcr": self.dcr.to_json_dict(),
-            "beams": [b.to_json_dict() for b in self.beams],
-            "pair_fraction": self.pair_fraction,
-            "correlation_sigma_ps": self.correlation_sigma_ps,
-            "fiber_delay_ps": self.fiber_delay_ps,
-            "ct_profile": [[d, p] for d, p in self.ct_profile],
-            "ct_jitter_sigma_ps": self.ct_jitter_sigma_ps,
-            "delays_ps": None if self.delays_ps is None
-            else list(self.delays_ps),
-            "jitter_sigma_ps": self.jitter_sigma_ps,
-            "include_lineage": self.include_lineage,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SimConfig":
-        sensor = SensorConfig(**d["sensor"]) if "sensor" in d else SensorConfig()
-        delays = d.get("delays_ps")
-        return cls(
-            sensor=sensor,
-            seed=int(d.get("seed", 0)),
-            duration_s=float(d.get("duration_s", 1.0)),
-            dcr=DcrProfile.from_json_dict(d.get("dcr", {})),
-            beams=tuple(BeamSpec.from_json_dict(b) for b in d.get("beams", [])),
-            pair_fraction=float(d.get("pair_fraction", 0.0)),
-            correlation_sigma_ps=float(d.get("correlation_sigma_ps", 100.0)),
-            fiber_delay_ps=float(d.get("fiber_delay_ps", 0.0)),
-            ct_profile=tuple((int(dd), float(p))
-                             for dd, p in _pairs(d.get("ct_profile", []))),
-            ct_jitter_sigma_ps=float(d.get("ct_jitter_sigma_ps", 30.0)),
-            delays_ps=None if delays is None else tuple(float(x) for x in delays),
-            jitter_sigma_ps=float(d.get("jitter_sigma_ps", 40.0)),
-            include_lineage=bool(d.get("include_lineage", False)),
-        )
+        return decode_fields(
+            cls, d, sensor=partial(decode_fields, SensorConfig),
+            dcr=DcrProfile.from_json_dict,
+            beams=lambda beams: tuple(BeamSpec.from_json_dict(b)
+                                      for b in as_list(beams)),
+            ct_profile=pairs(int, float),
+            delays_ps=lambda delays: None if delays is None
+            else tuple(as_float(x) for x in as_list(delays)))
 
 
 @dataclass

@@ -13,12 +13,12 @@ to trust the estimate are flagged unusable and refuse conversion.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .documents import Document
 from .errors import CalibrationError, DataError
 from .timestream import PhotonStream, SensorConfig, record_order
 
@@ -30,7 +30,7 @@ SCHEMA_VERSION = 1
 
 
 @dataclass
-class TdcLut:
+class TdcLut(Document):
     """Per-pixel bin widths (ps) and derived offsets for one sensor.
 
     ``widths`` has shape (num_pixels, tdc_bins_per_clock).  For every
@@ -44,6 +44,8 @@ class TdcLut:
     unusable: frozenset[int] = frozenset()
     total_counts: np.ndarray | None = None
     offsets: np.ndarray = field(init=False)
+
+    LOAD_ERROR = CalibrationError
 
     def __post_init__(self):
         expected = (self.sensor.num_pixels, self.sensor.tdc_bins_per_clock)
@@ -103,22 +105,11 @@ class TdcLut:
                     raise CalibrationError(f"malformed LUT row for pixel {key}")
                 widths[p] = vals
             unusable = frozenset(int(p) for p in doc.get("unusable_pixels", ()))
-        except (KeyError, TypeError, ValueError) as exc:
+            if not unusable <= set(range(num_pixels)):
+                raise CalibrationError("unusable pixel outside the sensor")
+            return cls(sensor=sensor, widths=widths, unusable=unusable)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CalibrationError(f"malformed LUT document: {exc}") from None
-        return cls(sensor=sensor, widths=widths, unusable=unusable)
-
-    def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh)
-
-    @classmethod
-    def load(cls, path: str, sensor: SensorConfig | None = None) -> "TdcLut":
-        with open(path) as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise CalibrationError(f"LUT file is not valid JSON: {exc}") from None
-        return cls.from_json_dict(doc, sensor)
 
 
 def build_lut(stream: PhotonStream) -> TdcLut:

@@ -103,6 +103,10 @@ class SensorConfig:
             raise ValueError("TDC geometry must be positive")
         if self.cycle_period_ps <= self.clock_period_ps:
             raise ValueError("cycle period must exceed one clock period")
+        for name, bits in (("num_pixels", 16), ("tdc_bins_per_clock", 16),
+                           ("clock_period_ps", 32), ("cycle_period_ps", 64)):
+            if getattr(self, name) >> bits:  # the SPK1 header's field width
+                raise ValueError(f"{name} exceeds its {bits}-bit header field")
 
     @property
     def mean_bin_width_ps(self) -> float:
@@ -228,9 +232,13 @@ class PhotonStream:
     def from_cycles(cls, header: StreamHeader,
                     cycles: Iterable[AcquisitionCycle],
                     total_cycles: int | None = None) -> "PhotonStream":
+        """Columns of record-model cycles; ``total_cycles`` is raised to
+        one past the last cycle given, empty or not."""
         cyc, pix, t, raw = [], [], [], []
         any_raw = False
+        last = -1
         for c in cycles:
+            last = c.cycle_index
             for r in c.records:
                 cyc.append(c.cycle_index)
                 pix.append(r.pixel)
@@ -243,7 +251,7 @@ class PhotonStream:
             pixel=np.asarray(pix, dtype=np.uint16),
             time_ps=np.asarray(t, dtype=np.float64),
             raw_code=np.asarray(raw, dtype=np.uint32) if any_raw else None,
-            total_cycles=total_cycles or 0,
+            total_cycles=max(total_cycles or 0, last + 1),
         )
         stream.validate()
         return stream
@@ -350,17 +358,7 @@ class PhotonStream:
             # other.  Cycles pass through one at a time rather than as a
             # list, which would hold every record object at once.
             header, cycles = read_stream(io.BytesIO(buf))
-            last_index = -1
-
-            def tracking_last():
-                nonlocal last_index
-                for cycle in cycles:
-                    last_index = cycle.cycle_index
-                    yield cycle
-
-            stream = cls.from_cycles(header, tracking_last())
-            stream.total_cycles = _total_cycles(header, last_index)
-            return stream
+            return cls.from_cycles(header, cycles, _total_cycles(header, -1))
         cycle_rep, pixel, time_ps, raw_code, last_index = columns
         return cls(
             header=header,

@@ -8,6 +8,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from spadkit.cli import main
 from spadkit.coincidence import DeltaHistogram
@@ -286,3 +287,130 @@ def test_delays_flag_matches_library_application(tmp_path):
     peak0 = h0.bin_centers[np.argmax(h0.counts)]
     peak1 = h1.bin_centers[np.argmax(h1.counts)]
     assert abs(peak1) <= abs(peak0) or abs(peak1) < 200.0
+
+
+# ---------------------------------------------------------------------------
+# the JSON boundary: every bad input file is a structured data error
+
+FILE, STREAM = "<file>", "<stream>"
+DEEP = b"[" * 100_000
+
+BAD_INPUTS = [
+    ("config typo", ["simulate", "--config", FILE],
+     b'{"duration_s": 0.01, "pair_fracton": 0.5}'),
+    ("unknown sensor key", ["simulate", "--config", FILE],
+     b'{"duration_s": 0.01, "sensor": {"num_pixel": 16}}'),
+    ("config list", ["simulate", "--config", FILE], b'[{"duration_s": 0.01}]'),
+    ("non-utf8 config", ["simulate", "--config", FILE],
+     b'{"duration_s": 0.01, "note": "caf\xe9"}'),
+    ("nan literal", ["simulate", "--config", FILE], b'{"duration_s": NaN}'),
+    ("float overflow", ["simulate", "--config", FILE], b'{"duration_s": 1e400}'),
+    ("string for number", ["simulate", "--config", FILE],
+     b'{"duration_s": "abc"}'),
+    ("beam without rate", ["simulate", "--config", FILE],
+     b'{"duration_s": 0.01, "beams": [{"pixel": 3}]}'),
+    ("negative duration", ["simulate", "--config", FILE],
+     b'{"duration_s": -1}'),
+    ("string for bool", ["simulate", "--config", FILE],
+     b'{"duration_s": 0.01, "include_lineage": "false"}'),
+    ("explicit empty mix", ["simulate", "--config", FILE],
+     b'{"duration_s": 0.01, "beams": [{"pixel": 3, "rate_cps": 1.0,'
+     b' "mix": []}]}'),
+    ("pixels beyond u16", ["simulate", "--config", FILE],
+     b'{"duration_s": 0.01, "sensor": {"num_pixels": 70000}}'),
+    ("deep fit input", ["fit", "--in", FILE], DEEP),
+    ("deep delays", ["coincidence", "--in", STREAM, "--pair", "0,1",
+                     "--delays", FILE], DEEP),
+    ("deep lut", ["calibrate", "--in", STREAM, "--lut", FILE], DEEP),
+]
+
+
+@pytest.mark.parametrize("argv, content", [case[1:] for case in BAD_INPUTS],
+                         ids=[case[0] for case in BAD_INPUTS])
+def test_bad_input_files_exit_two(argv, content, sim_stream_path, tmp_path,
+                                  capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    out = tmp_path / "out"
+    argv = [{FILE: str(bad), STREAM: sim_stream_path}.get(a, a) for a in argv]
+    assert main([*argv, "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] and err["type"] in {"DataError", "CalibrationError"}
+    assert not out.exists()
+
+
+def test_delays_must_cover_the_stream(sim_stream_path, tmp_path, capsys):
+    eight = tmp_path / "d8.json"
+    DelayVector(np.zeros(8)).save(str(eight))
+    for argv in (["coincidence", "--pair", "0,1"], ["ct-scan"],
+                 ["report", "--pair", "0,1"]):
+        assert main([*argv, "--in", sim_stream_path, "--delays", str(eight),
+                     "--out", str(tmp_path / "out")]) == 2, argv
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["type"] == "DataError"
+        assert "8 delays" in err["error"] and "256 pixels" in err["error"]
+
+
+def test_fit_documents_are_strict_json(tmp_path):
+    # A flat histogram fits a zero-amplitude peak whose center and width
+    # are unconstrained: their errors are infinite.
+    flat = DeltaHistogram(pixel_a=0, pixel_b=1, window_ps=1000.0,
+                          bin_width_ps=50.0, total_pairs=4000,
+                          counts=np.full(40, 100, dtype=np.int64))
+    hist_path, fit_path = tmp_path / "flat.json", tmp_path / "fit.json"
+    flat.save(str(hist_path))
+    assert main(["fit", "--in", str(hist_path), "--out", str(fit_path)]) == 0
+    doc = json.loads(fit_path.read_text(), parse_constant=pytest.fail)
+    assert doc["center_err_ps"] is None and doc["sigma_err_ps"] is None
+
+
+def test_fit_on_too_few_bins_exits_two(tmp_path, capsys):
+    few = DeltaHistogram(pixel_a=0, pixel_b=1, window_ps=100.0,
+                         bin_width_ps=50.0, total_pairs=10,
+                         counts=np.array([1, 2, 5, 2], dtype=np.int64))
+    few.save(str(tmp_path / "few.json"))
+    for extra in ([], ["--two-peaks"]):
+        assert main(["fit", "--in", str(tmp_path / "few.json"), *extra,
+                     "--out", str(tmp_path / "fit.json")]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["type"] == "DataError" and "bins" in err["error"]
+
+
+@pytest.fixture(scope="module")
+def tiny_stream_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("tiny") / "tiny.spk1"
+    stream, _truth = simulate(SimConfig(
+        sensor=SensorConfig(num_pixels=8), seed=9, duration_s=0.2,
+        dcr=DcrProfile(base_cps=2000.0), ct_profile=((1, 0.05),)))
+    stream.write(str(path))
+    return str(path)
+
+
+_KEYS = st.sampled_from(["pixel_a", "pixel_b", "window_ps", "bin_width_ps",
+                         "counts", "total_pairs", "normalized", "delays_ps",
+                         "provenance", "sensor", "num_pixels",
+                         "tdc_bins_per_clock", "clock_period_ps",
+                         "widths_ps", "unusable_pixels", "0", "1"])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_KEYS, inner, max_size=6), max_leaves=20)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(blob=st.binary(max_size=300)
+       | _JSON.map(lambda doc: json.dumps(doc).encode()),
+       command=st.sampled_from(["fit", "coincidence", "calibrate"]))
+def test_property_document_inputs_never_raise(blob, command,
+                                              tiny_stream_path,
+                                              tmp_path_factory):
+    tmp = tmp_path_factory.getbasetemp()
+    bad, out = tmp / "blob.json", tmp / "blob-out.json"
+    bad.write_bytes(blob)
+    argv = {"fit": ["fit", "--in", str(bad)],
+            "coincidence": ["coincidence", "--in", tiny_stream_path,
+                            "--pair", "0,1", "--delays", str(bad)],
+            "calibrate": ["calibrate", "--in", tiny_stream_path,
+                          "--lut", str(bad)]}[command]
+    assert main([*argv, "--out", str(out)]) in {0, 1, 2, 3}

@@ -162,6 +162,10 @@ def test_json_roundtrip():
     np.testing.assert_array_equal(back.counts, h.counts)
     np.testing.assert_allclose(back.normalized, h.normalized)
     assert back.median_count == h.median_count
+    doc = h.to_json_dict()
+    del doc["median_count"]  # normalized counts need their median
+    with pytest.raises(DataError, match="median_count"):
+        DeltaHistogram.from_json_dict(doc)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -139,6 +141,28 @@ def test_delay_vector_must_be_mean_zero():
         DelayVector(np.array([1.0, 2.0, 3.0]))
     vec = DelayVector.centered(np.array([1.0, 2.0, 3.0]))
     assert abs(vec.delays_ps.mean()) <= 1e-9
+
+
+def test_delay_vector_must_be_finite():
+    # nan slips past a mean check: abs(nan) > tol is False
+    for bad in ([np.nan, 0.0, 0.0], [np.inf, -np.inf, 0.0]):
+        with pytest.raises(ValueError, match="finite"):
+            DelayVector(np.array(bad))
+    with pytest.raises(DataError):
+        DelayVector.from_json_dict(
+            {"delays_ps": {"0": float("nan"), "1": 0.0}})
+
+
+def test_invalid_measurement_survives_a_strict_file(tmp_path):
+    invalid = OffsetMeasurement(1, 2, float("nan"), float("inf"), False)
+    vec = DelayVector(np.array([1.0, -1.0, 0.0]), provenance=(invalid,))
+    path = tmp_path / "delays.json"
+    vec.save(str(path))
+    doc = json.loads(path.read_text(), parse_constant=pytest.fail)
+    assert doc["provenance"][0]["off_ps"] is None
+    back = DelayVector.load(str(path)).provenance[0]
+    assert (back.pixel_low, back.valid) == (1, False)
+    assert np.isnan(back.off_ps) and np.isnan(back.sigma_ps)
 
 
 def test_delay_vector_json_roundtrip(tmp_path):

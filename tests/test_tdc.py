@@ -154,6 +154,11 @@ def test_json_roundtrip_and_fingerprint_check():
     other = SensorConfig(num_pixels=64)
     with pytest.raises(CalibrationError, match="fingerprint"):
         TdcLut.from_json_dict(doc, sensor=other)
+    # documents the constructor refuses are calibration errors too
+    for bad in ({"unusable_pixels": [999]}, {"unusable_pixels": [-1]},
+                {"widths_ps": {**doc["widths_ps"], "0": [1.0] * BINS}}):
+        with pytest.raises(CalibrationError):
+            TdcLut.from_json_dict({**doc, **bad})
 
 
 def test_lut_constructor_rejects_bad_usable_rows():

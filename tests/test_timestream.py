@@ -107,6 +107,24 @@ def test_empty_cycles_preserved():
     assert [c.cycle_index for c in back] == [0, 9]
 
 
+def test_from_cycles_counts_trailing_empty_cycle():
+    cycles = [AcquisitionCycle(0, (TimestampRecord(3, 100),)),
+              AcquisitionCycle(9, ())]
+    assert PhotonStream.from_cycles(HEADER, cycles).total_cycles == 10
+
+
+@pytest.mark.parametrize("field, limit", [
+    ("num_pixels", 1 << 16), ("tdc_bins_per_clock", 1 << 16),
+    ("clock_period_ps", 1 << 32), ("cycle_period_ps", 1 << 64)])
+def test_sensor_refuses_what_the_header_cannot_store(field, limit):
+    base = dict(cycle_period_ps=1 << 40)
+    with pytest.raises(ValueError, match=field):
+        SensorConfig(**{**base, field: limit})
+    largest = SensorConfig(**{**base, field: limit - 1})
+    _, h, _ = roundtrip([], header=StreamHeader(largest))
+    assert h.sensor == largest
+
+
 def test_rewrite_is_bit_identical():
     rng = np.random.default_rng(7)
     cycles = random_cycles(rng, SENSOR, max_cycles=20, max_records=10)
