@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .documents import Document, as_float
+from .documents import Document, as_count, as_float, as_list
 from .errors import DataError
 from .timestream import PhotonStream, SensorConfig
 
@@ -89,12 +89,13 @@ class DeltaHistogram(Document):
         try:
             normalized = doc.get("normalized")
             return cls(
-                pixel_a=int(doc["pixel_a"]),
-                pixel_b=int(doc["pixel_b"]),
+                pixel_a=as_count(doc["pixel_a"]),
+                pixel_b=as_count(doc["pixel_b"]),
                 window_ps=float(doc["window_ps"]),
                 bin_width_ps=float(doc["bin_width_ps"]),
-                counts=np.asarray(doc["counts"], dtype=np.int64),
-                total_pairs=int(doc["total_pairs"]),
+                counts=np.array([as_count(c) for c in as_list(doc["counts"])],
+                                dtype=np.int64),
+                total_pairs=as_count(doc["total_pairs"]),
                 normalized=(np.asarray(normalized, dtype=np.float64)
                             if normalized is not None else None),
                 median_count=(as_float(doc["median_count"])

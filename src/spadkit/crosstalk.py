@@ -28,7 +28,7 @@ import numpy as np
 
 from .coincidence import DEFAULT_WINDOW_PS, DeltaHistogram, PixelIndex, \
     build_histogram
-from .documents import Document
+from .documents import Document, as_bool, as_count
 from .errors import DataError, FitError
 from .peakfit import SIGNIFICANCE_SIGMAS, fit_gaussian
 from .rates import RateReport
@@ -139,13 +139,13 @@ class CtCurve(Document):
     def from_json_dict(cls, doc: dict) -> "CtCurve":
         try:
             points = tuple(
-                CtPoint(distance=int(p["distance"]),
+                CtPoint(distance=as_count(p["distance"]),
                         probability=float(p["mean"]),
                         stderr=float(p["stderr"]),
-                        n_pairs=int(p["n_pairs"]),
-                        upper_limit=bool(p["upper_limit"]))
+                        n_pairs=as_count(p["n_pairs"]),
+                        upper_limit=as_bool(p["upper_limit"]))
                 for p in doc["points"])
-            pairs = tuple((int(s), int(t)) for s, t in doc["pairs"])
+            pairs = tuple((as_count(s), as_count(t)) for s, t in doc["pairs"])
             return cls(points=points, pairs=pairs,
                        window_ps=float(doc["window_ps"]))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -91,6 +91,14 @@ _SCALARS = {"int": _scalar(int, numbers.Integral), "float": as_float,
             "bool": as_bool, "str": _scalar(str, str)}
 
 
+def as_count(value) -> int:
+    """A JSON integer in [0, 2**63): a count, a length or an index."""
+    n = _SCALARS["int"](value)
+    if not 0 <= n < 1 << 63:
+        raise ValueError(f"expected an integer in [0, 2**63), got {n}")
+    return n
+
+
 def as_list(value) -> list | tuple:
     if not isinstance(value, (list, tuple)):
         raise TypeError(f"expected a list, got {value!r}")

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .coincidence import DEFAULT_WINDOW_PS, PixelIndex
-from .documents import Document, as_bool, as_float, decode_fields
+from .documents import Document, as_bool, as_count, as_float, decode_fields
 from .errors import CalibrationError, DataError, FitError
 from .peakfit import fit_gaussian
 from .timestream import PhotonStream, record_order
@@ -123,7 +123,7 @@ class DelayVector(Document):
                 delays_ps=d,
                 provenance=tuple(OffsetMeasurement.from_json_dict(m)
                                  for m in doc.get("provenance", [])),
-                gap_pixels=tuple((int(a), int(b))
+                gap_pixels=tuple((as_count(a), as_count(b))
                                  for a, b in doc.get("gap_pixels", [])),
                 degraded=as_bool(doc.get("degraded", False)))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .documents import Document
+from .documents import Document, as_count
 from .errors import CalibrationError, DataError
 from .timestream import PhotonStream, SensorConfig, record_order
 
@@ -86,9 +86,9 @@ class TdcLut(Document):
     def from_json_dict(cls, doc: dict, sensor: SensorConfig | None = None) -> "TdcLut":
         try:
             fp = doc["sensor"]
-            num_pixels = int(fp["num_pixels"])
-            bins = int(fp["tdc_bins_per_clock"])
-            clock = int(fp["clock_period_ps"])
+            num_pixels = as_count(fp["num_pixels"])
+            bins = as_count(fp["tdc_bins_per_clock"])
+            clock = as_count(fp["clock_period_ps"])
             if sensor is None:
                 sensor = SensorConfig(num_pixels=num_pixels,
                                       tdc_bins_per_clock=bins,
@@ -104,7 +104,8 @@ class TdcLut(Document):
                 if not 0 <= p < num_pixels or len(vals) != bins:
                     raise CalibrationError(f"malformed LUT row for pixel {key}")
                 widths[p] = vals
-            unusable = frozenset(int(p) for p in doc.get("unusable_pixels", ()))
+            unusable = frozenset(as_count(p)
+                                 for p in doc.get("unusable_pixels", ()))
             if not unusable <= set(range(num_pixels)):
                 raise CalibrationError("unusable pixel outside the sensor")
             return cls(sensor=sensor, widths=widths, unusable=unusable)

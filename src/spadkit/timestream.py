@@ -11,7 +11,7 @@ records detected during one gating window.  Two representations coexist:
 Binary container (extension ``.spk1``, all fields little-endian):
 
     magic            4 bytes  b"SPK1"
-    version          u16
+    version          u16      1: per-cycle records, 2: columnar slabs
     num_pixels       u16
     cycle_period_ps  u64
     tdc_bins         u16      per clock period
@@ -20,7 +20,7 @@ Binary container (extension ``.spk1``, all fields little-endian):
                               val_len u16, val (utf-8)
     cycle_count      u64      0xFFFF_FFFF_FFFF_FFFF while streaming
 
-    per cycle:
+Version 1 payload, per cycle:
       cycle_index    u64      strictly increasing, gaps allowed
       record_count   u32
       per record:
@@ -29,20 +29,41 @@ Binary container (extension ``.spk1``, all fields little-endian):
         flags        u8       bit 0: raw TDC code follows; others reserved
         raw_code     u32      only when flags bit 0 is set
 
+Version 2 payload, per slab of whole cycles (column after column):
+      n_cycles       u64      at least 1
+      n_records      u64      the sum of the slab's record counts
+      flags          u8       bit 0: raw column follows; others reserved;
+                              the same in every slab of a file
+      cycle_index    u64[n_cycles]   strictly increasing across slabs
+      record_count   u32[n_cycles]
+      pixel          u16[n_records]
+      time_ps        u64[n_records]
+      raw_code       u32[n_records]  only when flags bit 0 is set
+
 Records inside a cycle are sorted by (time_ps, pixel); the readers reject
 unsorted input rather than silently reordering it.  Empty cycles need not
 be serialized -- the acquisition length in cycles travels in the
 ``total_cycles`` metadata key when it differs from the serialized count.
+Each writer writes its own version, whatever ``StreamHeader.version``
+holds: ``PhotonStream.write`` version 2, ``write_stream`` version 1.
+Builds of spadkit that predate version 2 cannot read files written by
+``PhotonStream.write``.
 
-Two readers parse the record payload:
+Two readers parse the payload; both read either version:
 
-* ``read_stream`` -- the streaming reader, one cycle at a time; every
-  structural error it raises carries the cycle index and byte offset;
-* ``PhotonStream.read`` -- a vectorized scan of the cycle headers and a
-  gather of the records into columns.  When a cycle mixes raw and plain
-  records, or the bytes hold any structural defect, it hands the buffer
-  to ``read_stream``, which accepts the former and raises the precise
-  error for the latter, so both readers fail identically.
+* ``read_stream`` -- the streaming reader, one cycle (v1) or one slab
+  (v2) at a time; every structural error it raises carries the byte
+  offset and, where known, the cycle index;
+* ``PhotonStream.read`` -- the whole stream into columns.
+
+A v2 slab is a few ``np.frombuffer`` views checked by ``_decode_slab``,
+the one decoder both readers call, so they raise the same error for any
+defect.  For v1, ``PhotonStream.read`` scans the cycle headers and
+gathers the records into columns; when a cycle mixes raw and plain
+records, or the bytes hold any structural defect, it hands the payload to
+the v1 streaming parser, which accepts the former and raises the precise
+error for the latter, so both readers fail identically.  The layout of a
+slab follows the record batches of Apache Arrow's IPC format.
 """
 
 from __future__ import annotations
@@ -52,7 +73,7 @@ import io
 import logging
 import struct
 from dataclasses import dataclass, field, replace
-from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
+from typing import BinaryIO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,7 +82,8 @@ from .errors import StreamFormatError
 logger = logging.getLogger(__name__)
 
 MAGIC = b"SPK1"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2          # columnar slabs, written by PhotonStream.write
+RECORD_FORMAT_VERSION = 1   # per-cycle records, written by write_stream
 STREAMING_CYCLE_COUNT = 0xFFFF_FFFF_FFFF_FFFF
 
 _HEADER = struct.Struct("<4sHHQHI")          # magic .. clock_period_ps
@@ -69,19 +91,22 @@ _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 _CYCLE_HEADER = struct.Struct("<QI")          # cycle_index, record_count
+_SLAB_HEADER = struct.Struct("<QQB")          # n_cycles, n_records, flags
 _REC_PLAIN = struct.Struct("<HQB")
 _REC_RAW = struct.Struct("<HQBI")
 
 _DT_PLAIN = np.dtype([("pixel", "<u2"), ("time", "<u8"), ("flags", "u1")])
 _DT_RAW = np.dtype([("pixel", "<u2"), ("time", "<u8"), ("flags", "u1"),
                     ("raw", "<u4")])
-_DT_CYCLE_HEADER = np.dtype([("index", "<u8"), ("count", "<u4")])
 
 _FLAG_RAW = 0x01
 
 # Records per slab in the vectorized read/write paths.  Bounds transient
 # buffers to tens of MB while keeping per-slab Python overhead negligible.
 _IO_CHUNK = 1 << 22
+# Largest single read: a corrupt slab header may claim any size, so a
+# slab body is read in pieces of at most this many bytes.
+_READ_CHUNK = 1 << 26
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +156,9 @@ class AcquisitionCycle:
 
 @dataclass(frozen=True)
 class StreamHeader:
+    """File header fields.  ``version`` is the format of the file a header
+    was read from; each writer writes its own version regardless."""
+
     sensor: SensorConfig
     version: int = FORMAT_VERSION
     metadata: Mapping[str, str] = field(default_factory=dict)
@@ -273,13 +301,14 @@ class PhotonStream:
     # -- binary I/O --------------------------------------------------------
 
     def write(self, sink: BinaryIO | str) -> int:
-        """Serialize to the binary container.  Returns bytes written.
+        """Serialize as format version 2, one slab of whole cycles at a
+        time.  Returns bytes written.
 
         Times are rounded to integer ps first; refuses, before touching
         ``sink``, a stream whose rounded times the readers would reject.
         """
-        # Rounded again where serialized: holding this copy until then
-        # raised peak RSS by 3 % on a 1.1M-record flood stream.
+        # Rounded again, slab by slab, where serialized: holding this copy
+        # until then raised peak RSS by 3 % on a 1.1M-record flood stream.
         replace(self, time_ps=np.rint(self.time_ps)).validate()
         if self.out_of_window is not None and self.out_of_window.any():
             raise StreamFormatError(
@@ -298,66 +327,71 @@ class PhotonStream:
             header = header.with_metadata(total_cycles=str(self.total_cycles))
 
         starts, stops = _run_edges(self.cycle_index)
-        written = _write_header(sink, header, cycle_count=len(starts))
-        if len(starts) == 0:
-            return written
-
-        has_raw = self.raw_code is not None
-        dtype = _DT_RAW if has_raw else _DT_PLAIN
-        isz = dtype.itemsize
-        hsz = _CYCLE_HEADER.size
-        times = np.rint(self.time_ps).astype(np.uint64)
-        counts = stops - starts
-
-        # Pack whole slabs of cycles into one buffer, scattering headers and
-        # records into place column by column; a per-cycle pack loop costs
-        # microseconds per cycle, which adds up to seconds on minute-scale
-        # acquisitions.
+        written = _write_header(sink, header, FORMAT_VERSION,
+                                cycle_count=len(starts))
+        flags = 0 if self.raw_code is None else _FLAG_RAW
         for r0, r1 in _slab_runs(starts, _IO_CHUNK):
             lo, hi = int(starts[r0]), int(stops[r1 - 1])
-            n_rec = hi - lo
-            n_run = r1 - r0
-            body = np.empty(n_run * hsz + n_rec * isz, dtype=np.uint8)
-
-            hdr = np.empty(n_run, dtype=_DT_CYCLE_HEADER)
-            hdr["index"] = self.cycle_index[starts[r0:r1]]
-            hdr["count"] = counts[r0:r1]
-            hdr_pos = hsz * np.arange(n_run) + isz * (starts[r0:r1] - lo)
-            _scatter_rows(body, hdr_pos, hdr.view(np.uint8).reshape(n_run, hsz))
-
-            rec = np.empty(n_rec, dtype=dtype)
-            rec["pixel"] = self.pixel[lo:hi]
-            rec["time"] = times[lo:hi]
-            rec["flags"] = _FLAG_RAW if has_raw else 0
-            if has_raw:
-                rec["raw"] = self.raw_code[lo:hi]
-            run_local = np.repeat(np.arange(1, n_run + 1), counts[r0:r1])
-            rec_pos = hsz * run_local + isz * np.arange(n_rec)
-            _scatter_rows(body, rec_pos, rec.view(np.uint8).reshape(n_rec, isz))
-
-            sink.write(body.data)
-            written += body.size
+            head = _SLAB_HEADER.pack(r1 - r0, hi - lo, flags)
+            sink.write(head)
+            written += len(head)
+            columns = [(self.cycle_index[starts[r0:r1]], "<u8"),
+                       (stops[r0:r1] - starts[r0:r1], "<u4"),
+                       (self.pixel[lo:hi], "<u2"),
+                       (np.rint(self.time_ps[lo:hi]), "<u8")]
+            if flags:
+                columns.append((self.raw_code[lo:hi], "<u4"))
+            for values, dtype in columns:
+                column = np.ascontiguousarray(values, dtype=dtype)
+                sink.write(column.data)
+                written += column.nbytes
         return written
 
     @classmethod
     def read(cls, source: BinaryIO | str) -> "PhotonStream":
         """Read a whole binary stream into columnar form.
 
-        Unlike ``read_stream`` this loads the file in one piece; use the
-        streaming reader when memory must stay bounded by one cycle.
+        Unlike ``read_stream`` this holds the whole stream at once; use the
+        streaming reader when memory must stay bounded by one slab (v2) or
+        one cycle (v1).
         """
         if isinstance(source, str):
             with open(source, "rb") as fh:
                 return cls.read(fh)
-        buf = source.read()
-        header, cycle_count, pos = _parse_header(buf)
-        columns = _gather_columns(buf, pos, header.sensor, cycle_count)
+        header, cycle_count, offset = _read_header(source)
+        if header.version == RECORD_FORMAT_VERSION:
+            return cls._read_records(header, cycle_count, offset,
+                                     source.read())
+        parts = []
+        last_index = -1
+        for slab in _iter_slabs(source, header.sensor, cycle_count, offset):
+            # Copies, so no column keeps the slab's bytes alive.
+            parts.append((slab.cycle, slab.pixel.copy(),
+                          slab.time.astype(np.float64),
+                          None if slab.raw is None else slab.raw.copy()))
+            last_index = int(slab.index[-1])
+        if not parts:
+            parts = [(np.empty(0, np.uint64), np.empty(0, np.uint16),
+                      np.empty(0, np.float64), None)]
+        cycle_rep, pixel, time_ps, raw_code = (
+            column[0] if len(column) == 1 or column[0] is None
+            else np.concatenate(column) for column in zip(*parts))
+        return cls(header=header, cycle_index=cycle_rep, pixel=pixel,
+                   time_ps=time_ps, raw_code=raw_code,
+                   total_cycles=_total_cycles(header, last_index))
+
+    @classmethod
+    def _read_records(cls, header: StreamHeader, cycle_count: int,
+                      offset: int, buf: bytes) -> "PhotonStream":
+        """A version 1 payload ``buf`` that starts at byte ``offset``."""
+        columns = _gather_columns(buf, header.sensor, cycle_count)
         if columns is None:
             # Mixed raw/plain records or a structural defect: the streaming
-            # reader accepts the one and raises the precise error for the
+            # parser accepts the one and raises the precise error for the
             # other.  Cycles pass through one at a time rather than as a
             # list, which would hold every record object at once.
-            header, cycles = read_stream(io.BytesIO(buf))
+            cycles = _iter_cycles(io.BytesIO(buf), header.sensor,
+                                  cycle_count, offset)
             return cls.from_cycles(header, cycles, _total_cycles(header, -1))
         cycle_rep, pixel, time_ps, raw_code, last_index = columns
         return cls(
@@ -375,14 +409,16 @@ class PhotonStream:
 
 def write_stream(header: StreamHeader, cycles: Sequence[AcquisitionCycle],
                  sink: BinaryIO, *, cycle_count: int | None = None) -> int:
-    """Serialize record-model cycles.  Returns bytes written.
+    """Serialize record-model cycles as format version 1.  Returns bytes
+    written.
 
     ``cycle_count`` defaults to ``len(cycles)``; pass
     ``STREAMING_CYCLE_COUNT`` when the count is unknown up front.
     """
     if cycle_count is None:
         cycle_count = len(cycles) if hasattr(cycles, "__len__") else STREAMING_CYCLE_COUNT
-    written = _write_header(sink, header, cycle_count=cycle_count)
+    written = _write_header(sink, header, RECORD_FORMAT_VERSION,
+                            cycle_count=cycle_count)
     sensor = header.sensor
     prev_index = -1
     for cycle in cycles:
@@ -398,15 +434,25 @@ def read_stream(source: BinaryIO) -> tuple[StreamHeader, Iterator[AcquisitionCyc
     """Open a binary stream for incremental reading.
 
     Returns the parsed header and a generator of cycles; memory use is
-    bounded by the largest single cycle.  All structural violations raise
-    ``StreamFormatError`` -- arbitrary bytes never crash the parser.
+    bounded by the largest single cycle (v1) or slab (v2).  All structural
+    violations raise ``StreamFormatError`` -- arbitrary bytes never crash
+    the parser.
     """
+    header, cycle_count, offset = _read_header(source)
+    if header.version == RECORD_FORMAT_VERSION:
+        return header, _iter_cycles(source, header.sensor, cycle_count, offset)
+    return header, _slab_cycles(
+        _iter_slabs(source, header.sensor, cycle_count, offset))
+
+
+def _read_header(source: BinaryIO) -> tuple[StreamHeader, int, int]:
+    """(header, cycle_count, offset of the payload) of a binary stream."""
     head = _read_exact(source, _HEADER.size, "header")
     magic, version, num_pixels, cycle_period, tdc_bins, clock = \
         _HEADER.unpack(head)
     if magic != MAGIC:
         raise StreamFormatError("not a SPK1 stream (bad magic)")
-    if version != FORMAT_VERSION:
+    if version not in (RECORD_FORMAT_VERSION, FORMAT_VERSION):
         raise StreamFormatError(f"unsupported format version {version}")
     try:
         sensor = SensorConfig(num_pixels=num_pixels,
@@ -417,7 +463,7 @@ def read_stream(source: BinaryIO) -> tuple[StreamHeader, Iterator[AcquisitionCyc
         raise StreamFormatError(f"invalid sensor header: {exc}") from None
 
     (meta_count,) = _U16.unpack(_read_exact(source, 2, "metadata count"))
-    offset = _HEADER.size + _U16.size + _U64.size   # up to the first cycle
+    offset = _HEADER.size + _U16.size + _U64.size   # up to the payload
     metadata = {}
     for _ in range(meta_count):
         key = _read_length_prefixed(source, "metadata key")
@@ -428,7 +474,7 @@ def read_stream(source: BinaryIO) -> tuple[StreamHeader, Iterator[AcquisitionCyc
     (cycle_count,) = _U64.unpack(_read_exact(source, 8, "cycle count"))
 
     header = StreamHeader(sensor=sensor, version=version, metadata=metadata)
-    return header, _iter_cycles(source, sensor, cycle_count, offset)
+    return header, cycle_count, offset
 
 
 def _iter_cycles(source: BinaryIO, sensor: SensorConfig, cycle_count: int,
@@ -497,6 +543,132 @@ def _iter_cycles(source: BinaryIO, sensor: SensorConfig, cycle_count: int,
         raise StreamFormatError(
             f"header promises {cycle_count} cycles, found {seen}",
             offset=offset)
+
+
+class _Slab(NamedTuple):
+    """Decoded columns of one v2 slab (views of its bytes where possible)."""
+
+    index: np.ndarray          # u64 per cycle
+    count: np.ndarray          # u32 per cycle
+    cycle: np.ndarray          # u64 per record: its cycle's index
+    pixel: np.ndarray          # u16 per record
+    time: np.ndarray           # u64 per record
+    raw: np.ndarray | None     # u32 per record, when the slab has raw codes
+
+
+def _iter_slabs(source: BinaryIO, sensor: SensorConfig, cycle_count: int,
+                offset: int) -> Iterator[_Slab]:
+    """The decoded slabs of a v2 payload that starts at byte ``offset``.
+
+    Slab-level errors point at the slab header, record-level ones at the
+    column entry at fault; ``offset`` counts bytes consumed, so pipes
+    report positions too.
+    """
+    prev_index = -1
+    first_flags = None
+    seen = 0
+    while True:
+        head = source.read(_SLAB_HEADER.size)
+        if not head:
+            break
+        if len(head) < _SLAB_HEADER.size:
+            raise StreamFormatError(
+                "unexpected end of stream while reading a slab header",
+                offset=offset)
+        n_cycles, n_records, flags = _SLAB_HEADER.unpack(head)
+        if flags & ~_FLAG_RAW:
+            raise StreamFormatError(
+                f"corrupt slab (reserved flag bits 0x{flags:02x})",
+                offset=offset)
+        if first_flags is None:
+            first_flags = flags
+        elif flags != first_flags:
+            raise StreamFormatError("slab raw flag differs from the first "
+                                    "slab's", offset=offset)
+        if n_cycles == 0:
+            raise StreamFormatError("slab holds no cycles", offset=offset)
+        # u64 + u32 per cycle; u16 + u64 (+ u32 raw) per record
+        size = 12 * n_cycles + (14 if flags else 10) * n_records
+        body = _read_upto(source, size)
+        if len(body) < size:
+            raise StreamFormatError(
+                "unexpected end of stream while reading a slab",
+                offset=offset)
+        slab = _decode_slab(body, n_cycles, n_records, bool(flags), sensor,
+                            prev_index, offset)
+        prev_index = int(slab.index[-1])
+        seen += n_cycles
+        offset += _SLAB_HEADER.size + size
+        yield slab
+
+    if cycle_count != STREAMING_CYCLE_COUNT and seen != cycle_count:
+        raise StreamFormatError(
+            f"header promises {cycle_count} cycles, found {seen}",
+            offset=offset)
+
+
+def _decode_slab(body: bytes, n_cycles: int, n_records: int, raw: bool,
+                 sensor: SensorConfig, prev_index: int, offset: int) -> _Slab:
+    """Columns of one v2 slab body, checked against every rule on its
+    contents; ``offset`` is that of the slab header, ``prev_index`` the
+    last cycle index of the slab before (-1 for none)."""
+    at = offset + _SLAB_HEADER.size          # where the body starts
+    pixel_at = 12 * n_cycles
+    time_at = pixel_at + 2 * n_records
+    index = np.frombuffer(body, "<u8", n_cycles)
+    count = np.frombuffer(body, "<u4", n_cycles, 8 * n_cycles)
+    pixel = np.frombuffer(body, "<u2", n_records, pixel_at)
+    time = np.frombuffer(body, "<u8", n_records, time_at)
+    raw_code = np.frombuffer(body, "<u4", n_records, time_at + 8 * n_records) \
+        if raw else None
+
+    rising = np.empty(n_cycles, dtype=bool)
+    rising[0] = int(index[0]) > prev_index
+    rising[1:] = index[1:] > index[:-1]
+    if not rising.all():
+        k = int(np.argmin(rising))
+        raise StreamFormatError("cycle index not strictly increasing",
+                                cycle_index=int(index[k]), offset=at + 8 * k)
+    held = int(count.sum(dtype=np.uint64))
+    if held != n_records:
+        raise StreamFormatError(
+            f"slab header promises {n_records} records, its cycles hold "
+            f"{held}", offset=offset)
+
+    cycle = np.repeat(index, count)
+
+    def check(ok, message, column_at, width):
+        if not ok.all():
+            k = int(np.argmin(ok))
+            raise StreamFormatError(message(k), cycle_index=int(cycle[k]),
+                                    offset=at + column_at + width * k)
+
+    check(pixel < sensor.num_pixels,
+          lambda k: f"corrupt record (pixel {pixel[k]} out of range)",
+          pixel_at, 2)
+    check(time < np.uint64(sensor.cycle_period_ps),
+          lambda k: f"corrupt record (time {time[k]} outside cycle)",
+          time_at, 8)
+    # A record out of (time, pixel) order is the second of its pair.
+    ordered = np.ones(n_records, dtype=bool)
+    ordered[1:] = _lex_ordered(cycle, time, pixel)
+    check(ordered, lambda k: "records not sorted by (time, pixel)",
+          time_at, 8)
+    return _Slab(index, count, cycle, pixel, time, raw_code)
+
+
+def _slab_cycles(slabs: Iterable[_Slab]) -> Iterator[AcquisitionCycle]:
+    """The record model of decoded slabs, one cycle at a time."""
+    for slab in slabs:
+        stops = np.cumsum(slab.count, dtype=np.int64).tolist()
+        lo = 0
+        for index, hi in zip(slab.index.tolist(), stops):
+            raws = [None] * (hi - lo) if slab.raw is None \
+                else slab.raw[lo:hi].tolist()
+            yield AcquisitionCycle(index, tuple(map(
+                TimestampRecord, slab.pixel[lo:hi].tolist(),
+                slab.time[lo:hi].tolist(), raws)))
+            lo = hi
 
 
 # ---------------------------------------------------------------------------
@@ -591,9 +763,10 @@ def read_csv(source, sensor: SensorConfig) -> list[AcquisitionCycle]:
 # ---------------------------------------------------------------------------
 # shared helpers
 
-def _write_header(sink: BinaryIO, header: StreamHeader, *, cycle_count: int) -> int:
+def _write_header(sink: BinaryIO, header: StreamHeader, version: int, *,
+                  cycle_count: int) -> int:
     sensor = header.sensor
-    out = [_HEADER.pack(MAGIC, header.version, sensor.num_pixels,
+    out = [_HEADER.pack(MAGIC, version, sensor.num_pixels,
                         sensor.cycle_period_ps, sensor.tdc_bins_per_clock,
                         sensor.clock_period_ps)]
     out.append(_U16.pack(len(header.metadata)))
@@ -646,15 +819,17 @@ def _read_length_prefixed(source: BinaryIO, what: str) -> bytes:
     return _read_exact(source, n, what)
 
 
-def _parse_header(buf: bytes) -> tuple[StreamHeader, int, int]:
-    """Parse the container header from a byte buffer.
-
-    Returns (header, cycle_count, offset of first cycle).
-    """
-    fh = io.BytesIO(buf)
-    header, _ = read_stream(fh)  # reuse validation; generator unused
-    (cycle_count,) = _U64.unpack_from(buf, fh.tell() - 8)
-    return header, cycle_count, fh.tell()
+def _read_upto(source: BinaryIO, n: int) -> bytes:
+    """``n`` bytes, or fewer at the end of the stream, read in pieces so
+    that a size claimed by corrupt bytes allocates nothing up front."""
+    parts = []
+    while n > 0:
+        data = source.read(min(n, _READ_CHUNK))
+        if not data:
+            break
+        parts.append(data)
+        n -= len(data)
+    return b"".join(parts)
 
 
 def _lex_ordered(*keys: np.ndarray) -> np.ndarray:
@@ -703,15 +878,9 @@ def _slab_runs(starts: np.ndarray, chunk: int) -> Iterator[tuple[int, int]]:
         r0 = r1
 
 
-def _scatter_rows(out: np.ndarray, pos: np.ndarray, rows: np.ndarray) -> None:
-    """out[pos[i] + j] = rows[i, j], vectorized one byte column at a time."""
-    for j in range(rows.shape[1]):
-        out[pos + j] = rows[:, j]
-
-
-def _scan_cycles(buf: bytes, pos: int) -> tuple[
+def _scan_cycles(buf: bytes) -> tuple[
         np.ndarray, np.ndarray, np.ndarray, int] | None:
-    """Index the cycle headers of ``buf`` without parsing record payloads.
+    """Index the v1 cycle headers of ``buf`` without parsing record payloads.
 
     Returns (cycle indices, record counts, record block offsets, shared flags
     byte) when every cycle is well formed and each cycle's first record
@@ -727,6 +896,7 @@ def _scan_cycles(buf: bytes, pos: int) -> tuple[
     indices: list[int] = []
     counts: list[int] = []
     offsets: list[int] = []
+    pos = 0
     prev = -1
     flags = -1
     rsz = 0
@@ -759,17 +929,17 @@ def _scan_cycles(buf: bytes, pos: int) -> tuple[
             flags)
 
 
-def _gather_columns(buf: bytes, pos: int, sensor: SensorConfig,
+def _gather_columns(buf: bytes, sensor: SensorConfig,
                     cycle_count: int) -> tuple[
         np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, int] | None:
-    """Vectorized parse of the cycles that start at ``pos``.
+    """Vectorized parse of the v1 cycles in ``buf``.
 
     Returns (cycle index per record, pixel, time_ps, raw_code, last
     serialized cycle index), or None when a cycle mixes raw and plain
     records or the bytes break any structural rule; `PhotonStream.read`
-    then hands them to the streaming reader.
+    then hands them to the v1 streaming parser.
     """
-    scan = _scan_cycles(buf, pos)
+    scan = _scan_cycles(buf)
     if scan is None:
         return None
     idx_arr, cnt_arr, pos_arr, flags = scan

@@ -294,6 +294,14 @@ def test_delays_flag_matches_library_application(tmp_path):
 
 FILE, STREAM = "<file>", "<stream>"
 DEEP = b"[" * 100_000
+HIST = DeltaHistogram(pixel_a=0, pixel_b=1, window_ps=1000.0,
+                      bin_width_ps=50.0, total_pairs=4000,
+                      counts=np.full(40, 100, dtype=np.int64))
+
+
+def changed(document, **fields) -> bytes:
+    return json.dumps({**document.to_json_dict(), **fields}).encode()
+
 
 BAD_INPUTS = [
     ("config typo", ["simulate", "--config", FILE],
@@ -322,6 +330,16 @@ BAD_INPUTS = [
     ("deep delays", ["coincidence", "--in", STREAM, "--pair", "0,1",
                      "--delays", FILE], DEEP),
     ("deep lut", ["calibrate", "--in", STREAM, "--lut", FILE], DEEP),
+    # integers in result documents are JSON integers, counts not negative
+    ("fractional pixel", ["fit", "--in", FILE], changed(HIST, pixel_a=0.9)),
+    ("fractional counts", ["fit", "--in", FILE],
+     changed(HIST, counts=[-3.9] + [100] * 39)),
+    ("negative count", ["fit", "--in", FILE],
+     changed(HIST, counts=[-3] + [100] * 39)),
+    ("negative total", ["fit", "--in", FILE], changed(HIST, total_pairs=-4)),
+    ("fractional gap pixel", ["coincidence", "--in", STREAM, "--pair", "0,1",
+                              "--delays", FILE],
+     changed(DelayVector(np.zeros(256)), gap_pixels=[[0.5, 1]])),
 ]
 
 

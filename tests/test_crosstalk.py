@@ -176,6 +176,15 @@ def test_curve_json_roundtrip(tmp_path):
     assert back == curve
     with pytest.raises(DataError):
         CtCurve.from_json_dict({"points": "nope"})
+    # integers must be JSON integers, counts not negative
+    doc = curve.to_json_dict()
+    point = doc["points"][0]
+    for bad in ({"points": [{**point, "distance": 1.5}]},
+                {"points": [{**point, "n_pairs": -1}]},
+                {"points": [{**point, "upper_limit": "false"}]},
+                {"pairs": [[5.5, 6]]}):
+        with pytest.raises(DataError):
+            CtCurve.from_json_dict({**doc, **bad})
 
 
 def test_point_validation():

@@ -155,7 +155,10 @@ def test_json_roundtrip_and_fingerprint_check():
     with pytest.raises(CalibrationError, match="fingerprint"):
         TdcLut.from_json_dict(doc, sensor=other)
     # documents the constructor refuses are calibration errors too
+    fractional = {**doc["sensor"], "num_pixels": doc["sensor"]["num_pixels"]
+                  + 0.5}
     for bad in ({"unusable_pixels": [999]}, {"unusable_pixels": [-1]},
+                {"unusable_pixels": [0.5]}, {"sensor": fractional},
                 {"widths_ps": {**doc["widths_ps"], "0": [1.0] * BINS}}):
         with pytest.raises(CalibrationError):
             TdcLut.from_json_dict({**doc, **bad})

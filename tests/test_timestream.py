@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from spadkit import (
     write_csv,
     write_stream,
 )
+from spadkit import timestream
 from spadkit.timestream import STREAMING_CYCLE_COUNT
 
 SENSOR = SensorConfig()
@@ -36,11 +39,10 @@ def roundtrip(cycles, header=HEADER):
 
 def read_via_stream(data):
     """The streaming reader's cycles as columns; the acquisition spans the
-    last serialized cycle (the test headers carry no total_cycles)."""
+    last serialized cycle or the ``total_cycles`` metadata, the longer."""
     h, it = read_stream(io.BytesIO(data))
-    cycles = list(it)
-    last = cycles[-1].cycle_index if cycles else -1
-    return PhotonStream.from_cycles(h, cycles, total_cycles=last + 1)
+    return PhotonStream.from_cycles(h, list(it),
+                                    timestream._total_cycles(h, -1))
 
 
 def assert_same_stream(got, want):
@@ -345,6 +347,138 @@ def test_write_refuses_what_the_readers_reject():
 
 
 # ---------------------------------------------------------------------------
+# format version 2: columnar slabs
+
+def columnar_bytes(stream, slab_records=None):
+    """``stream.write`` output, cut into slabs of about ``slab_records``."""
+    buf = io.BytesIO()
+    with mock.patch.object(timestream, "_IO_CHUNK",
+                           slab_records or timestream._IO_CHUNK):
+        stream.write(buf)
+    return buf.getvalue()
+
+
+def payload_offset(data):
+    return timestream._read_header(io.BytesIO(data))[2]
+
+
+def version_of(data):
+    return struct.unpack_from("<H", data, 4)[0]
+
+
+def assert_same_columns(got, want):
+    assert_same_stream(got, dataclasses.replace(want, header=got.header))
+
+
+def nonempty_stream(seed, raw):
+    cycles = random_cycles(np.random.default_rng(seed), SENSOR,
+                           max_cycles=12, raw=raw)
+    stream = PhotonStream.from_cycles(HEADER, cycles)
+    assert stream.n_records > 4
+    return stream
+
+
+@pytest.mark.parametrize("raw", [False, True])
+@pytest.mark.parametrize("slab_records", [2, None])
+def test_columnar_write_is_version_2_read_by_both_readers(raw, slab_records):
+    stream = nonempty_stream(31, raw)
+    data = columnar_bytes(stream, slab_records)
+    assert version_of(data) == 2
+    back = PhotonStream.read(io.BytesIO(data))
+    assert back.header.version == 2
+    assert_same_columns(back, stream)
+    assert_readers_agree(data)
+    for n in range(len(data)):
+        assert_readers_agree(data[:n])
+
+
+def test_each_writer_writes_its_own_version():
+    stream = nonempty_stream(32, raw=True)
+    v2 = columnar_bytes(stream)
+    header, cycles = read_stream(io.BytesIO(v2))
+    cycles = list(cycles)
+    # a header read from a v2 file still gives a v1 file here
+    v1 = stream_bytes(header, cycles)
+    assert (header.version, version_of(v1)) == (2, 1)
+    assert list(read_stream(io.BytesIO(v1))[1]) == cycles
+    back = PhotonStream.read(io.BytesIO(v1))
+    assert_same_columns(back, stream)
+    assert_readers_agree(v1)
+    # and a v1 header gives a v2 file, the same bytes as before
+    assert back.header.version == 1
+    assert columnar_bytes(back) == v2
+
+
+def test_unknown_version_rejected_by_both_readers():
+    data = bytearray(columnar_bytes(nonempty_stream(33, raw=False)))
+    struct.pack_into("<H", data, 4, 3)
+    for read in (lambda b: read_stream(io.BytesIO(b)),
+                 lambda b: PhotonStream.read(io.BytesIO(b))):
+        with pytest.raises(StreamFormatError, match="version 3"):
+            read(bytes(data))
+
+
+def test_slabs_must_agree_on_the_raw_flag():
+    def one_slab(index, raw_code):
+        cycle = AcquisitionCycle(index, (TimestampRecord(2, 7, raw_code),))
+        return columnar_bytes(
+            PhotonStream.from_cycles(HEADER, [cycle], total_cycles=9))
+
+    start = payload_offset(one_slab(0, None))
+    for first, second in ((None, 3), (3, None)):
+        a, b = one_slab(0, first), one_slab(4, second)
+        data = bytearray(a + b[start:])
+        struct.pack_into("<Q", data, start - 8, 2)  # cycle count
+        with pytest.raises(StreamFormatError, match="raw flag") as exc:
+            PhotonStream.read(io.BytesIO(bytes(data)))
+        assert exc.value.offset == len(a)
+        assert_readers_agree(bytes(data))
+
+
+def put(fmt, at, value):
+    def mutate(data, start):
+        struct.pack_into(fmt, data, start + at, value)
+    return mutate
+
+
+# Three cycles in two slabs: cycle 0 holds records (1, 5 ps) and (2, 6 ps),
+# cycles 3 and 8 one record each.  Offsets count from the payload: slab 1
+# header at 0, its index at 17, counts 25, pixels 29, times 33; slab 2
+# header at 49, indices 66, counts 82, pixels 90, times 94, end at 110.
+SLAB_DEFECTS = [
+    ("reserved flags", put("<B", 16, 0x82), "reserved flag bits 0x82",
+     None, 0),
+    ("no cycles", put("<Q", 0, 0), "no cycles", None, 0),
+    ("record count", put("<Q", 8, 1), "promises 1 records", None, 0),
+    ("index across slabs", put("<Q", 66, 0), "strictly increasing", 0, 66),
+    ("index within slab", put("<Q", 74, 3), "strictly increasing", 3, 74),
+    ("pixel", put("<H", 92, SENSOR.num_pixels), "pixel 256", 8, 92),
+    ("time", put("<Q", 94, SENSOR.cycle_period_ps), "outside cycle", 3, 94),
+    ("order", put("<Q", 41, 4), "not sorted", 0, 41),
+    ("cycle count", put("<Q", -8, 5), "promises 5 cycles, found 3", None, 110),
+]
+
+
+@pytest.mark.parametrize("mutate, match, cycle, at",
+                         [case[1:] for case in SLAB_DEFECTS],
+                         ids=[case[0] for case in SLAB_DEFECTS])
+def test_slab_defects_same_error_from_both_readers(mutate, match, cycle, at):
+    stream = PhotonStream.from_cycles(HEADER, [
+        AcquisitionCycle(0, (TimestampRecord(1, 5), TimestampRecord(2, 6))),
+        AcquisitionCycle(3, (TimestampRecord(4, 7),)),
+        AcquisitionCycle(8, (TimestampRecord(5, 9),))])
+    good = columnar_bytes(stream, slab_records=2)
+    start = payload_offset(good)
+    assert len(good) == start + 110
+    data = bytearray(good)
+    mutate(data, start)
+    with pytest.raises(StreamFormatError, match=match) as exc:
+        PhotonStream.read(io.BytesIO(bytes(data)))
+    assert (exc.value.cycle_index, exc.value.offset) == (cycle, start + at)
+    assert_readers_agree(bytes(data))
+
+
+# ---------------------------------------------------------------------------
 # CSV
 
 def test_csv_roundtrip_matches_binary():
@@ -427,6 +561,17 @@ def test_property_roundtrip_bit_identical(cycles):
 
 
 @settings(max_examples=150, deadline=None)
+@given(cycles_strategy(), st.sampled_from([1, 3, None]))
+def test_property_columnar_roundtrip_bit_identical(cycles, slab_records):
+    stream = PhotonStream.from_cycles(HEADER, cycles)
+    data = columnar_bytes(stream, slab_records)
+    back = PhotonStream.read(io.BytesIO(data))
+    assert_same_columns(back, stream)
+    assert_readers_agree(data)
+    assert columnar_bytes(back, slab_records) == data
+
+
+@settings(max_examples=150, deadline=None)
 @given(st.binary(max_size=600))
 def test_property_parser_total_on_garbage(blob):
     for parse in (lambda b: list(read_stream(io.BytesIO(b))[1]),
@@ -459,3 +604,19 @@ def test_property_csv_total_on_garbage(text):
         read_csv(io.StringIO(text), SENSOR)
     except StreamFormatError:
         pass
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_property_columnar_parser_total_on_mutations(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    cycles = random_cycles(rng, SENSOR, raw=bool(rng.integers(0, 2)))
+    stream = PhotonStream.from_cycles(random_header(rng, SENSOR), cycles)
+    blob = bytearray(columnar_bytes(stream,
+                                    data.draw(st.sampled_from([1, 3, None]))))
+    for _ in range(data.draw(st.integers(1, 4))):
+        pos = data.draw(st.integers(0, max(0, len(blob) - 1)))
+        blob[pos] = data.draw(st.integers(0, 255))
+    cut = data.draw(st.integers(0, len(blob)))
+    for candidate in (bytes(blob), bytes(blob[:cut])):
+        assert_readers_agree(candidate)
