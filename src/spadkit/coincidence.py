@@ -91,8 +91,8 @@ class DeltaHistogram(Document):
             return cls(
                 pixel_a=as_count(doc["pixel_a"]),
                 pixel_b=as_count(doc["pixel_b"]),
-                window_ps=float(doc["window_ps"]),
-                bin_width_ps=float(doc["bin_width_ps"]),
+                window_ps=as_float(doc["window_ps"]),
+                bin_width_ps=as_float(doc["bin_width_ps"]),
                 counts=np.array([as_count(c) for c in as_list(doc["counts"])],
                                 dtype=np.int64),
                 total_pairs=as_count(doc["total_pairs"]),

@@ -28,7 +28,7 @@ import numpy as np
 
 from .coincidence import DEFAULT_WINDOW_PS, DeltaHistogram, PixelIndex, \
     build_histogram
-from .documents import Document, as_bool, as_count
+from .documents import Document, as_bool, as_count, as_float
 from .errors import DataError, FitError
 from .peakfit import SIGNIFICANCE_SIGMAS, fit_gaussian
 from .rates import RateReport
@@ -140,14 +140,14 @@ class CtCurve(Document):
         try:
             points = tuple(
                 CtPoint(distance=as_count(p["distance"]),
-                        probability=float(p["mean"]),
-                        stderr=float(p["stderr"]),
+                        probability=as_float(p["mean"]),
+                        stderr=as_float(p["stderr"]),
                         n_pairs=as_count(p["n_pairs"]),
                         upper_limit=as_bool(p["upper_limit"]))
                 for p in doc["points"])
             pairs = tuple((as_count(s), as_count(t)) for s, t in doc["pairs"])
             return cls(points=points, pairs=pairs,
-                       window_ps=float(doc["window_ps"]))
+                       window_ps=as_float(doc["window_ps"]))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"malformed curve document: {exc}") from None
 

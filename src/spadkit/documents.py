@@ -1,7 +1,8 @@
 """The JSON boundary: every JSON file spadkit reads or writes passes here.
 
-Files hold one JSON object and only finite numbers: ``read_json`` refuses
-anything else, ``write_json`` writes a non-finite float as ``null``.
+Files hold one JSON object, only finite numbers and no key twice in one
+object: ``read_json`` refuses anything else, ``write_json`` writes a
+non-finite float as ``null``.
 """
 
 from __future__ import annotations
@@ -20,11 +21,21 @@ def _finite(text: str) -> float:  # NaN, Infinity and overflows like 1e400
     return value
 
 
+def _unique_keys(pairs: list) -> dict:  # json.load alone keeps the last
+    doc = dict(pairs)
+    if len(doc) != len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for key in keys if keys.count(key) > 1)
+        raise ValueError(f"repeated key {repeated!r}")
+    return doc
+
+
 def read_json(path: str, error: type[DataError] = DataError) -> dict:
     """The JSON object in ``path``; any defect of the file raises ``error``."""
     with open(path, "rb") as fh:
         try:  # ValueError covers JSONDecodeError and UnicodeDecodeError
-            doc = json.load(fh, parse_constant=_finite, parse_float=_finite)
+            doc = json.load(fh, parse_constant=_finite, parse_float=_finite,
+                            object_pairs_hook=_unique_keys)
         except (ValueError, RecursionError) as exc:
             raise error(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):

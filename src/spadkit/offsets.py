@@ -118,7 +118,7 @@ class DelayVector(Document):
             pixels = sorted(int(k) for k in raw)
             if pixels != list(range(len(pixels))):
                 raise DataError("delay keys must cover 0..n-1 exactly")
-            d = np.array([float(raw[str(p)]) for p in pixels])
+            d = np.array([as_float(raw[str(p)]) for p in pixels])
             return cls(
                 delays_ps=d,
                 provenance=tuple(OffsetMeasurement.from_json_dict(m)

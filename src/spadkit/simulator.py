@@ -298,9 +298,9 @@ def simulate(config: SimConfig) -> tuple[PhotonStream, SimTruth]:
         span = min(block_cycles, total_cycles - c0)
         rng = np.random.default_rng(
             np.random.SeedSequence(config.seed, spawn_key=(block_idx,)))
-        blk = _generate_block(rng, config, dark_rates, label_index,
-                              c0, span, period, cycle_s, truth)
-        cyc, pix, time, origin, class_id = blk
+        cyc, pix, time, origin, class_id = _generate_block(
+            rng, config, dark_rates, label_index, c0, span, period, cycle_s,
+            truth)
         # delays and detection jitter apply to every record
         time = time + delays[pix] + rng.normal(0.0, config.jitter_sigma_ps,
                                                len(time))
@@ -315,6 +315,8 @@ def simulate(config: SimConfig) -> tuple[PhotonStream, SimTruth]:
         parts_time.append(time[order])
         parts_origin.append(origin[order])
         parts_class.append(class_id[order])
+        # free this block's records before the next one is generated
+        del cyc, pix, time, origin, class_id, keep, order
 
     header = StreamHeader(sensor=sensor, metadata={
         "source": "simulation", "seed": str(config.seed)})
@@ -513,6 +515,7 @@ def simulate_code_density(sensor: SensorConfig, widths_ps, counts_per_pixel,
     cycles = rng.integers(0, n_cycles, total).astype(np.uint64)
     slots = rng.integers(0, n_slots, total)
     times = np.rint(slots * clock + codes * sensor.mean_bin_width_ps)
+    del slots
 
     stream = PhotonStream(
         header=StreamHeader(sensor=sensor,

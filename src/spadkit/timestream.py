@@ -172,10 +172,124 @@ class StreamHeader:
 # ---------------------------------------------------------------------------
 # columnar stream
 
+# Records per piece in record_order's passes over whole columns: a pass
+# holds a few arrays of this length at a time, never one per record.
+_PIECE = 1 << 16
+
+
+def _pieces(n: int) -> list[tuple[int, int]]:
+    return [(lo, min(lo + _PIECE, n)) for lo in range(0, n, _PIECE)]
+
+
+def _dense_ranks(values: np.ndarray, before, start: int) -> np.ndarray:
+    """Dense ranks of a piece of an ordered column: ``start`` plus the
+    number of value changes up to each position, counted from ``before``,
+    the value that precedes the piece."""
+    prior = np.empty_like(values)
+    prior[0] = before
+    prior[1:] = values[:-1]
+    ranks = np.cumsum(values != prior, dtype=np.uint64)
+    ranks += start
+    return ranks
+
+
 def record_order(cycle_index: np.ndarray, time_ps: np.ndarray,
                  pixel: np.ndarray) -> np.ndarray:
-    """Permutation that puts records in stream order: (cycle, time, pixel)."""
-    return np.lexsort((pixel, time_ps, cycle_index))
+    """Permutation that puts records in stream order: (cycle, time, pixel).
+
+    The result is exactly ``np.lexsort((pixel, time_ps, cycle_index))``,
+    the order of ties included, but it comes from one sort of one
+    ``uint64`` key per record:
+
+        key = cycle << (time_bits + pixel_bits) | time << pixel_bits | pixel
+
+    * cycle: when the cycle indices are already in order, their dense
+      rank (the number of cycle changes before the record); otherwise
+      ``cycle - min``, which also holds indices of 2**63 and more;
+    * time: ``time - min`` when every time is a whole number below 2**53
+      in size; otherwise the dense rank of the time (one ``argsort``),
+      which gives ``-0.0`` and ``0.0`` one value, as ``np.lexsort`` does;
+    * pixel: the pixel index, in the low bits.
+
+    Each field keeps the order of its column and is as wide as its
+    largest value needs, so key order is stream order.  The key is sorted
+    with the default quicksort, which is not stable; each run of equal
+    keys is then put back in original index order, which gives the
+    result of a stable sort.  ``np.lexsort`` itself remains the fallback
+    when the fields need more than 64 bits, a time is NaN, or a column is
+    neither integer nor (for times) float.
+
+    Memory besides the result: the key, 8 bytes per record, and on the
+    rank path the ``argsort`` of the times until the ranks are in the
+    key.  The key is built in place; every other pass over the columns
+    runs in pieces of ``_PIECE`` records.
+    """
+    cyc, t, pix = np.asarray(cycle_index), np.asarray(time_ps), np.asarray(pixel)
+    n = len(pix)
+    if n < 2 or len(cyc) != n or len(t) != n or cyc.dtype.kind not in "ui" \
+            or pix.dtype.kind not in "ui" or t.dtype.kind not in "uif":
+        return np.lexsort((pix, t, cyc))
+    tmin, tmax = t.min(), t.max()
+    if pix.min() < 0 or np.isnan(tmin):
+        return np.lexsort((pix, t, cyc))
+    pieces, steps = _pieces(n), _pieces(n - 1)
+    pix_bits = int(pix.max()).bit_length()
+    key = np.empty(n, dtype=np.uint64)
+
+    if t.dtype.kind != "f" or (max(-tmin, tmax) < 2.0 ** 53 and all(
+            (np.floor(t[lo:hi]) == t[lo:hi]).all() for lo, hi in pieces)):
+        time_bits = (int(tmax) - int(tmin)).bit_length()
+        np.subtract(t, tmin, out=key, casting="unsafe")
+    else:  # dense rank, written to each record's place in ``key``
+        by_time, rank = np.argsort(t), 0
+        for lo, hi in pieces:
+            ordered = t[by_time[lo:hi]]
+            ranks = _dense_ranks(ordered, t[by_time[lo - 1]] if lo
+                                 else ordered[0], rank)
+            key[by_time[lo:hi]] = ranks
+            rank = int(ranks[-1])
+        time_bits = rank.bit_length()
+        del by_time
+
+    in_order = all((cyc[lo + 1:hi + 1] >= cyc[lo:hi]).all()
+                   for lo, hi in steps)
+    if in_order:
+        changes = sum(int(np.count_nonzero(cyc[lo + 1:hi + 1] != cyc[lo:hi]))
+                      for lo, hi in steps)
+        cycle_bits = changes.bit_length()
+    else:
+        cmin = cyc.min()
+        cycle_bits = (int(cyc.max()) - int(cmin)).bit_length()
+    if cycle_bits + time_bits + pix_bits > 64:
+        del key
+        return np.lexsort((pix, t, cyc))
+
+    key <<= pix_bits
+    np.bitwise_or(key, pix, out=key, dtype=np.uint64, casting="unsafe")
+    if cycle_bits:
+        rank = 0
+        for lo, hi in pieces:
+            if in_order:
+                field = _dense_ranks(cyc[lo:hi], cyc[lo - 1] if lo
+                                     else cyc[0], rank)
+                rank = int(field[-1])
+            else:
+                field = np.subtract(cyc[lo:hi], cmin, dtype=np.uint64,
+                                    casting="unsafe")
+            field <<= time_bits + pix_bits
+            key[lo:hi] |= field
+
+    order = np.argsort(key)
+    # sorted position i ties with i + 1: put each run of equal keys back in
+    # original index order
+    first = np.concatenate([
+        lo + np.flatnonzero(np.diff(key[order[lo:hi + 1]]) == 0)
+        for lo, hi in steps])
+    if first.size:
+        tied = np.union1d(first, first + 1)
+        picked = order[tied]
+        order[tied] = picked[np.lexsort((picked, key[picked]))]
+    return order
 
 
 @dataclass

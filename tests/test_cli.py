@@ -14,7 +14,8 @@ from spadkit.cli import main
 from spadkit.coincidence import DeltaHistogram
 from spadkit.crosstalk import CtCurve
 from spadkit.offsets import DelayVector
-from spadkit.simulator import BeamSpec, DcrProfile, SimConfig, simulate
+from spadkit.simulator import BeamSpec, DcrProfile, SimConfig, simulate, \
+    simulate_code_density
 from spadkit.tdc import TdcLut
 from spadkit.timestream import SensorConfig, record_order
 
@@ -292,15 +293,33 @@ def test_delays_flag_matches_library_application(tmp_path):
 # ---------------------------------------------------------------------------
 # the JSON boundary: every bad input file is a structured data error
 
-FILE, STREAM = "<file>", "<stream>"
+FILE, STREAM, RAW = "<file>", "<stream>", "<raw stream>"
 DEEP = b"[" * 100_000
 HIST = DeltaHistogram(pixel_a=0, pixel_b=1, window_ps=1000.0,
                       bin_width_ps=50.0, total_pairs=4000,
                       counts=np.full(40, 100, dtype=np.int64))
+LUT = TdcLut(SensorConfig(), np.full((256, 140), 2500 / 140))
+ROWS = LUT.to_json_dict()["widths_ps"]
 
 
 def changed(document, **fields) -> bytes:
     return json.dumps({**document.to_json_dict(), **fields}).encode()
+
+
+def lut_rows_before(text: str) -> bytes:
+    """The LUT document with ``text`` put first in its ``widths_ps``."""
+    doc = json.dumps(LUT.to_json_dict())
+    opening = '"widths_ps": {'
+    return doc.replace(opening, opening + text + ", ").encode()
+
+
+@pytest.fixture(scope="module")
+def raw_stream_path(tmp_path_factory):
+    """Raw TDC codes on every pixel of the default sensor."""
+    path = tmp_path_factory.mktemp("raw") / "raw.spk1"
+    simulate_code_density(SensorConfig(), LUT.widths[0], 40, seed=3,
+                          n_cycles=10).write(str(path))
+    return str(path)
 
 
 BAD_INPUTS = [
@@ -340,17 +359,36 @@ BAD_INPUTS = [
     ("fractional gap pixel", ["coincidence", "--in", STREAM, "--pair", "0,1",
                               "--delays", FILE],
      changed(DelayVector(np.zeros(256)), gap_pixels=[[0.5, 1]])),
+    # floats in result documents are JSON numbers, not strings or booleans
+    ("string window", ["fit", "--in", FILE], changed(HIST, window_ps="1000")),
+    ("string bin width", ["fit", "--in", FILE],
+     changed(HIST, bin_width_ps="5e1")),
+    ("string delay", ["coincidence", "--in", STREAM, "--pair", "0,1",
+                      "--delays", FILE],
+     changed(DelayVector(np.zeros(256)),
+             delays_ps={str(p): "0" if p == 7 else 0.0 for p in range(256)})),
+    ("string lut width", ["coincidence", "--in", RAW, "--pair", "0,1",
+                          "--lut", FILE],
+     changed(LUT, widths_ps={**ROWS, "1": [str(w) for w in ROWS["1"]]})),
+    # one spelling per LUT row: no second row can replace a pixel's first
+    ("padded lut key", ["coincidence", "--in", RAW, "--pair", "0,1",
+                        "--lut", FILE],
+     changed(LUT, widths_ps={**ROWS, " +1": ROWS["1"]})),
+    ("repeated lut key", ["coincidence", "--in", RAW, "--pair", "0,1",
+                          "--lut", FILE],
+     lut_rows_before(f'"1": {json.dumps(ROWS["1"])}')),
 ]
 
 
 @pytest.mark.parametrize("argv, content", [case[1:] for case in BAD_INPUTS],
                          ids=[case[0] for case in BAD_INPUTS])
-def test_bad_input_files_exit_two(argv, content, sim_stream_path, tmp_path,
-                                  capsys):
+def test_bad_input_files_exit_two(argv, content, sim_stream_path,
+                                  raw_stream_path, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_bytes(content)
     out = tmp_path / "out"
-    argv = [{FILE: str(bad), STREAM: sim_stream_path}.get(a, a) for a in argv]
+    argv = [{FILE: str(bad), STREAM: sim_stream_path,
+             RAW: raw_stream_path}.get(a, a) for a in argv]
     assert main([*argv, "--out", str(out)]) == 2
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] and err["type"] in {"DataError", "CalibrationError"}
@@ -432,3 +470,15 @@ def test_property_document_inputs_never_raise(blob, command,
             "calibrate": ["calibrate", "--in", tiny_stream_path,
                           "--lut", str(bad)]}[command]
     assert main([*argv, "--out", str(out)]) in {0, 1, 2, 3}
+
+
+def test_lut_documents_load_and_apply(raw_stream_path, tmp_path):
+    # the valid LUT the bad-input cases above alter applies, and both
+    # documents read back as written
+    lut_path, out = tmp_path / "lut.json", tmp_path / "hist.json"
+    LUT.save(str(lut_path))
+    assert main(["coincidence", "--in", raw_stream_path, "--pair", "0,1",
+                 "--lut", str(lut_path), "--out", str(out)]) == 0
+    for path, cls in ((lut_path, TdcLut), (out, DeltaHistogram)):
+        doc = json.loads(path.read_text())
+        assert cls.load(str(path)).to_json_dict() == doc

@@ -182,7 +182,11 @@ def test_curve_json_roundtrip(tmp_path):
     for bad in ({"points": [{**point, "distance": 1.5}]},
                 {"points": [{**point, "n_pairs": -1}]},
                 {"points": [{**point, "upper_limit": "false"}]},
-                {"pairs": [[5.5, 6]]}):
+                {"pairs": [[5.5, 6]]},
+                # floats must be JSON numbers
+                {"points": [{**point, "mean": "1.2e-3"}]},
+                {"points": [{**point, "stderr": True}]},
+                {"window_ps": "25000"}):
         with pytest.raises(DataError):
             CtCurve.from_json_dict({**doc, **bad})
 

@@ -620,3 +620,78 @@ def test_property_columnar_parser_total_on_mutations(data):
     cut = data.draw(st.integers(0, len(blob)))
     for candidate in (bytes(blob), bytes(blob[:cut])):
         assert_readers_agree(candidate)
+
+
+# ---------------------------------------------------------------------------
+# record_order: one packed key, the permutation of np.lexsort
+
+@st.composite
+def order_columns(draw):
+    """Columns that reach each branch of ``record_order``: cycles in and out
+    of order, near 2**63 or spread over 2**40 and more; whole, sub-ps,
+    negative, signed-zero and NaN times; pixels up to 65535; few distinct
+    values, so exact ties are common."""
+    n = draw(st.integers(0, 40))
+    base = draw(st.sampled_from([0, 2**63, 2**64 - 64]))
+    stride = draw(st.sampled_from([1, 7, 2**40, 2**57]))
+    steps = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    cycles = [min(base + stride * s, 2**64 - 1) for s in steps]
+    if draw(st.booleans()):
+        cycles.sort()
+    times = st.sampled_from([0.0, -0.0, 1.0, 3.0, -2.0, 2_500.0, 3_999_999.0])
+    if draw(st.booleans()):  # sub-ps, as after a delay or LUT correction
+        times = times | st.sampled_from([0.25, -0.5, 17.125, 1e-3, 2.0**53,
+                                         np.nan])
+    top = draw(st.sampled_from([0, 1, 3, 255, 65535]))
+    pixels = st.sampled_from(sorted({0, top // 2, top}))
+    return (np.array(cycles, dtype=np.uint64),
+            np.array(draw(st.lists(times, min_size=n, max_size=n)),
+                     dtype=np.float64),
+            np.array(draw(st.lists(pixels, min_size=n, max_size=n)),
+                     dtype=np.uint16))
+
+
+@settings(max_examples=600, deadline=None)
+@given(order_columns(), st.sampled_from([1, 2, 3, timestream._PIECE]))
+def test_property_record_order_is_lexsort(columns, piece):
+    # small pieces put piece boundaries inside runs of equal values
+    cycle, time, pixel = columns
+    with mock.patch.object(timestream, "_PIECE", piece):
+        got = timestream.record_order(cycle, time, pixel)
+    want = np.lexsort((pixel, time, cycle))
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def _unique_columns(n, cycle_span, sub_ps):
+    rng = np.random.default_rng(5)
+    cycle = rng.permutation(np.linspace(0, cycle_span, n, dtype=np.uint64))
+    time = rng.permutation(n).astype(np.float64) + (0.5 if sub_ps else 0.0)
+    pixel = rng.integers(0, 65536, n).astype(np.uint16)
+    return cycle, time, pixel
+
+
+@pytest.mark.parametrize("cycle_span, sub_ps, fallback", [
+    (2**20, False, False), (2**20, True, False),
+    (2**44, True, True),   # 45 + 10 + 16 bits
+])
+def test_record_order_sorts_one_key_unless_it_needs_over_64_bits(
+        cycle_span, sub_ps, fallback):
+    columns = _unique_columns(1000, cycle_span, sub_ps)
+    want = np.lexsort(columns[::-1])
+    with mock.patch("numpy.lexsort", wraps=np.lexsort) as lexsort:
+        got = timestream.record_order(*columns)
+    assert np.array_equal(got, want)
+    assert lexsort.called is fallback  # unique keys: no tie to repair
+
+
+def test_record_order_repairs_ties_in_a_large_run():
+    # runs of ~10^4 equal keys across several pieces: quicksort scrambles
+    # them, the repair restores the original index order of each run
+    rng = np.random.default_rng(8)
+    n = 3 * timestream._PIECE
+    cycle = np.sort(rng.integers(0, 3, n)).astype(np.uint64)
+    time = rng.integers(0, 2, n).astype(np.float64)
+    pixel = rng.integers(0, 2, n).astype(np.uint16)
+    assert np.array_equal(timestream.record_order(cycle, time, pixel),
+                          np.lexsort((pixel, time, cycle)))
