@@ -629,8 +629,9 @@ def test_property_columnar_parser_total_on_mutations(data):
 def order_columns(draw):
     """Columns that reach each branch of ``record_order``: cycles in and out
     of order, near 2**63 or spread over 2**40 and more; whole, sub-ps,
-    negative, signed-zero and NaN times; pixels up to 65535; few distinct
-    values, so exact ties are common."""
+    negative, signed-zero and NaN times, and whole times whose span is near
+    2**53; pixels up to 65535; few distinct values, so exact ties are
+    common."""
     n = draw(st.integers(0, 40))
     base = draw(st.sampled_from([0, 2**63, 2**64 - 64]))
     stride = draw(st.sampled_from([1, 7, 2**40, 2**57]))
@@ -642,6 +643,9 @@ def order_columns(draw):
     if draw(st.booleans()):  # sub-ps, as after a delay or LUT correction
         times = times | st.sampled_from([0.25, -0.5, 17.125, 1e-3, 2.0**53,
                                          np.nan])
+    if draw(st.booleans()):  # spans of 2**53 - 1, 2**53 and 2**53 + 1
+        times = times | st.sampled_from([-1.5 * 2.0**52, 2.0**51 - 1,
+                                         2.0**51, 2.0**51 + 1])
     top = draw(st.sampled_from([0, 1, 3, 255, 65535]))
     pixels = st.sampled_from(sorted({0, top // 2, top}))
     return (np.array(cycles, dtype=np.uint64),
@@ -661,6 +665,19 @@ def test_property_record_order_is_lexsort(columns, piece):
     want = np.lexsort((pixel, time, cycle))
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
+
+
+def test_record_order_whole_times_spanning_2_to_the_53():
+    # each time is below 2**53 in size, but t_a - min = 2**53 + 1 rounds to
+    # 2**53 = t_b - min in float64: time - min would tie t_a with t_b
+    low = -1.5 * 2.0**52
+    t_b = low + 2.0**53
+    t_a = t_b + 1
+    cycle = np.zeros(3, dtype=np.uint64)
+    time = np.array([t_a, low, t_b])
+    pixel = np.array([0, 0, 1], dtype=np.uint16)
+    assert np.array_equal(timestream.record_order(cycle, time, pixel),
+                          np.lexsort((pixel, time, cycle)))
 
 
 def _unique_columns(n, cycle_span, sub_ps):
