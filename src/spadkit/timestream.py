@@ -266,7 +266,7 @@ def record_order(cycle_index: np.ndarray, time_ps: np.ndarray,
             key[lo:hi] |= field
 
     # quicksort and a repair of the few ties: a stable argsort of the key
-    # (timsort) takes two to three times as long on the simulators'
+    # (timsort) takes two to four times as long on the simulators'
     # unordered records
     order = np.argsort(key)
     # sorted position i ties with i + 1: put each run of equal keys back in

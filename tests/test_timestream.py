@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_cycles, random_header, stream_bytes
 from spadkit import (
@@ -657,6 +657,11 @@ def order_columns(draw):
 
 @settings(max_examples=600, deadline=None)
 @given(order_columns(), st.sampled_from([1, 2, 3, timestream._PIECE]))
+# each time is below 2**53 in size, but 2**51 + 1 - min rounds to 2**53 =
+# 2**51 - min in float64: time - min would tie the first and last records
+@example((np.zeros(3, dtype=np.uint64),
+          np.array([2.0**51 + 1, -1.5 * 2.0**52, 2.0**51]),
+          np.array([0, 0, 1], dtype=np.uint16)), timestream._PIECE)
 def test_property_record_order_is_lexsort(columns, piece):
     # small pieces put piece boundaries inside runs of equal values
     cycle, time, pixel = columns
@@ -665,19 +670,6 @@ def test_property_record_order_is_lexsort(columns, piece):
     want = np.lexsort((pixel, time, cycle))
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
-
-
-def test_record_order_whole_times_spanning_2_to_the_53():
-    # each time is below 2**53 in size, but t_a - min = 2**53 + 1 rounds to
-    # 2**53 = t_b - min in float64: time - min would tie t_a with t_b
-    low = -1.5 * 2.0**52
-    t_b = low + 2.0**53
-    t_a = t_b + 1
-    cycle = np.zeros(3, dtype=np.uint64)
-    time = np.array([t_a, low, t_b])
-    pixel = np.array([0, 0, 1], dtype=np.uint16)
-    assert np.array_equal(timestream.record_order(cycle, time, pixel),
-                          np.lexsort((pixel, time, cycle)))
 
 
 def _unique_columns(n, cycle_span, sub_ps):
