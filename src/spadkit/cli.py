@@ -28,13 +28,16 @@ from .coincidence import (DEFAULT_WINDOW_PS, DeltaHistogram, build_histogram,
 from .crosstalk import DEFAULT_D_MAX, DEFAULT_N_HOT, ct_scan
 from .documents import read_json, write_json
 from .errors import CalibrationError, DataError, FitError, StreamFormatError
-from .offsets import DelayVector, apply_delays, measure_offsets, solve_delays
+from .offsets import (DelayVector, apply_delays, invalid_fraction,
+                      measure_offsets, solve_delays)
 from .peakfit import fit_gaussian, fit_two_peaks
 from .rates import DEFAULT_HOT_THRESHOLD_CPS, compute_rates
 from .simulator import SimConfig, simulate
 from .svg import ct_curve_svg, histogram_svg
 from .tdc import TdcLut, apply_lut
 from .timestream import PhotonStream, SensorConfig
+
+logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -197,6 +200,9 @@ def _cmd_calibrate(args) -> int:
     t0 = time.monotonic()
     stream = _read_stream(getattr(args, "in"), args.lut)
     measurements = measure_offsets(stream, window_ps=args.window)
+    logger.info("calibrate: %d of %d adjacent pairs invalid (fraction %.3f)",
+                sum(not m.valid for m in measurements), len(measurements),
+                invalid_fraction(measurements))
     vec = solve_delays(measurements,
                        num_pixels=stream.sensor.num_pixels)
     vec.save(args.out)

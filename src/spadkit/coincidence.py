@@ -119,31 +119,38 @@ def _pair_counts(cyc_a, t_a, cyc_b, t_b, window_ps, bin_width_ps):
     """Bin dt = t_b - t_a over same-cycle cross pairs.
 
     Both record sets must be sorted by cycle.  Returns (counts, total
-    pairs inside the window).
+    pairs inside the window).  The walk runs over the smaller set, whose
+    cycles are searched in the larger one, so a hot pixel paired with a
+    sparse neighbour costs about the neighbour's record count; the counts
+    do not depend on which side is walked.
     """
     nb = n_bins(window_ps, bin_width_ps)
     counts = np.zeros(nb, dtype=np.int64)
     total = 0
-    if len(cyc_a) and len(cyc_b):
-        lo = np.searchsorted(cyc_b, cyc_a, side="left")
-        hi = np.searchsorted(cyc_b, cyc_a, side="right")
+    swap = len(cyc_b) < len(cyc_a)
+    walk, other = (cyc_b, cyc_a) if swap else (cyc_a, cyc_b)
+    if len(walk) and len(other):
+        lo = np.searchsorted(other, walk, side="left")
+        hi = np.searchsorted(other, walk, side="right")
         reps = hi - lo
         # Expand in bounded chunks so a pathological stream cannot blow
-        # up memory; each chunk is a contiguous run of a-records.
+        # up memory; each chunk is a contiguous run of walked records.
         csum = np.concatenate(([0], np.cumsum(reps)))
         start = 0
-        while start < len(cyc_a):
+        while start < len(walk):
             stop = int(np.searchsorted(csum, csum[start] + _PAIR_CHUNK,
                                        side="right")) - 1
             stop = max(stop, start + 1)
-            stop = min(stop, len(cyc_a))
+            stop = min(stop, len(walk))
             r = reps[start:stop]
             n_pairs = int(r.sum())
             if n_pairs:
-                a_idx = np.repeat(np.arange(start, stop), r)
+                walk_idx = np.repeat(np.arange(start, stop), r)
                 offsets = np.arange(n_pairs) - np.repeat(
                     csum[start:stop] - csum[start], r)
-                b_idx = np.repeat(lo[start:stop], r) + offsets
+                other_idx = np.repeat(lo[start:stop], r) + offsets
+                a_idx, b_idx = (other_idx, walk_idx) if swap \
+                    else (walk_idx, other_idx)
                 dt = t_b[b_idx] - t_a[a_idx]
                 inside = np.abs(dt) <= window_ps
                 if inside.any():

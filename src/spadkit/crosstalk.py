@@ -21,7 +21,9 @@ a probability-versus-distance curve, one point per pixel separation.
 
 from __future__ import annotations
 
+import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +35,8 @@ from .errors import DataError, FitError
 from .peakfit import SIGNIFICANCE_SIGMAS, fit_gaussian
 from .rates import RateReport
 from .timestream import PhotonStream
+
+logger = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 
@@ -58,7 +62,9 @@ class CtEstimate:
 
     ``probability`` is the background-subtracted window integral divided
     by the source counts; without a significant peak it can come out
-    negative and ``upper_limit`` (3 sigma) is set.
+    negative and ``upper_limit`` (3 sigma) is set.  ``stop_reason`` says
+    why the peak fit stopped (``GaussianFit.stop_reason`` or
+    ``FitError.reason``; "empty_histogram" when there was nothing to fit).
     """
 
     source: int
@@ -68,6 +74,7 @@ class CtEstimate:
     n_source: int
     significant: bool
     upper_limit: float | None = None
+    stop_reason: str | None = None
 
     @property
     def distance(self) -> int:
@@ -163,19 +170,20 @@ def _estimate_from_histogram(hist: DeltaHistogram, source: int, target: int,
         err = 1.0 / n_source
         return CtEstimate(source=source, target=target, probability=0.0,
                           error=err, n_source=n_source, significant=False,
-                          upper_limit=SIGNIFICANCE_SIGMAS * err)
+                          upper_limit=SIGNIFICANCE_SIGMAS * err,
+                          stop_reason="empty_histogram")
 
     significant = False
     mu = 0.0
     sigma = FALLBACK_SIGMA_PS
     try:
         fit = fit_gaussian(hist)
-        bg = fit.bg
+        bg, reason = fit.bg, fit.stop_reason
         if fit.significant:
             significant = True
             mu, sigma = fit.center_ps, fit.sigma_ps
-    except FitError:
-        bg = float(np.median(counts))
+    except FitError as exc:
+        bg, reason = float(np.median(counts)), exc.reason
 
     centers = hist.bin_centers
     sel = np.abs(centers - mu) <= PEAK_WINDOW_SIGMAS * sigma
@@ -189,7 +197,8 @@ def _estimate_from_histogram(hist: DeltaHistogram, source: int, target: int,
     return CtEstimate(
         source=source, target=target, probability=float(prob),
         error=float(err), n_source=n_source, significant=significant,
-        upper_limit=None if significant else SIGNIFICANCE_SIGMAS * err)
+        upper_limit=None if significant else SIGNIFICANCE_SIGMAS * err,
+        stop_reason=reason)
 
 
 def ct_probability(stream: PhotonStream, source: int, target: int,
@@ -253,6 +262,11 @@ def ct_scan(stream: PhotonStream, rate_report: RateReport,
                                                int(counts[h]))
                 per_distance[d].append(est)
                 pairs.append((h, target))
+
+    reasons = Counter(e.stop_reason for ests in per_distance.values()
+                      for e in ests)
+    logger.info("ct_scan: %d pairs, fit stop reasons %s", len(pairs),
+                dict(reasons.most_common()))
 
     points = []
     for d in range(1, d_max + 1):

@@ -40,12 +40,15 @@ class FitError(DataError):
     """Peak fit failed (non-convergence, degenerate data, merged peaks).
 
     ``last_estimate`` holds the final parameter vector when the solver ran
-    at all, so callers can inspect how far it got.
+    at all, so callers can inspect how far it got; ``reason`` names why
+    the fit stopped (``peakfit`` lists the reasons), or is None.
     """
 
-    def __init__(self, message: str, last_estimate=None):
+    def __init__(self, message: str, last_estimate=None,
+                 reason: str | None = None):
         super().__init__(message)
         self.last_estimate = last_estimate
+        self.reason = reason
 
 
 class CalibrationError(DataError):

@@ -21,7 +21,9 @@ than 20% of the pairs fell out.
 
 from __future__ import annotations
 
+import logging
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -31,6 +33,8 @@ from .documents import Document, as_bool, as_count, as_float, decode_fields
 from .errors import CalibrationError, DataError, FitError
 from .peakfit import fit_gaussian
 from .timestream import PhotonStream, record_order
+
+logger = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 
@@ -144,6 +148,7 @@ def measure_offsets(stream: PhotonStream,
     bin_width = stream.sensor.mean_bin_width_ps
     index = PixelIndex.from_stream(stream)
     out = []
+    reasons = Counter()
     for i in range(num_pixels - 1):
         hist = index.histogram((i, i + 1), window_ps, bin_width)
         valid = False
@@ -151,16 +156,19 @@ def measure_offsets(stream: PhotonStream,
         sigma = math.inf
         try:
             fit = fit_gaussian(hist)
+            reasons[fit.stop_reason] += 1
             if fit.significant and math.isfinite(fit.center_err_ps):
                 # Histogram dt runs t_{i+1} - t_i; the offset convention
                 # is t_i - t_{i+1}, hence the sign flip.
                 off = -fit.center_ps
                 sigma = fit.center_err_ps
                 valid = True
-        except FitError:
-            pass
+        except FitError as exc:
+            reasons[exc.reason] += 1
         out.append(OffsetMeasurement(pixel_low=i, pixel_high=i + 1,
                                      off_ps=off, sigma_ps=sigma, valid=valid))
+    logger.info("measure_offsets: %d adjacent pairs, fit stop reasons %s",
+                len(out), dict(reasons.most_common()))
     return out
 
 

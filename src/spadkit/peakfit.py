@@ -18,6 +18,25 @@ on success.  Residuals carry Poisson weights 1 / max(count, 1) in raw
 count units; normalized histograms rescale the same weights.  No external
 optimizer is involved, so results are deterministic across platforms.
 
+Each trial parameter vector is evaluated once: the accepted trial's
+residual and per-peak exp(-z^2 / 2) then give the Jacobian, and the last
+normal matrix gives the covariance.  A peak is evaluated only on its
+support, |x - mu| <= 40 |sigma|; beyond |z| ~ 38.6 the exponential is
+exactly 0.0 in float64, so the full-length model and Jacobian (the
+Jacobian kept in its (n, p) layout) equal an evaluation over every bin,
+bit for bit.
+
+Every fit says why it stopped (``stop_reason`` on the result, ``reason``
+on ``FitError``).  The solver converges on "relative_step" (no parameter
+moved by more than 1e-8 of itself), "chi2_stall" (chi^2 gained less than
+1e-10 of itself) or "predicted_decrease" (no downhill step left, and the
+step predicted a negligible decrease); it fails on "max_iterations",
+"stalled" (no downhill step left elsewhere), "singular" (normal equations
+unsolvable at any damping) or "non_finite_seed".  Around the solver,
+exactly flat data gives "flat_data" (no peak, or a FitError for two
+peaks), an all-zero histogram "empty_histogram", and two peaks closer
+than their widths allow "merged_peaks".
+
 Peak significance is a property of the result, not an error: a fitted
 contrast smaller than three times its own uncertainty yields a regular
 fit object with ``significant == False``.  When the background itself is
@@ -28,6 +47,7 @@ against its own error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -41,6 +61,8 @@ REL_CHI2_TOL = 1e-10
 LAMBDA_START = 1e-3
 LAMBDA_MAX = 1e12
 SIGNIFICANCE_SIGMAS = 3.0
+# A peak is evaluated where |x - mu| <= SUPPORT_SIGMAS * |sigma|.
+SUPPORT_SIGMAS = 40.0
 
 SCHEMA_VERSION = 1
 
@@ -48,33 +70,82 @@ SCHEMA_VERSION = 1
 # ---------------------------------------------------------------------------
 # model
 
+class _Gaussians:
+    """The model's peaks on one grid ``x``, each evaluated on its support.
+
+    exp(-z^2 / 2) underflows to exactly 0.0 in float64 beyond |z| ~ 38.6,
+    so a peak is evaluated only where |x - mu| <= 40 |sigma| and the
+    full-length model and Jacobian hold exact zeros everywhere else: the
+    same numbers as an evaluation over every point.  One stable
+    ``argsort`` of ``x`` makes each support one run of the sorted grid,
+    whatever order ``x`` comes in.  A peak with a non-finite amplitude, or
+    whose z is not finite at an end of the grid (a non-finite center or
+    width, sigma == 0, overflow, a NaN in ``x``), is evaluated everywhere.
+    """
+
+    def __init__(self, x):
+        x = np.asarray(x)
+        order = np.argsort(x, kind="stable")
+        self.n = len(x)
+        self.sorted = x[order]
+        # An ascending grid (every histogram) is addressed by slices.
+        self.order = None if (order[1:] > order[:-1]).all() else order
+        self.ends = (float(self.sorted[0]), float(self.sorted[-1])) \
+            if self.n else (0.0, 0.0)
+
+    def _support(self, amp, mu, sigma) -> tuple[int, int]:
+        amp, mu, sigma = float(amp), float(mu), float(sigma)
+        first, last = self.ends
+        if not (math.isfinite(amp) and sigma != 0.0
+                and math.isfinite((first - mu) / sigma)
+                and math.isfinite((last - mu) / sigma)):
+            return 0, self.n
+        reach = SUPPORT_SIGMAS * abs(sigma)
+        return (int(np.searchsorted(self.sorted, mu - reach, side="left")),
+                int(np.searchsorted(self.sorted, mu + reach, side="right")))
+
+    def peaks(self, params) -> list:
+        """``(where, z, exp(-z^2 / 2))`` of each peak on its support."""
+        out = []
+        for i in range(1, len(params), 3):
+            amp, mu, sigma = params[i:i + 3]
+            lo, hi = self._support(amp, mu, sigma)
+            z = (self.sorted[lo:hi] - mu) / sigma
+            where = slice(lo, hi) if self.order is None else self.order[lo:hi]
+            out.append((where, z, np.exp(-0.5 * z * z)))
+        return out
+
+    def model(self, params, peaks) -> np.ndarray:
+        y = np.full(self.n, params[0])
+        for amp, (where, _z, e) in zip(params[1::3], peaks):
+            y[where] += amp * e
+        return y
+
+    def jacobian(self, params, peaks) -> np.ndarray:
+        """d model / d params, shape (n, len(params)), without any ``exp``."""
+        jac = np.zeros((self.n, len(params)))
+        jac[:, 0] = 1.0
+        for i, (where, z, e) in zip(range(1, len(params), 3), peaks):
+            amp, sigma = params[i], params[i + 2]
+            aez = amp * e * z
+            jac[where, i] = e
+            jac[where, i + 1] = aez / sigma
+            jac[where, i + 2] = aez * z / sigma
+        return jac
+
+
 def gauss_model(x: np.ndarray, params: np.ndarray) -> np.ndarray:
     """Flat background plus one Gaussian per (amp, mu, sigma) triple."""
-    y = params[0]
-    for i in range(1, len(params), 3):
-        amp, mu, sigma = params[i:i + 3]
-        z = (x - mu) / sigma
-        y = y + amp * np.exp(-0.5 * z * z)
-    return y
+    params = np.asarray(params, dtype=np.float64)
+    g = _Gaussians(x)
+    return g.model(params, g.peaks(params))
 
 
 def gauss_jacobian(x: np.ndarray, params: np.ndarray) -> np.ndarray:
     """Analytic d model / d params, shape (n, len(params))."""
-    jac = np.empty((len(x), len(params)))
-    jac[:, 0] = 1.0
-    for i in range(1, len(params), 3):
-        amp, mu, sigma = params[i:i + 3]
-        z = (x - mu) / sigma
-        e = np.exp(-0.5 * z * z)
-        jac[:, i] = e
-        jac[:, i + 1] = amp * e * z / sigma
-        jac[:, i + 2] = amp * e * z * z / sigma
-    return jac
-
-
-# The two-peak names stay as aliases: one model serves both shapes.
-two_gauss_model = gauss_model
-two_gauss_jacobian = gauss_jacobian
+    params = np.asarray(params, dtype=np.float64)
+    g = _Gaussians(x)
+    return g.jacobian(params, g.peaks(params))
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +188,7 @@ class GaussianFit(PeakComponent):
     chi2: float
     dof: int
     n_iterations: int
+    stop_reason: str
     covariance: np.ndarray
 
     def model(self, x: np.ndarray) -> np.ndarray:
@@ -129,6 +201,7 @@ class GaussianFit(PeakComponent):
             **super().to_json_dict(),
             "chi2": self.chi2, "dof": self.dof,
             "n_iterations": self.n_iterations,
+            "stop_reason": self.stop_reason,
         }
 
 
@@ -149,6 +222,7 @@ class TwoPeakFit:
     chi2: float
     dof: int
     n_iterations: int
+    stop_reason: str
     covariance: np.ndarray
 
     def model(self, x: np.ndarray) -> np.ndarray:
@@ -165,6 +239,7 @@ class TwoPeakFit:
             "separation_err_ps": self.separation_err_ps,
             "chi2": self.chi2, "dof": self.dof,
             "n_iterations": self.n_iterations,
+            "stop_reason": self.stop_reason,
         }
 
 
@@ -174,56 +249,64 @@ class TwoPeakFit:
 def _levmar(x, y, weights, p0, *, lower, upper):
     """Damped Gauss-Newton least squares with box projection.
 
-    Returns (params, covariance, chi2, iterations).  Raises FitError on
-    non-convergence, carrying the last iterate.
+    Returns (params, covariance, chi2, iterations, stop reason).  Raises
+    FitError on non-convergence, carrying the last iterate and the reason.
+    Each trial evaluates the peaks once; an accepted trial's residual and
+    peak values then give the Jacobian without another ``exp``.
     """
     p = np.array(p0, dtype=np.float64)
     p = np.clip(p, lower, upper)
+    gaussians = _Gaussians(x)
+    # weights once per parameter: J * W then needs no broadcast
+    w_cols = np.repeat(weights[:, None], len(p), axis=1)
 
-    def chi2_of(params):
-        r = y - gauss_model(x, params)
-        return float(np.sum(weights * r * r))
+    def trial(params):
+        peaks = gaussians.peaks(params)
+        r = y - gaussians.model(params, peaks)
+        return float(np.sum(weights * r * r)), r, peaks
 
-    chi2 = chi2_of(p)
+    def failed(message, reason):
+        return FitError(message, last_estimate=p, reason=reason)
+
+    chi2, r, peaks = trial(p)
     if not np.isfinite(chi2):
-        raise FitError("seed parameters give non-finite chi^2", last_estimate=p)
+        raise failed("seed parameters give non-finite chi^2", "non_finite_seed")
 
     lam = LAMBDA_START
     normal = grad = None
-    converged = False
+    reason = None
     it = 0
     while it < MAX_ITERATIONS:
         it += 1
         if normal is None:
-            jac = gauss_jacobian(x, p)
-            r = y - gauss_model(x, p)
-            jw = jac * weights[:, None]
-            normal = jac.T @ jw
-            grad = jw.T @ r
-        damp = np.diag(normal).copy()
-        floor = 1e-12 * max(damp.max(), 1.0)
-        damp[damp < floor] = floor
+            normal, grad = _normal_equations(
+                gaussians.jacobian(p, peaks), w_cols, r)
+        diag = np.diag(normal)
+        damp = np.maximum(diag, 1e-12 * max(diag.max(), 1.0))
         try:
-            step = np.linalg.solve(normal + lam * np.diag(damp), grad)
+            step = np.linalg.solve(normal + np.diag(lam * damp), grad)
         except np.linalg.LinAlgError:
             lam *= 10.0
             if lam > LAMBDA_MAX:
-                raise FitError("normal equations singular", last_estimate=p)
+                raise failed("normal equations singular", "singular")
             continue
         p_new = np.clip(p + step, lower, upper)
-        chi2_new = chi2_of(p_new)
-        if np.isfinite(chi2_new) and chi2_new <= chi2:
+        chi2_new, r_new, peaks_new = trial(p_new)
+        if math.isfinite(chi2_new) and chi2_new <= chi2:
             moved = np.abs(p_new - p) / np.maximum(np.abs(p_new), 1e-30)
             gain = chi2 - chi2_new
             stalled = gain <= REL_CHI2_TOL * max(chi2, 1e-300)
-            p, chi2 = p_new, chi2_new
+            p, chi2, r, peaks = p_new, chi2_new, r_new, peaks_new
             normal = grad = None
             lam = max(lam / 10.0, 1e-12)
             # The relative-step test alone cannot fire for a parameter
             # heading to zero, so a negligible chi^2 gain also counts as
             # converged.
-            if moved.max() < REL_STEP_TOL or stalled:
-                converged = True
+            if moved.max() < REL_STEP_TOL:
+                reason = "relative_step"
+            elif stalled:
+                reason = "chi2_stall"
+            if reason is not None:
                 break
         else:
             lam *= 10.0
@@ -233,24 +316,29 @@ def _levmar(x, y, weights, p0, *, lower, upper):
                 # real failure.
                 predicted = abs(float(grad @ step))
                 if predicted <= 1e-10 * max(chi2, 1e-300):
-                    converged = True
+                    reason = "predicted_decrease"
                     break
-                raise FitError("fit stalled before converging",
-                               last_estimate=p)
+                raise failed("fit stalled before converging", "stalled")
 
-    if not converged:
-        raise FitError(f"fit did not converge in {MAX_ITERATIONS} iterations",
-                       last_estimate=p)
+    if reason is None:
+        raise failed(f"fit did not converge in {MAX_ITERATIONS} iterations",
+                     "max_iterations")
 
-    jac = gauss_jacobian(x, p)
-    cov = _gauss_newton_covariance(jac, weights)
-    return p, cov, chi2, it
+    if normal is None:
+        normal, _ = _normal_equations(gaussians.jacobian(p, peaks), w_cols, r)
+    return p, _gauss_newton_covariance(normal), chi2, it, reason
 
 
-def _gauss_newton_covariance(jac, weights):
+def _normal_equations(jac, w_cols, r):
+    """J^T W J and J^T W r, both full length in J's (n, p) layout;
+    ``w_cols`` holds the weights once per column of J."""
+    jw = jac * w_cols
+    return jac.T @ jw, jw.T @ r
+
+
+def _gauss_newton_covariance(normal):
     """(J^T W J)^-1 via eigendecomposition; unconstrained directions get
     infinite variance instead of crashing on a singular matrix."""
-    normal = jac.T @ (jac * weights[:, None])
     vals, vecs = np.linalg.eigh(normal)
     tol = max(vals.max(), 0.0) * 1e-12
     good = vals > tol
@@ -392,19 +480,21 @@ def fit_peak(x, y, *, weights=None,
         lower[2], upper[2] = center_bounds
         p0[2] = np.clip(p0[2], lower[2], upper[2])
 
-    p, cov, chi2, it = _levmar(x, y, weights, p0, lower=lower, upper=upper)
+    p, cov, chi2, it, reason = _levmar(x, y, weights, p0,
+                                       lower=lower, upper=upper)
     errs = np.sqrt(np.maximum(np.diag(cov), 0.0))
     return GaussianFit(
         **asdict(_component(p, cov, errs, 1)),
         bg=float(p[0]), bg_err=float(errs[0]), chi2=float(chi2),
-        dof=len(x) - 4, n_iterations=it, covariance=cov)
+        dof=len(x) - 4, n_iterations=it, stop_reason=reason, covariance=cov)
 
 
 def _flat_result(x, y, weights):
     """Exactly flat data: no peak by construction, never an error."""
     bg = float(y[0])
     if bg <= 0.0:
-        raise FitError("histogram is empty; nothing to fit")
+        raise FitError("histogram is empty; nothing to fit",
+                       reason="empty_histogram")
     spacing = float(x[1] - x[0])
     bg_err = float(1.0 / np.sqrt(weights.sum()))
     cov = np.full((4, 4), np.inf)
@@ -416,7 +506,8 @@ def _flat_result(x, y, weights):
         sigma_ps=spacing, bg_err=bg_err, amplitude_err=bg_err,
         center_err_ps=np.inf, sigma_err_ps=np.inf,
         contrast=0.0, contrast_err=bg_err / bg, significant=False,
-        chi2=0.0, dof=len(x) - 4, n_iterations=0, covariance=cov)
+        chi2=0.0, dof=len(x) - 4, n_iterations=0, stop_reason="flat_data",
+        covariance=cov)
 
 
 def fit_two_peaks(hist: DeltaHistogram,
@@ -436,7 +527,8 @@ def fit_two_peaks(hist: DeltaHistogram,
     if len(x) < 14:
         raise ValueError("need at least 14 bins to fit two peaks")
     if np.ptp(y) == 0.0:
-        raise FitError("histogram is flat; no peaks to fit")
+        raise FitError("histogram is flat; no peaks to fit",
+                       reason="flat_data")
 
     bg0, a1, mu1, s1 = _single_peak_seed(x, y)
     resid = y - gauss_model(x, np.array([bg0, a1, mu1, s1]))
@@ -452,7 +544,8 @@ def fit_two_peaks(hist: DeltaHistogram,
     target = mu1 + side * separation_hint_ps
     lower[5] = target - 0.6 * separation_hint_ps
     upper[5] = target + 0.6 * separation_hint_ps
-    p, cov, chi2, it = _levmar(x, y, weights, p0, lower=lower, upper=upper)
+    p, cov, chi2, it, reason = _levmar(x, y, weights, p0,
+                                       lower=lower, upper=upper)
 
     errs = np.sqrt(np.maximum(np.diag(cov), 0.0))
     (near, i_near), (far, i_far) = sorted(
@@ -463,7 +556,7 @@ def fit_two_peaks(hist: DeltaHistogram,
         gap = abs(far.center_ps - near.center_ps)
         if gap <= 2.0 * (near.sigma_ps + far.sigma_ps):
             raise FitError("merged peaks: separation below resolvability bound",
-                           last_estimate=p)
+                           last_estimate=p, reason="merged_peaks")
 
     cells = (cov[i_near + 1, i_near + 1], cov[i_far + 1, i_far + 1],
              cov[i_near + 1, i_far + 1])
@@ -476,7 +569,8 @@ def fit_two_peaks(hist: DeltaHistogram,
         bg=float(p[0]), bg_err=float(errs[0]), near=near, far=far,
         separation_ps=float(far.center_ps - near.center_ps),
         separation_err_ps=sep_err,
-        chi2=float(chi2), dof=len(x) - 7, n_iterations=it, covariance=cov)
+        chi2=float(chi2), dof=len(x) - 7, n_iterations=it,
+        stop_reason=reason, covariance=cov)
 
 
 def _second_peak_seed(x, resid, mu1, hint):

@@ -105,7 +105,7 @@ class TdcLut(Document):
                 if str(p) != key or not 0 <= p < num_pixels \
                         or len(as_list(vals)) != bins:
                     raise CalibrationError(f"malformed LUT row for pixel {key!r}")
-                widths[p] = [as_float(v) for v in vals]
+                widths[p] = _width_row(vals)
             unusable = frozenset(as_count(p)
                                  for p in doc.get("unusable_pixels", ()))
             if not unusable <= set(range(num_pixels)):
@@ -113,6 +113,17 @@ class TdcLut(Document):
             return cls(sensor=sensor, widths=widths, unusable=unusable)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CalibrationError(f"malformed LUT document: {exc}") from None
+
+
+def _width_row(vals):
+    """One LUT row under ``as_float``'s rule (JSON numbers, finite), with
+    one conversion for a row of plain ints and floats."""
+    if not {type(v) for v in vals} <= {float, int}:
+        return [as_float(v) for v in vals]  # raises for the first bad one
+    row = np.asarray(vals, dtype=np.float64)
+    if not np.isfinite(row).all():
+        raise ValueError("non-finite LUT width")
+    return row
 
 
 def build_lut(stream: PhotonStream) -> TdcLut:
@@ -127,12 +138,15 @@ def build_lut(stream: PhotonStream) -> TdcLut:
     if stream.raw_code is None:
         raise DataError("stream carries no raw TDC codes")
     bins = sensor.tdc_bins_per_clock
-    codes = stream.raw_code.astype(np.int64)
+    codes = stream.raw_code
     if codes.size and codes.max() >= bins:
         bad = int(codes.max())
         raise DataError(f"raw code {bad} out of range (tdc_bins={bins})")
 
-    flat = stream.pixel.astype(np.int64) * bins + codes
+    # one flat (pixel, code) index, built in place
+    flat = stream.pixel.astype(np.intp)
+    flat *= bins
+    flat += codes
     counts = np.bincount(flat, minlength=sensor.num_pixels * bins)
     counts = counts.reshape(sensor.num_pixels, bins)
     totals = counts.sum(axis=1)

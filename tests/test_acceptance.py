@@ -35,12 +35,7 @@ from spadkit import (
 )
 from spadkit.coincidence import DeltaHistogram
 from spadkit.offsets import OffsetMeasurement
-from spadkit.peakfit import (
-    gauss_jacobian,
-    gauss_model,
-    two_gauss_jacobian,
-    two_gauss_model,
-)
+from spadkit.peakfit import gauss_jacobian, gauss_model
 from spadkit.simulator import BeamSpec, DcrProfile, SimConfig, simulate, \
     simulate_code_density
 
@@ -353,7 +348,7 @@ def test_analytic_jacobians_match_finite_differences():
                                           rng.uniform(-500, 500),
                                           rng.uniform(40, 200)]])
         for model, jac, params in ((gauss_model, gauss_jacobian, p_gauss),
-                                   (two_gauss_model, two_gauss_jacobian, p_two)):
+                                   (gauss_model, gauss_jacobian, p_two)):
             analytic = jac(x, params)
             fd = np.empty_like(analytic)
             for k in range(len(params)):

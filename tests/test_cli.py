@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import logging
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -123,6 +124,29 @@ def test_ct_scan_outputs(sim_stream_path, tmp_path):
     p1 = curve.point(1)
     assert abs(p1.probability - 0.004) <= 3 * p1.stderr
     ET.fromstring(svg.read_text())
+
+
+def test_calibrate_and_ct_scan_log_fit_stop_reasons(sim_stream_path, tmp_path,
+                                                   caplog):
+    caplog.set_level(logging.INFO)
+    assert main(["ct-scan", "--in", sim_stream_path, "--dmax", "4",
+                 "--nhot", "4", "--out", str(tmp_path / "ct.json")]) == 0
+    main(["calibrate", "--in", sim_stream_path,
+          "--out", str(tmp_path / "d.json")])
+    logged = {r.getMessage().split(":")[0]: r.args for r in caplog.records
+              if r.levelno == logging.INFO}
+    reasons = {"relative_step", "chi2_stall", "predicted_decrease",
+               "max_iterations", "stalled", "singular", "non_finite_seed",
+               "flat_data", "empty_histogram"}
+    n_pairs, by_reason = logged["ct_scan"]
+    assert n_pairs == len(CtCurve.load(str(tmp_path / "ct.json")).pairs)
+    assert sum(by_reason.values()) == n_pairs and set(by_reason) <= reasons
+    n_pairs, by_reason = logged["measure_offsets"]
+    assert n_pairs == 255
+    assert sum(by_reason.values()) == n_pairs and set(by_reason) <= reasons
+    n_invalid, n_pairs, fraction = logged["calibrate"]
+    assert n_pairs == 255 and 0 <= n_invalid <= n_pairs
+    assert fraction == n_invalid / n_pairs
 
 
 def test_calibrate_full_chain_exit_zero(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spadkit import DataError, PhotonStream, SensorConfig, StreamHeader
+from spadkit import coincidence
 from spadkit.coincidence import (
     DeltaHistogram,
     PixelIndex,
@@ -77,6 +78,20 @@ def test_window_edges_inclusive():
     h = build_histogram(s, (1, 2), window_ps=500.0, bin_width_ps=100.0)
     assert h.total_pairs == 2  # dt = +500 and -500 both inside
     assert h.counts[0] == 1 and h.counts[-1] == 1
+
+
+def test_window_edges_inclusive_from_either_side():
+    # The pairing walks whichever pixel has fewer records; both roles must
+    # keep dt = t_b - t_a and both closed window edges.
+    for dense, sparse in ((1, 2), (2, 1)):
+        recs = [(0, dense, t) for t in (1000.0, 1200.0, 1300.0, 2000.0)]
+        recs.append((0, sparse, 1500.0))
+        h = build_histogram(stream_from(recs), (1, 2), window_ps=500.0,
+                            bin_width_ps=100.0)
+        np.testing.assert_array_equal(
+            h.counts, brute_force_counts(recs, 1, 2, 500.0, 100.0))
+        assert h.total_pairs == 4
+        assert h.counts[0] == 1 and h.counts[-1] == 1
 
 
 def test_all_cross_pairs_counted():
@@ -191,6 +206,37 @@ def test_property_matches_brute_force(recs, a, db):
     np.testing.assert_array_equal(
         h.counts, brute_force_counts(recs, a, b, window, bw))
     assert h.total_pairs == h.counts.sum()
+
+
+@st.composite
+def lopsided_record_sets(draw):
+    """Many records on one of pixels 1 and 2, a few on the other (either
+    way round), some of those few exactly +-window from a dense record."""
+    dense, sparse = draw(st.sampled_from([(1, 2), (2, 1)]))
+    n_cycles = draw(st.integers(1, 3))
+    recs = [(draw(st.integers(0, n_cycles - 1)), dense,
+             float(draw(st.integers(1500, 4000))))
+            for _ in range(draw(st.integers(5, 40)))]
+    for _ in range(draw(st.integers(0, 4))):
+        cycle, _pixel, t = draw(st.sampled_from(recs))
+        shift = draw(st.sampled_from([-1500.0, 1500.0, 0.0, 130.0, 1501.0]))
+        recs.append((cycle, sparse, t + shift))
+    return recs + draw(record_sets())
+
+
+@settings(max_examples=150, deadline=None)
+@given(lopsided_record_sets(), st.sampled_from([1, 2, 3, 1 << 26]))
+def test_property_lopsided_pairs_match_brute_force(recs, chunk):
+    # A small _PAIR_CHUNK splits the expansion on whichever side is walked.
+    window, bw = 1500.0, 130.0
+    s = stream_from(recs)
+    expected = brute_force_counts(recs, 1, 2, window, bw)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(coincidence, "_PAIR_CHUNK", chunk)
+        for h in (build_histogram(s, (1, 2), window, bw),
+                  PixelIndex.from_stream(s).histogram((1, 2), window, bw)):
+            np.testing.assert_array_equal(h.counts, expected)
+            assert h.total_pairs == expected.sum()
 
 
 @settings(max_examples=80, deadline=None)
