@@ -85,11 +85,9 @@ class _Gaussians:
 
     def __init__(self, x):
         x = np.asarray(x)
-        order = np.argsort(x, kind="stable")
         self.n = len(x)
-        self.sorted = x[order]
-        # An ascending grid (every histogram) is addressed by slices.
-        self.order = None if (order[1:] > order[:-1]).all() else order
+        self.order = np.argsort(x, kind="stable")
+        self.sorted = x[self.order]
         self.ends = (float(self.sorted[0]), float(self.sorted[-1])) \
             if self.n else (0.0, 0.0)
 
@@ -111,8 +109,7 @@ class _Gaussians:
             amp, mu, sigma = params[i:i + 3]
             lo, hi = self._support(amp, mu, sigma)
             z = (self.sorted[lo:hi] - mu) / sigma
-            where = slice(lo, hi) if self.order is None else self.order[lo:hi]
-            out.append((where, z, np.exp(-0.5 * z * z)))
+            out.append((self.order[lo:hi], z, np.exp(-0.5 * z * z)))
         return out
 
     def model(self, params, peaks) -> np.ndarray:
@@ -257,7 +254,9 @@ def _levmar(x, y, weights, p0, *, lower, upper):
     p = np.array(p0, dtype=np.float64)
     p = np.clip(p, lower, upper)
     gaussians = _Gaussians(x)
-    # weights once per parameter: J * W then needs no broadcast
+    # J * weights[:, None] would broadcast along J's rows of 4 or 7
+    # columns, one short inner loop per bin; a full (n, p) copy of the
+    # weights makes J * W one flat multiply (about a tenth of the fit time).
     w_cols = np.repeat(weights[:, None], len(p), axis=1)
 
     def trial(params):
@@ -281,10 +280,11 @@ def _levmar(x, y, weights, p0, *, lower, upper):
         if normal is None:
             normal, grad = _normal_equations(
                 gaussians.jacobian(p, peaks), w_cols, r)
-        diag = np.diag(normal)
-        damp = np.maximum(diag, 1e-12 * max(diag.max(), 1.0))
+        damp = np.diag(normal).copy()
+        floor = 1e-12 * max(damp.max(), 1.0)
+        damp[damp < floor] = floor
         try:
-            step = np.linalg.solve(normal + np.diag(lam * damp), grad)
+            step = np.linalg.solve(normal + lam * np.diag(damp), grad)
         except np.linalg.LinAlgError:
             lam *= 10.0
             if lam > LAMBDA_MAX:
