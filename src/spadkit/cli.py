@@ -34,7 +34,7 @@ from .peakfit import fit_gaussian, fit_two_peaks
 from .rates import DEFAULT_HOT_THRESHOLD_CPS, compute_rates
 from .simulator import SimConfig, simulate
 from .svg import ct_curve_svg, histogram_svg
-from .tdc import TdcLut, apply_lut
+from .tdc import TdcLut, _check_lut, apply_lut
 from .timestream import PhotonStream, SensorConfig
 
 logger = logging.getLogger(__name__)
@@ -97,11 +97,22 @@ def _positive(kind):
     return parse
 
 
-def _read_stream(path: str, lut_path: str | None = None) -> PhotonStream:
+def _read_stream(path: str, lut_path: str | None = None,
+                 pair: tuple[int, int] | None = None) -> PhotonStream:
+    """The stream at ``path``, calibrated by the LUT at ``lut_path`` if
+    given.  With a ``pair``, the whole stream is checked against the LUT
+    but only the pair's records are converted and returned."""
     stream = PhotonStream.read(path)
-    if lut_path is not None:
-        stream = apply_lut(stream, TdcLut.load(lut_path, stream.sensor))
-    return stream
+    if lut_path is None:
+        return stream
+    lut = TdcLut.load(lut_path, stream.sensor)
+    if pair is None:
+        return apply_lut(stream, lut)
+    _check_lut(stream, lut)
+    picked = stream.take(np.isin(stream.pixel, pair))
+    logger.info("apply_lut: converted %d of %d records (pixels %d, %d)",
+                picked.n_records, stream.n_records, *pair)
+    return apply_lut(picked, lut)
 
 
 def _load_delays(path: str | None,
@@ -149,7 +160,7 @@ def _cmd_dcr(args) -> int:
 
 def _cmd_coincidence(args) -> int:
     t0 = time.monotonic()
-    stream = _read_stream(getattr(args, "in"), args.lut)
+    stream = _read_stream(getattr(args, "in"), args.lut, args.pair)
     hist = build_histogram(stream, args.pair, args.window, args.bin,
                            delays=_load_delays(args.delays, stream.sensor))
     try:
@@ -212,7 +223,7 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_report(args) -> int:
     t0 = time.monotonic()
-    stream = _read_stream(getattr(args, "in"), args.lut)
+    stream = _read_stream(getattr(args, "in"), args.lut, args.pair)
     delays = _load_delays(args.delays, stream.sensor)
     hist = build_histogram(stream, args.pair, args.window, args.bin,
                            delays=delays)
@@ -237,6 +248,11 @@ def _cmd_report(args) -> int:
 
 # ---------------------------------------------------------------------------
 # wiring
+
+_PAIR_LUT_HELP = ("TDC LUT for raw-code input: the whole stream is checked "
+                  "against it, only the pair's records are converted")
+_ALL_LUT_HELP = "TDC LUT for raw-code input: every record is converted"
+
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="spadkit",
@@ -272,7 +288,7 @@ def build_parser() -> _Parser:
     p.add_argument("--bin", type=_positive(float), default=None,
                    help="bin width in ps (default: 3 TDC bins)")
     p.add_argument("--delays", default=None, help="delay JSON to correct by")
-    p.add_argument("--lut", default=None, help="TDC LUT for raw-code input")
+    p.add_argument("--lut", default=None, help=_PAIR_LUT_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_coincidence)
 
@@ -294,7 +310,7 @@ def build_parser() -> _Parser:
     p.add_argument("--window", type=_positive(float),
                    default=DEFAULT_WINDOW_PS)
     p.add_argument("--delays", default=None)
-    p.add_argument("--lut", default=None)
+    p.add_argument("--lut", default=None, help=_ALL_LUT_HELP)
     p.add_argument("--svg", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_ct_scan)
@@ -304,7 +320,7 @@ def build_parser() -> _Parser:
     p.add_argument("--in", required=True)
     p.add_argument("--window", type=_positive(float),
                    default=DEFAULT_WINDOW_PS)
-    p.add_argument("--lut", default=None)
+    p.add_argument("--lut", default=None, help=_ALL_LUT_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_calibrate)
 
@@ -317,7 +333,7 @@ def build_parser() -> _Parser:
     p.add_argument("--window", type=_positive(float),
                    default=DEFAULT_WINDOW_PS)
     p.add_argument("--bin", type=_positive(float), default=None)
-    p.add_argument("--lut", default=None)
+    p.add_argument("--lut", default=None, help=_PAIR_LUT_HELP)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_report)
 

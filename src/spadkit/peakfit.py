@@ -422,6 +422,11 @@ def _fit_arrays(hist: DeltaHistogram):
 
 
 def _single_peak_seed(x, y):
+    """(bg, amp, mu, sigma) seed, the same for any order of the points:
+    the argmax tie-break and the FWHM walk run in x's stable ascending
+    order."""
+    order = np.argsort(x, kind="stable")
+    x, y = x[order], y[order]
     bg = float(np.median(y))
     peak = int(np.argmax(y))
     amp = float(y[peak] - bg)
@@ -432,7 +437,8 @@ def _single_peak_seed(x, y):
 
 def _fwhm_sigma(x, y, bg, amp, peak):
     """Sigma seed from the full width at half maximum of the contiguous
-    run around the peak bin (stray bins elsewhere must not widen it)."""
+    run around the peak bin (stray bins elsewhere must not widen it).
+    ``x`` must ascend."""
     spacing = float(x[1] - x[0]) if len(x) > 1 else 1.0
     if amp <= 0:
         return spacing
@@ -490,11 +496,13 @@ def fit_peak(x, y, *, weights=None,
 
 
 def _flat_result(x, y, weights):
-    """Exactly flat data: no peak by construction, never an error."""
+    """Exactly flat data: no peak by construction, never an error.  The
+    spacing and the center come from x in ascending order."""
     bg = float(y[0])
     if bg <= 0.0:
         raise FitError("histogram is empty; nothing to fit",
                        reason="empty_histogram")
+    x = np.sort(x)
     spacing = float(x[1] - x[0])
     bg_err = float(1.0 / np.sqrt(weights.sum()))
     cov = np.full((4, 4), np.inf)

@@ -166,16 +166,10 @@ def build_lut(stream: PhotonStream) -> TdcLut:
                   total_counts=totals)
 
 
-def apply_lut(stream: PhotonStream, lut: TdcLut) -> PhotonStream:
-    """Convert raw codes to calibrated times (bin midpoint convention).
-
-        time_ps = clock_base(time_ps) + offset[pixel, code] + width[pixel, code] / 2
-
-    The coarse clock base is whatever multiple of the clock period the raw
-    record's time field encodes.  The result stream drops raw codes, keeps
-    any out-of-window tags, and is re-sorted, since calibrated fine times
-    can reorder ties.
-    """
+def _check_lut(stream: PhotonStream, lut: TdcLut) -> None:
+    """Refuse a stream ``lut`` cannot convert: another sensor's LUT, no
+    raw codes, a code beyond ``tdc_bins_per_clock``, or a record on a
+    pixel the LUT marks unusable."""
     sensor = stream.sensor
     if (sensor.num_pixels, sensor.tdc_bins_per_clock, sensor.clock_period_ps) != \
             (lut.sensor.num_pixels, lut.sensor.tdc_bins_per_clock,
@@ -197,12 +191,33 @@ def apply_lut(stream: PhotonStream, lut: TdcLut) -> PhotonStream:
         raise CalibrationError(
             f"stream contains records from uncalibrated pixels: {shown}{more}")
 
+
+def apply_lut(stream: PhotonStream, lut: TdcLut) -> PhotonStream:
+    """Convert raw codes to calibrated times (bin midpoint convention).
+
+        time_ps = clock_base(time_ps) + offset[pixel, code] + width[pixel, code] / 2
+
+    The coarse clock base is whatever multiple of the clock period the raw
+    record's time field encodes.  The result stream drops raw codes, keeps
+    any out-of-window tags, and is re-sorted, since calibrated fine times
+    can reorder ties.
+
+    A record's calibrated time depends only on its own pixel and code, so
+    converting a subset (``stream.take`` of some pixels' records) gives
+    those records the same times, in the same relative order, as
+    converting the whole stream.  The command line relies on that:
+    ``coincidence`` and ``report`` check the whole stream against the LUT
+    and then convert only their pair's records, while ``calibrate`` and
+    ``ct-scan``, which need every pixel, convert the whole stream.
+    """
+    _check_lut(stream, lut)
+
     # floor(t / clock) * clock + (offset + width / 2), in one array, so
     # the sort below sees no per-record temporary besides the times
-    clock = float(sensor.clock_period_ps)
+    clock = float(stream.sensor.clock_period_ps)
     times = np.floor(stream.time_ps / clock)
     times *= clock
-    times += (lut.offsets + lut.widths / 2.0)[stream.pixel, codes]
+    times += (lut.offsets + lut.widths / 2.0)[stream.pixel, stream.raw_code]
 
     order = record_order(stream.cycle_index, times, stream.pixel)
     return replace(stream, time_ps=times, raw_code=None).take(order)

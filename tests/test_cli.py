@@ -12,13 +12,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from spadkit.cli import main
-from spadkit.coincidence import DeltaHistogram
+from spadkit.coincidence import (DeltaHistogram, build_histogram,
+                                 normalize_histogram)
 from spadkit.crosstalk import CtCurve
+from spadkit.documents import write_json
+from spadkit.errors import DataError
 from spadkit.offsets import DelayVector
+from spadkit.peakfit import fit_two_peaks
 from spadkit.simulator import BeamSpec, DcrProfile, SimConfig, simulate, \
     simulate_code_density
-from spadkit.tdc import TdcLut
-from spadkit.timestream import SensorConfig, record_order
+from spadkit.svg import histogram_svg
+from spadkit.tdc import TdcLut, apply_lut
+from spadkit.timestream import PhotonStream, SensorConfig, record_order
 
 
 def write_config(path, config: SimConfig) -> str:
@@ -318,6 +323,7 @@ def test_delays_flag_matches_library_application(tmp_path):
 # the JSON boundary: every bad input file is a structured data error
 
 FILE, STREAM, RAW = "<file>", "<stream>", "<raw stream>"
+BAD_CODE = "<raw stream with a code past tdc_bins on pixel 5>"
 DEEP = b"[" * 100_000
 HIST = DeltaHistogram(pixel_a=0, pixel_b=1, window_ps=1000.0,
                       bin_width_ps=50.0, total_pairs=4000,
@@ -343,6 +349,17 @@ def raw_stream_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("raw") / "raw.spk1"
     simulate_code_density(SensorConfig(), LUT.widths[0], 40, seed=3,
                           n_cycles=10).write(str(path))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def bad_code_stream_path(tmp_path_factory):
+    """The raw stream above with one code of ``tdc_bins`` on pixel 5."""
+    path = tmp_path_factory.mktemp("raw") / "bad-code.spk1"
+    stream = simulate_code_density(SensorConfig(), LUT.widths[0], 40, seed=3,
+                                   n_cycles=10)
+    stream.raw_code[np.flatnonzero(stream.pixel == 5)[0]] = 140
+    stream.write(str(path))
     return str(path)
 
 
@@ -402,20 +419,41 @@ BAD_INPUTS = [
                           "--lut", FILE],
      lut_rows_before(f'"1": {json.dumps(ROWS["1"])}')),
 ]
+# coincidence and report convert only their pair's records, but check the
+# whole stream against the LUT first: each case fails off the pair, with
+# its own message (the fourth field)
+BAD_INPUTS += [
+    (f"{name}, {command[0]}", [*command, "--in", stream, "--lut", FILE],
+     content, message)
+    for command in (["coincidence", "--pair", "0,1"], ["report", "--pair", "0,1"])
+    for name, stream, content, message in (
+        ("unusable pixel off the pair", RAW, changed(LUT, unusable_pixels=[7]),
+         "stream contains records from uncalibrated pixels: 7"),
+        ("raw code off the pair", BAD_CODE, changed(LUT),
+         "raw code 140 out of range (tdc_bins=140)"),
+        ("lut of another sensor", RAW,
+         changed(LUT, sensor={**LUT.to_json_dict()["sensor"],
+                              "clock_period_ps": 2600}),
+         "LUT sensor fingerprint does not match the stream sensor"))]
 
 
-@pytest.mark.parametrize("argv, content", [case[1:] for case in BAD_INPUTS],
+@pytest.mark.parametrize("argv, content, message",
+                         [(*case[1:3], case[3] if len(case) > 3 else None)
+                          for case in BAD_INPUTS],
                          ids=[case[0] for case in BAD_INPUTS])
-def test_bad_input_files_exit_two(argv, content, sim_stream_path,
-                                  raw_stream_path, tmp_path, capsys):
+def test_bad_input_files_exit_two(argv, content, message, sim_stream_path,
+                                  raw_stream_path, bad_code_stream_path,
+                                  tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_bytes(content)
     out = tmp_path / "out"
-    argv = [{FILE: str(bad), STREAM: sim_stream_path,
-             RAW: raw_stream_path}.get(a, a) for a in argv]
+    argv = [{FILE: str(bad), STREAM: sim_stream_path, RAW: raw_stream_path,
+             BAD_CODE: bad_code_stream_path}.get(a, a) for a in argv]
     assert main([*argv, "--out", str(out)]) == 2
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] and err["type"] in {"DataError", "CalibrationError"}
+    if message is not None:
+        assert err["error"] == message
     assert not out.exists()
 
 
@@ -506,3 +544,120 @@ def test_lut_documents_load_and_apply(raw_stream_path, tmp_path):
     for path, cls in ((lut_path, TdcLut), (out, DeltaHistogram)):
         doc = json.loads(path.read_text())
         assert cls.load(str(path)).to_json_dict() == doc
+
+
+# ---------------------------------------------------------------------------
+# --lut on coincidence and report: only the pair's records are converted,
+# with the same result as converting the whole stream
+
+@pytest.fixture(scope="module")
+def lut_chain(tmp_path_factory):
+    """A raw-code stream with a correlated beam pair on 70/73 and no
+    records on pixel 9, a LUT of uneven per-pixel widths, and a delay
+    vector."""
+    tmp = tmp_path_factory.mktemp("lut-chain")
+    sensor = SensorConfig()
+    config = SimConfig(seed=31, duration_s=1.0,
+                       dcr=DcrProfile(base_cps=400.0, overrides=((9, 0.0),)),
+                       beams=(BeamSpec(pixel=70, rate_cps=2e5),
+                              BeamSpec(pixel=73, rate_cps=2e5)),
+                       pair_fraction=0.3, fiber_delay_ps=5000.0)
+    stream, _truth = simulate(config)
+    clock = sensor.clock_period_ps
+    base = np.floor(stream.time_ps / clock) * clock
+    codes = np.minimum((stream.time_ps - base) // sensor.mean_bin_width_ps,
+                       sensor.tdc_bins_per_clock - 1).astype(np.uint32)
+    order = record_order(stream.cycle_index, base, stream.pixel)
+    raw = dataclasses.replace(stream, time_ps=base, raw_code=codes).take(order)
+    assert not (raw.pixel == 9).any()
+    rng = np.random.default_rng(6)
+    widths = rng.uniform(0.5, 1.5, (sensor.num_pixels,
+                                    sensor.tdc_bins_per_clock))
+    widths *= clock / widths.sum(axis=1, keepdims=True)
+    paths = {"stream": tmp / "raw.spk1", "lut": tmp / "lut.json",
+             "delays": tmp / "delays.json"}
+    raw.write(str(paths["stream"]))
+    TdcLut(sensor, widths).save(str(paths["lut"]))
+    delays = rng.uniform(-300, 300, sensor.num_pixels)
+    DelayVector(delays - delays.mean()).save(str(paths["delays"]))
+    return {k: str(v) for k, v in paths.items()}
+
+
+def _whole_stream_histogram(chain, pair, delays=False):
+    """The oracle: every record converted, then the pair histogrammed."""
+    stream = PhotonStream.read(chain["stream"])
+    lut = TdcLut.load(chain["lut"], stream.sensor)
+    hist = build_histogram(
+        apply_lut(stream, lut), pair,
+        delays=DelayVector.load(chain["delays"]).delays_ps if delays else None)
+    try:
+        return normalize_histogram(hist)
+    except DataError:
+        return hist
+
+
+@pytest.mark.parametrize("pair, delays", [
+    ((70, 71), False),   # adjacent
+    ((70, 200), False),  # distant
+    ((9, 10), False),    # pixel 9 has no records
+    ((70, 73), True),    # with --delays
+], ids=["adjacent", "distant", "one pixel empty", "with delays"])
+def test_coincidence_lut_matches_whole_stream_conversion(lut_chain, pair,
+                                                         delays, tmp_path):
+    out = tmp_path / "hist.json"
+    argv = ["coincidence", "--in", lut_chain["stream"], "--lut",
+            lut_chain["lut"], "--pair", f"{pair[0]},{pair[1]}"]
+    if delays:
+        argv += ["--delays", lut_chain["delays"]]
+    assert main([*argv, "--out", str(out)]) == 0
+    want = _whole_stream_histogram(lut_chain, pair, delays)
+    got = DeltaHistogram.load(str(out))
+    assert np.array_equal(got.counts, want.counts)
+    assert got.total_pairs == want.total_pairs
+    if pair == (9, 10):
+        assert want.total_pairs == 0
+    else:
+        assert want.total_pairs > 0
+    want.save(str(tmp_path / "want.json"))
+    assert out.read_bytes() == (tmp_path / "want.json").read_bytes()
+
+
+@pytest.mark.parametrize("delays", [False, True],
+                         ids=["plain", "with delays"])
+def test_report_lut_matches_whole_stream_conversion(lut_chain, delays,
+                                                    tmp_path):
+    out = tmp_path / "report"
+    argv = ["report", "--in", lut_chain["stream"], "--lut", lut_chain["lut"],
+            "--pair", "70,73", "--hint", "5000"]
+    if delays:
+        argv += ["--delays", lut_chain["delays"]]
+    assert main([*argv, "--out", str(out)]) == 0
+    hist = _whole_stream_histogram(lut_chain, (70, 73), delays)
+    fit = fit_two_peaks(hist, separation_hint_ps=5000.0)
+    want = tmp_path / "want"
+    want.mkdir()
+    hist.save(str(want / "histogram.json"))
+    write_json(str(want / "fit.json"), fit.to_json_dict())
+    (want / "report.svg").write_text(
+        histogram_svg(hist, fit, title="pixels 70,73"))
+    for name in ("histogram.json", "fit.json", "report.svg"):
+        assert (out / name).read_bytes() == (want / name).read_bytes(), name
+
+
+def test_coincidence_and_report_log_the_records_converted(lut_chain, tmp_path,
+                                                          caplog):
+    caplog.set_level(logging.INFO)
+    stream = PhotonStream.read(lut_chain["stream"])
+    on_pair = int(np.isin(stream.pixel, (70, 73)).sum())
+    for command in ("coincidence", "report"):
+        caplog.clear()
+        assert main([command, "--in", lut_chain["stream"], "--lut",
+                     lut_chain["lut"], "--pair", "70,73",
+                     "--out", str(tmp_path / command)]) == 0
+        logged = [r for r in caplog.records if r.levelno == logging.INFO
+                  and r.getMessage().startswith("apply_lut:")]
+        assert [r.getMessage() for r in logged] == [
+            f"apply_lut: converted {on_pair} of {stream.n_records} records "
+            "(pixels 70, 73)"]
+        assert 0 < on_pair < stream.n_records
+

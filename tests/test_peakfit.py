@@ -316,6 +316,39 @@ def test_fit_documents_carry_the_stop_reason():
         assert fit.stop_reason in CONVERGED
 
 
+def test_seed_and_fit_do_not_depend_on_point_order():
+    # 60 seeded single peaks on 201 bins, fitted in order and permuted:
+    # the seed reads x in ascending order, so both fits start from the
+    # same point and end at the same center (or both fail).
+    bin_width = X[1] - X[0]
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        truth = np.array([rng.uniform(2, 60), rng.uniform(20, 600),
+                          rng.uniform(-8000, 8000),
+                          10 ** rng.uniform(1.5, 3.2)])
+        y = rng.poisson(gauss_model(X, truth)).astype(float)
+        perm = rng.permutation(len(X))
+        np.testing.assert_array_equal(
+            peakfit._single_peak_seed(X[perm], y[perm]),
+            peakfit._single_peak_seed(X, y))
+        in_order, permuted = (_outcome(fit_peak, (X, y), {}),
+                              _outcome(fit_peak, (X[perm], y[perm]), {}))
+        failed = isinstance(in_order, FitError)
+        assert failed == isinstance(permuted, FitError), seed
+        if not failed:
+            assert abs(permuted.center_ps - in_order.center_ps) \
+                <= 1e-3 * bin_width, seed
+
+
+def test_flat_fit_reads_the_grid_in_ascending_order():
+    y = np.full(len(X), 37.0)
+    want = fit_peak(X, y)
+    for x_ in (X[::-1], np.random.default_rng(5).permutation(X)):
+        got = fit_peak(x_, y)
+        assert (got.center_ps, got.sigma_ps) == (want.center_ps, want.sigma_ps)
+    assert want.sigma_ps == X[1] - X[0] and want.center_ps == 0.0
+
+
 # ---------------------------------------------------------------------------
 # bit identity with the full-length evaluation
 #
