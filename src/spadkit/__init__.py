@@ -9,9 +9,7 @@ from .timestream import (
     SensorConfig,
     StreamHeader,
     TimestampRecord,
-    read_csv,
     read_stream,
-    write_csv,
     write_stream,
 )
 from .tdc import TdcLut, apply_lut, build_lut
@@ -24,7 +22,7 @@ from .coincidence import (
     normalize_histogram,
 )
 from .peakfit import GaussianFit, TwoPeakFit, fit_gaussian, fit_two_peaks
-from .crosstalk import CtCurve, CtEstimate, CtPoint, ct_probability, ct_scan
+from .crosstalk import CtCurve, CtEstimate, CtPoint, ct_scan
 from .offsets import (
     DelayVector,
     OffsetMeasurement,
@@ -72,20 +70,17 @@ __all__ = [
     "build_histogram",
     "build_lut",
     "compute_rates",
-    "ct_probability",
     "ct_scan",
     "default_bin_width_ps",
     "fit_gaussian",
     "fit_two_peaks",
     "measure_offsets",
     "normalize_histogram",
-    "read_csv",
     "read_stream",
     "simulate",
     "simulate_code_density",
     "solve_delays",
     "split_subsets",
     "theoretical_contrast",
-    "write_csv",
     "write_stream",
 ]

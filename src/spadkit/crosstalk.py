@@ -28,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coincidence import DEFAULT_WINDOW_PS, DeltaHistogram, PixelIndex, \
-    build_histogram
+from .coincidence import DEFAULT_WINDOW_PS, DeltaHistogram, PixelIndex
 from .documents import Document, as_bool, as_count, as_float
 from .errors import DataError, FitError
 from .peakfit import SIGNIFICANCE_SIGMAS, fit_gaussian
@@ -199,24 +198,6 @@ def _estimate_from_histogram(hist: DeltaHistogram, source: int, target: int,
         error=float(err), n_source=n_source, significant=significant,
         upper_limit=None if significant else SIGNIFICANCE_SIGMAS * err,
         stop_reason=reason)
-
-
-def ct_probability(stream: PhotonStream, source: int, target: int,
-                   window_ps: float = DEFAULT_WINDOW_PS,
-                   delays: np.ndarray | None = None) -> CtEstimate:
-    """Cross-talk probability from source into target.
-
-    The pair histogram is built at one TDC bin per histogram bin; pass
-    ``delays`` to difference calibration-corrected times (a constant
-    shift of all delays cannot change the result).
-    """
-    if source == target:
-        raise ValueError("source and target must differ")
-    pair = (min(source, target), max(source, target))
-    n_source = int(np.count_nonzero(stream.pixel == source))
-    hist = build_histogram(stream, pair, window_ps,
-                           stream.sensor.mean_bin_width_ps, delays)
-    return _estimate_from_histogram(hist, source, target, n_source)
 
 
 def ct_scan(stream: PhotonStream, rate_report: RateReport,

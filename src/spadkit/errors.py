@@ -15,25 +15,22 @@ class DataError(Exception):
 
 
 class StreamFormatError(DataError):
-    """Byte-level or CSV-level stream violation.
+    """Byte-level stream violation.
 
-    Carries enough context (byte offset, cycle index, line number) in the
-    message to locate the defect without re-parsing.
+    Carries enough context (byte offset, cycle index) in the message to
+    locate the defect without re-parsing.
     """
 
     def __init__(self, message: str, *, offset: int | None = None,
-                 cycle_index: int | None = None, line: int | None = None):
+                 cycle_index: int | None = None):
         parts = [message]
         if cycle_index is not None:
             parts.append(f"cycle {cycle_index}")
         if offset is not None:
             parts.append(f"byte offset {offset}")
-        if line is not None:
-            parts.append(f"line {line}")
         super().__init__(": ".join([parts[0], ", ".join(parts[1:])]) if len(parts) > 1 else message)
         self.offset = offset
         self.cycle_index = cycle_index
-        self.line = line
 
 
 class FitError(DataError):

@@ -183,7 +183,9 @@ def _check_lut(stream: PhotonStream, lut: TdcLut) -> None:
             f"raw code {int(codes.max())} out of range "
             f"(tdc_bins={sensor.tdc_bins_per_clock})")
 
-    hit = np.flatnonzero(np.bincount(stream.pixel))
+    seen = np.zeros(sensor.num_pixels, dtype=bool)
+    seen[stream.pixel] = True
+    hit = np.flatnonzero(seen)
     blocked = sorted(int(p) for p in hit if p in lut.unusable)
     if blocked:
         shown = ", ".join(str(p) for p in blocked[:10])

@@ -1,4 +1,4 @@
-"""Photon timestamp streams: types, binary format, CSV interchange.
+"""Photon timestamp streams: types and binary format.
 
 A stream is a sequence of acquisition cycles, each holding the photon
 records detected during one gating window.  Two representations coexist:
@@ -43,7 +43,8 @@ Version 2 payload, per slab of whole cycles (column after column):
 Records inside a cycle are sorted by (time_ps, pixel); the readers reject
 unsorted input rather than silently reordering it.  Empty cycles need not
 be serialized -- the acquisition length in cycles travels in the
-``total_cycles`` metadata key when it differs from the serialized count.
+``total_cycles`` metadata key, the plain decimal of a u64, when it
+differs from the serialized count.
 Each writer writes its own version, whatever ``StreamHeader.version``
 holds: ``PhotonStream.write`` version 2, ``write_stream`` version 1.
 Builds of spadkit that predate version 2 cannot read files written by
@@ -56,20 +57,15 @@ Two readers parse the payload; both read either version:
   offset and, where known, the cycle index;
 * ``PhotonStream.read`` -- the whole stream into columns.
 
-A v2 slab is a few ``np.frombuffer`` views checked by ``_decode_slab``,
-the one decoder both readers call, so they raise the same error for any
-defect.  For v1, ``PhotonStream.read`` scans the cycle headers and
-gathers the records into columns; when a cycle mixes raw and plain
-records, or the bytes hold any structural defect, it hands the payload to
-the v1 streaming parser, which accepts the former and raises the precise
-error for the latter, so both readers fail identically.  The layout of a
-slab follows the record batches of Apache Arrow's IPC format.
+Both readers share one parser per version, so they raise the same error
+for any defect: ``_iter_cycles`` for v1, whose cycles ``PhotonStream.read``
+collects with ``from_cycles``, and for v2 ``_decode_slab``, which checks
+the few ``np.frombuffer`` views of a slab.  The layout of a slab follows
+the record batches of Apache Arrow's IPC format.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import logging
 import struct
 from dataclasses import dataclass, field, replace
@@ -95,14 +91,10 @@ _SLAB_HEADER = struct.Struct("<QQB")          # n_cycles, n_records, flags
 _REC_PLAIN = struct.Struct("<HQB")
 _REC_RAW = struct.Struct("<HQBI")
 
-_DT_PLAIN = np.dtype([("pixel", "<u2"), ("time", "<u8"), ("flags", "u1")])
-_DT_RAW = np.dtype([("pixel", "<u2"), ("time", "<u8"), ("flags", "u1"),
-                    ("raw", "<u4")])
-
 _FLAG_RAW = 0x01
 
-# Records per slab in the vectorized read/write paths.  Bounds transient
-# buffers to tens of MB while keeping per-slab Python overhead negligible.
+# Records per slab in the writer.  Bounds transient buffers to tens of MB
+# while keeping per-slab Python overhead negligible.
 _IO_CHUNK = 1 << 22
 # Largest single read: a corrupt slab header may claim any size, so a
 # slab body is read in pieces of at most this many bytes.
@@ -387,20 +379,6 @@ class PhotonStream:
         stream.validate()
         return stream
 
-    def as_cycles(self) -> Iterator[AcquisitionCycle]:
-        """Yield the record-model view (times rounded to integer ps)."""
-        if self.n_records == 0:
-            return
-        bounds = _run_bounds(self.cycle_index)
-        times = np.rint(self.time_ps).astype(np.uint64)
-        for lo, hi in bounds:
-            recs = tuple(
-                TimestampRecord(
-                    int(self.pixel[k]), int(times[k]),
-                    int(self.raw_code[k]) if self.raw_code is not None else None)
-                for k in range(lo, hi))
-            yield AcquisitionCycle(int(self.cycle_index[lo]), recs)
-
     # -- binary I/O --------------------------------------------------------
 
     def write(self, sink: BinaryIO | str) -> int:
@@ -456,15 +434,19 @@ class PhotonStream:
 
         Unlike ``read_stream`` this holds the whole stream at once; use the
         streaming reader when memory must stay bounded by one slab (v2) or
-        one cycle (v1).
+        one cycle (v1).  A v1 file goes through the streaming parser, one
+        record object at a time, at several times the cost of v2;
+        ``PhotonStream.read(v1_path).write(v2_path)`` converts it once.
         """
         if isinstance(source, str):
             with open(source, "rb") as fh:
                 return cls.read(fh)
         header, cycle_count, offset = _read_header(source)
         if header.version == RECORD_FORMAT_VERSION:
-            return cls._read_records(header, cycle_count, offset,
-                                     source.read())
+            # Cycles pass through one at a time rather than as a list,
+            # which would hold every record object at once.
+            cycles = _iter_cycles(source, header.sensor, cycle_count, offset)
+            return cls.from_cycles(header, cycles, _total_cycles(header, -1))
         parts = []
         last_index = -1
         for slab in _iter_slabs(source, header.sensor, cycle_count, offset):
@@ -482,29 +464,6 @@ class PhotonStream:
         return cls(header=header, cycle_index=cycle_rep, pixel=pixel,
                    time_ps=time_ps, raw_code=raw_code,
                    total_cycles=_total_cycles(header, last_index))
-
-    @classmethod
-    def _read_records(cls, header: StreamHeader, cycle_count: int,
-                      offset: int, buf: bytes) -> "PhotonStream":
-        """A version 1 payload ``buf`` that starts at byte ``offset``."""
-        columns = _gather_columns(buf, header.sensor, cycle_count)
-        if columns is None:
-            # Mixed raw/plain records or a structural defect: the streaming
-            # parser accepts the one and raises the precise error for the
-            # other.  Cycles pass through one at a time rather than as a
-            # list, which would hold every record object at once.
-            cycles = _iter_cycles(io.BytesIO(buf), header.sensor,
-                                  cycle_count, offset)
-            return cls.from_cycles(header, cycles, _total_cycles(header, -1))
-        cycle_rep, pixel, time_ps, raw_code, last_index = columns
-        return cls(
-            header=header,
-            cycle_index=cycle_rep,
-            pixel=pixel,
-            time_ps=time_ps,
-            raw_code=raw_code,
-            total_cycles=_total_cycles(header, last_index),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -574,6 +533,8 @@ def _read_header(source: BinaryIO) -> tuple[StreamHeader, int, int]:
         metadata[key.decode("utf-8", errors="replace")] = \
             val.decode("utf-8", errors="replace")
         offset += 2 * _U16.size + len(key) + len(val)
+    if "total_cycles" in metadata:
+        _check_total_cycles(metadata["total_cycles"])
     (cycle_count,) = _U64.unpack(_read_exact(source, 8, "cycle count"))
 
     header = StreamHeader(sensor=sensor, version=version, metadata=metadata)
@@ -775,95 +736,6 @@ def _slab_cycles(slabs: Iterable[_Slab]) -> Iterator[AcquisitionCycle]:
 
 
 # ---------------------------------------------------------------------------
-# CSV interchange
-
-def write_csv(stream: PhotonStream | Iterable[AcquisitionCycle],
-              sink, *, header_row: bool = True) -> int:
-    """Write ``cycle_index,pixel,time_ps`` rows.
-
-    Raw codes and empty cycles have no row representation and do not
-    survive the trip.  Returns the number of data rows written.
-    """
-    if isinstance(sink, str):
-        with open(sink, "w", newline="") as fh:
-            return write_csv(stream, fh, header_row=header_row)
-    writer = csv.writer(sink)
-    if header_row:
-        writer.writerow(["cycle_index", "pixel", "time_ps"])
-    rows = 0
-    cycles = stream.as_cycles() if isinstance(stream, PhotonStream) else stream
-    for cycle in cycles:
-        for rec in cycle.records:
-            writer.writerow([cycle.cycle_index, rec.pixel, rec.time_ps])
-            rows += 1
-    return rows
-
-
-def read_csv(source, sensor: SensorConfig) -> list[AcquisitionCycle]:
-    """Parse CSV rows into cycles under the same invariants as the binary reader."""
-    if isinstance(source, str):
-        with open(source, "r", newline="") as fh:
-            return read_csv(fh, sensor)
-    if isinstance(source, bytes):
-        source = io.StringIO(source.decode("utf-8", errors="replace"))
-
-    cycles: list[AcquisitionCycle] = []
-    current: list[TimestampRecord] = []
-    current_index = -1
-    prev_key = (-1, -1)
-
-    def flush():
-        if current_index >= 0:
-            cycles.append(AcquisitionCycle(current_index, tuple(current)))
-
-    reader = csv.reader(source)
-    while True:
-        try:
-            row = next(reader)
-        except StopIteration:
-            break
-        except csv.Error as exc:
-            raise StreamFormatError(f"CSV parse error: {exc}",
-                                    line=reader.line_num) from None
-        lineno = reader.line_num
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if lineno == 1 and not row[0].strip().lstrip("-").isdigit():
-            continue  # optional header row
-        if len(row) != 3:
-            raise StreamFormatError(
-                f"expected 3 columns, got {len(row)}", line=lineno)
-        try:
-            cyc, pixel, time_ps = (int(x) for x in row)
-        except ValueError:
-            raise StreamFormatError("non-integer field", line=lineno) from None
-        if cyc < 0 or pixel < 0 or time_ps < 0:
-            raise StreamFormatError("negative field", line=lineno)
-        if cyc >= 1 << 64:
-            raise StreamFormatError(f"cycle index {cyc} exceeds u64",
-                                    line=lineno)
-        if pixel >= sensor.num_pixels:
-            raise StreamFormatError(f"pixel {pixel} out of range", line=lineno)
-        if time_ps >= sensor.cycle_period_ps:
-            raise StreamFormatError(f"time {time_ps} outside cycle", line=lineno)
-        if cyc != current_index:
-            if cyc < current_index:
-                raise StreamFormatError("cycle index decreases", line=lineno)
-            flush()
-            current = []
-            current_index = cyc
-            prev_key = (-1, -1)
-        key = (time_ps, pixel)
-        if key < prev_key:
-            raise StreamFormatError("records not sorted by (time, pixel)",
-                                    line=lineno)
-        prev_key = key
-        current.append(TimestampRecord(pixel, time_ps))
-    flush()
-    return cycles
-
-
-# ---------------------------------------------------------------------------
 # shared helpers
 
 def _write_header(sink: BinaryIO, header: StreamHeader, version: int, *,
@@ -874,6 +746,8 @@ def _write_header(sink: BinaryIO, header: StreamHeader, version: int, *,
                         sensor.clock_period_ps)]
     out.append(_U16.pack(len(header.metadata)))
     for key, val in header.metadata.items():
+        if key == "total_cycles":
+            _check_total_cycles(str(val))
         kb, vb = key.encode(), str(val).encode()
         if len(kb) > 0xFFFF or len(vb) > 0xFFFF:
             raise ValueError("metadata entry longer than 65535 bytes")
@@ -949,12 +823,6 @@ def _lex_ordered(*keys: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _run_bounds(values: np.ndarray) -> list[tuple[int, int]]:
-    """[(start, stop)] of equal-value runs in a sorted array."""
-    starts, stops = _run_edges(values)
-    return list(zip(starts.tolist(), stops.tolist()))
-
-
 def _run_edges(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(starts, stops) arrays of equal-value runs in a sorted array."""
     if len(values) == 0:
@@ -981,120 +849,18 @@ def _slab_runs(starts: np.ndarray, chunk: int) -> Iterator[tuple[int, int]]:
         r0 = r1
 
 
-def _scan_cycles(buf: bytes) -> tuple[
-        np.ndarray, np.ndarray, np.ndarray, int] | None:
-    """Index the v1 cycle headers of ``buf`` without parsing record payloads.
-
-    Returns (cycle indices, record counts, record block offsets, shared flags
-    byte) when every cycle is well formed and each cycle's first record
-    carries the same flags byte; any anomaly returns None.  The shared flags
-    byte fixes the record stride, so a record that deviates mid-cycle would
-    desynchronize this scan; `_gather_columns` cross-checks the parsed flags
-    column before trusting the result.
-    """
-    n_buf = len(buf)
-    hsz = _CYCLE_HEADER.size
-    unpack = _CYCLE_HEADER.unpack_from
-    sizes = {0: _REC_PLAIN.size, _FLAG_RAW: _REC_RAW.size}
-    indices: list[int] = []
-    counts: list[int] = []
-    offsets: list[int] = []
-    pos = 0
-    prev = -1
-    flags = -1
-    rsz = 0
-    while pos < n_buf:
-        if n_buf - pos < hsz:
-            return None
-        index, count = unpack(buf, pos)
-        if index <= prev:
-            return None
-        prev = index
-        pos += hsz
-        indices.append(index)
-        counts.append(count)
-        offsets.append(pos)
-        if count:
-            if n_buf - pos < _REC_PLAIN.size:
-                return None
-            f = buf[pos + 10]
-            if f != flags:
-                if flags != -1 or f not in sizes:
-                    return None
-                flags = f
-                rsz = sizes[f]
-            pos += count * rsz
-            if pos > n_buf:
-                return None
-    return (np.array(indices, dtype=np.uint64),
-            np.array(counts, dtype=np.int64),
-            np.array(offsets, dtype=np.int64),
-            flags)
-
-
-def _gather_columns(buf: bytes, sensor: SensorConfig,
-                    cycle_count: int) -> tuple[
-        np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, int] | None:
-    """Vectorized parse of the v1 cycles in ``buf``.
-
-    Returns (cycle index per record, pixel, time_ps, raw_code, last
-    serialized cycle index), or None when a cycle mixes raw and plain
-    records or the bytes break any structural rule; `PhotonStream.read`
-    then hands them to the v1 streaming parser.
-    """
-    scan = _scan_cycles(buf)
-    if scan is None:
-        return None
-    idx_arr, cnt_arr, pos_arr, flags = scan
-    if cycle_count not in (STREAMING_CYCLE_COUNT, len(idx_arr)):
-        return None
-
-    pixel = np.empty(0, dtype=np.uint16)
-    time_ps = np.empty(0, dtype=np.float64)
-    raw_code = None
-    if cnt_arr.sum():
-        dtype = _DT_RAW if flags & _FLAG_RAW else _DT_PLAIN
-        isz = dtype.itemsize
-        u8 = np.frombuffer(buf, dtype=np.uint8)
-        rec_first = np.concatenate(([0], np.cumsum(cnt_arr)))
-        pix_parts, t_parts, raw_parts = [], [], []
-        for c0, c1 in _slab_runs(rec_first[:-1], _IO_CHUNK):
-            cnts = cnt_arr[c0:c1]
-            m = int(rec_first[c1] - rec_first[c0])
-            local = np.arange(m) - np.repeat(rec_first[c0:c1] - rec_first[c0],
-                                             cnts)
-            byte0 = np.repeat(pos_arr[c0:c1], cnts) + local * isz
-            mat = np.empty((m, isz), dtype=np.uint8)
-            for j in range(isz):
-                mat[:, j] = u8[byte0 + j]
-            rec = mat.view(dtype).reshape(m)
-            if not (rec["flags"] == flags).all():
-                # A cycle mixes raw and plain records, so the scan's stride
-                # assumption is wrong from that record on.
-                return None
-            pix_parts.append(rec["pixel"].copy())
-            t_parts.append(rec["time"].astype(np.float64))
-            if flags & _FLAG_RAW:
-                raw_parts.append(rec["raw"].copy())
-        pixel = np.concatenate(pix_parts)
-        time_ps = np.concatenate(t_parts)
-        if raw_parts:
-            raw_code = np.concatenate(raw_parts)
-
-    # The scan guarantees increasing cycle indices, so the order check
-    # only bites on (time, pixel) within a cycle.
-    cycle_rep = np.repeat(idx_arr, cnt_arr)
-    if len(pixel) and (int(pixel.max()) >= sensor.num_pixels
-                       or time_ps.max() >= sensor.cycle_period_ps
-                       or not _lex_ordered(cycle_rep, time_ps, pixel).all()):
-        return None
-    last_index = int(idx_arr[-1]) if len(idx_arr) else -1
-    return cycle_rep, pixel, time_ps, raw_code, last_index
+def _check_total_cycles(value: str) -> None:
+    """Refuse a ``total_cycles`` metadata entry that is not the plain
+    decimal of an integer in [0, 2**64): the acquisition length, and every
+    rate over it, comes from this entry."""
+    try:
+        ok = str(int(value)) == value and 0 <= int(value) < 1 << 64
+    except ValueError:
+        ok = False
+    if not ok:
+        raise StreamFormatError(
+            f"metadata total_cycles {value!r} is not a cycle count")
 
 
 def _total_cycles(header: StreamHeader, last_index: int) -> int:
-    try:
-        total = int(header.metadata.get("total_cycles", 0) or 0)
-    except ValueError:
-        total = 0  # foreign metadata; fall back to the cycle span
-    return max(total, last_index + 1, 0)
+    return max(int(header.metadata.get("total_cycles", 0)), last_index + 1)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import struct
 
 import numpy as np
 
@@ -13,6 +14,7 @@ from spadkit import (
     TimestampRecord,
     write_stream,
 )
+from spadkit import timestream
 
 
 def random_cycles(rng: np.random.Generator, sensor: SensorConfig,
@@ -48,3 +50,15 @@ def stream_bytes(header: StreamHeader, cycles: list[AcquisitionCycle]) -> bytes:
     buf = io.BytesIO()
     write_stream(header, cycles, buf)
     return buf.getvalue()
+
+
+def with_metadata_entry(data: bytes, key: str, value: str) -> bytes:
+    """The stream ``data`` with its metadata replaced by the one entry
+    ``key``: ``value``.  The writers refuse some entries the readers must
+    also reject, so tests put those in the bytes this way."""
+    payload = timestream._read_header(io.BytesIO(data))[2]
+    entry = b"".join(struct.pack("<H", len(b)) + b
+                     for b in (key.encode(), value.encode()))
+    # the 22-byte fixed header, the u16 entry count, the entries, then
+    # the u64 cycle count
+    return data[:22] + struct.pack("<H", 1) + entry + data[payload - 8:]

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from conftest import stream_bytes, with_metadata_entry
+
 from spadkit.cli import main
 from spadkit.coincidence import (DeltaHistogram, build_histogram,
                                  normalize_histogram)
@@ -23,7 +25,8 @@ from spadkit.simulator import BeamSpec, DcrProfile, SimConfig, simulate, \
     simulate_code_density
 from spadkit.svg import histogram_svg
 from spadkit.tdc import TdcLut, apply_lut
-from spadkit.timestream import PhotonStream, SensorConfig, record_order
+from spadkit.timestream import (AcquisitionCycle, PhotonStream, SensorConfig,
+                                StreamHeader, TimestampRecord, record_order)
 
 
 def write_config(path, config: SimConfig) -> str:
@@ -435,6 +438,15 @@ BAD_INPUTS += [
          changed(LUT, sensor={**LUT.to_json_dict()["sensor"],
                               "clock_period_ps": 2600}),
          "LUT sensor fingerprint does not match the stream sensor"))]
+# the acquisition length that rates divide by: one cycle at index 9, so a
+# fallback to the cycle span would read 10
+BAD_INPUTS += [
+    ("malformed total_cycles", ["dcr", "--in", FILE],
+     with_metadata_entry(
+         stream_bytes(StreamHeader(SensorConfig()),
+                      [AcquisitionCycle(9, (TimestampRecord(3, 100),))]),
+         "total_cycles", "abc"),
+     "metadata total_cycles 'abc' is not a cycle count")]
 
 
 @pytest.mark.parametrize("argv, content, message",
@@ -451,7 +463,9 @@ def test_bad_input_files_exit_two(argv, content, message, sim_stream_path,
              BAD_CODE: bad_code_stream_path}.get(a, a) for a in argv]
     assert main([*argv, "--out", str(out)]) == 2
     err = json.loads(capsys.readouterr().err.strip())
-    assert err["error"] and err["type"] in {"DataError", "CalibrationError"}
+    assert err["error"] and err["type"] in (
+        {"StreamFormatError"} if content.startswith(b"SPK1")
+        else {"DataError", "CalibrationError"})
     if message is not None:
         assert err["error"] == message
     assert not out.exists()

@@ -164,6 +164,20 @@ def test_json_roundtrip_and_fingerprint_check():
             TdcLut.from_json_dict({**doc, **bad})
 
 
+@pytest.mark.parametrize("field, value", [("num_pixels", 64),
+                                          ("tdc_bins_per_clock", 100),
+                                          ("clock_period_ps", 2600)])
+def test_apply_refuses_a_lut_of_another_sensor(field, value):
+    # apply_lut's own check: the CLI's TdcLut.load refuses such a LUT first
+    plenty = np.repeat(np.arange(BINS, dtype=np.uint32), 100)
+    stream = raw_stream({3: plenty})
+    other = SensorConfig(**{field: value})
+    lut = TdcLut(other, np.full((other.num_pixels, other.tdc_bins_per_clock),
+                                other.mean_bin_width_ps))
+    with pytest.raises(CalibrationError, match="fingerprint"):
+        apply_lut(stream, lut)
+
+
 def test_lut_constructor_rejects_bad_usable_rows():
     widths = np.full((SENSOR.num_pixels, BINS), CLOCK / BINS)
     widths[5, 3] = 0.0

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import io
+import re
 import struct
 from unittest import mock
 
@@ -11,7 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import random_cycles, random_header, stream_bytes
+from conftest import (random_cycles, random_header, stream_bytes,
+                      with_metadata_entry)
 from spadkit import (
     AcquisitionCycle,
     PhotonStream,
@@ -19,9 +21,7 @@ from spadkit import (
     StreamFormatError,
     StreamHeader,
     TimestampRecord,
-    read_csv,
     read_stream,
-    write_csv,
     write_stream,
 )
 from spadkit import timestream
@@ -54,6 +54,10 @@ def assert_same_stream(got, want):
         else:
             assert g.dtype == w.dtype and np.array_equal(g, w), name
     assert got.total_cycles == want.total_cycles
+
+
+def assert_same_columns(got, want):
+    assert_same_stream(got, dataclasses.replace(want, header=got.header))
 
 
 def read_outcome(read, data):
@@ -248,6 +252,57 @@ def test_reserved_flag_bits_rejected():
         PhotonStream.read(io.BytesIO(bytes(data)))
 
 
+BAD_TOTALS = ["abc", "", "+10", " 10", "10 ", "010", "-0", "-1", "1_0",
+              "10.0", "\u0661\u0660", str(2**64)]
+
+
+@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("value", BAD_TOTALS)
+def test_malformed_total_cycles_same_error_from_both_readers(version, value):
+    # one cycle at index 9: a fallback to the cycle span would read 10
+    cycles = [AcquisitionCycle(9, (TimestampRecord(3, 100),))]
+    data = stream_bytes(HEADER, cycles) if version == 1 else \
+        columnar_bytes(PhotonStream.from_cycles(HEADER, cycles))
+    data = with_metadata_entry(data, "total_cycles", value)
+    assert version_of(data) == version
+    for read in (lambda b: list(read_stream(io.BytesIO(b))[1]),
+                 lambda b: PhotonStream.read(io.BytesIO(b))):
+        with pytest.raises(StreamFormatError,
+                           match=re.escape(f"total_cycles {value!r} is not")):
+            read(data)
+    assert_readers_agree(data)
+
+
+@pytest.mark.parametrize("value, total", [("0", 10), ("10", 10), ("42", 42),
+                                          (str(2**64 - 1), 2**64 - 1)])
+def test_plain_decimal_total_cycles_accepted(value, total):
+    data = with_metadata_entry(
+        stream_bytes(HEADER, [AcquisitionCycle(9, (TimestampRecord(3, 100),))]),
+        "total_cycles", value)
+    assert PhotonStream.read(io.BytesIO(data)).total_cycles == total
+    assert_readers_agree(data)
+
+
+@pytest.mark.parametrize("value", BAD_TOTALS)
+def test_writers_refuse_malformed_total_cycles(value):
+    header = StreamHeader(SENSOR, metadata={"total_cycles": value})
+    empty = PhotonStream(header, cycle_index=np.empty(0, np.uint64),
+                         pixel=np.empty(0, np.uint16), time_ps=np.empty(0))
+    for write in (lambda sink: write_stream(header, [AcquisitionCycle(9, ())],
+                                            sink),
+                  empty.write):
+        sink = io.BytesIO()
+        with pytest.raises(StreamFormatError,
+                           match=re.escape(f"total_cycles {value!r} is not")):
+            write(sink)
+        assert sink.getvalue() == b""
+    # a stream's own cycle count replaces the entry it inherited
+    stream = PhotonStream.from_cycles(
+        header, [AcquisitionCycle(9, (TimestampRecord(3, 100),))])
+    back = PhotonStream.read(io.BytesIO(columnar_bytes(stream)))
+    assert back.header.metadata["total_cycles"] == "10"
+
+
 # ---------------------------------------------------------------------------
 # columnar model
 
@@ -256,7 +311,8 @@ def test_columnar_read_matches_record_read():
     cycles = [c for c in random_cycles(rng, SENSOR, max_cycles=30) if c.records]
     data = stream_bytes(HEADER, cycles)
     ps = PhotonStream.read(io.BytesIO(data))
-    assert list(ps.as_cycles()) == cycles
+    assert ps.header.version == 1
+    assert_same_columns(ps, PhotonStream.from_cycles(HEADER, cycles))
     assert ps.n_records == sum(len(c.records) for c in cycles)
 
 
@@ -269,7 +325,7 @@ def test_columnar_write_read_roundtrip():
     ps.write(buf)
     buf.seek(0)
     ps2 = PhotonStream.read(buf)
-    assert list(ps2.as_cycles()) == cycles
+    assert_same_columns(ps2, ps)
     buf2 = io.BytesIO()
     ps2.write(buf2)
     assert buf2.getvalue() == buf.getvalue()
@@ -304,7 +360,7 @@ def test_cycle_index_beyond_2_63_roundtrip():
     buf = io.BytesIO()
     ps.write(buf)
     back = PhotonStream.read(io.BytesIO(buf.getvalue()))
-    assert list(back.as_cycles()) == cycles
+    assert_same_columns(back, ps)
     assert back.total_cycles == index + 1
     assert list(read_stream(io.BytesIO(buf.getvalue()))[1]) == cycles
 
@@ -364,10 +420,6 @@ def payload_offset(data):
 
 def version_of(data):
     return struct.unpack_from("<H", data, 4)[0]
-
-
-def assert_same_columns(got, want):
-    assert_same_stream(got, dataclasses.replace(want, header=got.header))
 
 
 def nonempty_stream(seed, raw):
@@ -479,50 +531,6 @@ def test_slab_defects_same_error_from_both_readers(mutate, match, cycle, at):
 
 
 # ---------------------------------------------------------------------------
-# CSV
-
-def test_csv_roundtrip_matches_binary():
-    rng = np.random.default_rng(5)
-    cycles = random_cycles(rng, SENSOR, max_cycles=15)
-    out = io.StringIO()
-    write_csv(iter(cycles), out)
-    got = read_csv(io.StringIO(out.getvalue()), SENSOR)
-    # empty cycles have no row representation; everything else survives exactly
-    assert got == [c for c in cycles if c.records]
-
-
-def test_csv_without_header_row():
-    got = read_csv(io.StringIO("0,3,100\n0,4,100\n2,1,5\n"), SENSOR)
-    assert [c.cycle_index for c in got] == [0, 2]
-    assert got[0].records == (TimestampRecord(3, 100), TimestampRecord(4, 100))
-
-
-def test_csv_non_monotone_cycle_rejected():
-    with pytest.raises(StreamFormatError, match="line 3"):
-        read_csv(io.StringIO("1,3,100\n2,3,100\n1,3,100\n"), SENSOR)
-
-
-def test_csv_out_of_range_field_names_line():
-    with pytest.raises(StreamFormatError, match="line 2"):
-        read_csv(io.StringIO("cycle_index,pixel,time_ps\n0,999,5\n"), SENSOR)
-    # one past the largest u64 cycle index
-    with pytest.raises(StreamFormatError, match="line 2"):
-        read_csv(io.StringIO("0,3,100\n18446744073709551616,3,100\n"), SENSOR)
-    got = read_csv(io.StringIO("18446744073709551615,3,100\n"), SENSOR)
-    assert got[0].cycle_index == 2**64 - 1
-
-
-def test_csv_bad_field_count():
-    with pytest.raises(StreamFormatError, match="3 columns"):
-        read_csv(io.StringIO("0,1\n"), SENSOR)
-
-
-def test_csv_unsorted_rejected():
-    with pytest.raises(StreamFormatError, match="sorted"):
-        read_csv(io.StringIO("0,1,200\n0,1,100\n"), SENSOR)
-
-
-# ---------------------------------------------------------------------------
 # properties
 
 @st.composite
@@ -595,15 +603,6 @@ def test_property_parser_total_on_mutations(data):
     for candidate in (bytes(blob), bytes(blob[:cut])):
         # only StreamFormatError may escape, and both readers agree on it
         assert_readers_agree(candidate)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.text(max_size=300))
-def test_property_csv_total_on_garbage(text):
-    try:
-        read_csv(io.StringIO(text), SENSOR)
-    except StreamFormatError:
-        pass
 
 
 @settings(max_examples=150, deadline=None)
