@@ -35,7 +35,7 @@ from .rates import DEFAULT_HOT_THRESHOLD_CPS, compute_rates
 from .simulator import SimConfig, simulate
 from .svg import ct_curve_svg, histogram_svg
 from .tdc import TdcLut, _check_lut, apply_lut
-from .timestream import PhotonStream, SensorConfig
+from .timestream import PhotonStream
 
 logger = logging.getLogger(__name__)
 
@@ -98,32 +98,33 @@ def _positive(kind):
 
 
 def _read_stream(path: str, lut_path: str | None = None,
+                 delays_path: str | None = None,
                  pair: tuple[int, int] | None = None) -> PhotonStream:
-    """The stream at ``path``, calibrated by the LUT at ``lut_path`` if
-    given.  With a ``pair``, the whole stream is checked against the LUT
-    but only the pair's records are converted and returned."""
+    """The stream at ``path`` with the run's calibrations applied: raw
+    codes converted by the LUT at ``lut_path``, then times corrected by
+    the delays at ``delays_path``.  With a ``pair`` and a calibration,
+    the whole stream is checked against the LUT but only the pair's
+    records are calibrated and returned."""
     stream = PhotonStream.read(path)
-    if lut_path is None:
-        return stream
-    lut = TdcLut.load(lut_path, stream.sensor)
-    if pair is None:
-        return apply_lut(stream, lut)
-    _check_lut(stream, lut)
-    picked = stream.take(np.isin(stream.pixel, pair))
-    logger.info("apply_lut: converted %d of %d records (pixels %d, %d)",
-                picked.n_records, stream.n_records, *pair)
-    return apply_lut(picked, lut)
-
-
-def _load_delays(path: str | None,
-                 sensor: SensorConfig) -> np.ndarray | None:
-    if path is None:
-        return None
-    delays = DelayVector.load(path).delays_ps
-    if len(delays) != sensor.num_pixels:
-        raise DataError(f"{path} holds {len(delays)} delays but the stream "
-                        f"has {sensor.num_pixels} pixels")
-    return delays
+    lut = None if lut_path is None else TdcLut.load(lut_path, stream.sensor)
+    if pair is not None and (lut is not None or delays_path is not None):
+        if lut is not None:
+            _check_lut(stream, lut)
+        n_read = stream.n_records
+        stream = stream.take(np.isin(stream.pixel, pair))
+        if lut is not None:
+            logger.info("apply_lut: converted %d of %d records "
+                        "(pixels %d, %d)", stream.n_records, n_read, *pair)
+    if lut is not None:
+        stream = apply_lut(stream, lut)
+    if delays_path is not None:
+        delays = DelayVector.load(delays_path)
+        n_pixels = stream.sensor.num_pixels
+        if len(delays) != n_pixels:
+            raise DataError(f"{delays_path} holds {len(delays)} delays but "
+                            f"the stream has {n_pixels} pixels")
+        stream = apply_delays(stream, delays)
+    return stream
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +161,9 @@ def _cmd_dcr(args) -> int:
 
 def _cmd_coincidence(args) -> int:
     t0 = time.monotonic()
-    stream = _read_stream(getattr(args, "in"), args.lut, args.pair)
-    hist = build_histogram(stream, args.pair, args.window, args.bin,
-                           delays=_load_delays(args.delays, stream.sensor))
+    stream = _read_stream(getattr(args, "in"), args.lut, args.delays,
+                          args.pair)
+    hist = build_histogram(stream, args.pair, args.window, args.bin)
     try:
         hist = normalize_histogram(hist)
     except DataError:
@@ -192,11 +193,10 @@ def _cmd_fit(args) -> int:
 
 def _cmd_ct_scan(args) -> int:
     t0 = time.monotonic()
-    stream = _read_stream(getattr(args, "in"), args.lut)
+    stream = _read_stream(getattr(args, "in"), args.lut, args.delays)
     report = compute_rates(stream, hot_threshold_cps=args.hot_threshold)
     curve = ct_scan(stream, report, d_max=args.dmax, n_hot=args.nhot,
-                    window_ps=args.window,
-                    delays=_load_delays(args.delays, stream.sensor))
+                    window_ps=args.window)
     curve.save(args.out)
     outputs = [args.out]
     if args.svg is not None:
@@ -223,10 +223,9 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_report(args) -> int:
     t0 = time.monotonic()
-    stream = _read_stream(getattr(args, "in"), args.lut, args.pair)
-    delays = _load_delays(args.delays, stream.sensor)
-    hist = build_histogram(stream, args.pair, args.window, args.bin,
-                           delays=delays)
+    stream = _read_stream(getattr(args, "in"), args.lut, args.delays,
+                          args.pair)
+    hist = build_histogram(stream, args.pair, args.window, args.bin)
     try:
         hist = normalize_histogram(hist)
     except DataError:

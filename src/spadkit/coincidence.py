@@ -3,12 +3,14 @@
 For an ordered pixel pair (a, b) with a < b, every cross pair of records
 inside the same acquisition cycle contributes one time difference
 
-    dt = time_b - time_a          (optionally delay-corrected first)
+    dt = time_b - time_a
 
 and differences with |dt| <= window land in a fixed-width histogram.
-Pairs never span cycle boundaries.  Normalizing by the median bin count
-turns the histogram into a correlation estimate whose background sits at
-1 and whose peaks read directly as contrast above background.
+Pairs never span cycle boundaries.  A delay calibration is applied to
+the stream beforehand (``offsets.apply_delays``).  Normalizing by the
+median bin count turns the histogram into a correlation estimate whose
+background sits at 1 and whose peaks read directly as contrast above
+background.
 """
 
 from __future__ import annotations
@@ -163,8 +165,7 @@ def _pair_counts(cyc_a, t_a, cyc_b, t_b, window_ps, bin_width_ps):
 
 
 def _histogram(source, records_for, pair: tuple[int, int], window_ps: float,
-               bin_width_ps: float | None,
-               delays: np.ndarray | None) -> DeltaHistogram:
+               bin_width_ps: float | None) -> DeltaHistogram:
     """Body of ``build_histogram`` and ``PixelIndex.histogram``, which
     differ only in ``source`` (the stream or the index; both carry the
     sensor) and ``records_for(pixel)``: that pixel's cycle-sorted
@@ -181,16 +182,9 @@ def _histogram(source, records_for, pair: tuple[int, int], window_ps: float,
         bin_width_ps = default_bin_width_ps(source)
     if window_ps <= 0 or bin_width_ps <= 0:
         raise ValueError("window and bin width must be positive")
-    if delays is not None:
-        delays = np.asarray(delays, dtype=np.float64)
-        if delays.shape != (sensor.num_pixels,):
-            raise ValueError("delays must cover every pixel")
 
     cyc_a, t_a = records_for(a)
     cyc_b, t_b = records_for(b)
-    if delays is not None:
-        t_a = t_a - delays[a]
-        t_b = t_b - delays[b]
     counts, total = _pair_counts(cyc_a, t_a, cyc_b, t_b, window_ps,
                                  bin_width_ps)
     return DeltaHistogram(pixel_a=a, pixel_b=b, window_ps=float(window_ps),
@@ -200,22 +194,15 @@ def _histogram(source, records_for, pair: tuple[int, int], window_ps: float,
 
 def build_histogram(stream: PhotonStream, pair: tuple[int, int],
                     window_ps: float = DEFAULT_WINDOW_PS,
-                    bin_width_ps: float | None = None,
-                    delays: np.ndarray | None = None) -> DeltaHistogram:
-    """Histogram dt = t_b - t_a over all same-cycle cross pairs.
-
-    ``delays`` (per-pixel, ps) are subtracted from each record's time
-    before differencing, which is how a delay calibration enters an
-    uncorrected stream.
-    """
+                    bin_width_ps: float | None = None) -> DeltaHistogram:
+    """Histogram dt = t_b - t_a over all same-cycle cross pairs."""
     def records_for(pixel):
         # Stream order is cycle-major, so the masked records stay sorted
         # by cycle.
         mask = stream.pixel == pixel
         return stream.cycle_index[mask], stream.time_ps[mask]
 
-    return _histogram(stream, records_for, pair, window_ps, bin_width_ps,
-                      delays)
+    return _histogram(stream, records_for, pair, window_ps, bin_width_ps)
 
 
 class PixelIndex:
@@ -256,11 +243,10 @@ class PixelIndex:
 
     def histogram(self, pair: tuple[int, int],
                   window_ps: float = DEFAULT_WINDOW_PS,
-                  bin_width_ps: float | None = None,
-                  delays: np.ndarray | None = None) -> DeltaHistogram:
+                  bin_width_ps: float | None = None) -> DeltaHistogram:
         """Same contract as ``build_histogram``, served from the index."""
         return _histogram(self, self.records_for, pair, window_ps,
-                          bin_width_ps, delays)
+                          bin_width_ps)
 
 
 def normalize_histogram(hist: DeltaHistogram) -> DeltaHistogram:

@@ -202,14 +202,14 @@ def _estimate_from_histogram(hist: DeltaHistogram, source: int, target: int,
 
 def ct_scan(stream: PhotonStream, rate_report: RateReport,
             d_max: int = DEFAULT_D_MAX, n_hot: int = DEFAULT_N_HOT,
-            window_ps: float = DEFAULT_WINDOW_PS,
-            delays: np.ndarray | None = None) -> CtCurve:
+            window_ps: float = DEFAULT_WINDOW_PS) -> CtCurve:
     """Probability-versus-distance curve from the strongest hot pixels.
 
     Takes the top ``n_hot`` hot pixels of ``rate_report`` as sources and
     pairs each with its neighbors at 1..d_max on both sides, clipped at
     the sensor edges.  Hot pixels without enough counts for a meaningful
-    estimate are dropped; the scan fails only when none remain.
+    estimate are dropped; the scan fails only when none remain.  A delay
+    calibration is applied to ``stream`` beforehand (``apply_delays``).
     """
     if d_max < 1:
         raise ValueError("d_max must be at least 1")
@@ -238,7 +238,7 @@ def ct_scan(stream: PhotonStream, rate_report: RateReport,
                 if not 0 <= target < num_pixels:
                     continue
                 hist = index.histogram((min(h, target), max(h, target)),
-                                       window_ps, bin_width, delays)
+                                       window_ps, bin_width)
                 est = _estimate_from_histogram(hist, h, target,
                                                int(counts[h]))
                 per_distance[d].append(est)

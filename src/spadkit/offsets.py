@@ -226,9 +226,11 @@ def solve_delays(measurements, num_pixels: int | None = None) -> DelayVector:
 def apply_delays(stream: PhotonStream, delays) -> PhotonStream:
     """Subtract per-pixel delays from every record and re-sort.
 
-    Corrected times may leave [0, cycle_period); such records are kept
-    and tagged ``out_of_window`` instead of being wrapped, so counting
-    statistics survive the correction.
+    This is how a delay calibration enters a stream; the analyses take
+    the corrected stream.  Corrected times may leave [0, cycle_period);
+    such records are kept rather than wrapped or dropped, so counting
+    statistics survive the correction, and the stream can no longer be
+    validated or written.
     """
     vec = delays.delays_ps if isinstance(delays, DelayVector) \
         else np.asarray(delays, dtype=np.float64)
@@ -239,10 +241,5 @@ def apply_delays(stream: PhotonStream, delays) -> PhotonStream:
                         f"stream uses pixel {int(stream.pixel.max())}")
 
     time = stream.time_ps - vec[stream.pixel]
-    period = stream.sensor.cycle_period_ps
-    oow = (time < 0) | (time >= period)
-    if stream.out_of_window is not None:
-        oow |= stream.out_of_window
     order = record_order(stream.cycle_index, time, stream.pixel)
-    return replace(stream, time_ps=time,
-                   out_of_window=oow if oow.any() else None).take(order)
+    return replace(stream, time_ps=time).take(order)

@@ -42,7 +42,6 @@ class TdcLut(Document):
     sensor: SensorConfig
     widths: np.ndarray
     unusable: frozenset[int] = frozenset()
-    total_counts: np.ndarray | None = None
     offsets: np.ndarray = field(init=False)
 
     LOAD_ERROR = CalibrationError
@@ -162,8 +161,7 @@ def build_lut(stream: PhotonStream) -> TdcLut:
     with np.errstate(invalid="ignore", divide="ignore"):
         widths = clock * counts / totals[:, None]
     widths[totals == 0] = 0.0
-    return TdcLut(sensor=sensor, widths=widths, unusable=unusable,
-                  total_counts=totals)
+    return TdcLut(sensor=sensor, widths=widths, unusable=unusable)
 
 
 def _check_lut(stream: PhotonStream, lut: TdcLut) -> None:
@@ -200,9 +198,9 @@ def apply_lut(stream: PhotonStream, lut: TdcLut) -> PhotonStream:
         time_ps = clock_base(time_ps) + offset[pixel, code] + width[pixel, code] / 2
 
     The coarse clock base is whatever multiple of the clock period the raw
-    record's time field encodes.  The result stream drops raw codes, keeps
-    any out-of-window tags, and is re-sorted, since calibrated fine times
-    can reorder ties.
+    record's time field encodes.  The result stream drops raw codes and
+    is re-sorted, since calibrated fine times can reorder ties.  Delays,
+    if any, are applied afterwards (``offsets.apply_delays``).
 
     A record's calibrated time depends only on its own pixel and code, so
     converting a subset (``stream.take`` of some pixels' records) gives

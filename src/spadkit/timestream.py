@@ -279,11 +279,11 @@ class PhotonStream:
 
     Arrays are sorted lexicographically by (cycle_index, time_ps, pixel).
     ``time_ps`` is float64 so delay-corrected streams keep sub-ps values;
-    freshly read or simulated streams hold integer-valued times.
-    ``out_of_window`` marks records pushed outside [0, cycle_period) by a
-    delay correction; such streams are analysis artifacts and cannot be
-    serialized.  ``take`` is the only way to derive a stream (corrected,
-    re-sorted, sliced) and the one place that lists the record columns.
+    freshly read or simulated streams hold integer-valued times.  A delay
+    correction can push times outside [0, cycle_period); such a stream is
+    an analysis artifact that ``validate`` and ``write`` refuse.  ``take``
+    is the only way to derive a stream (corrected, re-sorted, sliced) and
+    the one place that lists the record columns.
     """
 
     header: StreamHeader
@@ -292,7 +292,6 @@ class PhotonStream:
     time_ps: np.ndarray
     raw_code: np.ndarray | None = None
     total_cycles: int = 0
-    out_of_window: np.ndarray | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -328,11 +327,8 @@ class PhotonStream:
         if self.pixel.min() < 0 or self.pixel.max() >= sensor.num_pixels:
             raise StreamFormatError("pixel index out of range")
         in_window = (self.time_ps >= 0) & (self.time_ps < sensor.cycle_period_ps)
-        if self.out_of_window is None:
-            if not in_window.all():
-                raise StreamFormatError("record time outside cycle")
-        elif not (in_window | self.out_of_window).all():
-            raise StreamFormatError("record time outside cycle and not tagged")
+        if not in_window.all():
+            raise StreamFormatError("record time outside cycle")
         if not _lex_ordered(self.cycle_index, self.time_ps, self.pixel).all():
             raise StreamFormatError("records not sorted by (cycle, time, pixel)")
         if self.total_cycles <= int(self.cycle_index[-1]):
@@ -343,13 +339,10 @@ class PhotonStream:
 
         Header and ``total_cycles`` carry over unchanged.
         """
-        def pick(column):
-            return None if column is None else column[index]
-
         return replace(self, cycle_index=self.cycle_index[index],
                        pixel=self.pixel[index], time_ps=self.time_ps[index],
-                       raw_code=pick(self.raw_code),
-                       out_of_window=pick(self.out_of_window))
+                       raw_code=None if self.raw_code is None
+                       else self.raw_code[index])
 
     @classmethod
     def from_cycles(cls, header: StreamHeader,
@@ -385,37 +378,37 @@ class PhotonStream:
         """Serialize as format version 2, one slab of whole cycles at a
         time.  Returns bytes written.
 
-        Times are rounded to integer ps first; refuses, before touching
-        ``sink``, a stream whose rounded times the readers would reject.
+        Times are rounded to integer ps first.  Before touching ``sink``
+        (a path is not even opened), refuses a stream whose rounded times
+        the readers would reject, such as a delay-corrected one with
+        records outside the cycle, and a header the format cannot hold.
         """
         # Rounded again, slab by slab, where serialized: holding this copy
         # until then raised peak RSS by 3 % on a 1.1M-record flood stream.
         replace(self, time_ps=np.rint(self.time_ps)).validate()
-        if self.out_of_window is not None and self.out_of_window.any():
-            raise StreamFormatError(
-                "stream holds out-of-window records and cannot be serialized")
-        if isinstance(sink, str):
-            with open(sink, "wb") as fh:
-                return self._write_valid(fh)
-        return self._write_valid(sink)
-
-    def _write_valid(self, sink: BinaryIO) -> int:
         header = self.header
         # The in-memory count is authoritative; an inherited metadata entry
         # (e.g. on a slice of a stream read from disk) must not survive.
         if self.total_cycles and \
                 header.metadata.get("total_cycles") != str(self.total_cycles):
             header = header.with_metadata(total_cycles=str(self.total_cycles))
-
         starts, stops = _run_edges(self.cycle_index)
-        written = _write_header(sink, header, FORMAT_VERSION,
-                                cycle_count=len(starts))
+        head = _header_bytes(header, FORMAT_VERSION, cycle_count=len(starts))
+        if isinstance(sink, str):
+            with open(sink, "wb") as fh:
+                return self._write_valid(fh, head, starts, stops)
+        return self._write_valid(sink, head, starts, stops)
+
+    def _write_valid(self, sink: BinaryIO, head: bytes, starts: np.ndarray,
+                     stops: np.ndarray) -> int:
+        sink.write(head)
+        written = len(head)
         flags = 0 if self.raw_code is None else _FLAG_RAW
         for r0, r1 in _slab_runs(starts, _IO_CHUNK):
             lo, hi = int(starts[r0]), int(stops[r1 - 1])
-            head = _SLAB_HEADER.pack(r1 - r0, hi - lo, flags)
-            sink.write(head)
-            written += len(head)
+            slab_head = _SLAB_HEADER.pack(r1 - r0, hi - lo, flags)
+            sink.write(slab_head)
+            written += len(slab_head)
             columns = [(self.cycle_index[starts[r0:r1]], "<u8"),
                        (stops[r0:r1] - starts[r0:r1], "<u4"),
                        (self.pixel[lo:hi], "<u2"),
@@ -479,8 +472,10 @@ def write_stream(header: StreamHeader, cycles: Sequence[AcquisitionCycle],
     """
     if cycle_count is None:
         cycle_count = len(cycles) if hasattr(cycles, "__len__") else STREAMING_CYCLE_COUNT
-    written = _write_header(sink, header, RECORD_FORMAT_VERSION,
-                            cycle_count=cycle_count)
+    head = _header_bytes(header, RECORD_FORMAT_VERSION,
+                         cycle_count=cycle_count)
+    sink.write(head)
+    written = len(head)
     sensor = header.sensor
     prev_index = -1
     for cycle in cycles:
@@ -738,8 +733,9 @@ def _slab_cycles(slabs: Iterable[_Slab]) -> Iterator[AcquisitionCycle]:
 # ---------------------------------------------------------------------------
 # shared helpers
 
-def _write_header(sink: BinaryIO, header: StreamHeader, version: int, *,
-                  cycle_count: int) -> int:
+def _header_bytes(header: StreamHeader, version: int, *,
+                  cycle_count: int) -> bytes:
+    """The serialized header; refuses one the readers would reject."""
     sensor = header.sensor
     out = [_HEADER.pack(MAGIC, version, sensor.num_pixels,
                         sensor.cycle_period_ps, sensor.tdc_bins_per_clock,
@@ -753,9 +749,7 @@ def _write_header(sink: BinaryIO, header: StreamHeader, version: int, *,
             raise ValueError("metadata entry longer than 65535 bytes")
         out.append(_U16.pack(len(kb)) + kb + _U16.pack(len(vb)) + vb)
     out.append(_U64.pack(cycle_count))
-    blob = b"".join(out)
-    sink.write(blob)
-    return len(blob)
+    return b"".join(out)
 
 
 def _write_cycle(sink: BinaryIO, cycle: AcquisitionCycle,

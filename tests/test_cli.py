@@ -16,14 +16,15 @@ from conftest import stream_bytes, with_metadata_entry
 from spadkit.cli import main
 from spadkit.coincidence import (DeltaHistogram, build_histogram,
                                  normalize_histogram)
-from spadkit.crosstalk import CtCurve
+from spadkit.crosstalk import CtCurve, ct_scan
 from spadkit.documents import write_json
 from spadkit.errors import DataError
-from spadkit.offsets import DelayVector
+from spadkit.offsets import DelayVector, apply_delays
 from spadkit.peakfit import fit_two_peaks
 from spadkit.simulator import BeamSpec, DcrProfile, SimConfig, simulate, \
     simulate_code_density
-from spadkit.svg import histogram_svg
+from spadkit.rates import compute_rates
+from spadkit.svg import ct_curve_svg, histogram_svg
 from spadkit.tdc import TdcLut, apply_lut
 from spadkit.timestream import (AcquisitionCycle, PhotonStream, SensorConfig,
                                 StreamHeader, TimestampRecord, record_order)
@@ -322,6 +323,29 @@ def test_delays_flag_matches_library_application(tmp_path):
     assert abs(peak1) <= abs(peak0) or abs(peak1) < 200.0
 
 
+def test_ct_scan_delays_matches_library_chain(sim_stream_path, tmp_path):
+    rng = np.random.default_rng(12)
+    delays = rng.uniform(-300, 300, 256)
+    vec_path = tmp_path / "d.json"
+    DelayVector(delays - delays.mean()).save(str(vec_path))
+    argv = ["ct-scan", "--in", sim_stream_path, "--dmax", "4", "--nhot", "4"]
+    for extra, name in (([], "plain"), (["--delays", str(vec_path)], "got")):
+        assert main([*argv, *extra, "--svg", str(tmp_path / f"{name}.svg"),
+                     "--out", str(tmp_path / f"{name}.json")]) == 0
+
+    corrected = apply_delays(PhotonStream.read(sim_stream_path),
+                             DelayVector.load(str(vec_path)))
+    curve = ct_scan(corrected, compute_rates(corrected), d_max=4, n_hot=4)
+    curve.save(str(tmp_path / "want.json"))
+    (tmp_path / "want.svg").write_text(ct_curve_svg(curve))
+    for suffix in (".json", ".svg"):
+        got = (tmp_path / f"got{suffix}").read_bytes()
+        assert got == (tmp_path / f"want{suffix}").read_bytes(), suffix
+    # the delays moved the fits, so the comparison above saw them applied
+    assert (tmp_path / "plain.json").read_bytes() != \
+        (tmp_path / "got.json").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # the JSON boundary: every bad input file is a structured data error
 
@@ -598,12 +622,13 @@ def lut_chain(tmp_path_factory):
 
 
 def _whole_stream_histogram(chain, pair, delays=False):
-    """The oracle: every record converted, then the pair histogrammed."""
+    """The oracle: every record converted (and delay-corrected), then the
+    pair histogrammed."""
     stream = PhotonStream.read(chain["stream"])
-    lut = TdcLut.load(chain["lut"], stream.sensor)
-    hist = build_histogram(
-        apply_lut(stream, lut), pair,
-        delays=DelayVector.load(chain["delays"]).delays_ps if delays else None)
+    stream = apply_lut(stream, TdcLut.load(chain["lut"], stream.sensor))
+    if delays:
+        stream = apply_delays(stream, DelayVector.load(chain["delays"]))
+    hist = build_histogram(stream, pair)
     try:
         return normalize_histogram(hist)
     except DataError:

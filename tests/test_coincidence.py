@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from spadkit import DataError, PhotonStream, SensorConfig, StreamHeader
 from spadkit import coincidence
+from spadkit.offsets import apply_delays
 from spadkit.coincidence import (
     DeltaHistogram,
     PixelIndex,
@@ -113,8 +114,8 @@ def test_delay_correction_shifts_differences():
     s = stream_from([(0, 1, 1000.0), (0, 2, 1000.0)])
     delays = np.zeros(SENSOR.num_pixels)
     delays[2] = 250.0  # pixel 2 reports late by 250 ps
-    h = build_histogram(s, (1, 2), window_ps=500.0, bin_width_ps=100.0,
-                        delays=delays)
+    h = build_histogram(apply_delays(s, delays), (1, 2), window_ps=500.0,
+                        bin_width_ps=100.0)
     # corrected dt = (1000-250) - 1000 = -250 -> bin 2
     assert h.counts[2] == 1 and h.total_pairs == 1
 
@@ -197,14 +198,29 @@ def record_sets(draw):
     return recs
 
 
+def delay_vectors():
+    """Integer per-pixel delays (exact float arithmetic), some of which
+    push records of 0..4000 ps below zero or past the cycle period."""
+    period = SENSOR.cycle_period_ps
+    shift = st.sampled_from([0, 37, -250, 1200, 4001, -period, 1 - period])
+    return st.lists(shift, min_size=6, max_size=6).map(
+        lambda d: np.array(d + [0] * (SENSOR.num_pixels - 6), np.float64))
+
+
 @settings(max_examples=120, deadline=None)
-@given(record_sets(), st.integers(0, 4), st.integers(1, 5))
-def test_property_matches_brute_force(recs, a, db):
+@given(record_sets(), st.integers(0, 4), st.integers(1, 5),
+       st.none() | delay_vectors())
+def test_property_matches_brute_force(recs, a, db, delays):
+    # With delays, the oracle subtracts them per pair; the stream gets them
+    # once from apply_delays, which keeps records that leave the cycle.
     b = a + db
     window, bw = 1500.0, 130.0
-    h = build_histogram(stream_from(recs), (a, b), window, bw)
+    s = stream_from(recs)
+    if delays is not None:
+        s = apply_delays(s, delays)
+    h = build_histogram(s, (a, b), window, bw)
     np.testing.assert_array_equal(
-        h.counts, brute_force_counts(recs, a, b, window, bw))
+        h.counts, brute_force_counts(recs, a, b, window, bw, delays))
     assert h.total_pairs == h.counts.sum()
 
 
@@ -259,8 +275,9 @@ def test_property_gauge_invariance(recs, shift):
     # so the histogram must be bit-identical.
     delays = np.arange(SENSOR.num_pixels, dtype=np.float64) * 7.0
     s = stream_from(recs)
-    h1 = build_histogram(s, (0, 3), 1500.0, 100.0, delays=delays)
-    h2 = build_histogram(s, (0, 3), 1500.0, 100.0, delays=delays + float(shift))
+    h1 = build_histogram(apply_delays(s, delays), (0, 3), 1500.0, 100.0)
+    h2 = build_histogram(apply_delays(s, delays + float(shift)), (0, 3),
+                         1500.0, 100.0)
     np.testing.assert_array_equal(h1.counts, h2.counts)
 
 
@@ -285,11 +302,10 @@ def test_property_cycle_relabeling_invariance(recs, perm):
 def test_property_index_matches_build_histogram(recs, a, db):
     b = a + db
     s = stream_from(recs)
-    idx = PixelIndex.from_stream(s)
     delays = np.linspace(-50.0, 50.0, SENSOR.num_pixels)
-    for kw in ({}, {"delays": delays}):
-        h = build_histogram(s, (a, b), 1500.0, 130.0, **kw)
-        g = idx.histogram((a, b), 1500.0, 130.0, **kw)
+    for stream in (s, apply_delays(s, delays)):
+        h = build_histogram(stream, (a, b), 1500.0, 130.0)
+        g = PixelIndex.from_stream(stream).histogram((a, b), 1500.0, 130.0)
         np.testing.assert_array_equal(g.counts, h.counts)
         assert g.total_pairs == h.total_pairs
         assert (g.pixel_a, g.pixel_b, g.window_ps, g.bin_width_ps) == \
@@ -314,5 +330,3 @@ def test_index_validates_pairs_like_build_histogram():
         idx.histogram((2, 2))
     with pytest.raises(ValueError):
         idx.histogram((3, 1))
-    with pytest.raises(ValueError):
-        idx.histogram((0, 1), delays=np.zeros(3))

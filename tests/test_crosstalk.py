@@ -15,6 +15,7 @@ from spadkit.crosstalk import (
     _estimate_from_histogram,
     ct_scan,
 )
+from spadkit.offsets import apply_delays
 from spadkit.rates import compute_rates
 from spadkit.simulator import DcrProfile, SimConfig, simulate
 
@@ -32,12 +33,11 @@ def sim_stream(*, overrides, base_cps=100.0, ct=(), duration_s=2.0, seed=7,
     return stream
 
 
-def estimate(stream, source, target, delays=None):
+def estimate(stream, source, target):
     """The cross-talk estimate of one pair from its whole-stream histogram,
     at one TDC bin per histogram bin."""
     hist = build_histogram(stream, (min(source, target), max(source, target)),
-                           DEFAULT_WINDOW_PS, stream.sensor.mean_bin_width_ps,
-                           delays)
+                           DEFAULT_WINDOW_PS, stream.sensor.mean_bin_width_ps)
     n_source = int(np.count_nonzero(stream.pixel == source))
     return _estimate_from_histogram(hist, source, target, n_source)
 
@@ -91,8 +91,8 @@ def test_gauge_invariance_under_constant_delay_shift():
     stream = sim_stream(overrides=[(80, 2e5)], ct=[(1, 0.001)],
                         duration_s=1.0, delays=delays)
     v = np.array(delays)
-    a = estimate(stream, 80, 81, delays=v)
-    b = estimate(stream, 80, 81, delays=v + 137.0)
+    a = estimate(apply_delays(stream, v), 80, 81)
+    b = estimate(apply_delays(stream, v + 137.0), 80, 81)
     assert a.probability == b.probability
     assert a.error == b.error
     assert a.significant == b.significant

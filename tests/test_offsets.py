@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import io
 import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spadkit import CalibrationError, DataError, PhotonStream, SensorConfig
+from spadkit import (CalibrationError, DataError, PhotonStream, SensorConfig,
+                     StreamFormatError)
 from spadkit.coincidence import build_histogram
 from spadkit.offsets import (
     DelayVector,
@@ -214,15 +216,17 @@ def test_correction_closes_the_loop(calibrated_scenario):
     assert rms <= 50.0
 
 
-def test_histograms_agree_with_delays_parameter(calibrated_scenario):
+def test_pair_only_correction_matches_whole_stream(calibrated_scenario):
+    # The command line corrects only the pair's records when it has one.
     stream, _truth = calibrated_scenario
     vec = solve_delays(measure_offsets(stream))
     corrected = apply_delays(stream, vec)
     for pair in ((5, 6), (100, 101), (200, 201)):
-        direct = build_histogram(stream, pair, 20_000.0, 50.0,
-                                 delays=vec.delays_ps)
-        via_apply = build_histogram(corrected, pair, 20_000.0, 50.0)
-        np.testing.assert_array_equal(via_apply.counts, direct.counts)
+        picked = apply_delays(stream.take(np.isin(stream.pixel, pair)), vec)
+        whole = build_histogram(corrected, pair, 20_000.0, 50.0)
+        on_pair = build_histogram(picked, pair, 20_000.0, 50.0)
+        np.testing.assert_array_equal(on_pair.counts, whole.counts)
+        assert on_pair.total_pairs == whole.total_pairs > 0
 
 
 def test_dead_pixel_invalidates_its_two_pairs(calibrated_scenario):
@@ -277,10 +281,10 @@ def test_apply_zero_delays_is_identity(calibrated_scenario):
     np.testing.assert_array_equal(out.time_ps, stream.time_ps)
     np.testing.assert_array_equal(out.pixel, stream.pixel)
     np.testing.assert_array_equal(out.cycle_index, stream.cycle_index)
-    assert out.out_of_window is None
+    out.validate()
 
 
-def test_apply_tags_records_leaving_the_cycle():
+def test_apply_keeps_records_leaving_the_cycle():
     sensor = SensorConfig()
     header_stream, _ = simulate(SimConfig(seed=1, duration_s=0.001,
                                           dcr=DcrProfile(base_cps=0.0)))
@@ -295,11 +299,13 @@ def test_apply_tags_records_leaving_the_cycle():
     delays[3] = 500.0  # pushes the first record to -400 ps
     out = apply_delays(stream, delays)
     assert out.n_records == 2
-    assert out.out_of_window is not None
-    tagged = out.out_of_window[out.pixel == 3]
-    assert tagged.all()
-    assert not out.out_of_window[out.pixel == 4].any()
-    out.validate()
+    assert out.time_ps[out.pixel == 3] == -400.0
+    assert out.time_ps[out.pixel == 4] == 2000.0
+    assert list(out.pixel) == [3, 4]  # still sorted by (cycle, time, pixel)
+    with pytest.raises(StreamFormatError, match="outside cycle"):
+        out.validate()
+    with pytest.raises(StreamFormatError, match="outside cycle"):
+        out.write(io.BytesIO())
 
 
 def test_apply_requires_full_coverage(calibrated_scenario):

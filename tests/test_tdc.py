@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from spadkit import CalibrationError, DataError, PhotonStream, SensorConfig, StreamHeader
+from spadkit import (CalibrationError, DataError, PhotonStream, SensorConfig,
+                     StreamFormatError, StreamHeader)
 from spadkit.offsets import apply_delays
 from spadkit.simulator import simulate_code_density
 from spadkit.tdc import TdcLut, apply_lut, build_lut
@@ -187,14 +190,22 @@ def test_lut_constructor_rejects_bad_usable_rows():
     TdcLut(sensor=SENSOR, widths=widths, unusable=frozenset({5}))
 
 
-def test_apply_keeps_out_of_window_tags():
+def out_of_window(stream):
+    return (stream.time_ps < 0) | (stream.time_ps >= SENSOR.cycle_period_ps)
+
+
+def test_apply_keeps_out_of_window_records():
     widths = np.full(BINS, CLOCK / BINS)
     stream = simulate_code_density(SENSOR, widths, 200, seed=3)
     delays = np.where(np.arange(SENSOR.num_pixels) % 2, 3000.0, -3000.0)
     shifted = apply_delays(stream, delays)
-    assert shifted.out_of_window is not None and shifted.out_of_window.any()
+    assert out_of_window(shifted).any()
     lut = TdcLut(SENSOR, np.tile(widths, (SENSOR.num_pixels, 1)))
     out = apply_lut(shifted, lut)
-    assert out.out_of_window is not None
-    assert out.out_of_window.sum() == shifted.out_of_window.sum()
-    out.validate()
+    assert out.n_records == shifted.n_records
+    assert out_of_window(out).sum() == out_of_window(shifted).sum()
+    order = np.lexsort((out.pixel, out.time_ps, out.cycle_index))
+    np.testing.assert_array_equal(order, np.arange(out.n_records))  # sorted
+    for refused in (out.validate, lambda: out.write(io.BytesIO())):
+        with pytest.raises(StreamFormatError, match="outside cycle"):
+            refused()

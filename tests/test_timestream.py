@@ -366,16 +366,42 @@ def test_cycle_index_beyond_2_63_roundtrip():
 
 
 def test_out_of_window_stream_refuses_serialization():
+    # What a delay correction leaves: sorted, but a time before the cycle.
     ps = PhotonStream(
         HEADER,
-        cycle_index=np.array([0], dtype=np.uint64),
-        pixel=np.array([1], dtype=np.uint16),
-        time_ps=np.array([-40.0]),
-        out_of_window=np.array([True]),
+        cycle_index=np.array([0, 0], dtype=np.uint64),
+        pixel=np.array([1, 0], dtype=np.uint16),
+        time_ps=np.array([-40.0, 100.0]),
     )
-    ps.validate()
-    with pytest.raises(StreamFormatError, match="out-of-window"):
-        ps.write(io.BytesIO())
+    np.testing.assert_array_equal(
+        np.lexsort((ps.pixel, ps.time_ps, ps.cycle_index)), [0, 1])
+    with pytest.raises(StreamFormatError, match="outside cycle"):
+        ps.validate()
+    sink = io.BytesIO()
+    with pytest.raises(StreamFormatError, match="outside cycle"):
+        ps.write(sink)
+    assert sink.getvalue() == b""
+
+
+def test_refused_write_leaves_an_existing_file_unchanged(tmp_path):
+    path = tmp_path / "s.spk1"
+    path.write_bytes(b"previous run")
+    one = dict(cycle_index=np.array([0], dtype=np.uint64),
+               pixel=np.array([1], dtype=np.uint16),
+               time_ps=np.array([100.0]))
+    empty = dict(cycle_index=np.empty(0, dtype=np.uint64),
+                 pixel=np.empty(0, dtype=np.uint16),
+                 time_ps=np.empty(0))
+    for header, columns, error in (
+            (HEADER.with_metadata(note="x" * 0x10000), one, ValueError),
+            # an empty stream keeps its header's total_cycles entry
+            (HEADER.with_metadata(total_cycles="-1"), empty,
+             StreamFormatError),
+            (HEADER, {**one, "time_ps": np.array([-40.0])},
+             StreamFormatError)):
+        with pytest.raises(error):
+            PhotonStream(header, **columns).write(str(path))
+        assert path.read_bytes() == b"previous run"
 
 
 def test_write_refuses_what_the_readers_reject():
@@ -390,7 +416,7 @@ def test_write_refuses_what_the_readers_reject():
     # be valid: the last case rounds up to the cycle period, the last but
     # one to a (time, pixel) tie in the wrong pixel order.
     period = SENSOR.cycle_period_ps
-    for bad in (stream_with(time_ps=np.array([-5.0, 200.0])),  # untagged
+    for bad in (stream_with(time_ps=np.array([-5.0, 200.0])),
                 stream_with(pixel=too_high),
                 stream_with(time_ps=np.array([200.0, 100.0])),  # unsorted
                 stream_with(pixel=np.array([5, 3], dtype=np.uint16),
