@@ -21,7 +21,8 @@ from .coincidence import (
     default_bin_width_ps,
     normalize_histogram,
 )
-from .peakfit import GaussianFit, TwoPeakFit, fit_gaussian, fit_two_peaks
+from .peakfit import (GaussianFit, TwoPeakFit, fit_gaussian, fit_gaussians,
+                      fit_two_peaks)
 from .crosstalk import CtCurve, CtEstimate, CtPoint, ct_scan
 from .offsets import (
     DelayVector,
@@ -73,6 +74,7 @@ __all__ = [
     "ct_scan",
     "default_bin_width_ps",
     "fit_gaussian",
+    "fit_gaussians",
     "fit_two_peaks",
     "measure_offsets",
     "normalize_histogram",

@@ -102,10 +102,14 @@ def _read_stream(path: str, lut_path: str | None = None,
                  pair: tuple[int, int] | None = None) -> PhotonStream:
     """The stream at ``path`` with the run's calibrations applied: raw
     codes converted by the LUT at ``lut_path``, then times corrected by
-    the delays at ``delays_path``.  With a ``pair`` and a calibration,
-    the whole stream is checked against the LUT but only the pair's
-    records are calibrated and returned."""
+    the delays at ``delays_path``.  A ``pair`` must lie on the sensor;
+    with a ``pair`` and a calibration, the whole stream is checked against
+    the LUT but only the pair's records are calibrated and returned."""
     stream = PhotonStream.read(path)
+    n_pixels = stream.sensor.num_pixels
+    if pair is not None and not (pair[0] >= 0 and pair[1] < n_pixels):
+        raise DataError(f"pair {pair[0]},{pair[1]} is outside the stream's "
+                        f"pixels 0..{n_pixels - 1}")
     lut = None if lut_path is None else TdcLut.load(lut_path, stream.sensor)
     if pair is not None and (lut is not None or delays_path is not None):
         if lut is not None:
@@ -119,7 +123,6 @@ def _read_stream(path: str, lut_path: str | None = None,
         stream = apply_lut(stream, lut)
     if delays_path is not None:
         delays = DelayVector.load(delays_path)
-        n_pixels = stream.sensor.num_pixels
         if len(delays) != n_pixels:
             raise DataError(f"{delays_path} holds {len(delays)} delays but "
                             f"the stream has {n_pixels} pixels")

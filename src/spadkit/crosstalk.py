@@ -31,7 +31,7 @@ import numpy as np
 from .coincidence import DEFAULT_WINDOW_PS, DeltaHistogram, PixelIndex
 from .documents import Document, as_bool, as_count, as_float
 from .errors import DataError, FitError
-from .peakfit import SIGNIFICANCE_SIGMAS, fit_gaussian
+from .peakfit import SIGNIFICANCE_SIGMAS, fit_gaussians
 from .rates import RateReport
 from .timestream import PhotonStream
 
@@ -160,12 +160,21 @@ class CtCurve(Document):
 
 def _estimate_from_histogram(hist: DeltaHistogram, source: int, target: int,
                              n_source: int) -> CtEstimate:
+    """The estimate of one pair on its own, as ``ct_scan`` makes it."""
     if n_source < MIN_SOURCE_COUNTS:
         raise DataError(
             f"source pixel {source} has {n_source} counts; "
             f"need at least {MIN_SOURCE_COUNTS}")
+    fit = fit_gaussians([hist])[0] if hist.counts.any() else None
+    return _estimate(hist, fit, source, target, n_source)
+
+
+def _estimate(hist: DeltaHistogram, fit, source: int, target: int,
+              n_source: int) -> CtEstimate:
+    """The estimate from ``hist`` and its peak fit (a GaussianFit or the
+    FitError that ended it), or from no fit for an empty histogram."""
     counts = hist.counts
-    if not counts.any():
+    if fit is None:
         err = 1.0 / n_source
         return CtEstimate(source=source, target=target, probability=0.0,
                           error=err, n_source=n_source, significant=False,
@@ -175,14 +184,13 @@ def _estimate_from_histogram(hist: DeltaHistogram, source: int, target: int,
     significant = False
     mu = 0.0
     sigma = FALLBACK_SIGMA_PS
-    try:
-        fit = fit_gaussian(hist)
+    if isinstance(fit, FitError):
+        bg, reason = float(np.median(counts)), fit.reason
+    else:
         bg, reason = fit.bg, fit.stop_reason
         if fit.significant:
             significant = True
             mu, sigma = fit.center_ps, fit.sigma_ps
-    except FitError as exc:
-        bg, reason = float(np.median(counts)), exc.reason
 
     centers = hist.bin_centers
     sel = np.abs(centers - mu) <= PEAK_WINDOW_SIGMAS * sigma
@@ -229,25 +237,36 @@ def ct_scan(stream: PhotonStream, rate_report: RateReport,
 
     num_pixels = stream.sensor.num_pixels
     bin_width = stream.sensor.mean_bin_width_ps
-    per_distance: dict[int, list[CtEstimate]] = {
-        d: [] for d in range(1, d_max + 1)}
-    pairs: list[tuple[int, int]] = []
+    scanned = []
     for h in usable:
         for d in range(1, d_max + 1):
             for target in (h - d, h + d):
-                if not 0 <= target < num_pixels:
-                    continue
-                hist = index.histogram((min(h, target), max(h, target)),
-                                       window_ps, bin_width)
-                est = _estimate_from_histogram(hist, h, target,
-                                               int(counts[h]))
-                per_distance[d].append(est)
-                pairs.append((h, target))
+                if 0 <= target < num_pixels:
+                    scanned.append((h, target, index.histogram(
+                        (min(h, target), max(h, target)), window_ps,
+                        bin_width)))
+    # One batched fit for every histogram with counts; an empty one has
+    # no peak to fit.
+    has_counts = [hist.counts.any() for _h, _t, hist in scanned]
+    fits = fit_gaussians(hist for (_h, _t, hist), full
+                         in zip(scanned, has_counts) if full)
+    remaining = iter(fits)
+    per_distance: dict[int, list[CtEstimate]] = {
+        d: [] for d in range(1, d_max + 1)}
+    for (h, target, hist), full in zip(scanned, has_counts):
+        fit = next(remaining) if full else None
+        per_distance[abs(target - h)].append(
+            _estimate(hist, fit, h, target, int(counts[h])))
+    pairs = [(h, target) for h, target, _hist in scanned]
 
     reasons = Counter(e.stop_reason for ests in per_distance.values()
                       for e in ests)
-    logger.info("ct_scan: %d pairs, fit stop reasons %s", len(pairs),
-                dict(reasons.most_common()))
+    # A batched run takes as many passes as its longest fit iterates.
+    iterations = [fit.n_iterations for fit in fits]
+    logger.info("ct_scan: %d pairs, fit stop reasons %s, %d solver "
+                "iterations in %d batched passes", len(pairs),
+                dict(reasons.most_common()), sum(iterations),
+                max(iterations, default=0))
 
     points = []
     for d in range(1, d_max + 1):

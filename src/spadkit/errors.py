@@ -38,14 +38,16 @@ class FitError(DataError):
 
     ``last_estimate`` holds the final parameter vector when the solver ran
     at all, so callers can inspect how far it got; ``reason`` names why
-    the fit stopped (``peakfit`` lists the reasons), or is None.
+    the fit stopped (``peakfit`` lists the reasons), or is None;
+    ``n_iterations`` counts the solver iterations the fit took.
     """
 
     def __init__(self, message: str, last_estimate=None,
-                 reason: str | None = None):
+                 reason: str | None = None, n_iterations: int = 0):
         super().__init__(message)
         self.last_estimate = last_estimate
         self.reason = reason
+        self.n_iterations = n_iterations
 
 
 class CalibrationError(DataError):

@@ -11,6 +11,18 @@ bunching peaks on one histogram).  Only this module knows the layout: a
 fit result evaluates itself (``model``) and names itself (the ``kind`` in
 ``to_json_dict``).
 
+There is one solver, and it is batched: it fits B histograms that share a
+grid together, stacking their residuals, Jacobians and normal equations,
+while each fit keeps its own damping, accept/reject decisions, iteration
+count and ending.  ``fit_gaussians`` fits a whole scan's histograms in one
+call (``measure_offsets`` and ``ct_scan`` use it); the single-histogram
+functions are batches of one.  A fit comes out bit for bit the same alone
+or in any batch: the stacked ``matmul``, ``solve`` and ``eigh`` calls and
+row sums make the same floating-point operations per fit as their 2-D
+forms (``einsum`` would not).  The fits run in blocks of ``BLOCK_FITS``,
+so the block's (fits, n, P) Jacobian stays small, and a fit whose linear
+system is singular fails alone.
+
 The solver is a damped Gauss-Newton iteration (Levenberg-Marquardt
 flavor): the normal equations get a multiplicative damping term that
 grows tenfold whenever a step fails to reduce chi^2 and shrinks tenfold
@@ -47,7 +59,6 @@ against its own error.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -63,6 +74,9 @@ LAMBDA_MAX = 1e12
 SIGNIFICANCE_SIGMAS = 3.0
 # A peak is evaluated where |x - mu| <= SUPPORT_SIGMAS * |sigma|.
 SUPPORT_SIGMAS = 40.0
+# The solver runs its fits in blocks of at most this many, so a block's
+# (fits, n, P) Jacobian stays a few MB however many fits a scan holds.
+BLOCK_FITS = 32
 
 SCHEMA_VERSION = 1
 
@@ -71,7 +85,8 @@ SCHEMA_VERSION = 1
 # model
 
 class _Gaussians:
-    """The model's peaks on one grid ``x``, each evaluated on its support.
+    """The model's peaks on one grid ``x`` for a batch of parameter rows,
+    each peak evaluated on its support.
 
     exp(-z^2 / 2) underflows to exactly 0.0 in float64 beyond |z| ~ 38.6,
     so a peak is evaluated only where |x - mu| <= 40 |sigma| and the
@@ -81,6 +96,10 @@ class _Gaussians:
     whatever order ``x`` comes in.  A peak with a non-finite amplitude, or
     whose z is not finite at an end of the grid (a non-finite center or
     width, sigma == 0, overflow, a NaN in ``x``), is evaluated everywhere.
+
+    Parameters come as rows, shape (B, P).  The supports of one peak over
+    all rows are held back to back, as flat arrays with the row of each
+    point, so each step is one numpy call for the whole batch.
     """
 
     def __init__(self, x):
@@ -88,61 +107,98 @@ class _Gaussians:
         self.n = len(x)
         self.order = np.argsort(x, kind="stable")
         self.sorted = x[self.order]
-        self.ends = (float(self.sorted[0]), float(self.sorted[-1])) \
-            if self.n else (0.0, 0.0)
+        self.ends = self.sorted[[0, -1], None] if self.n \
+            else np.zeros((2, 1))
 
-    def _support(self, amp, mu, sigma) -> tuple[int, int]:
-        amp, mu, sigma = float(amp), float(mu), float(sigma)
-        first, last = self.ends
-        if not (math.isfinite(amp) and sigma != 0.0
-                and math.isfinite((first - mu) / sigma)
-                and math.isfinite((last - mu) / sigma)):
-            return 0, self.n
-        reach = SUPPORT_SIGMAS * abs(sigma)
-        return (int(np.searchsorted(self.sorted, mu - reach, side="left")),
-                int(np.searchsorted(self.sorted, mu + reach, side="right")))
+    def _supports(self, amp, mu, sigma):
+        """(lo, hi) of each row's support: a run of the sorted grid."""
+        with np.errstate(all="ignore"):
+            evaluated = np.isfinite(amp) \
+                & np.isfinite((self.ends - mu) / sigma).all(axis=0)
+            reach = SUPPORT_SIGMAS * np.abs(sigma)
+            lo = np.searchsorted(self.sorted, mu - reach, side="left")
+            hi = np.searchsorted(self.sorted, mu + reach, side="right")
+        if not evaluated.all():
+            lo[~evaluated] = 0
+            hi[~evaluated] = self.n
+        return lo, hi
 
     def peaks(self, params) -> list:
-        """``(where, z, exp(-z^2 / 2))`` of each peak on its support."""
+        """``(row, where, z, exp(-z^2 / 2))`` of each peak on the supports
+        of all rows: ``where`` indexes the grid, ``row`` the batch."""
         out = []
-        for i in range(1, len(params), 3):
-            amp, mu, sigma = params[i:i + 3]
-            lo, hi = self._support(amp, mu, sigma)
-            z = (self.sorted[lo:hi] - mu) / sigma
-            out.append((self.order[lo:hi], z, np.exp(-0.5 * z * z)))
+        for i in range(1, params.shape[1], 3):
+            amp, mu, sigma = params[:, i], params[:, i + 1], params[:, i + 2]
+            lo, hi = self._supports(amp, mu, sigma)
+            length = hi - lo
+            row = np.repeat(np.arange(len(params)), length)
+            run_start = np.cumsum(length) - length
+            pos = np.arange(len(row)) + np.repeat(lo - run_start, length)
+            z = (self.sorted[pos] - mu[row]) / sigma[row]
+            out.append((row, self.order[pos], z, np.exp(-0.5 * z * z)))
         return out
 
     def model(self, params, peaks) -> np.ndarray:
-        y = np.full(self.n, params[0])
-        for amp, (where, _z, e) in zip(params[1::3], peaks):
-            y[where] += amp * e
+        """Shape (B, n)."""
+        y = np.empty((len(params), self.n))
+        y[:] = params[:, :1]
+        flat = y.reshape(-1)
+        for amp, (row, where, _z, e) in zip(params[:, 1::3].T, peaks):
+            flat[row * self.n + where] += amp[row] * e
         return y
 
     def jacobian(self, params, peaks) -> np.ndarray:
-        """d model / d params, shape (n, len(params)), without any ``exp``."""
-        jac = np.zeros((self.n, len(params)))
-        jac[:, 0] = 1.0
-        for i, (where, z, e) in zip(range(1, len(params), 3), peaks):
-            amp, sigma = params[i], params[i + 2]
-            aez = amp * e * z
-            jac[where, i] = e
-            jac[where, i + 1] = aez / sigma
-            jac[where, i + 2] = aez * z / sigma
+        """d model / d params, shape (B, n, P), without any ``exp``."""
+        n_par = params.shape[1]
+        jac = np.zeros((len(params), self.n, n_par))
+        jac[:, :, 0] = 1.0
+        columns = _columns(jac)
+        for i, at, values in self.support_entries(params, peaks):
+            for c, v in enumerate(values):
+                columns[i + c][at] = v
         return jac
+
+    def support_entries(self, params, peaks) -> list:
+        """The Jacobian's entries off column 0 that can be non-zero: per
+        peak, its first column, the flat positions ``row * n + j`` of its
+        support and the values there in each of its three columns."""
+        out = []
+        for i, (row, where, z, e) in zip(range(1, params.shape[1], 3), peaks):
+            amp, sigma = params[row, i], params[row, i + 2]
+            aez = amp * e * z
+            out.append((i, row * self.n + where,
+                        (e, aez / sigma, aez * z / sigma)))
+        return out
+
+
+def _columns(a) -> list:
+    """Views of each column of a (B, n, P) array over all B * n rows."""
+    flat = a.reshape(-1, a.shape[-1])
+    return [flat[:, c] for c in range(a.shape[-1])]
+
+
+def _take_rows(peaks, keep):
+    """The peaks of the rows where ``keep`` is True, renumbered."""
+    renumber = np.cumsum(keep) - 1
+    out = []
+    for row, where, z, e in peaks:
+        sel = keep[row]
+        out.append((renumber[row[sel]], where[sel], z[sel], e[sel]))
+    return out
 
 
 def gauss_model(x: np.ndarray, params: np.ndarray) -> np.ndarray:
     """Flat background plus one Gaussian per (amp, mu, sigma) triple."""
-    params = np.asarray(params, dtype=np.float64)
+    params = np.asarray(params, dtype=np.float64)[None]
     g = _Gaussians(x)
-    return g.model(params, g.peaks(params))
+    return g.model(params, g.peaks(params))[0]
 
 
 def gauss_jacobian(x: np.ndarray, params: np.ndarray) -> np.ndarray:
     """Analytic d model / d params, shape (n, len(params))."""
-    params = np.asarray(params, dtype=np.float64)
+    params = np.asarray(params, dtype=np.float64)[None]
     g = _Gaussians(x)
-    return g.jacobian(params, g.peaks(params))
+    return g.jacobian(params, g.peaks(params))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -243,97 +299,191 @@ class TwoPeakFit:
 # ---------------------------------------------------------------------------
 # solver
 
-def _levmar(x, y, weights, p0, *, lower, upper):
-    """Damped Gauss-Newton least squares with box projection.
+def _levmar(x, y, weights, p0, *, lower, upper) -> list:
+    """Damped Gauss-Newton least squares with box projection, for a batch
+    of fits on one grid ``x``.
 
-    Returns (params, covariance, chi2, iterations, stop reason).  Raises
-    FitError on non-convergence, carrying the last iterate and the reason.
-    Each trial evaluates the peaks once; an accepted trial's residual and
-    peak values then give the Jacobian without another ``exp``.
+    ``y`` and ``weights`` have shape (B, n); ``p0``, ``lower`` and
+    ``upper`` shape (B, P).  Returns one entry per fit: (params,
+    covariance, chi2, iterations, stop reason), or the FitError that ended
+    it, carrying the last iterate and the reason.
+
+    Every fit keeps its own damping, steps and ending, and comes out bit
+    for bit as it would alone: a pass runs one iteration of every fit
+    still active, in blocks of at most ``BLOCK_FITS`` fits.  A fit's
+    trial evaluates its peaks once; an accepted trial's residual and peak
+    values then give its Jacobian and normal equations without another
+    ``exp``, and the last normal matrix gives its covariance.
     """
-    p = np.array(p0, dtype=np.float64)
-    p = np.clip(p, lower, upper)
     gaussians = _Gaussians(x)
-    # J * weights[:, None] would broadcast along J's rows of 4 or 7
-    # columns, one short inner loop per bin; a full (n, p) copy of the
-    # weights makes J * W one flat multiply (about a tenth of the fit time).
-    w_cols = np.repeat(weights[:, None], len(p), axis=1)
+    p = np.clip(np.array(p0, dtype=np.float64), lower, upper)
+    n_fits, n_par = p.shape
+    chi2 = np.empty(n_fits)
+    normal = np.empty((n_fits, n_par, n_par))
+    grad = np.empty((n_fits, n_par))
+    lam = np.full(n_fits, LAMBDA_START)
+    # Each pass is one iteration of every fit still active, so a fit's
+    # iteration count is the pass it ended in.
+    passes = 0
+    out: list = [None] * n_fits
+    done = np.zeros(n_fits, dtype=bool)
+    # J and J * W of one block: zero but for J's column 0 of ones, and for
+    # the support entries each use writes and then sets back to 0.0.
+    shape = (min(n_fits, BLOCK_FITS), gaussians.n, n_par)
+    jac_block, jw_block = np.zeros(shape), np.zeros(shape)
+    jac_block[:, :, 0] = 1.0
+    jac_columns, jw_columns = _columns(jac_block), _columns(jw_block)
+    # J * W from the supports alone holds 0.0 where J does; that equals
+    # the full product, 0.0 * w, for finite weights without a sign bit
+    # (every histogram's).
+    weighted_supports = bool(np.isfinite(weights).all()
+                             and not np.signbit(weights).any())
 
-    def trial(params):
+    def trial(rows, params):
+        """chi^2 of each row, the row's weights and residuals, and the
+        peaks behind them."""
         peaks = gaussians.peaks(params)
-        r = y - gaussians.model(params, peaks)
-        return float(np.sum(weights * r * r)), r, peaks
+        r = y[rows] - gaussians.model(params, peaks)
+        w = weights[rows]
+        wrr = w * r
+        wrr *= r
+        return np.add.reduce(wrr, axis=1), w, r, peaks
 
-    def failed(message, reason):
-        return FitError(message, last_estimate=p, reason=reason)
+    def store_normal(rows, params, w, r, peaks):
+        """The normal equations of ``rows`` at ``params``."""
+        entries = gaussians.support_entries(params, peaks)
+        for i, at, values in entries:
+            for c, v in enumerate(values):
+                jac_columns[i + c][at] = v
+        jac = jac_block[:len(rows)]
+        if weighted_supports:
+            flat_w = w.reshape(-1)
+            jw_columns[0][:len(flat_w)] = flat_w
+            for i, at, values in entries:
+                w_at = flat_w[at]
+                for c, v in enumerate(values):
+                    jw_columns[i + c][at] = v * w_at
+            jw = jw_block[:len(rows)]
+        else:
+            jw = jac * w[:, :, None]
+        # Stacked matmuls make the same BLAS products per fit as the 2-D
+        # jac.T @ jw and jw.T @ r, full length in J's (n, p) layout.
+        normal[rows] = np.matmul(jac.transpose(0, 2, 1), jw)
+        grad[rows] = np.matmul(jw.transpose(0, 2, 1), r[:, :, None])[:, :, 0]
+        for i, at, _values in entries:
+            for c in range(i, i + 3):
+                jac_columns[c][at] = 0.0
+                jw_columns[c][at] = 0.0
 
-    chi2, r, peaks = trial(p)
-    if not np.isfinite(chi2):
-        raise failed("seed parameters give non-finite chi^2", "non_finite_seed")
+    def fail(i, message, reason):
+        out[i] = FitError(message, last_estimate=p[i].copy(), reason=reason,
+                          n_iterations=passes)
+        done[i] = True
 
-    lam = LAMBDA_START
-    normal = grad = None
-    reason = None
-    it = 0
-    while it < MAX_ITERATIONS:
-        it += 1
-        if normal is None:
-            normal, grad = _normal_equations(
-                gaussians.jacobian(p, peaks), w_cols, r)
-        damp = np.diag(normal).copy()
-        floor = 1e-12 * max(damp.max(), 1.0)
-        damp[damp < floor] = floor
-        try:
-            step = np.linalg.solve(normal + lam * np.diag(damp), grad)
-        except np.linalg.LinAlgError:
-            lam *= 10.0
-            if lam > LAMBDA_MAX:
-                raise failed("normal equations singular", "singular")
-            continue
-        p_new = np.clip(p + step, lower, upper)
-        chi2_new, r_new, peaks_new = trial(p_new)
-        if math.isfinite(chi2_new) and chi2_new <= chi2:
-            moved = np.abs(p_new - p) / np.maximum(np.abs(p_new), 1e-30)
-            gain = chi2 - chi2_new
-            stalled = gain <= REL_CHI2_TOL * max(chi2, 1e-300)
-            p, chi2, r, peaks = p_new, chi2_new, r_new, peaks_new
-            normal = grad = None
-            lam = max(lam / 10.0, 1e-12)
+    def converge(i, reason):
+        out[i] = (p[i].copy(), _gauss_newton_covariance(normal[i]),
+                  float(chi2[i]), passes, reason)
+        done[i] = True
+
+    for start in range(0, n_fits, BLOCK_FITS):
+        rows = np.arange(start, min(start + BLOCK_FITS, n_fits))
+        chi2[rows], w, r, peaks = trial(rows, p[rows])
+        finite = np.isfinite(chi2[rows])
+        if not finite.all():
+            for i in rows[~finite]:
+                fail(i, "seed parameters give non-finite chi^2",
+                     "non_finite_seed")
+            w, r = w[finite], r[finite]
+            rows, peaks = rows[finite], _take_rows(peaks, finite)
+        store_normal(rows, p[rows], w, r, peaks)
+    active = np.flatnonzero(~done)
+
+    while active.size:
+        passes += 1
+        steps, solved = _damped_steps(normal[active], grad[active],
+                                      lam[active])
+        todo = active
+        if not solved.all():
+            unsolved = active[~solved]
+            lam[unsolved] *= 10.0
+            for i in unsolved[lam[unsolved] > LAMBDA_MAX]:
+                fail(i, "normal equations singular", "singular")
+            todo, steps = active[solved], steps[solved]
+
+        for start in range(0, len(todo), BLOCK_FITS):
+            rows = todo[start:start + BLOCK_FITS]
+            step = steps[start:start + BLOCK_FITS]
+            p_new = np.clip(p[rows] + step, lower[rows], upper[rows])
+            chi2_new, w, r, peaks = trial(rows, p_new)
+            chi2_old = chi2[rows]
+            accepted = np.isfinite(chi2_new) & (chi2_new <= chi2_old)
+            if not accepted.all():
+                down = np.flatnonzero(~accepted)
+                lam[rows[down]] *= 10.0
+                for k in down[lam[rows[down]] > LAMBDA_MAX]:
+                    # No downhill step left.  At a genuine optimum the
+                    # predicted decrease is negligible; anything else is
+                    # a real failure.
+                    i = rows[k]
+                    predicted = abs(float(grad[i] @ step[k]))
+                    if predicted <= 1e-10 * max(chi2[i], 1e-300):
+                        converge(i, "predicted_decrease")
+                    else:
+                        fail(i, "fit stalled before converging", "stalled")
+                if not accepted.any():
+                    continue
+                rows, p_new, chi2_new, chi2_old = (
+                    rows[accepted], p_new[accepted], chi2_new[accepted],
+                    chi2_old[accepted])
+                w, r, peaks = w[accepted], r[accepted], _take_rows(peaks,
+                                                                   accepted)
+            store_normal(rows, p_new, w, r, peaks)
+            moved = np.abs(p_new - p[rows]) \
+                / np.maximum(np.abs(p_new), 1e-30)
+            stalled = chi2_old - chi2_new \
+                <= REL_CHI2_TOL * np.maximum(chi2_old, 1e-300)
+            p[rows], chi2[rows] = p_new, chi2_new
+            lam[rows] = np.maximum(lam[rows] / 10.0, 1e-12)
             # The relative-step test alone cannot fire for a parameter
             # heading to zero, so a negligible chi^2 gain also counts as
             # converged.
-            if moved.max() < REL_STEP_TOL:
-                reason = "relative_step"
-            elif stalled:
-                reason = "chi2_stall"
-            if reason is not None:
-                break
-        else:
-            lam *= 10.0
-            if lam > LAMBDA_MAX:
-                # No downhill step left.  At a genuine optimum the
-                # predicted decrease is negligible; anything else is a
-                # real failure.
-                predicted = abs(float(grad @ step))
-                if predicted <= 1e-10 * max(chi2, 1e-300):
-                    reason = "predicted_decrease"
-                    break
-                raise failed("fit stalled before converging", "stalled")
+            small_step = np.maximum.reduce(moved, axis=1) < REL_STEP_TOL
+            if small_step.any() or stalled.any():
+                for i in rows[small_step]:
+                    converge(i, "relative_step")
+                for i in rows[stalled & ~small_step]:
+                    converge(i, "chi2_stall")
 
-    if reason is None:
-        raise failed(f"fit did not converge in {MAX_ITERATIONS} iterations",
-                     "max_iterations")
-
-    if normal is None:
-        normal, _ = _normal_equations(gaussians.jacobian(p, peaks), w_cols, r)
-    return p, _gauss_newton_covariance(normal), chi2, it, reason
+        if passes == MAX_ITERATIONS:
+            for i in active[~done[active]]:
+                fail(i, f"fit did not converge in {MAX_ITERATIONS} "
+                        "iterations", "max_iterations")
+        active = active[~done[active]]
+    return out
 
 
-def _normal_equations(jac, w_cols, r):
-    """J^T W J and J^T W r, both full length in J's (n, p) layout;
-    ``w_cols`` holds the weights once per column of J."""
-    jw = jac * w_cols
-    return jac.T @ jw, jw.T @ r
+def _damped_steps(normal, grad, lam):
+    """Solve (N + lam diag(damp)) step = grad for every fit.  Returns the
+    steps and which fits have one: a singular system fails only its own
+    fit, not the stacked solve of the others."""
+    diagonal = np.arange(normal.shape[1])
+    damp = normal[:, diagonal, diagonal]
+    floor = 1e-12 * np.maximum(np.maximum.reduce(damp, axis=1), 1.0)
+    # N + lam diag(damp): lam * 0.0 adds +0.0 off the diagonal
+    system = normal + 0.0
+    system[:, diagonal, diagonal] += lam[:, None] * np.maximum(
+        damp, floor[:, None])
+    solved = np.ones(len(lam), dtype=bool)
+    try:
+        return np.linalg.solve(system, grad[:, :, None])[:, :, 0], solved
+    except np.linalg.LinAlgError:
+        steps = np.zeros_like(grad)
+        for i in range(len(lam)):
+            try:
+                steps[i] = np.linalg.solve(system[i], grad[i])
+            except np.linalg.LinAlgError:
+                solved[i] = False
+        return steps, solved
 
 
 def _gauss_newton_covariance(normal):
@@ -457,8 +607,32 @@ def _fwhm_sigma(x, y, bg, amp, peak):
 
 def fit_gaussian(hist: DeltaHistogram) -> GaussianFit:
     """Fit one Gaussian peak on a flat background."""
-    x, y, weights = _fit_arrays(hist)
-    return fit_peak(x, y, weights=weights)
+    return _raised(fit_gaussians([hist])[0])
+
+
+def fit_gaussians(hists) -> list:
+    """Fit one Gaussian peak on a flat background to each histogram, all
+    in one batched solver run.
+
+    The histograms share one grid (the same window and bin width), as the
+    pairs of one scan do.  Returns, in order, each histogram's
+    ``GaussianFit`` or the ``FitError`` that ended its fit: bit for bit
+    what ``fit_gaussian`` returns or raises for that histogram alone.
+    """
+    hists = list(hists)
+    if not hists:
+        return []
+    x = hists[0].bin_centers
+    y = np.empty((len(hists), len(x)))
+    weights = np.empty_like(y)
+    for k, hist in enumerate(hists):
+        x_k, y_k, weights_k = _fit_arrays(hist)
+        if not np.array_equal(x_k, x):
+            raise ValueError("histograms fitted together must share one grid")
+        y[k], weights[k] = y_k, weights_k
+    # Histograms that only the caller's iterator held go before the solve.
+    del hists, hist
+    return _single_peak_fits(x, y, weights)
 
 
 def fit_peak(x, y, *, weights=None,
@@ -470,38 +644,67 @@ def fit_peak(x, y, *, weights=None,
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if len(x) < 10:
-        raise ValueError("need at least 10 bins to fit a peak")
     if weights is None:
         weights = 1.0 / np.maximum(y, 1.0)
     weights = np.asarray(weights, dtype=np.float64)
+    return _raised(_single_peak_fits(x, y[None], weights[None],
+                                     center_bounds)[0])
 
-    if np.ptp(y) == 0.0:
-        return _flat_result(x, y, weights)
 
-    p0 = _single_peak_seed(x, y)
-    lower = np.array([-np.inf, -np.inf, -np.inf, 1e-9])
-    upper = np.full(4, np.inf)
+def _raised(fit):
+    if isinstance(fit, FitError):
+        raise fit
+    return fit
+
+
+def _single_peak_fits(x, y, weights, center_bounds=None) -> list:
+    """Single-peak fits of the rows of ``y`` (weights alike) on the grid
+    ``x``, in one solver run: per row a ``GaussianFit`` or the
+    ``FitError`` that ended it.  ``center_bounds`` is one (lo, hi) box
+    for the peak position, or one per row."""
+    if len(x) < 10:
+        raise ValueError("need at least 10 bins to fit a peak")
+    out: list = [None] * len(y)
+    flat = np.ptp(y, axis=1) == 0.0
+    for i in np.flatnonzero(flat):
+        out[i] = _flat_result(x, y[i], weights[i])
+    rows = np.flatnonzero(~flat)
+    if flat.any():
+        y, weights = y[rows], weights[rows]
+
+    p0 = np.array([_single_peak_seed(x, y_k) for y_k in y]).reshape(-1, 4)
+    lower = np.tile([-np.inf, -np.inf, -np.inf, 1e-9], (len(rows), 1))
+    upper = np.full((len(rows), 4), np.inf)
     if center_bounds is not None:
-        lower[2], upper[2] = center_bounds
-        p0[2] = np.clip(p0[2], lower[2], upper[2])
+        bounds = np.broadcast_to(np.asarray(center_bounds, dtype=np.float64),
+                                 (len(out), 2))
+        lower[:, 2], upper[:, 2] = bounds[rows].T
+        p0[:, 2] = np.clip(p0[:, 2], lower[:, 2], upper[:, 2])
 
-    p, cov, chi2, it, reason = _levmar(x, y, weights, p0,
-                                       lower=lower, upper=upper)
+    for i, solution in zip(rows, _levmar(x, y, weights, p0,
+                                         lower=lower, upper=upper)):
+        out[i] = solution if isinstance(solution, FitError) \
+            else _gaussian_fit(solution, len(x))
+    return out
+
+
+def _gaussian_fit(solution, n_bins) -> GaussianFit:
+    p, cov, chi2, it, reason = solution
     errs = np.sqrt(np.maximum(np.diag(cov), 0.0))
     return GaussianFit(
         **asdict(_component(p, cov, errs, 1)),
         bg=float(p[0]), bg_err=float(errs[0]), chi2=float(chi2),
-        dof=len(x) - 4, n_iterations=it, stop_reason=reason, covariance=cov)
+        dof=n_bins - 4, n_iterations=it, stop_reason=reason, covariance=cov)
 
 
 def _flat_result(x, y, weights):
-    """Exactly flat data: no peak by construction, never an error.  The
-    spacing and the center come from x in ascending order."""
+    """Exactly flat data: no peak by construction, never an error, unless
+    it is all zero (then the FitError).  The spacing and the center come
+    from x in ascending order."""
     bg = float(y[0])
     if bg <= 0.0:
-        raise FitError("histogram is empty; nothing to fit",
-                       reason="empty_histogram")
+        return FitError("histogram is empty; nothing to fit",
+                        reason="empty_histogram")
     x = np.sort(x)
     spacing = float(x[1] - x[0])
     bg_err = float(1.0 / np.sqrt(weights.sum()))
@@ -532,29 +735,52 @@ def fit_two_peaks(hist: DeltaHistogram,
     if separation_hint_ps <= 0:
         raise ValueError("separation hint must be positive")
     x, y, weights = _fit_arrays(hist)
+    return _raised(_two_peak_fits(x, y[None], weights[None],
+                                  [separation_hint_ps])[0])
+
+
+def _two_peak_fits(x, y, weights, hints) -> list:
+    """Two-peak fits of the rows of ``y`` (weights alike) on the grid
+    ``x``, each with its separation hint, in one solver run: per row a
+    ``TwoPeakFit`` or the ``FitError`` that ended it."""
     if len(x) < 14:
         raise ValueError("need at least 14 bins to fit two peaks")
-    if np.ptp(y) == 0.0:
-        raise FitError("histogram is flat; no peaks to fit",
-                       reason="flat_data")
+    out: list = [None] * len(y)
+    flat = np.ptp(y, axis=1) == 0.0
+    for i in np.flatnonzero(flat):
+        out[i] = FitError("histogram is flat; no peaks to fit",
+                          reason="flat_data")
+    rows = np.flatnonzero(~flat)
 
-    bg0, a1, mu1, s1 = _single_peak_seed(x, y)
-    resid = y - gauss_model(x, np.array([bg0, a1, mu1, s1]))
-    mu2, a2 = _second_peak_seed(x, resid, mu1, separation_hint_ps)
-    p0 = np.array([bg0, a1, mu1, s1, max(a2, 0.05 * a1), mu2, s1])
+    p0 = np.empty((len(rows), 7))
+    lower = np.tile([-np.inf, -np.inf, -np.inf, 1e-9, -np.inf, -np.inf, 1e-9],
+                    (len(rows), 1))
+    upper = np.full((len(rows), 7), np.inf)
+    for k, i in enumerate(rows):
+        hint = hints[i]
+        bg0, a1, mu1, s1 = _single_peak_seed(x, y[i])
+        resid = y[i] - gauss_model(x, np.array([bg0, a1, mu1, s1]))
+        mu2, a2 = _second_peak_seed(x, resid, mu1, hint)
+        p0[k] = [bg0, a1, mu1, s1, max(a2, 0.05 * a1), mu2, s1]
+        # Box the second center near the hinted side: without any real
+        # second peak the (mu2, sigma2) directions are flat and an
+        # unbounded center wanders instead of converging.
+        side = 1.0 if mu2 >= mu1 else -1.0
+        target = mu1 + side * hint
+        lower[k, 5] = target - 0.6 * hint
+        upper[k, 5] = target + 0.6 * hint
 
-    lower = np.array([-np.inf, -np.inf, -np.inf, 1e-9, -np.inf, -np.inf, 1e-9])
-    upper = np.full(7, np.inf)
-    # Box the second center near the hinted side: without any real second
-    # peak the (mu2, sigma2) directions are flat and an unbounded center
-    # wanders instead of converging.
-    side = 1.0 if mu2 >= mu1 else -1.0
-    target = mu1 + side * separation_hint_ps
-    lower[5] = target - 0.6 * separation_hint_ps
-    upper[5] = target + 0.6 * separation_hint_ps
-    p, cov, chi2, it, reason = _levmar(x, y, weights, p0,
-                                       lower=lower, upper=upper)
+    for i, solution in zip(rows, _levmar(x, y[rows], weights[rows], p0,
+                                         lower=lower, upper=upper)):
+        out[i] = solution if isinstance(solution, FitError) \
+            else _two_peak_fit(solution, len(x))
+    return out
 
+
+def _two_peak_fit(solution, n_bins):
+    """The TwoPeakFit of a solver solution, or the merged-peaks
+    FitError."""
+    p, cov, chi2, it, reason = solution
     errs = np.sqrt(np.maximum(np.diag(cov), 0.0))
     (near, i_near), (far, i_far) = sorted(
         ((_component(p, cov, errs, i), i) for i in (1, 4)),
@@ -563,8 +789,9 @@ def fit_two_peaks(hist: DeltaHistogram,
     if near.significant and far.significant:
         gap = abs(far.center_ps - near.center_ps)
         if gap <= 2.0 * (near.sigma_ps + far.sigma_ps):
-            raise FitError("merged peaks: separation below resolvability bound",
-                           last_estimate=p, reason="merged_peaks")
+            return FitError(
+                "merged peaks: separation below resolvability bound",
+                last_estimate=p, reason="merged_peaks", n_iterations=it)
 
     cells = (cov[i_near + 1, i_near + 1], cov[i_far + 1, i_far + 1],
              cov[i_near + 1, i_far + 1])
@@ -577,7 +804,7 @@ def fit_two_peaks(hist: DeltaHistogram,
         bg=float(p[0]), bg_err=float(errs[0]), near=near, far=far,
         separation_ps=float(far.center_ps - near.center_ps),
         separation_err_ps=sep_err,
-        chi2=float(chi2), dof=len(x) - 7, n_iterations=it,
+        chi2=float(chi2), dof=n_bins - 7, n_iterations=it,
         stop_reason=reason, covariance=cov)
 
 

@@ -20,7 +20,7 @@ from spadkit.crosstalk import CtCurve, ct_scan
 from spadkit.documents import write_json
 from spadkit.errors import DataError
 from spadkit.offsets import DelayVector, apply_delays
-from spadkit.peakfit import fit_two_peaks
+from spadkit.peakfit import MAX_ITERATIONS, fit_two_peaks
 from spadkit.simulator import BeamSpec, DcrProfile, SimConfig, simulate, \
     simulate_code_density
 from spadkit.rates import compute_rates
@@ -147,15 +147,29 @@ def test_calibrate_and_ct_scan_log_fit_stop_reasons(sim_stream_path, tmp_path,
     reasons = {"relative_step", "chi2_stall", "predicted_decrease",
                "max_iterations", "stalled", "singular", "non_finite_seed",
                "flat_data", "empty_histogram"}
-    n_pairs, by_reason = logged["ct_scan"]
+    n_pairs, by_reason, iterations, passes = logged["ct_scan"]
     assert n_pairs == len(CtCurve.load(str(tmp_path / "ct.json")).pairs)
     assert sum(by_reason.values()) == n_pairs and set(by_reason) <= reasons
-    n_pairs, by_reason = logged["measure_offsets"]
+    _check_solver_work(by_reason, iterations, passes)
+    n_pairs, by_reason, iterations, passes = logged["measure_offsets"]
     assert n_pairs == 255
     assert sum(by_reason.values()) == n_pairs and set(by_reason) <= reasons
+    _check_solver_work(by_reason, iterations, passes)
     n_invalid, n_pairs, fraction = logged["calibrate"]
     assert n_pairs == 255 and 0 <= n_invalid <= n_pairs
     assert fraction == n_invalid / n_pairs
+
+
+def _check_solver_work(by_reason, iterations, passes):
+    """A scan's solver work as logged: every pass is one iteration of each
+    fit still running, so a fit that ran out of iterations took them all."""
+    solved = sum(n for reason, n in by_reason.items()
+                 if reason not in ("flat_data", "empty_histogram"))
+    assert passes <= iterations <= solved * passes
+    assert passes <= MAX_ITERATIONS
+    if "max_iterations" in by_reason:
+        assert passes == MAX_ITERATIONS
+        assert iterations >= by_reason["max_iterations"] * MAX_ITERATIONS
 
 
 def test_calibrate_full_chain_exit_zero(tmp_path):
@@ -505,6 +519,21 @@ def test_delays_must_cover_the_stream(sim_stream_path, tmp_path, capsys):
         err = json.loads(capsys.readouterr().err.strip())
         assert err["type"] == "DataError"
         assert "8 delays" in err["error"] and "256 pixels" in err["error"]
+
+
+@pytest.mark.parametrize("pair", ["0,300", "=-1,5", "255,256"])
+@pytest.mark.parametrize("command", ["coincidence", "report"])
+def test_pair_outside_the_sensor_exits_two(sim_stream_path, tmp_path, capsys,
+                                           command, pair):
+    # "--pair=-1,5": a bare "-1,5" after "--pair" is read as an option
+    flag = f"--pair{pair}" if pair.startswith("=") else f"--pair={pair}"
+    out = tmp_path / "out"
+    assert main([command, "--in", sim_stream_path, flag,
+                 "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["type"] == "DataError"
+    assert pair.lstrip("=") in err["error"] and "0..255" in err["error"]
+    assert not out.exists()
 
 
 def test_fit_documents_are_strict_json(tmp_path):

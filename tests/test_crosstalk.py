@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pytest
 
-from spadkit import DataError, SensorConfig
+from spadkit import DataError, FitError, SensorConfig, crosstalk
 from spadkit.coincidence import DEFAULT_WINDOW_PS, build_histogram
 from spadkit.crosstalk import (
     MIN_SOURCE_COUNTS,
@@ -16,6 +18,7 @@ from spadkit.crosstalk import (
     ct_scan,
 )
 from spadkit.offsets import apply_delays
+from spadkit.peakfit import fit_gaussian
 from spadkit.rates import compute_rates
 from spadkit.simulator import DcrProfile, SimConfig, simulate
 
@@ -139,6 +142,33 @@ def test_scan_null_curve_consistent_with_zero():
         assert 0.0 <= point.probability <= 1.0
         assert point.probability <= 3 * point.stderr
         assert point.upper_limit
+
+
+def test_batched_scan_equals_one_fit_per_pair(monkeypatch, caplog):
+    # Hot pixels over almost no dark counts: the scan meets significant
+    # peaks, peakless pairs, failing fits and empty histograms.
+    stream = sim_stream(overrides=[(40, 2e5), (47, 1.5e5), (200, 1e5)],
+                        base_cps=5.0, ct=[(1, 0.002), (2, 0.0005)],
+                        duration_s=1.0, seed=12)
+    report = compute_rates(stream)
+    caplog.set_level(logging.INFO, logger="spadkit.crosstalk")
+    batched = ct_scan(stream, report, d_max=8, n_hot=3)
+
+    def one_by_one(hists):
+        out = []
+        for hist in hists:
+            try:
+                out.append(fit_gaussian(hist))
+            except FitError as exc:
+                out.append(exc)
+        return out
+
+    monkeypatch.setattr(crosstalk, "fit_gaussians", one_by_one)
+    single = ct_scan(stream, report, d_max=8, n_hot=3)
+    assert batched.to_json_dict() == single.to_json_dict()
+    first, second = (r.getMessage() for r in caplog.records)
+    assert first == second
+    assert "empty_histogram" in first
 
 
 def test_scan_requires_hot_pixels_and_valid_args():

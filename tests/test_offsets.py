@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import io
 import json
+import logging
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spadkit import (CalibrationError, DataError, PhotonStream, SensorConfig,
-                     StreamFormatError)
+from spadkit import (CalibrationError, DataError, FitError, PhotonStream,
+                     SensorConfig, StreamFormatError, offsets)
 from spadkit.coincidence import build_histogram
 from spadkit.offsets import (
     DelayVector,
@@ -244,6 +245,38 @@ def test_dead_pixel_invalidates_its_two_pairs(calibrated_scenario):
     vec = solve_delays(ms)
     assert vec.gap_pixels == ((76, 77), (77, 78))
     assert not vec.degraded
+
+
+def _fit_one_by_one(hists):
+    out = []
+    for hist in hists:
+        try:
+            out.append(fit_gaussian(hist))
+        except FitError as exc:
+            out.append(exc)
+    return out
+
+
+def test_batched_fits_measure_what_single_fits_measure(monkeypatch, caplog):
+    # A small seeded flood with one dead pixel and a dim stretch, so the
+    # batch holds fits that converge, fail and meet empty histograms.
+    rng = np.random.default_rng(31)
+    config = SimConfig(
+        sensor=SensorConfig(num_pixels=48), seed=31, duration_s=4.0,
+        dcr=DcrProfile(base_cps=800.0,
+                       overrides=tuple((p, 5.0) for p in range(30, 36))),
+        ct_profile=((1, 0.02),),
+        delays_ps=tuple(rng.uniform(-3000.0, 3000.0, 48)))
+    stream, _truth = simulate(config)
+    stream = stream.take(stream.pixel != 12)
+    caplog.set_level(logging.INFO, logger="spadkit.offsets")
+    batched = measure_offsets(stream)
+    monkeypatch.setattr(offsets, "fit_gaussians", _fit_one_by_one)
+    one_by_one = measure_offsets(stream)
+    assert repr(batched) == repr(one_by_one)
+    first, second = (r.getMessage() for r in caplog.records)
+    assert first == second
+    assert "empty_histogram" in first and 0 < invalid_fraction(batched) < 1
 
 
 def test_dark_only_stream_has_no_valid_pairs():

@@ -428,7 +428,8 @@ def _full_levmar(x, y, weights, p0, *, lower, upper):
         except np.linalg.LinAlgError:
             lam *= 10.0
             if lam > peakfit.LAMBDA_MAX:
-                raise FitError("normal equations singular", last_estimate=p)
+                raise FitError("normal equations singular", last_estimate=p,
+                               n_iterations=it)
             continue
         p_new = np.clip(p + step, lower, upper)
         chi2_new = chi2_of(p_new)
@@ -450,12 +451,20 @@ def _full_levmar(x, y, weights, p0, *, lower, upper):
                     converged = True
                     break
                 raise FitError("fit stalled before converging",
-                               last_estimate=p)
+                               last_estimate=p, n_iterations=it)
     if not converged:
         raise FitError(
             f"fit did not converge in {peakfit.MAX_ITERATIONS} iterations",
-            last_estimate=p)
+            last_estimate=p, n_iterations=it)
     return p, _full_covariance(_full_jacobian(x, p), weights), chi2, it, None
+
+
+def _full_levmar_each(x, y, weights, p0, *, lower, upper):
+    """The reference in the solver's batched form: one ``_full_levmar``
+    per row, its FitError returned, not raised."""
+    return [_outcome(_full_levmar, (x, *row[:3]),
+                     dict(lower=row[3], upper=row[4]))
+            for row in zip(y, weights, p0, lower, upper)]
 
 
 CONVERGED = {"relative_step", "chi2_stall", "predicted_decrease"}
@@ -464,9 +473,9 @@ SOLVER_FAILED = {"max_iterations", "stalled", "singular", "non_finite_seed"}
 
 def _fit_cases():
     """About 200 seeded fits (function, args, kwargs): one and two peaks,
-    grids of 201 to 2800 bins in any order, weights, center bounds,
-    normalized histograms, collapsed peaks that fail, non-finite data and
-    merged peaks."""
+    grids of 201 to 2800 bins in any order, weights (some negative, -0.0
+    or infinite), center bounds, normalized histograms, collapsed peaks
+    that fail, non-finite data and merged peaks."""
     rng = np.random.default_rng(2468)
     cases = []
     for k in range(196):
@@ -511,6 +520,10 @@ def _fit_cases():
     for bad in (np.nan, np.inf, -np.inf):
         cases.append((fit_peak, (X, np.where(X == 0.0, bad, noisy)), {}))
     cases.append((fit_peak, (X, noisy), {"weights": np.full(len(X), 1e306)}))
+    # weights for which 0.0 * w is not +0.0 (J * W then needs every bin)
+    for odd in (-1.0, -0.0, np.inf):
+        cases.append((fit_peak, (X, noisy),
+                      {"weights": np.where(X < -6000.0, odd, 1.0)}))
     merged = np.random.default_rng(9).poisson(_full_model(X, np.array(
         [80.0, 800.0, -450.0, 300.0, 700.0, 450.0, 300.0])))
     cases.append((fit_two_peaks, (hist_from_counts(merged), 900.0), {}))
@@ -530,19 +543,24 @@ def _params(fit):
     return np.array([fit.bg, *fit.near._params, *fit.far._params])
 
 
-def test_fits_are_bit_identical_to_full_length_evaluation(monkeypatch):
-    cases = _fit_cases()
-    with np.errstate(all="ignore"):
-        new = [_outcome(*case) for case in cases]
-        with monkeypatch.context() as m:
-            m.setattr(peakfit, "_levmar", _full_levmar)
-            m.setattr(peakfit, "gauss_model", _full_model)
-            ref = [_outcome(*case) for case in cases]
+@pytest.fixture(scope="module")
+def reference_outcomes():
+    """Every case of ``_fit_cases`` through the full-length reference."""
+    with pytest.MonkeyPatch.context() as m, np.errstate(all="ignore"):
+        m.setattr(peakfit, "_levmar", _full_levmar_each)
+        m.setattr(peakfit, "gauss_model", _full_model)
+        return [_outcome(*case) for case in _fit_cases()]
+
+
+def _assert_matches_reference(new, ref):
+    """Each outcome equals the reference's bit for bit; returns the stop
+    reasons seen."""
     seen = set()
-    for got, want in zip(new, ref):
+    for got, want in zip(new, ref, strict=True):
         if isinstance(want, FitError):
             assert isinstance(got, FitError)
             assert str(got) == str(want)
+            assert got.n_iterations == want.n_iterations
             if want.last_estimate is None:
                 assert got.last_estimate is None
             else:
@@ -560,9 +578,93 @@ def test_fits_are_bit_identical_to_full_length_evaluation(monkeypatch):
         assert want_doc.pop("stop_reason") is None
         assert repr(got_doc) == repr(want_doc)
         seen.add(got.stop_reason)
+    return seen
+
+
+def test_fits_are_bit_identical_to_full_length_evaluation(reference_outcomes):
+    with np.errstate(all="ignore"):
+        new = [_outcome(*case) for case in _fit_cases()]
+    seen = _assert_matches_reference(new, reference_outcomes)
     # the corpus reaches the solver's common endings on both sides
     assert {"relative_step", "chi2_stall", "max_iterations",
             "non_finite_seed", "merged_peaks"} <= seen
+
+
+def _batch_row(func, args, kwargs):
+    """(kind, x, y, weights, extra) of one case, as its fit function hands
+    it to the batched core: extra is the center box or the hint."""
+    if func is fit_peak:
+        x, y = args
+        weights = kwargs.get("weights", 1.0 / np.maximum(y, 1.0))
+        box = kwargs.get("center_bounds", (-np.inf, np.inf))
+        return "one", x, y, weights, box
+    x, y, weights = peakfit._fit_arrays(args[0])
+    if func is fit_gaussian:
+        return "one", x, y, weights, (-np.inf, np.inf)
+    return "two", x, y, weights, args[1]
+
+
+@pytest.mark.parametrize("block", [peakfit.BLOCK_FITS, 4])
+def test_batches_on_one_grid_equal_the_reference(monkeypatch,
+                                                 reference_outcomes, block):
+    # The cases grouped by model and grid, each group fitted as one batch,
+    # so fits of every ending share the solver's passes and blocks (with
+    # small blocks, many of them).
+    monkeypatch.setattr(peakfit, "BLOCK_FITS", block)
+    cases = _fit_cases()
+    groups = {}
+    for k, case in enumerate(cases):
+        kind, x, *_ = row = _batch_row(*case)
+        groups.setdefault((kind, x.tobytes()), []).append((k, row))
+    new = [None] * len(cases)
+    with np.errstate(all="ignore"):
+        for (kind, _grid), members in groups.items():
+            ks, rows = zip(*members)
+            x = rows[0][1]
+            y = np.array([row[2] for row in rows])
+            weights = np.array([row[3] for row in rows])
+            extra = [row[4] for row in rows]
+            fits = peakfit._single_peak_fits(x, y, weights, extra) \
+                if kind == "one" else peakfit._two_peak_fits(x, y, weights,
+                                                             extra)
+            for k, fit in zip(ks, fits):
+                new[k] = fit
+        solo = [_outcome(*case) for case in cases]
+    assert max(len(m) for m in groups.values()) > 4
+    seen = _assert_matches_reference(new, reference_outcomes)
+    assert {"relative_step", "chi2_stall", "max_iterations",
+            "non_finite_seed", "merged_peaks"} <= seen
+    # the reference names no reasons: the solo fits do
+    for got, alone in zip(new, solo):
+        assert type(got) is type(alone)
+        assert (got.reason == alone.reason if isinstance(got, FitError)
+                else got.stop_reason == alone.stop_reason)
+
+
+def test_fit_gaussians_equals_fit_gaussian_per_histogram():
+    rng = np.random.default_rng(14)
+    hists = [hist_from_counts(rng.poisson(gauss_model(X, np.array(
+        [rng.uniform(1, 50), rng.uniform(0, 300), rng.uniform(-3000, 3000),
+         rng.uniform(30, 800)])))) for _ in range(40)]
+    hists += [hist_from_counts(np.zeros(201)), hist_from_counts(np.full(201, 4)),
+              normalize_histogram(hists[0])]
+    batch = peakfit.fit_gaussians(hists)
+    for hist, got in zip(hists, batch, strict=True):
+        want = _outcome(fit_gaussian, (hist,), {})
+        assert type(got) is type(want)
+        if isinstance(want, FitError):
+            assert (str(got), got.reason) == (str(want), want.reason)
+        else:
+            assert np.array_equal(got.covariance, want.covariance)
+            assert got.to_json_dict() == want.to_json_dict()
+    assert peakfit.fit_gaussians([]) == []
+    other = DeltaHistogram(0, 1, 5_025.0, 50.0, np.ones(201, dtype=np.int64),
+                           201)
+    with pytest.raises(ValueError, match="one grid"):
+        peakfit.fit_gaussians([hists[0], other])
+
+
+HUGE_AMPLITUDE_STEP = np.array([0.0, 1e300, 0.0, 0.0])
 
 
 @pytest.mark.parametrize("solve, reason", [
@@ -575,7 +677,8 @@ def test_fits_are_bit_identical_to_full_length_evaluation(monkeypatch):
 def test_rare_solver_endings_match_full_length_evaluation(monkeypatch, solve,
                                                           reason):
     # Natural fits almost never end in these branches, so the linear solve
-    # is replaced, identically for both solvers.
+    # is replaced, identically for both solvers: the reference solves one
+    # 2-D system, the batched solver a stack of one.
     truth = np.array([30.0, 200.0, 0.0, 300.0])
     y = gauss_model(X, truth)
     if solve != "huge_amplitude_step_at_optimum":
@@ -584,13 +687,16 @@ def test_rare_solver_endings_match_full_length_evaluation(monkeypatch, solve,
     def patched(a, b):
         if solve == "raise":
             raise np.linalg.LinAlgError("singular matrix")
-        return np.array([0.0, 1e300, 0.0, 0.0])
+        step = HUGE_AMPLITUDE_STEP
+        return step if b.ndim == 1 else np.broadcast_to(
+            step[:, None], b.shape).copy()
 
     monkeypatch.setattr(np.linalg, "solve", patched)
     args = (X, y, np.ones_like(X), truth)
     bounds = dict(lower=np.full(4, -np.inf), upper=np.full(4, np.inf))
     with np.errstate(all="ignore"):
-        got = _outcome(peakfit._levmar, args, bounds)
+        got, = peakfit._levmar(*(a[None] if a is not X else a for a in args),
+                               **{k: v[None] for k, v in bounds.items()})
         want = _outcome(_full_levmar, args, bounds)
     if reason in CONVERGED:
         assert got[4] == reason
@@ -599,7 +705,58 @@ def test_rare_solver_endings_match_full_length_evaluation(monkeypatch, solve,
     else:
         assert got.reason == reason
         assert str(got) == str(want)
+        assert got.n_iterations == want.n_iterations
         assert np.array_equal(got.last_estimate, want.last_estimate)
+
+
+def test_rare_endings_in_a_batch_leave_their_neighbors_alone(monkeypatch):
+    # One batch: three fits that converge, and three that end singular,
+    # stalled and with a non-finite seed.  A stacked solve raises for the
+    # whole stack when one system is singular; the fits around it must
+    # still come out as they do alone.  The solve is replaced: a system
+    # whose (background, amplitude) entry, sum(w * exp(-z^2 / 2)), is
+    # below 1e-150 (weights of 1e-200) is singular, one above 1e150
+    # (weights of 1e160) gets a huge amplitude step; every other system is
+    # solved as before.
+    real_solve = np.linalg.solve
+
+    def patched(a, b):
+        marker = np.abs(a[..., 0, 1])
+        if (marker < 1e-150).any():
+            raise np.linalg.LinAlgError("singular matrix")
+        x = real_solve(a, b)
+        if b.ndim == 1:
+            return HUGE_AMPLITUDE_STEP if marker > 1e150 else x
+        x[marker > 1e150] = HUGE_AMPLITUDE_STEP[:, None]
+        return x
+
+    monkeypatch.setattr(np.linalg, "solve", patched)
+    rng = np.random.default_rng(15)
+    y = rng.poisson(gauss_model(X, np.array([30.0, 200.0, 0.0, 300.0])),
+                    size=(6, len(X))).astype(float)
+    weights = 1.0 / np.maximum(y, 1.0)
+    weights[1] = 1e-200
+    weights[3] = 1e160
+    y[4, 100] = np.nan
+    with np.errstate(all="ignore"):
+        batch = peakfit._single_peak_fits(X, y, weights)
+        alone = [_outcome(fit_peak, (X, y_k), {"weights": w_k})
+                 for y_k, w_k in zip(y, weights)]
+    assert [getattr(f, "reason", None) for f in batch] == [
+        None, "singular", None, "stalled", "non_finite_seed", None]
+    for got, want in zip(batch, alone):
+        assert type(got) is type(want)
+        if isinstance(want, FitError):
+            assert (str(got), got.reason, got.n_iterations) \
+                == (str(want), want.reason, want.n_iterations)
+            assert np.array_equal(got.last_estimate, want.last_estimate,
+                                  equal_nan=True)
+            continue
+        assert got.stop_reason in CONVERGED
+        assert np.array_equal(_params(got), _params(want))
+        assert np.array_equal(got.covariance, want.covariance)
+        assert (got.chi2, got.n_iterations, got.stop_reason) \
+            == (want.chi2, want.n_iterations, want.stop_reason)
 
 
 EVALUATOR_GRIDS = {
