@@ -20,6 +20,7 @@ from .coincidence import (
     build_histogram,
     default_bin_width_ps,
     normalize_histogram,
+    pair_histograms,
 )
 from .peakfit import (GaussianFit, TwoPeakFit, fit_gaussian, fit_gaussians,
                       fit_two_peaks)
@@ -78,6 +79,7 @@ __all__ = [
     "fit_two_peaks",
     "measure_offsets",
     "normalize_histogram",
+    "pair_histograms",
     "read_stream",
     "simulate",
     "simulate_code_density",

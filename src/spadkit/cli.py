@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 usage error, 2 malformed or insufficient data,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import logging
@@ -130,6 +131,16 @@ def _read_stream(path: str, lut_path: str | None = None,
     return stream
 
 
+@contextlib.contextmanager
+def _fitting(what: str):
+    """A histogram grid the peak model cannot use (too few bins for its
+    parameters, from --window and --bin) is bad input: a DataError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise DataError(f"cannot fit {what}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -179,11 +190,9 @@ def _cmd_coincidence(args) -> int:
 def _cmd_fit(args) -> int:
     t0 = time.monotonic()
     hist = DeltaHistogram.load(getattr(args, "in"))
-    try:
+    with _fitting(getattr(args, "in")):
         fit = fit_two_peaks(hist, separation_hint_ps=args.hint) \
             if args.two_peaks else fit_gaussian(hist)
-    except ValueError as exc:  # e.g. too few bins for the model
-        raise DataError(f"cannot fit {getattr(args, 'in')}: {exc}") from None
     write_json(args.out, fit.to_json_dict())
     outputs = [args.out]
     if args.svg is not None:
@@ -198,8 +207,9 @@ def _cmd_ct_scan(args) -> int:
     t0 = time.monotonic()
     stream = _read_stream(getattr(args, "in"), args.lut, args.delays)
     report = compute_rates(stream, hot_threshold_cps=args.hot_threshold)
-    curve = ct_scan(stream, report, d_max=args.dmax, n_hot=args.nhot,
-                    window_ps=args.window)
+    with _fitting(f"the pair histograms of {getattr(args, 'in')}"):
+        curve = ct_scan(stream, report, d_max=args.dmax, n_hot=args.nhot,
+                        window_ps=args.window)
     curve.save(args.out)
     outputs = [args.out]
     if args.svg is not None:
@@ -213,7 +223,8 @@ def _cmd_ct_scan(args) -> int:
 def _cmd_calibrate(args) -> int:
     t0 = time.monotonic()
     stream = _read_stream(getattr(args, "in"), args.lut)
-    measurements = measure_offsets(stream, window_ps=args.window)
+    with _fitting(f"the pair histograms of {getattr(args, 'in')}"):
+        measurements = measure_offsets(stream, window_ps=args.window)
     logger.info("calibrate: %d of %d adjacent pairs invalid (fraction %.3f)",
                 sum(not m.valid for m in measurements), len(measurements),
                 invalid_fraction(measurements))
@@ -233,7 +244,9 @@ def _cmd_report(args) -> int:
         hist = normalize_histogram(hist)
     except DataError:
         pass
-    fit = fit_two_peaks(hist, separation_hint_ps=args.hint)
+    with _fitting(f"the {args.pair[0]},{args.pair[1]} histogram of "
+                  f"{getattr(args, 'in')}"):
+        fit = fit_two_peaks(hist, separation_hint_ps=args.hint)
 
     os.makedirs(args.out, exist_ok=True)
     hist_path = os.path.join(args.out, "histogram.json")

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coincidence import DEFAULT_WINDOW_PS, DeltaHistogram, PixelIndex
+from .coincidence import DEFAULT_WINDOW_PS, DeltaHistogram, pair_histograms
 from .documents import Document, as_bool, as_count, as_float
 from .errors import DataError, FitError
 from .peakfit import SIGNIFICANCE_SIGMAS, fit_gaussians
@@ -226,8 +226,7 @@ def ct_scan(stream: PhotonStream, rate_report: RateReport,
     if not rate_report.hot_pixels:
         raise DataError("rate report contains no hot pixels to scan from")
 
-    index = PixelIndex.from_stream(stream)
-    counts = index.counts_per_pixel
+    counts = stream.counts_per_pixel()
     sources = [pixel for pixel, _rate in rate_report.hot_pixels[:n_hot]]
     usable = [p for p in sources if counts[p] >= MIN_SOURCE_COUNTS]
     if not usable:
@@ -237,27 +236,23 @@ def ct_scan(stream: PhotonStream, rate_report: RateReport,
 
     num_pixels = stream.sensor.num_pixels
     bin_width = stream.sensor.mean_bin_width_ps
-    scanned = []
-    for h in usable:
-        for d in range(1, d_max + 1):
-            for target in (h - d, h + d):
-                if 0 <= target < num_pixels:
-                    scanned.append((h, target, index.histogram(
-                        (min(h, target), max(h, target)), window_ps,
-                        bin_width)))
+    pairs = [(h, target) for h in usable for d in range(1, d_max + 1)
+             for target in (h - d, h + d) if 0 <= target < num_pixels]
+    hists = pair_histograms(stream, [(min(h, target), max(h, target))
+                                     for h, target in pairs],
+                            window_ps, bin_width)
     # One batched fit for every histogram with counts; an empty one has
     # no peak to fit.
-    has_counts = [hist.counts.any() for _h, _t, hist in scanned]
-    fits = fit_gaussians(hist for (_h, _t, hist), full
-                         in zip(scanned, has_counts) if full)
+    has_counts = [hist.counts.any() for hist in hists]
+    fits = fit_gaussians(hist for hist, full in zip(hists, has_counts)
+                         if full)
     remaining = iter(fits)
     per_distance: dict[int, list[CtEstimate]] = {
         d: [] for d in range(1, d_max + 1)}
-    for (h, target, hist), full in zip(scanned, has_counts):
+    for (h, target), hist, full in zip(pairs, hists, has_counts):
         fit = next(remaining) if full else None
         per_distance[abs(target - h)].append(
             _estimate(hist, fit, h, target, int(counts[h])))
-    pairs = [(h, target) for h, target, _hist in scanned]
 
     reasons = Counter(e.stop_reason for ests in per_distance.values()
                       for e in ests)

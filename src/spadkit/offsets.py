@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .coincidence import DEFAULT_WINDOW_PS, PixelIndex
+from .coincidence import DEFAULT_WINDOW_PS, pair_histograms
 from .documents import Document, as_bool, as_count, as_float, decode_fields
 from .errors import CalibrationError, DataError, FitError
 from .peakfit import fit_gaussians
@@ -146,9 +146,9 @@ def measure_offsets(stream: PhotonStream,
     """
     num_pixels = stream.sensor.num_pixels
     bin_width = stream.sensor.mean_bin_width_ps
-    index = PixelIndex.from_stream(stream)
-    fits = fit_gaussians(index.histogram((i, i + 1), window_ps, bin_width)
-                         for i in range(num_pixels - 1))
+    fits = fit_gaussians(pair_histograms(
+        stream, [(i, i + 1) for i in range(num_pixels - 1)], window_ps,
+        bin_width))
     out = []
     reasons = Counter()
     for i, fit in enumerate(fits):

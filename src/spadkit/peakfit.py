@@ -663,7 +663,8 @@ def _single_peak_fits(x, y, weights, center_bounds=None) -> list:
     ``FitError`` that ended it.  ``center_bounds`` is one (lo, hi) box
     for the peak position, or one per row."""
     if len(x) < 10:
-        raise ValueError("need at least 10 bins to fit a peak")
+        raise ValueError(
+            f"need at least 10 bins to fit a peak, got {len(x)}")
     out: list = [None] * len(y)
     flat = np.ptp(y, axis=1) == 0.0
     for i in np.flatnonzero(flat):
@@ -744,7 +745,8 @@ def _two_peak_fits(x, y, weights, hints) -> list:
     ``x``, each with its separation hint, in one solver run: per row a
     ``TwoPeakFit`` or the ``FitError`` that ended it."""
     if len(x) < 14:
-        raise ValueError("need at least 14 bins to fit two peaks")
+        raise ValueError(
+            f"need at least 14 bins to fit two peaks, got {len(x)}")
     out: list = [None] * len(y)
     flat = np.ptp(y, axis=1) == 0.0
     for i in np.flatnonzero(flat):

@@ -561,6 +561,26 @@ def test_fit_on_too_few_bins_exits_two(tmp_path, capsys):
         assert err["type"] == "DataError" and "bins" in err["error"]
 
 
+@pytest.mark.parametrize("argv, model_bins, grid_bins", [
+    (["calibrate", "--window", "50"], 10, 6),
+    (["ct-scan", "--dmax", "2", "--nhot", "2", "--window", "50"], 10, 6),
+    (["report", "--pair", "70,73", "--bin", "100000"], 14, 1),
+])
+def test_too_few_bins_for_the_model_exits_two(argv, model_bins, grid_bins,
+                                              sim_stream_path, tmp_path,
+                                              capsys):
+    # calibrate and ct-scan bin at the mean TDC bin (2500/140 ps), so a
+    # 50 ps window leaves ceil(100 / 17.86) = 6 bins; report's 100 ns bin
+    # leaves one.
+    out = tmp_path / "out"
+    assert main([*argv, "--in", sim_stream_path, "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["type"] == "DataError"
+    assert f"need at least {model_bins} bins" in err["error"]
+    assert f"got {grid_bins}" in err["error"]
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def tiny_stream_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("tiny") / "tiny.spk1"

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +19,7 @@ from spadkit.coincidence import (
     default_bin_width_ps,
     n_bins,
     normalize_histogram,
+    pair_histograms,
 )
 
 SENSOR = SensorConfig()
@@ -330,3 +334,158 @@ def test_index_validates_pairs_like_build_histogram():
         idx.histogram((2, 2))
     with pytest.raises(ValueError):
         idx.histogram((3, 1))
+
+
+# ---------------------------------------------------------------------------
+# pair_histograms: one pass for the pairs of a scan
+
+# Cycle indices near both ends of uint64, with gaps above 2**63.  On 256
+# pixels, 2**55 + 1 and 1 times any stride of 512 agree modulo 2**64, so a
+# key built from raw cycle indices would pair records across them.
+CYCLES = [0, 1, 2, 2**55 + 1, 2**63 + 5, 2**64 - 3, 2**64 - 2, 2**64 - 1]
+
+
+@st.composite
+def scan_record_sets(draw):
+    """Records around one dense pixel and the pairs of a scan over its
+    neighbours at 1..D on both sides, with some pairs requested twice.
+
+    The dense pixel fires several times per cycle (runs of one pixel in
+    one cycle) and is the lower pixel of some pairs and the higher of
+    others; a few sparse records sit exactly +-window from dense ones."""
+    d_max = draw(st.integers(1, 4))
+    hot = draw(st.integers(0, 2 * d_max))
+    cycles = draw(st.lists(st.sampled_from(CYCLES), min_size=1, max_size=4,
+                           unique=True))
+    cycle = st.sampled_from(cycles)
+    recs = [(draw(cycle), hot, float(draw(st.integers(1500, 4000))))
+            for _ in range(draw(st.integers(0, 30)))]
+    near = st.integers(max(hot - d_max - 1, 0), hot + d_max + 1)
+    for _ in range(draw(st.integers(0, 15))):
+        recs.append((draw(cycle), draw(near),
+                     float(draw(st.integers(0, 4000)))))
+    for _ in range(draw(st.integers(0, 4)) if recs else 0):
+        cyc, _pixel, t = draw(st.sampled_from(recs))
+        shift = draw(st.sampled_from([-1500.0, 1500.0, 0.0, 1501.0]))
+        recs.append((cyc, draw(near), t + shift))
+    pairs = [(min(hot, target), max(hot, target))
+             for d in range(1, d_max + 1) for target in (hot - d, hot + d)
+             if target >= 0]
+    pairs += draw(st.lists(st.sampled_from(pairs), max_size=3))
+    return recs, draw(st.permutations(pairs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(scan_record_sets(), st.sampled_from([1, 2, 3, 5, 1 << 16]),
+       st.sampled_from([1, 2, 7, 1 << 26]))
+def test_property_pair_histograms_match_brute_force(scan, record_chunk,
+                                                    pair_chunk):
+    # Small chunks put cycles larger than a chunk and pairs on both sides
+    # of chunk edges; small pair blocks split the expansion of one run.
+    recs, pairs = scan
+    window, bw = 1500.0, 130.0
+    s = stream_from(recs)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(coincidence, "_RECORD_CHUNK", record_chunk)
+        m.setattr(coincidence, "_PAIR_CHUNK", pair_chunk)
+        hists = pair_histograms(s, pairs, window, bw)
+    assert len(hists) == len(pairs)
+    for pair, h in zip(pairs, hists):
+        expected = brute_force_counts(recs, *pair, window, bw)
+        assert (h.pixel_a, h.pixel_b) == pair
+        np.testing.assert_array_equal(h.counts, expected)
+        assert h.total_pairs == expected.sum()
+        single = build_histogram(s, pair, window, bw)
+        np.testing.assert_array_equal(single.counts, h.counts)
+        assert single.total_pairs == h.total_pairs
+
+
+def test_duplicate_pairs_read_one_row():
+    recs = [(0, 1, 100.0), (0, 2, 400.0), (0, 2, 900.0), (3, 1, 50.0),
+            (3, 2, 20.0), (3, 3, 70.0)]
+    s = stream_from(recs)
+    hists = pair_histograms(s, [(1, 2), (2, 3), (1, 2)], 1000.0, 100.0)
+    first, _, again = hists
+    np.testing.assert_array_equal(first.counts,
+                                  brute_force_counts(recs, 1, 2, 1000.0, 100.0))
+    np.testing.assert_array_equal(again.counts, first.counts)
+    assert first.total_pairs == again.total_pairs == 3
+
+
+def test_cycle_larger_than_a_chunk_stays_whole():
+    # Six records of one cycle between single-record cycles, walked in
+    # chunks of two records: the cycle is not split.
+    recs = [(0, 4, 10.0)] + [(5, 4 + k % 2, 100.0 * k) for k in range(6)] \
+        + [(9, 5, 30.0)]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(coincidence, "_RECORD_CHUNK", 2)
+        h, = pair_histograms(stream_from(recs), [(4, 5)], 1000.0, 100.0)
+    np.testing.assert_array_equal(h.counts,
+                                  brute_force_counts(recs, 4, 5, 1000.0, 100.0))
+    assert h.total_pairs == 9
+
+
+def test_cycle_indices_never_alias():
+    recs = [(1, 1, 100.0), (2**55 + 1, 2, 300.0), (2**63 + 1, 1, 50.0),
+            (2**64 - 1, 1, 10.0), (2**64 - 1, 2, 20.0)]
+    h, = pair_histograms(stream_from(recs), [(1, 2)], 1000.0, 100.0)
+    assert h.total_pairs == 1 and h.counts[10] == 1
+
+
+def test_empty_stream_and_pairs_without_records():
+    for recs in ([], [(0, 7, 10.0), (0, 9, 20.0)]):
+        hists = pair_histograms(stream_from(recs), [(0, 1), (3, 5)],
+                                500.0, 100.0)
+        assert [(h.pixel_a, h.pixel_b) for h in hists] == [(0, 1), (3, 5)]
+        for h in hists:
+            assert h.total_pairs == 0 and not h.counts.any()
+            assert len(h.counts) == 10
+    assert pair_histograms(stream_from([]), [], 500.0, 100.0) == []
+
+
+def test_pair_histograms_validate_every_pair():
+    s = stream_from([(0, 1, 10.0)])
+    with pytest.raises(ValueError, match="differ"):
+        pair_histograms(s, [(0, 1), (2, 2)])
+    with pytest.raises(ValueError, match="ordered"):
+        pair_histograms(s, [(0, 1), (3, 1)])
+    with pytest.raises(ValueError, match="outside"):
+        pair_histograms(s, [(0, SENSOR.num_pixels)])
+    with pytest.raises(ValueError, match="positive"):
+        pair_histograms(s, [(0, 1)], window_ps=0.0)
+
+
+def test_perfbench_tracer_still_wraps_the_histogram_entry_points():
+    # perfbench's --trace 1 wraps PixelIndex.from_stream, PixelIndex.
+    # histogram and build_histogram by name and counts pairs through
+    # PixelIndex.records_for; a rename here must fail this test.
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" \
+        / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    import spadkit.cli  # noqa: F401  (the tracer wraps cli.main too)
+
+    recs = [(0, 1, 100.0), (0, 2, 400.0), (0, 2, 900.0), (2, 1, 50.0)]
+    s = stream_from(recs)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        index = coincidence.PixelIndex.from_stream(s)
+        by_index = index.histogram((1, 2), 1000.0, 100.0)
+        by_stream = coincidence.build_histogram(s, (1, 2), 1000.0, 100.0)
+    finally:
+        tracer.uninstall()
+    assert coincidence.build_histogram is build_histogram
+    np.testing.assert_array_equal(by_index.counts, by_stream.counts)
+    spans = tracer.take()
+    names = [span.name for span in spans]
+    assert "spadkit.coincidence.PixelIndex.from_stream" in names
+    histogram_spans = [span for span in spans
+                       if span.key == "coincidence.histogram"]
+    assert len(histogram_spans) == 2
+    for span in histogram_spans:
+        assert span.counts == {"pairs_in_window": 2, "pairs_expanded": 2}
+    layers = tracing.layer_metrics(spans, 1.0)
+    assert layers["coincidence.histogram_calls"] == 2
+    assert layers["coincidence.pairs_in_window"] == 4
