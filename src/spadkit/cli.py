@@ -7,7 +7,8 @@ deterministic given the same inputs; the manifest is the only file that
 differs between identical reruns.
 
 Exit codes: 0 success, 1 usage error, 2 malformed or insufficient data,
-3 degraded result (outputs still written, e.g. calibration with gaps).
+3 degraded result (outputs still written, e.g. calibration with gaps or a
+TDC LUT with unusable pixels).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .peakfit import fit_gaussian, fit_two_peaks
 from .rates import DEFAULT_HOT_THRESHOLD_CPS, compute_rates
 from .simulator import SimConfig, simulate
 from .svg import ct_curve_svg, histogram_svg
-from .tdc import TdcLut, _check_lut, apply_lut
+from .tdc import TdcLut, _check_lut, apply_lut, build_lut
 from .timestream import PhotonStream
 
 logger = logging.getLogger(__name__)
@@ -235,6 +236,17 @@ def _cmd_calibrate(args) -> int:
     return EXIT_DEGRADED if vec.degraded else EXIT_OK
 
 
+def _cmd_tdc_cal(args) -> int:
+    t0 = time.monotonic()
+    stream = _read_stream(getattr(args, "in"))
+    lut = build_lut(stream)
+    logger.info("tdc-cal: %d records, %d of %d pixels unusable",
+                stream.n_records, len(lut.unusable), stream.sensor.num_pixels)
+    lut.save(args.out)
+    _manifest(args, [args.out], t0)
+    return EXIT_DEGRADED if lut.unusable else EXIT_OK
+
+
 def _cmd_report(args) -> int:
     t0 = time.monotonic()
     stream = _read_stream(getattr(args, "in"), args.lut, args.delays,
@@ -338,6 +350,13 @@ def build_parser() -> _Parser:
     p.add_argument("--lut", default=None, help=_ALL_LUT_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_calibrate)
+
+    p = sub.add_parser("tdc-cal",
+                       help="TDC look-up table from a raw-code stream "
+                            "under uniform light (code density)")
+    p.add_argument("--in", required=True)
+    p.add_argument("--out", required=True, help="LUT JSON for --lut")
+    p.set_defaults(func=_cmd_tdc_cal)
 
     p = sub.add_parser("report",
                        help="two-peak fit report (JSON + SVG) for a pair")

@@ -483,7 +483,8 @@ def simulate_code_density(sensor: SensorConfig, widths_ps, counts_per_pixel,
     single shared row; each detection samples its fine code from those
     widths, which is exactly the population a code-density calibration
     estimates.  Record times carry the correct coarse clock slot plus the
-    nominal (uniform-width) code position.
+    nominal (uniform-width) code position.  Widths must be finite and
+    >= 0 (a zero-width code never fires), and ``n_cycles`` at least 1.
     """
     widths = np.atleast_2d(np.asarray(widths_ps, dtype=np.float64))
     if widths.shape[0] == 1:
@@ -491,10 +492,14 @@ def simulate_code_density(sensor: SensorConfig, widths_ps, counts_per_pixel,
     if widths.shape != (sensor.num_pixels, sensor.tdc_bins_per_clock):
         raise ValueError(
             f"widths shape {widths.shape} does not match sensor geometry")
+    if not (np.isfinite(widths).all() and (widths >= 0).all()):
+        raise ValueError("widths must be finite and >= 0")
     counts = np.broadcast_to(
         np.asarray(counts_per_pixel, dtype=np.int64), (sensor.num_pixels,))
     if (counts < 0).any():
         raise ValueError("counts must be >= 0")
+    if n_cycles < 1:
+        raise ValueError(f"n_cycles must be >= 1, got {n_cycles}")
 
     clock = float(sensor.clock_period_ps)
     n_slots = sensor.cycle_period_ps // sensor.clock_period_ps
@@ -508,7 +513,7 @@ def simulate_code_density(sensor: SensorConfig, widths_ps, counts_per_pixel,
     for p in range(sensor.num_pixels):
         n = int(counts[p])
         fine = rng.uniform(0.0, clock, n)
-        codes[start:start + n] = np.searchsorted(cum[p], fine, side="right")
+        codes[start:start + n] = _draw_codes(cum[p], fine, clock)
         start += n
     codes = np.minimum(codes, sensor.tdc_bins_per_clock - 1)
 
@@ -525,3 +530,31 @@ def simulate_code_density(sensor: SensorConfig, widths_ps, counts_per_pixel,
         total_cycles=n_cycles,
     )
     return stream.take(record_order(cycles, times, pix))
+
+
+# Cells of the clock in _draw_codes' table: several per TDC bin, so that
+# few draws share a cell with a bin edge.
+_CODE_CELLS = 1024
+
+
+def _draw_codes(cum: np.ndarray, fine: np.ndarray, clock: float) -> np.ndarray:
+    """``np.searchsorted(cum, fine, side="right")`` for a non-decreasing
+    ``cum`` and fine times in [0, clock), from a table.
+
+    Each time first takes the code at the lower edge of its cell, one of
+    ``_CODE_CELLS`` equal cells of the clock.  That code is the answer
+    exactly when ``ext[code] <= fine < ext[code + 1]``, with ``ext = [-inf,
+    cum..., +inf]``: for a non-decreasing ``cum`` one code alone meets
+    that condition.  The few times that share a cell with a bin edge and
+    fail it go through ``np.searchsorted``.
+    """
+    scale = _CODE_CELLS / clock
+    table = np.searchsorted(cum, np.arange(_CODE_CELLS + 1) / scale,
+                            side="right")
+    code = table[(fine * scale).astype(np.intp)]
+    ext = np.concatenate(([-np.inf], cum, [np.inf]))
+    wrong = fine < ext[code]
+    wrong |= fine >= ext[code + 1]
+    if wrong.any():
+        code[wrong] = np.searchsorted(cum, fine[wrong], side="right")
+    return code

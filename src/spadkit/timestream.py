@@ -190,8 +190,8 @@ def record_order(cycle_index: np.ndarray, time_ps: np.ndarray,
     """Permutation that puts records in stream order: (cycle, time, pixel).
 
     The result is exactly ``np.lexsort((pixel, time_ps, cycle_index))``,
-    the order of ties included, but it comes from one sort of one
-    ``uint64`` key per record:
+    the order of ties included.  It comes from one ``uint64`` key per
+    record, as wide as its fields need:
 
         key = cycle << (time_bits + pixel_bits) | time << pixel_bits | pixel
 
@@ -202,18 +202,27 @@ def record_order(cycle_index: np.ndarray, time_ps: np.ndarray,
       which gives ``-0.0`` and ``0.0`` one value, as ``np.lexsort`` does;
     * pixel: the pixel index, in the low bits.
 
-    Each field keeps the order of its column and is as wide as its
-    largest value needs, so key order is stream order.  The key is sorted
-    with the default quicksort, which is not stable; each run of equal
-    keys is then put back in original index order, which gives the
-    result of a stable sort.  ``np.lexsort`` itself remains the fallback
-    when the fields need more than 64 bits, a time is NaN, or a column is
-    neither integer nor (for times) float.
+    Each field keeps the order of its column, so key order is stream
+    order.  The key is sorted by one of three paths, chosen by its bits
+    (``index_bits`` is the bit length of ``n - 1``):
 
-    Memory besides the result: the key, 8 bytes per record, and on the
-    rank path the ``argsort`` of the times until the ranks are in the
-    key.  The key is built in place; every other pass over the columns
-    runs in pieces of ``_PIECE`` records.
+    1. one word, when ``cycle_bits + time_bits + pixel_bits + index_bits
+       <= 64``: the key is shifted left by ``index_bits``, the record
+       index goes into the low bits, and the words are sorted in place
+       (``ndarray.sort``, with SIMD kernels on numpy 2).  The low bits of
+       the sorted words are the permutation; equal keys come out in index
+       order by construction.
+    2. quicksort and tie repair, when the key alone fits in 64 bits: an
+       ``argsort`` of the key (not stable), then each run of equal keys is
+       put back in original index order, which gives the result of a
+       stable sort.
+    3. ``np.lexsort``, when the key needs more than 64 bits, a time is
+       NaN, or a column is neither integer nor (for times) float.
+
+    Memory besides the result: the key, 8 bytes per record, which on path
+    1 becomes the result; on the rank path, the ``argsort`` of the times
+    until the ranks are in the key.  The key is built in place; every
+    other pass over the columns runs in pieces of ``_PIECE`` records.
     """
     cyc, t, pix = np.asarray(cycle_index), np.asarray(time_ps), np.asarray(pixel)
     n = len(pix)
@@ -244,18 +253,32 @@ def record_order(cycle_index: np.ndarray, time_ps: np.ndarray,
 
     cmin = cyc.min()
     cycle_bits = (int(cyc.max()) - int(cmin)).bit_length()
-    if cycle_bits + time_bits + pix_bits > 64:
+    key_bits = cycle_bits + time_bits + pix_bits
+    if key_bits > 64:
         del key
         return np.lexsort((pix, t, cyc))
+    index_bits = (n - 1).bit_length()
+    if key_bits + index_bits > 64:
+        index_bits = 0  # quicksort and tie repair below
 
     key <<= pix_bits
     np.bitwise_or(key, pix, out=key, dtype=np.uint64, casting="unsafe")
-    if cycle_bits:
-        for lo, hi in pieces:
+    for lo, hi in pieces:
+        part = key[lo:hi]
+        if cycle_bits:
             field = np.subtract(cyc[lo:hi], cmin, dtype=np.uint64,
                                 casting="unsafe")
             field <<= time_bits + pix_bits
-            key[lo:hi] |= field
+            part |= field
+        if index_bits:
+            part <<= index_bits
+            part |= np.arange(lo, hi, dtype=np.uint64)
+
+    if index_bits:
+        key.sort()
+        key &= (1 << index_bits) - 1
+        return key.view(np.intp) if np.dtype(np.intp).itemsize == 8 \
+            else key.astype(np.intp)
 
     # quicksort and a repair of the few ties: a stable argsort of the key
     # (timsort) takes two to four times as long on the simulators'

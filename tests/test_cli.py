@@ -25,7 +25,7 @@ from spadkit.simulator import BeamSpec, DcrProfile, SimConfig, simulate, \
     simulate_code_density
 from spadkit.rates import compute_rates
 from spadkit.svg import ct_curve_svg, histogram_svg
-from spadkit.tdc import TdcLut, apply_lut
+from spadkit.tdc import TdcLut, apply_lut, build_lut
 from spadkit.timestream import (AcquisitionCycle, PhotonStream, SensorConfig,
                                 StreamHeader, TimestampRecord, record_order)
 
@@ -631,6 +631,51 @@ def test_lut_documents_load_and_apply(raw_stream_path, tmp_path):
     for path, cls in ((lut_path, TdcLut), (out, DeltaHistogram)):
         doc = json.loads(path.read_text())
         assert cls.load(str(path)).to_json_dict() == doc
+
+
+# ---------------------------------------------------------------------------
+# tdc-cal: the LUT that --lut applies, from a raw-code stream
+
+def _code_density_path(tmp_path, counts):
+    sensor = SensorConfig(num_pixels=2)
+    path = tmp_path / "codes.spk1"
+    stream = simulate_code_density(sensor, LUT.widths[0], counts, seed=4,
+                                   n_cycles=20)
+    stream.write(str(path))
+    return stream, str(path)
+
+
+def test_tdc_cal_writes_the_lut_that_coincidence_applies(tmp_path, caplog):
+    caplog.set_level(logging.INFO)
+    stream, raw = _code_density_path(tmp_path, 12_000)
+    lut_path, hist = tmp_path / "lut.json", tmp_path / "hist.json"
+    assert main(["tdc-cal", "--in", raw, "--out", str(lut_path)]) == 0
+    want = build_lut(stream).to_json_dict()
+    assert json.loads(lut_path.read_text()) == want
+    assert read_manifest(lut_path)["inputs"] == [raw]
+    assert "tdc-cal: 24000 records, 0 of 2 pixels unusable" in caplog.messages
+    assert main(["coincidence", "--in", raw, "--lut", str(lut_path),
+                 "--pair", "0,1", "--out", str(hist)]) == 0
+    assert DeltaHistogram.load(str(hist)).total_pairs > 0
+
+
+def test_tdc_cal_with_an_unusable_pixel_exits_three(tmp_path):
+    # pixel 1 has too few counts to calibrate: the LUT is still written
+    _stream, raw = _code_density_path(tmp_path, (12_000, 50))
+    lut_path = tmp_path / "lut.json"
+    assert main(["tdc-cal", "--in", raw, "--out", str(lut_path)]) == 3
+    assert TdcLut.load(str(lut_path)).unusable == {1}
+
+
+def test_tdc_cal_on_a_stream_without_raw_codes_exits_two(tiny_stream_path,
+                                                         tmp_path, capsys):
+    lut_path = tmp_path / "lut.json"
+    assert main(["tdc-cal", "--in", tiny_stream_path,
+                 "--out", str(lut_path)]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "stream carries no raw TDC codes",
+                   "type": "DataError"}
+    assert not lut_path.exists()
 
 
 # ---------------------------------------------------------------------------

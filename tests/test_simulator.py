@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import numpy as np
@@ -7,6 +8,7 @@ from spadkit import DataError, SensorConfig
 from spadkit.coincidence import build_histogram
 from spadkit.peakfit import fit_gaussian
 from spadkit.rates import compute_rates
+from spadkit import simulator
 from spadkit.simulator import (
     ORIGIN_BEAM_SINGLE,
     ORIGIN_CT,
@@ -386,3 +388,92 @@ def test_code_density_respects_geometry():
     assert stream.time_ps.max() < sensor.cycle_period_ps
     with pytest.raises(ValueError, match="shape"):
         simulate_code_density(sensor, flat[:-1], 10, seed=1)
+
+
+@pytest.mark.parametrize("width, n_cycles, message", [
+    (-50.0, 1, "widths"), (np.nan, 1, "widths"), (np.inf, 1, "widths"),
+    (2500 / 140, 0, "n_cycles"),
+])
+def test_code_density_refuses_bad_widths_and_cycles(width, n_cycles, message):
+    sensor = SensorConfig(num_pixels=2)
+    widths = np.full(sensor.tdc_bins_per_clock, sensor.mean_bin_width_ps)
+    widths[3] = width
+    with pytest.raises(ValueError, match=message):
+        simulate_code_density(sensor, widths, 10, seed=1, n_cycles=n_cycles)
+
+
+def _cum_cases():
+    rng = np.random.default_rng(17)
+    clock = 2500.0
+    uneven = rng.uniform(0.0, 2.0, 140)
+    uneven[[0, 5, 6, 7, 139]] = 0.0  # zero-width bins, a run of them too
+    uneven *= clock / uneven.sum()
+    return {
+        "zero-width bins": np.cumsum(uneven),
+        "widths short of the clock": np.cumsum(uneven * 0.8),
+        "widths past the clock": np.cumsum(uneven * 1.2),
+        "narrow bins in one cell": np.cumsum(np.r_[np.full(100, 0.01),
+                                                   np.full(40, 62.475)]),
+        # a time just below a cell edge can land in that cell, where the
+        # table's code already counts a bin edge on the cell edge
+        "bins on the cell edges": np.arange(1, simulator._CODE_CELLS + 1)
+        * (clock / simulator._CODE_CELLS),
+        "one bin": np.array([clock]),
+        "all zero": np.zeros(140),
+    }
+
+
+@pytest.mark.parametrize("case", list(_cum_cases()))
+def test_code_draw_is_searchsorted(case):
+    # the oracle: np.searchsorted(cum, fine, side="right"), on fine times
+    # at and beside every bin edge and table cell edge, 0.0 and the last
+    # float below the clock
+    cum, clock = _cum_cases()[case], 2500.0
+    cells = np.arange(simulator._CODE_CELLS + 1) * (clock /
+                                                    simulator._CODE_CELLS)
+    edges = np.concatenate([cum, cells])
+    fine = np.concatenate([
+        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        [0.0, np.nextafter(clock, 0)],
+        np.random.default_rng(2).uniform(0.0, clock, 20_000)])
+    fine = fine[(fine >= 0.0) & (fine < clock)]
+    assert np.array_equal(simulator._draw_codes(cum, fine, clock),
+                          np.searchsorted(cum, fine, side="right"))
+
+
+def test_code_density_on_a_one_bin_sensor():
+    sensor = SensorConfig(num_pixels=2, tdc_bins_per_clock=1)
+    stream = simulate_code_density(sensor, [sensor.clock_period_ps], 500,
+                                   seed=2, n_cycles=5)
+    assert stream.raw_code.tolist() == [0] * 1000
+
+
+# sha256 of the written bytes of small simulated streams: the simulators'
+# byte contract (same config and seed, same stream), pinned across changes
+# to their draws and sorts
+def test_code_density_stream_bytes_are_pinned():
+    sensor = SensorConfig(num_pixels=4)
+    widths = np.random.default_rng(12).uniform(
+        0.2, 1.8, (4, sensor.tdc_bins_per_clock))
+    widths[:, 7] = 0.0
+    widths *= sensor.clock_period_ps / widths.sum(axis=1, keepdims=True)
+    stream = simulate_code_density(sensor, widths, (3000, 0, 500, 2000),
+                                   seed=11, n_cycles=50)
+    assert stream.n_records == 5500
+    assert hashlib.sha256(stream_bytes(stream)).hexdigest() == \
+        "b9028aed56e703dd48085fade64bdb58f3b806c9a9f5893283a5e9398f7b6f0c"
+
+
+def test_simulate_stream_bytes_are_pinned():
+    config = SimConfig(
+        sensor=small_sensor(), seed=21, duration_s=0.05,
+        dcr=DcrProfile(base_cps=2000.0),
+        beams=(BeamSpec(pixel=3, rate_cps=20000.0),
+               BeamSpec(pixel=9, rate_cps=20000.0)),
+        pair_fraction=0.2, fiber_delay_ps=3000.0,
+        ct_profile=((1, 0.02), (2, 0.005)),
+        delays_ps=tuple(float(d) for d in np.linspace(-700.5, 900.25, 16)))
+    stream, _truth = simulate(config)
+    assert stream.n_records == 3805
+    assert hashlib.sha256(stream_bytes(stream)).hexdigest() == \
+        "0e8e99768f4be2c7a3a4c7c5e0a9106de90bcc6a3d193d03b30fa5e9c9dff61d"

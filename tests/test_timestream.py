@@ -719,13 +719,55 @@ def test_record_order_sorts_one_key_unless_it_needs_over_64_bits(
     assert lexsort.called is fallback  # unique keys: no tie to repair
 
 
-def test_record_order_repairs_ties_in_a_large_run():
-    # runs of ~10^4 equal keys across several pieces: quicksort scrambles
-    # them, the repair restores the original index order of each run
+def _spied_record_order(cycle, time, pixel):
+    """``record_order``'s result and its calls of ``np.argsort`` and
+    ``np.lexsort``, which tell its three paths apart."""
+    with mock.patch("numpy.argsort", wraps=np.argsort) as argsort, \
+            mock.patch("numpy.lexsort", wraps=np.lexsort) as lexsort:
+        got = timestream.record_order(cycle, time, pixel)
+    return got, argsort.call_count, lexsort.call_count
+
+
+def test_record_order_one_word_path_keeps_ties_in_index_order():
+    # runs of ~10^4 equal keys across several pieces, on unordered cycles:
+    # 2 + 1 + 1 key bits and 18 index bits take the one-word path, whose
+    # sorted words hold each run in index order with no repair
     rng = np.random.default_rng(8)
     n = 3 * timestream._PIECE
-    cycle = np.sort(rng.integers(0, 3, n)).astype(np.uint64)
+    cycle = rng.integers(0, 3, n).astype(np.uint64)
     time = rng.integers(0, 2, n).astype(np.float64)
     pixel = rng.integers(0, 2, n).astype(np.uint16)
-    assert np.array_equal(timestream.record_order(cycle, time, pixel),
-                          np.lexsort((pixel, time, cycle)))
+    want = np.lexsort((pixel, time, cycle))
+    got, argsorts, lexsorts = _spied_record_order(cycle, time, pixel)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert (argsorts, lexsorts) == (0, 0)
+
+
+def test_record_order_repairs_ties_in_a_large_run():
+    # the same runs of equal keys, with cycles spread over 2**41 and pixels
+    # up to 65535: 42 + 1 + 16 key bits and 18 index bits are 77, so the
+    # key is quicksorted and the repair restores each run's index order
+    rng = np.random.default_rng(8)
+    n = 3 * timestream._PIECE
+    cycle = np.sort(rng.integers(0, 3, n)).astype(np.uint64) << np.uint64(40)
+    time = rng.integers(0, 2, n).astype(np.float64)
+    pixel = (rng.integers(0, 2, n) * 65535).astype(np.uint16)
+    got, argsorts, lexsorts = _spied_record_order(cycle, time, pixel)
+    assert np.array_equal(got, np.lexsort((pixel, time, cycle)))
+    # the key's quicksort (whole times take no rank), then the repair
+    assert (argsorts, lexsorts) == (1, 1)
+
+
+@pytest.mark.parametrize("cycle_span, one_word", [
+    (2**28 - 1, True),  # 28 + 10 + 16 key bits, 10 index bits: 64
+    (2**28, False),     # 29 + 10 + 16 + 10: 65, quicksort and repair
+])
+def test_record_order_one_word_path_up_to_64_bits(cycle_span, one_word):
+    cycle, time, pixel = _unique_columns(1000, cycle_span, sub_ps=False)
+    assert (int(time.max() - time.min()).bit_length(),
+            int(pixel.max()).bit_length()) == (10, 16)
+    got, argsorts, lexsorts = _spied_record_order(cycle, time, pixel)
+    assert np.array_equal(got, np.lexsort((pixel, time, cycle)))
+    assert argsorts == (0 if one_word else 1)
+    assert lexsorts == 0  # unique keys: no tie to repair
