@@ -1,10 +1,10 @@
 """Command-line interface: the analysis pipeline as subcommands.
 
 Every run writes a manifest JSON next to its primary output with the
-resolved parameters, input/output paths, tool version, and wall time,
-so any result can be traced back to the exact invocation.  Outputs are
-deterministic given the same inputs; the manifest is the only file that
-differs between identical reruns.
+resolved parameters, input/output paths, tool version, wall time and
+peak resident memory, so any result can be traced back to the exact
+invocation.  Outputs are deterministic given the same inputs; the
+manifest is the only file that differs between identical reruns.
 
 Exit codes: 0 success, 1 usage error, 2 malformed or insufficient data,
 3 degraded result (outputs still written, e.g. calibration with gaps or a
@@ -23,6 +23,11 @@ import sys
 import time
 
 import numpy as np
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 from . import __version__
 from .coincidence import (DEFAULT_WINDOW_PS, DeltaHistogram, build_histogram,
@@ -71,7 +76,18 @@ def _manifest(args, outputs, t0, seed=None) -> None:
                    if config.get(k)],
         "outputs": outputs, "version": __version__,
         "wall_time_s": round(time.monotonic() - t0, 3), "seed": seed,
+        "peak_rss_mb": _peak_rss_mb(),
     }, indent=2, sort_keys=True)
+
+
+def _peak_rss_mb() -> float | None:
+    """The process's peak resident set size so far in MiB, or None where
+    the platform has no ``resource`` module."""
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # ru_maxrss counts bytes on macOS and KiB on Linux
+    return round(peak / (1 << 20 if sys.platform == "darwin" else 1 << 10), 1)
 
 
 def _pair(text: str) -> tuple[int, int]:

@@ -27,10 +27,25 @@ between mixes would no longer converge to the ratio of
 Cross-talk spawns are drawn from every generated photon (depth 1, no
 CT-of-CT) before per-pixel delays are applied, and strictly follow their
 source in time by |N(0, ct_jitter)|.
+
+Memory contract: ``simulate`` and ``simulate_code_density`` hold one
+stream's columns plus bounded scratch.  A block is generated into its
+final columns, with room for the cross-talk spawns behind their sources;
+delays, jitter and rounding act in place; dropping and sorting records
+rebuild one column at a time.  The scratch is then at most about two
+8-byte columns of the largest block: the sort key and the permutation, or
+the permutation and one rebuilt column.  A stream of one block keeps that
+block's columns, and the columns of several blocks are joined one column
+at a time.  Lineage arrays exist only when ``include_lineage`` is set.
+``PhotonStream.write`` adds one boundary per cycle and pieces of a fixed
+length.  Traced by ``tracemalloc``, simulating and writing a one-block
+beam run peaks below 2x its column bytes, and the code-density simulation
+below 1.8x (the tests bound them at 3x and 2x).
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import asdict, dataclass, field
 from functools import partial
 
@@ -38,7 +53,10 @@ import numpy as np
 
 from .documents import as_float, as_list, decode_fields, pairs
 from .errors import DataError
-from .timestream import PhotonStream, SensorConfig, StreamHeader, record_order
+from .timestream import (PhotonStream, SensorConfig, StreamHeader, _pieces,
+                         record_order)
+
+logger = logging.getLogger(__name__)
 
 MAX_MEAN_RECORDS_PER_CYCLE = 10_000.0
 
@@ -227,7 +245,9 @@ class SimTruth:
     The count fields satisfy, and tests verify,
     ``n_records = n_dark + n_beam_singles + 2*n_pair_attempts + n_ct
     - n_dropped``.  ``origin``/``class_id`` are per-record lineage arrays
-    aligned with the stream (present only when requested).
+    aligned with the stream (present only when requested).  The JSON form
+    carries them only up to ``LINEAGE_JSON_MAX`` records, and logs a
+    warning when it leaves them out.
     """
 
     delays_ps: np.ndarray
@@ -258,17 +278,27 @@ class SimTruth:
                 "dropped": self.n_dropped,
             },
         }
-        if self.origin is not None and len(self.origin) <= LINEAGE_JSON_MAX:
-            out["lineage"] = {
-                "origin_names": list(ORIGIN_NAMES),
-                "origin": self.origin.tolist(),
-                "class_id": self.class_id.tolist(),
-            }
+        if self.origin is None:
+            return out
+        if len(self.origin) > LINEAGE_JSON_MAX:
+            logger.warning("truth: lineage of %d records left out of the "
+                           "JSON, above LINEAGE_JSON_MAX = %d records",
+                           len(self.origin), LINEAGE_JSON_MAX)
+            return out
+        out["lineage"] = {
+            "origin_names": list(ORIGIN_NAMES),
+            "origin": self.origin.tolist(),
+            "class_id": self.class_id.tolist(),
+        }
         return out
 
 
 def simulate(config: SimConfig) -> tuple[PhotonStream, SimTruth]:
-    """Generate a stream and its ground truth from a validated config."""
+    """Generate a stream and its ground truth from a validated config.
+
+    Holds the stream's columns (18 bytes per record, 21 with lineage) plus
+    the scratch that the module docstring bounds.
+    """
     config.validated()
     sensor = config.sensor
     period = float(sensor.cycle_period_ps)
@@ -292,72 +322,110 @@ def simulate(config: SimConfig) -> tuple[PhotonStream, SimTruth]:
         class_labels=labels,
     )
 
-    parts_cyc, parts_pix, parts_time = [], [], []
-    parts_origin, parts_class = [], []
+    parts: dict[str, list] = {}
     for block_idx, c0 in enumerate(range(0, total_cycles, block_cycles)):
         span = min(block_cycles, total_cycles - c0)
         rng = np.random.default_rng(
             np.random.SeedSequence(config.seed, spawn_key=(block_idx,)))
-        cyc, pix, time, origin, class_id = _generate_block(
-            rng, config, dark_rates, label_index, c0, span, period, cycle_s,
-            truth)
-        # delays and detection jitter apply to every record
-        time = time + delays[pix] + rng.normal(0.0, config.jitter_sigma_ps,
-                                               len(time))
-        time = np.rint(time)
+        block = _generate_block(rng, config, dark_rates, label_index, c0,
+                                span, period, cycle_s, truth)
+        # delays and detection jitter apply to every record, as
+        # (t + delay) + jitter
+        time, pix = block["time"], block["pixel"]
+        for lo, hi in _pieces(len(time)):
+            time[lo:hi] += delays[pix[lo:hi]]
+        time += rng.normal(0.0, config.jitter_sigma_ps, len(time))
+        np.rint(time, out=time)
         keep = (time >= 0.0) & (time < period)
-        truth.n_dropped += int(len(keep) - keep.sum())
-        cyc, pix, time = cyc[keep], pix[keep], time[keep]
-        origin, class_id = origin[keep], class_id[keep]
-        order = record_order(cyc, time, pix)
-        parts_cyc.append(cyc[order])
-        parts_pix.append(pix[order])
-        parts_time.append(time[order])
-        parts_origin.append(origin[order])
-        parts_class.append(class_id[order])
-        # free this block's records before the next one is generated
-        del cyc, pix, time, origin, class_id, keep, order
+        del time, pix  # so that _gather frees each column it rebuilds
+        dropped = len(keep) - int(np.count_nonzero(keep))
+        truth.n_dropped += dropped
+        if dropped:
+            _gather(block, keep)
+        del keep
+        _gather(block, record_order(block["cycle"], block["time"],
+                                    block["pixel"]))
+        for name, column in block.items():
+            parts.setdefault(name, []).append(column)
 
     header = StreamHeader(sensor=sensor, metadata={
         "source": "simulation", "seed": str(config.seed)})
     # total_cycles >= 1, so every part list is non-empty.
     stream = PhotonStream(
         header=header,
-        cycle_index=np.concatenate(parts_cyc),
-        pixel=np.concatenate(parts_pix),
-        time_ps=np.concatenate(parts_time),
+        cycle_index=_join(parts.pop("cycle")),
+        pixel=_join(parts.pop("pixel")),
+        time_ps=_join(parts.pop("time")),
         total_cycles=total_cycles,
     )
     if config.include_lineage:
-        truth.origin = np.concatenate(parts_origin)
-        truth.class_id = np.concatenate(parts_class)
+        truth.origin = _join(parts.pop("origin"))
+        truth.class_id = _join(parts.pop("class_id"))
     return stream, truth
+
+
+def _gather(columns: dict[str, np.ndarray], index) -> None:
+    """Replace each column by ``column[index]``, one column at a time, so
+    that at most one column more than the caller's is alive at once."""
+    for name in columns:
+        columns[name] = columns[name][index]
+
+
+def _join(parts: list[np.ndarray], extra: int = 0) -> np.ndarray:
+    """The parts one after another, with room for ``extra`` entries more.
+
+    Empties ``parts``, releasing each part once it is copied.  A single
+    part that needs no room added is returned as it is.
+    """
+    if len(parts) == 1 and not extra:
+        return parts.pop()
+    out = np.empty(sum(len(part) for part in parts) + extra,
+                   dtype=parts[0].dtype)
+    at = 0
+    while parts:
+        part = parts.pop(0)
+        out[at:at + len(part)] = part
+        at += len(part)
+    return out
+
+
+def _cycles(rng, c0: int, span: int, n: int) -> np.ndarray:
+    """n cycle indices drawn uniformly from [c0, c0 + span), as uint64.
+
+    The draw is int64 and never negative, so a view keeps every value.
+    """
+    return rng.integers(c0, c0 + span, n).view(np.uint64)
 
 
 def _generate_block(rng, config: SimConfig, dark_rates, label_index,
                     c0: int, span: int, period: float, cycle_s: float,
-                    truth: SimTruth):
+                    truth: SimTruth) -> dict[str, np.ndarray]:
     """All photons for cycles [c0, c0+span) in a fixed draw order.
 
-    Returns pre-delay, pre-drop record arrays.  The RNG call sequence
-    depends only on the config (array shapes are data-dependent), which
-    is what makes the output reproducible.
+    Returns pre-delay, pre-drop record columns by name: ``cycle``,
+    ``pixel``, ``time``, and with lineage ``origin`` and ``class_id``.
+    The sources come first, then their cross-talk spawns.  The RNG call
+    sequence depends only on the config (array shapes are data-dependent),
+    which is what makes the output reproducible.
     """
     sensor = config.sensor
     num_pixels = sensor.num_pixels
-    cyc_parts, pix_parts, t_parts = [], [], []
-    origin_parts, class_parts = [], []
+    lineage = config.include_lineage
+    parts: dict[str, list] = {name: [] for name in ("cycle", "pixel", "time")
+                              + (("origin", "class_id") if lineage else ())}
 
     def emit(cycles, pixels, times, origin, class_id):
-        cyc_parts.append(cycles.astype(np.uint64, copy=False))
-        pix_parts.append(pixels.astype(np.uint16, copy=False))
-        t_parts.append(times.astype(np.float64, copy=False))
+        parts["cycle"].append(cycles.astype(np.uint64, copy=False))
+        parts["pixel"].append(pixels.astype(np.uint16, copy=False))
+        parts["time"].append(times.astype(np.float64, copy=False))
+        if not lineage:
+            return
         n = len(cycles)
-        origin_parts.append(np.full(n, origin, dtype=np.uint8))
+        parts["origin"].append(np.full(n, origin, dtype=np.uint8))
         if isinstance(class_id, np.ndarray):
-            class_parts.append(class_id.astype(np.int16, copy=False))
+            parts["class_id"].append(class_id.astype(np.int16, copy=False))
         else:
-            class_parts.append(np.full(n, class_id, dtype=np.int16))
+            parts["class_id"].append(np.full(n, class_id, dtype=np.int16))
 
     # 1. dark counts, with optional linear drift across the acquisition
     drift = config.dcr.drift_scale
@@ -373,7 +441,7 @@ def _generate_block(rng, config: SimConfig, dark_rates, label_index,
     else:
         n_dark = rng.poisson(dark_rates * span * cycle_s)
         total_dark = int(n_dark.sum())
-        dark_cyc = rng.integers(c0, c0 + span, total_dark).astype(np.uint64)
+        dark_cyc = _cycles(rng, c0, span, total_dark)
     dark_pix = np.repeat(np.arange(num_pixels, dtype=np.uint16), n_dark)
     dark_t = rng.uniform(0.0, period, total_dark)
     emit(dark_cyc, dark_pix, dark_t, ORIGIN_DARK, -1)
@@ -387,7 +455,7 @@ def _generate_block(rng, config: SimConfig, dark_rates, label_index,
     for beam in config.beams:
         single_rate = beam.rate_cps - attempt_rate
         n = int(rng.poisson(max(single_rate, 0.0) * span * cycle_s))
-        cycles = rng.integers(c0, c0 + span, n).astype(np.uint64)
+        cycles = _cycles(rng, c0, span, n)
         times = rng.uniform(0.0, period, n)
         class_id = _draw_classes(rng, beam.mix, label_index, n)
         emit(cycles, np.full(n, beam.pixel, dtype=np.uint16), times,
@@ -398,19 +466,24 @@ def _generate_block(rng, config: SimConfig, dark_rates, label_index,
     if attempt_rate > 0:
         arm_a, arm_b = config.beams
         n = int(rng.poisson(attempt_rate * span * cycle_s))
-        cycles = rng.integers(c0, c0 + span, n).astype(np.uint64)
+        cycles = _cycles(rng, c0, span, n)
         t_a = rng.uniform(0.0, period, n)
         cls_a = _draw_classes(rng, arm_a.mix, label_index, n)
         cls_b = _draw_classes(rng, arm_b.mix, label_index, n)
         dt = rng.normal(0.0, config.correlation_sigma_ps, n)
         t_indep = rng.uniform(0.0, period, n)
-        cyc_indep = rng.integers(c0, c0 + span, n).astype(np.uint64)
+        cyc_indep = _cycles(rng, c0, span, n)
         matched = cls_a == cls_b
-        t_b = np.where(matched, t_a + dt, t_indep) + config.fiber_delay_ps
+        # t_b = where(matched, t_a + dt, t_indep) + fiber delay
+        t_b = np.add(t_a, dt, out=dt)
+        np.copyto(t_b, t_indep, where=~matched)
+        t_b += config.fiber_delay_ps
+        del t_indep
         # Mismatched attempts must not share the a-photon's cycle: that
         # would correlate the per-cycle arm counts and inflate the flat
         # coincidence floor by the mismatch rate, skewing contrast ratios.
-        cyc_b = np.where(matched, cycles, cyc_indep)
+        np.copyto(cyc_indep, cycles, where=matched)
+        cyc_b = cyc_indep
         emit(cycles, np.full(n, arm_a.pixel, dtype=np.uint16), t_a,
              ORIGIN_PAIR_A, cls_a)
         emit(cyc_b, np.full(n, arm_b.pixel, dtype=np.uint16), t_b,
@@ -418,30 +491,59 @@ def _generate_block(rng, config: SimConfig, dark_rates, label_index,
         truth.n_pair_attempts += n
         truth.n_pair_bunched += int(matched.sum())
 
-    # 4. cross-talk spawns from every photon above, depth 1
-    src_cyc = np.concatenate(cyc_parts)
-    src_pix = np.concatenate(pix_parts)
-    src_t = np.concatenate(t_parts)
-    ct_cyc, ct_pix, ct_t = [], [], []
+    # 4. cross-talk spawns from every photon above, depth 1.  Only the
+    # pixels decide which photons spawn, so the other columns are joined
+    # once the spawn count is known, with room for the spawns behind the
+    # sources.
+    pix = _join(parts.pop("pixel"))
+    n_src = len(pix)
+    spawns = []
     for dist, prob in sorted(truth.ct_profile.items()):
         for direction in (dist, -dist):
-            target = src_pix.astype(np.int64) + direction
-            valid = np.flatnonzero((target >= 0) & (target < num_pixels))
-            chosen = valid[_bernoulli_indices(rng, len(valid), prob)]
+            chosen = _ct_sources(rng, pix, direction, num_pixels, prob)
             if len(chosen) == 0:
                 continue
-            ct_cyc.append(src_cyc[chosen])
-            ct_pix.append(target[chosen].astype(np.uint16))
-            ct_t.append(src_t[chosen] + np.abs(
-                rng.normal(0.0, config.ct_jitter_sigma_ps, len(chosen))))
-    if ct_cyc:
-        emit(np.concatenate(ct_cyc), np.concatenate(ct_pix),
-             np.concatenate(ct_t), ORIGIN_CT, -1)
-        truth.n_ct += sum(len(a) for a in ct_cyc)
+            spawns.append((chosen, direction, np.abs(
+                rng.normal(0.0, config.ct_jitter_sigma_ps, len(chosen)))))
+    n_ct = sum(len(chosen) for chosen, _, _ in spawns)
+    truth.n_ct += n_ct
 
-    return (np.concatenate(cyc_parts), np.concatenate(pix_parts),
-            np.concatenate(t_parts), np.concatenate(origin_parts),
-            np.concatenate(class_parts))
+    block = {name: _join(column, n_ct) for name, column in parts.items()}
+    block["pixel"] = _join([pix], n_ct)
+    del pix
+    cyc, pix, time = block["cycle"], block["pixel"], block["time"]
+    at = n_src
+    for chosen, direction, jitter in spawns:
+        stop = at + len(chosen)
+        cyc[at:stop] = cyc[chosen]
+        pix[at:stop] = pix[chosen].astype(np.int64) + direction
+        time[at:stop] = time[chosen] + jitter
+        at = stop
+    if lineage:
+        block["origin"][n_src:] = ORIGIN_CT
+        block["class_id"][n_src:] = -1
+    return block
+
+
+def _ct_sources(rng, pix: np.ndarray, direction: int, num_pixels: int,
+                prob: float) -> np.ndarray:
+    """Positions of the records that spawn cross-talk at ``pixel +
+    direction``: Bernoulli(prob) picks among the records whose target
+    pixel is on the sensor, in position order.
+
+    Only the records near the sensor's edge have no target, so the picks
+    map to positions through that short list: the j-th record with a
+    target sits j places plus one per outside record at a position that,
+    less the outside records before it, is at most j.
+    """
+    dist = abs(direction)
+    if dist >= num_pixels:
+        return _bernoulli_indices(rng, 0, prob)
+    outside = np.flatnonzero(pix >= num_pixels - dist if direction > 0
+                             else pix < dist)
+    picks = _bernoulli_indices(rng, len(pix) - len(outside), prob)
+    return picks + np.searchsorted(outside - np.arange(len(outside)), picks,
+                                   side="right")
 
 
 def _draw_classes(rng, mix, label_index, n) -> np.ndarray:
@@ -515,21 +617,25 @@ def simulate_code_density(sensor: SensorConfig, widths_ps, counts_per_pixel,
         fine = rng.uniform(0.0, clock, n)
         codes[start:start + n] = _draw_codes(cum[p], fine, clock)
         start += n
-    codes = np.minimum(codes, sensor.tdc_bins_per_clock - 1)
+    np.minimum(codes, sensor.tdc_bins_per_clock - 1, out=codes)
 
-    cycles = rng.integers(0, n_cycles, total).astype(np.uint64)
-    slots = rng.integers(0, n_slots, total)
-    times = np.rint(slots * clock + codes * sensor.mean_bin_width_ps)
-    del slots
+    cycles = _cycles(rng, 0, n_cycles, total)
+    # rint(slot * clock + code * mean bin width), built in place
+    times = np.multiply(rng.integers(0, n_slots, total), clock)
+    for lo, hi in _pieces(total):
+        times[lo:hi] += codes[lo:hi] * sensor.mean_bin_width_ps
+    np.rint(times, out=times)
 
-    stream = PhotonStream(
+    columns = {"cycle_index": cycles, "pixel": pix, "time_ps": times,
+               "raw_code": codes}
+    del cycles, pix, times, codes  # so that _gather frees each old column
+    _gather(columns, record_order(columns["cycle_index"], columns["time_ps"],
+                                  columns["pixel"]))
+    return PhotonStream(
         header=StreamHeader(sensor=sensor,
                             metadata={"source": "simulation",
                                       "seed": str(seed)}),
-        cycle_index=cycles, pixel=pix, time_ps=times, raw_code=codes,
-        total_cycles=n_cycles,
-    )
-    return stream.take(record_order(cycles, times, pix))
+        total_cycles=n_cycles, **columns)
 
 
 # Cells of the clock in _draw_codes' table: several per TDC bin, so that

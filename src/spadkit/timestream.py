@@ -93,8 +93,9 @@ _REC_RAW = struct.Struct("<HQBI")
 
 _FLAG_RAW = 0x01
 
-# Records per slab in the writer.  Bounds transient buffers to tens of MB
-# while keeping per-slab Python overhead negligible.
+# Records per slab in the writer: the slab layout, and so the file's bytes,
+# depend on it.  The writer converts each slab column in pieces of
+# ``_PIECE`` records, so the slab size does not bound its memory.
 _IO_CHUNK = 1 << 22
 # Largest single read: a corrupt slab header may claim any size, so a
 # slab body is read in pieces of at most this many bytes.
@@ -164,13 +165,21 @@ class StreamHeader:
 # ---------------------------------------------------------------------------
 # columnar stream
 
-# Records per piece in record_order's passes over whole columns: a pass
-# holds a few arrays of this length at a time, never one per record.
+# Records per piece in passes over whole columns (record_order, the
+# writer, the simulators): a pass holds a few arrays of this length at a
+# time, never one per record.
 _PIECE = 1 << 16
 
 
-def _pieces(n: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + _PIECE, n)) for lo in range(0, n, _PIECE)]
+def _pieces(stop: int, start: int = 0) -> list[tuple[int, int]]:
+    return [(lo, min(lo + _PIECE, stop)) for lo in range(start, stop, _PIECE)]
+
+
+def _whole(values: np.ndarray) -> bool:
+    """Is every value a whole number?  Decided in pieces."""
+    return values.dtype.kind != "f" or all(
+        (np.floor(values[lo:hi]) == values[lo:hi]).all()
+        for lo, hi in _pieces(len(values)))
 
 
 def _dense_ranks(values: np.ndarray, before, start: int) -> np.ndarray:
@@ -236,8 +245,7 @@ def record_order(cycle_index: np.ndarray, time_ps: np.ndarray,
     pix_bits = int(pix.max()).bit_length()
     key = np.empty(n, dtype=np.uint64)
 
-    if t.dtype.kind != "f" or (tmax - tmin < 2.0 ** 53 and all(
-            (np.floor(t[lo:hi]) == t[lo:hi]).all() for lo, hi in pieces)):
+    if t.dtype.kind != "f" or (tmax - tmin < 2.0 ** 53 and _whole(t)):
         time_bits = (int(tmax) - int(tmin)).bit_length()
         np.subtract(t, tmin, out=key, casting="unsafe")
     else:  # dense rank, written to each record's place in ``key``
@@ -405,10 +413,16 @@ class PhotonStream:
         (a path is not even opened), refuses a stream whose rounded times
         the readers would reject, such as a delay-corrected one with
         records outside the cycle, and a header the format cannot hold.
+
+        Memory besides the stream: one boundary per cycle, a per-record
+        flag while the cycles are found, and pieces of ``_PIECE`` records;
+        a rounded copy of the times only when some time is not whole.
         """
-        # Rounded again, slab by slab, where serialized: holding this copy
-        # until then raised peak RSS by 3 % on a 1.1M-record flood stream.
-        replace(self, time_ps=np.rint(self.time_ps)).validate()
+        # Times are rounded again, piece by piece, where serialized.
+        if _whole(self.time_ps):
+            self.validate()
+        else:
+            replace(self, time_ps=np.rint(self.time_ps)).validate()
         header = self.header
         # The in-memory count is authoritative; an inherited metadata entry
         # (e.g. on a slice of a stream read from disk) must not survive.
@@ -432,17 +446,29 @@ class PhotonStream:
             slab_head = _SLAB_HEADER.pack(r1 - r0, hi - lo, flags)
             sink.write(slab_head)
             written += len(slab_head)
-            columns = [(self.cycle_index[starts[r0:r1]], "<u8"),
-                       (stops[r0:r1] - starts[r0:r1], "<u4"),
-                       (self.pixel[lo:hi], "<u2"),
-                       (np.rint(self.time_ps[lo:hi]), "<u8")]
-            if flags:
-                columns.append((self.raw_code[lo:hi], "<u4"))
-            for values, dtype in columns:
-                column = np.ascontiguousarray(values, dtype=dtype)
-                sink.write(column.data)
-                written += column.nbytes
+            for values, dtype in self._slab_pieces(starts, stops, r0, r1):
+                piece = np.ascontiguousarray(values, dtype=dtype)
+                sink.write(piece.data)
+                written += piece.nbytes
         return written
+
+    def _slab_pieces(self, starts: np.ndarray, stops: np.ndarray, r0: int,
+                     r1: int) -> Iterator[tuple[np.ndarray, str]]:
+        """The columns of the slab of cycle runs [r0, r1) in file order,
+        each in pieces of at most ``_PIECE`` entries, with their file
+        dtypes."""
+        lo, hi = int(starts[r0]), int(stops[r1 - 1])
+        for a, b in _pieces(r1, r0):
+            yield self.cycle_index[starts[a:b]], "<u8"
+        for a, b in _pieces(r1, r0):
+            yield stops[a:b] - starts[a:b], "<u4"
+        for a, b in _pieces(hi, lo):
+            yield self.pixel[a:b], "<u2"
+        for a, b in _pieces(hi, lo):
+            yield np.rint(self.time_ps[a:b]), "<u8"
+        if self.raw_code is not None:
+            for a, b in _pieces(hi, lo):
+                yield self.raw_code[a:b], "<u4"
 
     @classmethod
     def read(cls, source: BinaryIO | str) -> "PhotonStream":
@@ -841,14 +867,22 @@ def _lex_ordered(*keys: np.ndarray) -> np.ndarray:
 
 
 def _run_edges(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(starts, stops) arrays of equal-value runs in a sorted array."""
-    if len(values) == 0:
+    """(starts, stops) of equal-value runs in a sorted array: two views of
+    one array of run boundaries."""
+    n = len(values)
+    if n == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
-    edges = np.flatnonzero(np.diff(values)) + 1
-    starts = np.concatenate(([0], edges))
-    stops = np.concatenate((edges, [len(values)]))
-    return starts, stops
+    change = values[1:] != values[:-1]
+    bounds = np.empty(int(np.count_nonzero(change)) + 2, dtype=np.int64)
+    bounds[0], bounds[-1] = 0, n
+    at = 1
+    for lo, hi in _pieces(n - 1):
+        edges = np.flatnonzero(change[lo:hi])
+        edges += lo + 1
+        bounds[at:at + len(edges)] = edges
+        at += len(edges)
+    return bounds[:-1], bounds[1:]
 
 
 def _slab_runs(starts: np.ndarray, chunk: int) -> Iterator[tuple[int, int]]:

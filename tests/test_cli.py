@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import types
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import stream_bytes, with_metadata_entry
 
+from spadkit import cli, simulator
 from spadkit.cli import main
 from spadkit.coincidence import (DeltaHistogram, build_histogram,
                                  normalize_histogram)
@@ -80,6 +82,54 @@ def test_simulate_is_deterministic(tmp_path):
     assert manifest["seed"] == 7
     assert manifest["subcommand"] == "simulate"
     assert str(a) in manifest["outputs"]
+    assert manifest["peak_rss_mb"] > 0
+
+
+@pytest.mark.parametrize("platform, maxrss, expected", [
+    ("linux", 3 << 20, 3072.0),     # KiB
+    ("darwin", 3 << 20, 3.0),       # bytes
+])
+def test_manifest_peak_rss_units(monkeypatch, tmp_path, platform, maxrss,
+                                 expected):
+    usage = types.SimpleNamespace(ru_maxrss=maxrss)
+    monkeypatch.setattr(cli, "resource", types.SimpleNamespace(
+        RUSAGE_SELF=0, getrusage=lambda who: usage))
+    monkeypatch.setattr(cli.sys, "platform", platform)
+    cfg = write_config(tmp_path / "c.json", SimConfig(duration_s=0.01))
+    out = tmp_path / "s.spk1"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    assert read_manifest(out)["peak_rss_mb"] == expected
+
+
+def test_manifest_peak_rss_is_null_without_resource(monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "resource", None)
+    cfg = write_config(tmp_path / "c.json", SimConfig(duration_s=0.01))
+    out = tmp_path / "s.spk1"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    assert read_manifest(out)["peak_rss_mb"] is None
+
+
+def test_truth_without_lineage_above_the_limit_warns(monkeypatch, tmp_path,
+                                                     caplog):
+    config = SimConfig(seed=4, duration_s=0.2,
+                       dcr=DcrProfile(base_cps=500.0), include_lineage=True)
+    cfg = write_config(tmp_path / "c.json", config)
+    out, truth_path = tmp_path / "s.spk1", tmp_path / "truth.json"
+    args = ["simulate", "--config", cfg, "--out", str(out),
+            "--truth", str(truth_path)]
+    assert main(args) == 0
+    n_records = len(json.loads(truth_path.read_text())["lineage"]["origin"])
+    assert n_records > 10
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+
+    monkeypatch.setattr(simulator, "LINEAGE_JSON_MAX", 10)
+    assert main(args) == 0
+    assert "lineage" not in json.loads(truth_path.read_text())
+    [record] = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert record.name == "spadkit.simulator"
+    assert record.args == (n_records, 10)
+    assert f"lineage of {n_records} records" in record.getMessage()
+    assert "LINEAGE_JSON_MAX = 10" in record.getMessage()
 
 
 def test_dcr_report(sim_stream_path, tmp_path):

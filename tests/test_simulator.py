@@ -477,3 +477,126 @@ def test_simulate_stream_bytes_are_pinned():
     assert stream.n_records == 3805
     assert hashlib.sha256(stream_bytes(stream)).hexdigest() == \
         "0e8e99768f4be2c7a3a4c7c5e0a9106de90bcc6a3d193d03b30fa5e9c9dff61d"
+
+
+# ---------------------------------------------------------------------------
+# lineage over several blocks, and memory
+
+def test_lineage_over_blocks_with_drops(monkeypatch):
+    import dataclasses
+
+    period_ps = 4_000_000
+    mix = (("a", 0.5), ("b", 0.5))
+    config = SimConfig(
+        sensor=small_sensor(), seed=61, duration_s=0.2,
+        dcr=DcrProfile(base_cps=2000.0),
+        beams=(BeamSpec(pixel=1, rate_cps=20000.0, mix=mix),
+               BeamSpec(pixel=2, rate_cps=20000.0, mix=mix)),
+        pair_fraction=0.5, fiber_delay_ps=period_ps * 0.9,
+        ct_profile=((1, 0.02), (3, 0.01)))
+    monkeypatch.setattr(simulator, "_BLOCK_TARGET_RECORDS", 2000)
+    blocks = []
+    generate = simulator._generate_block
+
+    def counted(*args):
+        blocks.append(args)
+        return generate(*args)
+
+    monkeypatch.setattr(simulator, "_generate_block", counted)
+    bare, t0 = simulate(config)
+    tagged, t1 = simulate(dataclasses.replace(config, include_lineage=True))
+    assert len(blocks) >= 4  # two runs of at least two blocks each
+
+    assert stream_bytes(bare) == stream_bytes(tagged)
+    counters = ("n_dark", "n_beam_singles", "n_pair_attempts",
+                "n_pair_bunched", "n_ct", "n_dropped")
+    assert [getattr(t0, c) for c in counters] == \
+        [getattr(t1, c) for c in counters]
+    assert t0.origin is None and t0.class_id is None
+    assert t1.n_dropped > 0
+    assert len(t1.origin) == len(t1.class_id) == tagged.n_records
+
+    # each origin keeps at most what was made of it, and the records that
+    # went missing are the dropped ones
+    kept = np.bincount(t1.origin, minlength=len(simulator.ORIGIN_NAMES))
+    made = np.array([t1.n_dark, t1.n_beam_singles, t1.n_pair_attempts,
+                     t1.n_pair_attempts, t1.n_ct])
+    assert (kept <= made).all()
+    assert (made - kept).sum() == t1.n_dropped
+    # the fiber delay pushes most arm-b photons off the cycle end
+    assert made[ORIGIN_PAIR_B] - kept[ORIGIN_PAIR_B] > 0.8 * t1.n_pair_attempts
+    # classes: none for dark counts and cross-talk, a mix class otherwise
+    classless = np.isin(t1.origin, (ORIGIN_DARK, ORIGIN_CT))
+    assert (t1.class_id[classless] == -1).all()
+    assert np.isin(t1.class_id[~classless], (0, 1)).all()
+
+
+@pytest.mark.parametrize("direction", [1, -1, 3, -3, 15, -15, 16, -16, 40])
+@pytest.mark.parametrize("prob", [0.0, 0.3, 1.0])
+def test_ct_sources_are_picks_among_records_with_a_target(direction, prob):
+    # the reference: the picks index the positions whose target pixel
+    # pixel + direction lies on the 16-pixel sensor, with the same draws
+    pix = np.random.default_rng(9).integers(0, 16, 5000).astype(np.uint16)
+    target = pix.astype(np.int64) + direction
+    valid = np.flatnonzero((target >= 0) & (target < 16))
+    rng_ref, rng = np.random.default_rng(3), np.random.default_rng(3)
+    expected = valid[simulator._bernoulli_indices(rng_ref, len(valid), prob)]
+    got = simulator._ct_sources(rng, pix, direction, 16, prob)
+    assert np.array_equal(got, expected)
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+class _NullSink:
+    def write(self, data) -> int:
+        return memoryview(data).nbytes
+
+
+def _traced_peak(run):
+    """(result of run(), peak bytes that tracemalloc saw during it)."""
+    import tracemalloc
+
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing")
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _column_bytes(stream) -> int:
+    return sum(column.nbytes for column in (
+        stream.cycle_index, stream.pixel, stream.time_ps, stream.raw_code)
+        if column is not None)
+
+
+def test_simulate_and_write_hold_one_stream_plus_scratch():
+    # one block of two beams with pairs, cross-talk and delays: the
+    # columns are built in place, so the peak stays near one stream
+    config = SimConfig(
+        sensor=small_sensor(num_pixels=32), seed=8, duration_s=1.0,
+        dcr=DcrProfile(base_cps=200.0),
+        beams=(BeamSpec(pixel=10, rate_cps=150_000.0),
+               BeamSpec(pixel=13, rate_cps=150_000.0)),
+        pair_fraction=0.1, fiber_delay_ps=5000.0,
+        ct_profile=((1, 0.01), (3, 0.005)),
+        delays_ps=tuple(np.linspace(-900.0, 900.0, 32)))
+
+    def run():
+        stream, _truth = simulate(config)
+        stream.write(_NullSink())
+        return stream
+
+    stream, peak = _traced_peak(run)
+    assert stream.n_records > 250_000
+    assert peak <= 3.0 * _column_bytes(stream)
+
+
+def test_code_density_holds_one_stream_plus_scratch():
+    sensor = SensorConfig(num_pixels=16)
+    widths = np.full(sensor.tdc_bins_per_clock, sensor.mean_bin_width_ps)
+    stream, peak = _traced_peak(lambda: simulate_code_density(
+        sensor, widths, 20_000, seed=5, n_cycles=100))
+    assert stream.n_records == 320_000
+    assert peak <= 2.0 * _column_bytes(stream)
