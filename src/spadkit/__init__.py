@@ -24,7 +24,7 @@ from .coincidence import (
 )
 from .peakfit import (GaussianFit, TwoPeakFit, fit_gaussian, fit_gaussians,
                       fit_two_peaks)
-from .crosstalk import CtCurve, CtEstimate, CtPoint, ct_scan
+from .crosstalk import CtCurve, CtEstimate, CtPoint, CtShape, ct_scan
 from .offsets import (
     DelayVector,
     OffsetMeasurement,
@@ -49,6 +49,7 @@ __all__ = [
     "CtCurve",
     "CtEstimate",
     "CtPoint",
+    "CtShape",
     "DataError",
     "DcrProfile",
     "DelayVector",

@@ -7,29 +7,48 @@ nearby pixel this produces a sharp coincidence peak, and
 
     P_ct = (peak counts above background) / (source counts)
 
-estimated from a Gaussian fit: counts are summed over the fitted center
-+- 3 sigma and the fitted flat level times the bin count is subtracted.
-When no significant peak is found, the same integral runs over a fixed
-window around dt = 0 instead of the fitted center; integrating around
-the largest fluctuation of a peakless histogram would bias every null
-pair positive.  Such estimates carry a 3 sigma upper limit and may be
-negative, so that an ensemble of no-cross-talk pairs averages to zero.
+is estimated by counting, against one peak shape per scan:
+
+1. Each pair's counts are read source -> target (dt = t_target -
+   t_source), so every cross-talk peak leans the same way.
+2. The shape: each nearest-neighbor (d = 1) histogram's peak is found
+   with a ~100 ps box filter, the histograms are shifted onto one bin and
+   summed, and one Gaussian fit on the sum gives sigma and the fitted
+   center's offset from the bin that a Gaussian matched filter of that
+   sigma picks on the sum (the cross-talk peak is asymmetric).
+3. Each pair's center is the argmax, over the whole window, of its counts
+   correlated with a Gaussian of that sigma, plus the offset.  Pairs need
+   not share a center, so a scan without a delay calibration measures as
+   well as one with it.
+4. The gross counts in center +- 3 sigma, minus a sideband background
+   (the mean count per bin beyond +- 10 sigma, times the window's bins),
+   divided by the source counts.
+
+A pair whose net count is below three times its Poisson error instead
+counts a fixed window at dt = 0 of +- 3 ``FALLBACK_SIGMA_PS``:
+integrating around the largest fluctuation of a peakless histogram would
+bias every null pair positive.  Such estimates carry a 3 sigma upper
+limit and may be negative, so that an ensemble of no-cross-talk pairs
+averages to zero.  When the pooled fit fails or finds no significant
+peak, every pair of the scan takes that window, and the curve records
+the fallback.
 
 ``ct_scan`` aggregates both directions for the strongest hot pixels into
-a probability-versus-distance curve, one point per pixel separation.
+a probability-versus-distance curve, one point per pixel separation; the
+curve document also holds the shape and every pair's estimate.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .coincidence import DEFAULT_WINDOW_PS, DeltaHistogram, pair_histograms
-from .documents import Document, as_bool, as_count, as_float
+from .documents import (Document, as_bool, as_count, as_float, as_list,
+                        decode_fields, field_dict)
 from .errors import DataError, FitError
 from .peakfit import SIGNIFICANCE_SIGMAS, fit_gaussians
 from .rates import RateReport
@@ -37,33 +56,65 @@ from .timestream import PhotonStream
 
 logger = logging.getLogger(__name__)
 
-SCHEMA_VERSION = 1
+# 2: the curve document holds the pooled shape and every pair's estimate.
+SCHEMA_VERSION = 2
 
 # Sources below this many counts give probability errors worse than
 # ~1e-4 absolute; refuse rather than report mush.
 MIN_SOURCE_COUNTS = 10_000
 
-# Half-width of the integration window is this many fitted sigmas.
+# Half-width of the counting window is this many shape sigmas.
 PEAK_WINDOW_SIGMAS = 3.0
 
-# Effective sigma for the dt = 0 window when there is no usable fit.
-# Generous against TDC jitter (~40 ps rms per pixel) so a real but
+# The background per bin is the mean count beyond this many sigmas from
+# the center.
+SIDEBAND_SIGMAS = 10.0
+
+# Effective sigma for the dt = 0 window when a pair has no significant
+# peak.  Generous against TDC jitter (~40 ps rms per pixel) so a real but
 # statistically weak peak is still fully covered.
 FALLBACK_SIGMA_PS = 100.0
 
+# Width of the box filter that finds the nearest-neighbor peaks before
+# the pooled fit knows their sigma.
+COARSE_BOX_PS = 100.0
+
+# The Gaussian matched filter reaches this many sigmas either side.
+FILTER_SIGMAS = 4.0
+
+# Pairs are counted in blocks of this many, so the matched filter's
+# transforms stay about 1 MB per block however many pairs a scan holds.
+BLOCK_PAIRS = 16
+
+# How a pair's counting window was placed.
+PLACEMENTS = ("matched_filter", "null_window")
+
 DEFAULT_D_MAX = 20
 DEFAULT_N_HOT = 8
+
+
+def _optional_float(value) -> float | None:
+    return None if value is None else as_float(value)
+
+
+def _placement(value) -> str:
+    if value not in PLACEMENTS:
+        raise ValueError(f"placement must be one of {PLACEMENTS}, "
+                         f"got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
 class CtEstimate:
     """Cross-talk probability for one (source, target) pixel pair.
 
-    ``probability`` is the background-subtracted window integral divided
-    by the source counts; without a significant peak it can come out
-    negative and ``upper_limit`` (3 sigma) is set.  ``stop_reason`` says
-    why the peak fit stopped (``GaussianFit.stop_reason`` or
-    ``FitError.reason``; "empty_histogram" when there was nothing to fit).
+    ``probability`` is ``net / n_source``, where ``net`` is ``gross``
+    (the counts in the window around ``center_ps``, in the histogram's
+    dt = t_b - t_a with a < b) minus ``bg_per_bin`` times the window's
+    bins.  ``placement`` says where the window sat: at the pair's
+    matched-filter peak, or at dt = 0 ("null_window") when the pair has
+    no significant peak; then the probability can come out negative and
+    ``upper_limit`` (3 sigma) is set.
     """
 
     source: int
@@ -73,11 +124,55 @@ class CtEstimate:
     n_source: int
     significant: bool
     upper_limit: float | None = None
-    stop_reason: str | None = None
+    gross: int = 0
+    net: float = 0.0
+    bg_per_bin: float = 0.0
+    center_ps: float = 0.0
+    placement: str = "null_window"
 
     @property
     def distance(self) -> int:
         return abs(self.target - self.source)
+
+    def to_json_dict(self) -> dict:
+        return field_dict(self)
+
+    @classmethod
+    def from_json_dict(cls, doc: dict) -> "CtEstimate":
+        return decode_fields(
+            cls, doc, source=as_count, target=as_count, n_source=as_count,
+            gross=as_count, upper_limit=_optional_float,
+            placement=_placement)
+
+
+@dataclass(frozen=True)
+class CtShape:
+    """The one peak shape of a scan, from the fit of its pooled
+    nearest-neighbor histograms.
+
+    ``offset_ps`` is the fitted center minus the center of the bin that
+    the Gaussian matched filter picks on the pooled histogram;
+    ``chi2_dof`` is None when the fit failed.  ``fallback`` is set when
+    the fit failed or found no significant peak: every pair of the scan
+    then counts the dt = 0 window of ``FALLBACK_SIGMA_PS``, which
+    ``sigma_ps`` holds.
+    """
+
+    sigma_ps: float
+    offset_ps: float
+    chi2_dof: float | None
+    n_iterations: int
+    stop_reason: str
+    n_pooled: int
+    fallback: bool
+
+    def to_json_dict(self) -> dict:
+        return field_dict(self)
+
+    @classmethod
+    def from_json_dict(cls, doc: dict) -> "CtShape":
+        return decode_fields(cls, doc, chi2_dof=_optional_float,
+                             n_iterations=as_count, n_pooled=as_count)
 
 
 @dataclass(frozen=True)
@@ -102,12 +197,16 @@ class CtCurve(Document):
     """Cross-talk probability versus pixel separation.
 
     ``pairs`` records every (hot pixel, neighbor) pair that entered the
-    average, in scan order.
+    average, in scan order, and ``estimates`` their estimates in the same
+    order; ``shape`` is the scan's peak shape.  A schema-1 document loads
+    with no estimates and no shape.
     """
 
     points: tuple[CtPoint, ...]
     pairs: tuple[tuple[int, int], ...]
     window_ps: float
+    estimates: tuple[CtEstimate, ...] = ()
+    shape: CtShape | None = None
 
     def point(self, distance: int) -> CtPoint:
         for p in self.points:
@@ -139,6 +238,9 @@ class CtCurve(Document):
                 for p in self.points
             ],
             "pairs": [list(pair) for pair in self.pairs],
+            "shape": (self.shape.to_json_dict()
+                      if self.shape is not None else None),
+            "estimates": [e.to_json_dict() for e in self.estimates],
         }
 
     @classmethod
@@ -152,60 +254,186 @@ class CtCurve(Document):
                         upper_limit=as_bool(p["upper_limit"]))
                 for p in doc["points"])
             pairs = tuple((as_count(s), as_count(t)) for s, t in doc["pairs"])
+            version = doc.get("schema_version", 1)
+            if version == 1:
+                estimates, shape = (), None
+            elif version == 2:
+                estimates = tuple(CtEstimate.from_json_dict(e)
+                                  for e in as_list(doc["estimates"]))
+                shape = (CtShape.from_json_dict(doc["shape"])
+                         if doc["shape"] is not None else None)
+            else:
+                raise ValueError(f"unknown schema_version {version!r}")
             return cls(points=points, pairs=pairs,
-                       window_ps=as_float(doc["window_ps"]))
+                       window_ps=as_float(doc["window_ps"]),
+                       estimates=estimates, shape=shape)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"malformed curve document: {exc}") from None
 
 
+# ---------------------------------------------------------------------------
+# the estimator
+
+def _turned(pairs) -> np.ndarray:
+    """Which pairs read source -> target against their histogram's
+    dt = t_b - t_a: those whose target lies below the source."""
+    return np.array([target < source for source, target in pairs])
+
+
+def _oriented(rows, turned) -> np.ndarray:
+    """The counts ``rows`` read source -> target: turned rows reversed."""
+    return np.where(turned[:, None], rows[:, ::-1], rows)
+
+
+def _cumulative(rows) -> np.ndarray:
+    """Per row, ``cum[j] - cum[i]`` is the count of bins i..j-1."""
+    cum = np.zeros((len(rows), rows.shape[1] + 1), dtype=np.int64)
+    np.cumsum(rows, axis=1, out=cum[:, 1:])
+    return cum
+
+
+def _box_peaks(rows, half: int) -> np.ndarray:
+    """Per row, the bin whose +- ``half`` bins hold the most counts."""
+    n = rows.shape[1]
+    cum = _cumulative(rows)
+    lo = np.clip(np.arange(n) - half, 0, n)
+    hi = np.clip(np.arange(n) + half + 1, 0, n)
+    return np.argmax(cum[:, hi] - cum[:, lo], axis=1)
+
+
+def _gauss_peaks(rows, sigma_bins: float) -> np.ndarray:
+    """Per row, the bin where the counts correlate best with a Gaussian of
+    ``sigma_bins``; bins outside the window count as empty."""
+    n = rows.shape[1]
+    half = min(math.ceil(FILTER_SIGMAS * sigma_bins), n)
+    taps = np.exp(-0.5 * (np.arange(-half, half + 1) / sigma_bins) ** 2)
+    size = 1 << (n + 2 * half - 1).bit_length()
+    spectrum = np.fft.rfft(rows, size, axis=1) * np.fft.rfft(taps, size)
+    corr = np.fft.irfft(spectrum, size, axis=1)[:, half:half + n]
+    # On a fixed grid, so transform round-off cannot split equal sums.
+    return np.argmax(np.round(corr, 6), axis=1)
+
+
+def _pooled_shape(hists, pairs) -> CtShape:
+    """The peak shape of ``hists``: their peaks shifted onto one bin,
+    summed and fitted once."""
+    x = hists[0].bin_centers
+    bin_width = hists[0].bin_width_ps
+    n = len(x)
+    rows = _oriented(np.stack([hist.counts for hist in hists]),
+                     _turned(pairs))
+    peaks = _box_peaks(rows, round(0.5 * COARSE_BOX_PS / bin_width))
+    # Roll every peak onto the middle bin; the flat background wraps.
+    shifted = (np.arange(n) + (peaks - n // 2)[:, None]) % n
+    pooled = np.take_along_axis(rows, shifted, axis=1).sum(axis=0)
+    fit = fit_gaussians([replace(hists[0], counts=pooled,
+                                 total_pairs=int(pooled.sum()))])[0]
+    if isinstance(fit, FitError) or not fit.significant:
+        failed = isinstance(fit, FitError)
+        return CtShape(
+            sigma_ps=FALLBACK_SIGMA_PS, offset_ps=0.0,
+            chi2_dof=None if failed else fit.chi2 / fit.dof,
+            n_iterations=fit.n_iterations,
+            stop_reason=fit.reason if failed else fit.stop_reason,
+            n_pooled=len(hists), fallback=True)
+    peak = _gauss_peaks(pooled[None], fit.sigma_ps / bin_width)[0]
+    return CtShape(
+        sigma_ps=fit.sigma_ps, offset_ps=fit.center_ps - float(x[peak]),
+        chi2_dof=fit.chi2 / fit.dof, n_iterations=fit.n_iterations,
+        stop_reason=fit.stop_reason, n_pooled=len(hists), fallback=False)
+
+
+def _window_counts(cum, x, centers, sigmas):
+    """Per row of the cumulative counts ``cum``: the gross counts in
+    ``centers`` +- 3 ``sigmas`` (at least the nearest bin), the window's
+    bins, the sideband background per bin and the variance of the net
+    counts.  The sideband is every bin beyond +- 10 sigma, or, when there
+    is none, every bin outside the window."""
+    n = len(x)
+    reach = PEAK_WINDOW_SIGMAS * sigmas
+    lo = np.searchsorted(x, centers - reach, side="left")
+    hi = np.searchsorted(x, centers + reach, side="right")
+    nearest = np.clip(np.rint((centers - x[0]) / (x[1] - x[0])), 0, n - 1)
+    empty = hi <= lo
+    lo = np.where(empty, nearest.astype(np.intp), lo)
+    hi = np.where(empty, lo + 1, hi)
+    left = np.searchsorted(x, centers - SIDEBAND_SIGMAS * sigmas, side="left")
+    right = np.searchsorted(x, centers + SIDEBAND_SIGMAS * sigmas,
+                            side="right")
+    no_side = left + (n - right) == 0
+    left = np.where(no_side, lo, left)
+    right = np.where(no_side, hi, right)
+
+    def at(i):
+        return np.take_along_axis(cum, i[:, None], axis=1)[:, 0]
+
+    gross = at(hi) - at(lo)
+    n_window = hi - lo
+    n_side = np.maximum(left + (n - right), 1)
+    bg = (at(left) + cum[:, -1] - at(right)) / n_side
+    return gross, n_window, bg, gross + n_window**2 * bg / n_side
+
+
+def _estimates(hists, pairs, n_sources, shape: CtShape) -> list[CtEstimate]:
+    """Every pair's estimate against ``shape``: the window at its
+    matched-filter peak, or at dt = 0 where that holds no significant
+    net count (every pair, when the shape is a fallback).  Pairs are
+    counted in blocks of ``BLOCK_PAIRS``, which bounds the scratch."""
+    return [estimate for k in range(0, len(hists), BLOCK_PAIRS)
+            for estimate in _block_estimates(
+                hists[k:k + BLOCK_PAIRS], pairs[k:k + BLOCK_PAIRS],
+                n_sources[k:k + BLOCK_PAIRS], shape)]
+
+
+def _block_estimates(hists, pairs, n_sources, shape) -> list[CtEstimate]:
+    x = hists[0].bin_centers
+    n = len(x)
+    rows = np.stack([hist.counts for hist in hists])
+    cum = _cumulative(rows)
+    placed = np.zeros(len(rows), dtype=bool)
+    centers = np.zeros(len(rows))
+    if not shape.fallback:
+        turned = _turned(pairs)
+        peaks = _gauss_peaks(_oriented(rows, turned),
+                             shape.sigma_ps / hists[0].bin_width_ps)
+        found = np.where(turned, x[n - 1 - peaks] - shape.offset_ps,
+                         x[peaks] + shape.offset_ps)
+        gross, n_window, bg, var = _window_counts(
+            cum, x, found, np.full(len(rows), shape.sigma_ps))
+        placed = (gross - bg * n_window
+                  >= SIGNIFICANCE_SIGMAS * np.sqrt(np.maximum(var, 1.0)))
+        centers = np.where(placed, found, 0.0)
+    gross, n_window, bg, var = _window_counts(
+        cum, x, centers, np.where(placed, shape.sigma_ps, FALLBACK_SIGMA_PS))
+    net = gross - bg * n_window
+    error = np.sqrt(np.maximum(var, 1.0))
+    out = []
+    for k, (source, target) in enumerate(pairs):
+        n_source = int(n_sources[k])
+        err = float(error[k]) / n_source
+        significant = bool(placed[k])
+        out.append(CtEstimate(
+            source=source, target=target,
+            probability=float(net[k]) / n_source, error=err,
+            n_source=n_source, significant=significant,
+            upper_limit=None if significant else SIGNIFICANCE_SIGMAS * err,
+            gross=int(gross[k]), net=float(net[k]), bg_per_bin=float(bg[k]),
+            center_ps=float(centers[k]),
+            placement=PLACEMENTS[0] if significant else PLACEMENTS[1]))
+    return out
+
+
 def _estimate_from_histogram(hist: DeltaHistogram, source: int, target: int,
                              n_source: int) -> CtEstimate:
-    """The estimate of one pair on its own, as ``ct_scan`` makes it."""
+    """The estimate of one pair on its own: a scan of one pair, whose
+    shape comes from the fit of its own histogram."""
     if n_source < MIN_SOURCE_COUNTS:
         raise DataError(
             f"source pixel {source} has {n_source} counts; "
             f"need at least {MIN_SOURCE_COUNTS}")
-    fit = fit_gaussians([hist])[0] if hist.counts.any() else None
-    return _estimate(hist, fit, source, target, n_source)
-
-
-def _estimate(hist: DeltaHistogram, fit, source: int, target: int,
-              n_source: int) -> CtEstimate:
-    """The estimate from ``hist`` and its peak fit (a GaussianFit or the
-    FitError that ended it), or from no fit for an empty histogram."""
-    counts = hist.counts
-    if fit is None:
-        err = 1.0 / n_source
-        return CtEstimate(source=source, target=target, probability=0.0,
-                          error=err, n_source=n_source, significant=False,
-                          upper_limit=SIGNIFICANCE_SIGMAS * err,
-                          stop_reason="empty_histogram")
-
-    significant = False
-    mu = 0.0
-    sigma = FALLBACK_SIGMA_PS
-    if isinstance(fit, FitError):
-        bg, reason = float(np.median(counts)), fit.reason
-    else:
-        bg, reason = fit.bg, fit.stop_reason
-        if fit.significant:
-            significant = True
-            mu, sigma = fit.center_ps, fit.sigma_ps
-
-    centers = hist.bin_centers
-    sel = np.abs(centers - mu) <= PEAK_WINDOW_SIGMAS * sigma
-    if not sel.any():
-        sel[np.argmin(np.abs(centers - mu))] = True
-    gross = int(counts[sel].sum())
-    net = gross - bg * int(sel.sum())
-
-    prob = net / n_source
-    err = math.sqrt(max(gross, 1)) / n_source
-    return CtEstimate(
-        source=source, target=target, probability=float(prob),
-        error=float(err), n_source=n_source, significant=significant,
-        upper_limit=None if significant else SIGNIFICANCE_SIGMAS * err,
-        stop_reason=reason)
+    pair = [(source, target)]
+    return _estimates([hist], pair, [n_source],
+                      _pooled_shape([hist], pair))[0]
 
 
 def ct_scan(stream: PhotonStream, rate_report: RateReport,
@@ -217,7 +445,8 @@ def ct_scan(stream: PhotonStream, rate_report: RateReport,
     pairs each with its neighbors at 1..d_max on both sides, clipped at
     the sensor edges.  Hot pixels without enough counts for a meaningful
     estimate are dropped; the scan fails only when none remain.  A delay
-    calibration is applied to ``stream`` beforehand (``apply_delays``).
+    calibration is applied to ``stream`` beforehand (``apply_delays``),
+    if at all: each pair's peak is found where it lies.
     """
     if d_max < 1:
         raise ValueError("d_max must be at least 1")
@@ -241,28 +470,35 @@ def ct_scan(stream: PhotonStream, rate_report: RateReport,
     hists = pair_histograms(stream, [(min(h, target), max(h, target))
                                      for h, target in pairs],
                             window_ps, bin_width)
-    # One batched fit for every histogram with counts; an empty one has
-    # no peak to fit.
-    has_counts = [hist.counts.any() for hist in hists]
-    fits = fit_gaussians(hist for hist, full in zip(hists, has_counts)
-                         if full)
-    remaining = iter(fits)
+    # Every source has a nearest neighbor, the strongest partner it has.
+    nearest = [k for k, (h, target) in enumerate(pairs)
+               if abs(target - h) == 1]
+    shape = _pooled_shape([hists[k] for k in nearest],
+                          [pairs[k] for k in nearest])
+    estimates = _estimates(hists, pairs, [counts[h] for h, _ in pairs],
+                           shape)
+    del hists
+
+    n_placed = sum(e.significant for e in estimates)
+    if shape.fallback:
+        logger.warning(
+            "ct_scan: the pooled fit of %d nearest-neighbor pairs found no "
+            "significant peak (stop reason %s); every pair counts a "
+            "+-%g ps window at dt = 0", shape.n_pooled, shape.stop_reason,
+            PEAK_WINDOW_SIGMAS * FALLBACK_SIGMA_PS)
+    logger.info(
+        "ct_scan: %d pairs; pooled fit of %d pairs: sigma %.1f ps, offset "
+        "%.1f ps, chi2/dof %s, %d iterations, stop reason %s; %d "
+        "matched_filter and %d null_window pairs", len(pairs),
+        shape.n_pooled, shape.sigma_ps, shape.offset_ps,
+        "n/a" if shape.chi2_dof is None else f"{shape.chi2_dof:.3g}",
+        shape.n_iterations, shape.stop_reason, n_placed,
+        len(pairs) - n_placed)
+
     per_distance: dict[int, list[CtEstimate]] = {
         d: [] for d in range(1, d_max + 1)}
-    for (h, target), hist, full in zip(pairs, hists, has_counts):
-        fit = next(remaining) if full else None
-        per_distance[abs(target - h)].append(
-            _estimate(hist, fit, h, target, int(counts[h])))
-
-    reasons = Counter(e.stop_reason for ests in per_distance.values()
-                      for e in ests)
-    # A batched run takes as many passes as its longest fit iterates.
-    iterations = [fit.n_iterations for fit in fits]
-    logger.info("ct_scan: %d pairs, fit stop reasons %s, %d solver "
-                "iterations in %d batched passes", len(pairs),
-                dict(reasons.most_common()), sum(iterations),
-                max(iterations, default=0))
-
+    for est in estimates:
+        per_distance[est.distance].append(est)
     points = []
     for d in range(1, d_max + 1):
         ests = per_distance[d]
@@ -286,4 +522,5 @@ def ct_scan(stream: PhotonStream, rate_report: RateReport,
             upper_limit=all(not e.significant for e in ests)))
 
     return CtCurve(points=tuple(points), pairs=tuple(pairs),
-                   window_ps=float(window_ps))
+                   window_ps=float(window_ps), estimates=tuple(estimates),
+                   shape=shape)

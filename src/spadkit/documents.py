@@ -76,6 +76,12 @@ class Document:
         return cls.from_json_dict(read_json(path, cls.LOAD_ERROR), *args)
 
 
+def field_dict(obj) -> dict:
+    """A dataclass's fields by name, values as they are: a shallow copy,
+    where ``dataclasses.asdict`` deep-copies every value."""
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
 # Field decoders raise TypeError for a wrong type, ValueError for a bad value.
 
 def _scalar(kind: type, abc: type):

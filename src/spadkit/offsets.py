@@ -24,12 +24,13 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .coincidence import DEFAULT_WINDOW_PS, pair_histograms
-from .documents import Document, as_bool, as_count, as_float, decode_fields
+from .documents import (Document, as_bool, as_count, as_float, decode_fields,
+                        field_dict)
 from .errors import CalibrationError, DataError, FitError
 from .peakfit import fit_gaussians
 from .timestream import PhotonStream, record_order
@@ -65,7 +66,7 @@ class OffsetMeasurement:
             raise ValueError("measurements are defined on adjacent pairs")
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return field_dict(self)
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "OffsetMeasurement":

@@ -59,11 +59,12 @@ against its own error.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .coincidence import DeltaHistogram
+from .documents import field_dict
 from .errors import FitError
 
 MAX_ITERATIONS = 200
@@ -571,11 +572,12 @@ def _fit_arrays(hist: DeltaHistogram):
     return x, y, weights
 
 
-def _single_peak_seed(x, y):
+def _single_peak_seed(x, y, order=None):
     """(bg, amp, mu, sigma) seed, the same for any order of the points:
     the argmax tie-break and the FWHM walk run in x's stable ascending
-    order."""
-    order = np.argsort(x, kind="stable")
+    ``order`` (computed here unless the caller shares it)."""
+    if order is None:
+        order = np.argsort(x, kind="stable")
     x, y = x[order], y[order]
     bg = float(np.median(y))
     peak = int(np.argmax(y))
@@ -673,7 +675,9 @@ def _single_peak_fits(x, y, weights, center_bounds=None) -> list:
     if flat.any():
         y, weights = y[rows], weights[rows]
 
-    p0 = np.array([_single_peak_seed(x, y_k) for y_k in y]).reshape(-1, 4)
+    order = np.argsort(x, kind="stable")
+    p0 = np.array([_single_peak_seed(x, y_k, order)
+                   for y_k in y]).reshape(-1, 4)
     lower = np.tile([-np.inf, -np.inf, -np.inf, 1e-9], (len(rows), 1))
     upper = np.full((len(rows), 4), np.inf)
     if center_bounds is not None:
@@ -693,7 +697,7 @@ def _gaussian_fit(solution, n_bins) -> GaussianFit:
     p, cov, chi2, it, reason = solution
     errs = np.sqrt(np.maximum(np.diag(cov), 0.0))
     return GaussianFit(
-        **asdict(_component(p, cov, errs, 1)),
+        **field_dict(_component(p, cov, errs, 1)),
         bg=float(p[0]), bg_err=float(errs[0]), chi2=float(chi2),
         dof=n_bins - 4, n_iterations=it, stop_reason=reason, covariance=cov)
 
@@ -758,9 +762,10 @@ def _two_peak_fits(x, y, weights, hints) -> list:
     lower = np.tile([-np.inf, -np.inf, -np.inf, 1e-9, -np.inf, -np.inf, 1e-9],
                     (len(rows), 1))
     upper = np.full((len(rows), 7), np.inf)
+    order = np.argsort(x, kind="stable")
     for k, i in enumerate(rows):
         hint = hints[i]
-        bg0, a1, mu1, s1 = _single_peak_seed(x, y[i])
+        bg0, a1, mu1, s1 = _single_peak_seed(x, y[i], order)
         resid = y[i] - gauss_model(x, np.array([bg0, a1, mu1, s1]))
         mu2, a2 = _second_peak_seed(x, resid, mu1, hint)
         p0[k] = [bg0, a1, mu1, s1, max(a2, 0.05 * a1), mu2, s1]

@@ -180,6 +180,10 @@ def test_ct_scan_outputs(sim_stream_path, tmp_path):
                  "--nhot", "4", "--out", str(out), "--svg", str(svg)]) == 0
     curve = CtCurve.load(str(out))
     assert [p.distance for p in curve.points] == [1, 2, 3, 4]
+    doc = json.loads(out.read_text())
+    assert doc["schema_version"] == 2
+    assert [[e["source"], e["target"]] for e in doc["estimates"]] == \
+        doc["pairs"]
     p1 = curve.point(1)
     assert abs(p1.probability - 0.004) <= 3 * p1.stderr
     ET.fromstring(svg.read_text())
@@ -197,10 +201,17 @@ def test_calibrate_and_ct_scan_log_fit_stop_reasons(sim_stream_path, tmp_path,
     reasons = {"relative_step", "chi2_stall", "predicted_decrease",
                "max_iterations", "stalled", "singular", "non_finite_seed",
                "flat_data", "empty_histogram"}
-    n_pairs, by_reason, iterations, passes = logged["ct_scan"]
-    assert n_pairs == len(CtCurve.load(str(tmp_path / "ct.json")).pairs)
-    assert sum(by_reason.values()) == n_pairs and set(by_reason) <= reasons
-    _check_solver_work(by_reason, iterations, passes)
+    # ct_scan fits once: the pooled nearest-neighbor histograms
+    curve = CtCurve.load(str(tmp_path / "ct.json"))
+    (n_pairs, n_pooled, sigma, offset, _chi2_dof, iterations, reason,
+     n_placed, n_null) = logged["ct_scan"]
+    assert n_pairs == len(curve.pairs) == n_placed + n_null
+    assert n_pooled == sum(abs(t - s) == 1 for s, t in curve.pairs)
+    assert (sigma, offset, iterations, reason) == (
+        curve.shape.sigma_ps, curve.shape.offset_ps,
+        curve.shape.n_iterations, curve.shape.stop_reason)
+    assert reason in reasons and 0 < iterations <= MAX_ITERATIONS
+    assert n_placed == sum(e.significant for e in curve.estimates)
     n_pairs, by_reason, iterations, passes = logged["measure_offsets"]
     assert n_pairs == 255
     assert sum(by_reason.values()) == n_pairs and set(by_reason) <= reasons

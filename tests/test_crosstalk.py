@@ -2,23 +2,30 @@
 
 from __future__ import annotations
 
+import json
 import logging
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from spadkit import DataError, FitError, SensorConfig, crosstalk
-from spadkit.coincidence import DEFAULT_WINDOW_PS, build_histogram
+from spadkit import DataError, SensorConfig, crosstalk, peakfit
+from spadkit.coincidence import (DEFAULT_WINDOW_PS, build_histogram,
+                                 pair_histograms)
 from spadkit.crosstalk import (
+    FALLBACK_SIGMA_PS,
     MIN_SOURCE_COUNTS,
+    PEAK_WINDOW_SIGMAS,
+    SIDEBAND_SIGMAS,
     CtCurve,
     CtEstimate,
     CtPoint,
+    CtShape,
     _estimate_from_histogram,
     ct_scan,
 )
 from spadkit.offsets import apply_delays
-from spadkit.peakfit import fit_gaussian
 from spadkit.rates import compute_rates
 from spadkit.simulator import DcrProfile, SimConfig, simulate
 
@@ -144,31 +151,141 @@ def test_scan_null_curve_consistent_with_zero():
         assert point.upper_limit
 
 
-def test_batched_scan_equals_one_fit_per_pair(monkeypatch, caplog):
+def test_scan_estimates_equal_the_counting_estimator(caplog):
     # Hot pixels over almost no dark counts: the scan meets significant
-    # peaks, peakless pairs, failing fits and empty histograms.
+    # peaks, peakless pairs and empty histograms.
     stream = sim_stream(overrides=[(40, 2e5), (47, 1.5e5), (200, 1e5)],
                         base_cps=5.0, ct=[(1, 0.002), (2, 0.0005)],
                         duration_s=1.0, seed=12)
-    report = compute_rates(stream)
     caplog.set_level(logging.INFO, logger="spadkit.crosstalk")
-    batched = ct_scan(stream, report, d_max=8, n_hot=3)
+    curve = ct_scan(stream, compute_rates(stream), d_max=8, n_hot=3)
+    shape = curve.shape
+    assert not shape.fallback and shape.n_pooled == 6
+    assert len(curve.estimates) == len(curve.pairs)
+    counts = stream.counts_per_pixel()
+    hists = pair_histograms(
+        stream, [(min(s, t), max(s, t)) for s, t in curve.pairs],
+        DEFAULT_WINDOW_PS, stream.sensor.mean_bin_width_ps)
+    for (s, t), hist, est in zip(curve.pairs, hists, curve.estimates):
+        assert (est.source, est.target) == (s, t)
+        assert crosstalk._estimates([hist], [(s, t)], [counts[s]],
+                                    shape) == [est]
+        # the window and the sideband, straight from their definitions
+        sigma = shape.sigma_ps if est.significant else FALLBACK_SIGMA_PS
+        dist = np.abs(hist.bin_centers - est.center_ps)
+        window = dist <= PEAK_WINDOW_SIGMAS * sigma
+        side = dist > SIDEBAND_SIGMAS * sigma
+        assert est.gross == hist.counts[window].sum()
+        assert est.bg_per_bin == pytest.approx(hist.counts[side].mean())
+        assert est.net == pytest.approx(
+            est.gross - est.bg_per_bin * window.sum())
+        assert est.probability == pytest.approx(est.net / counts[s])
+        if est.placement == "null_window":
+            assert est.center_ps == 0.0 and not est.significant
+            assert est.upper_limit == pytest.approx(3 * est.error)
+        else:
+            assert est.net >= 3 * est.error * counts[s]
+            assert est.upper_limit is None
+    placements = Counter(e.placement for e in curve.estimates)
+    assert placements["matched_filter"] > 0
+    assert any(not hist.counts.any() for hist in hists)
+    (record,) = caplog.records
+    assert record.levelno == logging.INFO
+    assert record.args[-2:] == (placements["matched_filter"],
+                                placements["null_window"])
 
-    def one_by_one(hists):
-        out = []
-        for hist in hists:
-            try:
-                out.append(fit_gaussian(hist))
-            except FitError as exc:
-                out.append(exc)
-        return out
 
-    monkeypatch.setattr(crosstalk, "fit_gaussians", one_by_one)
-    single = ct_scan(stream, report, d_max=8, n_hot=3)
-    assert batched.to_json_dict() == single.to_json_dict()
-    first, second = (r.getMessage() for r in caplog.records)
-    assert first == second
-    assert "empty_histogram" in first
+def test_scan_calls_the_solver_once(monkeypatch):
+    stream = sim_stream(overrides=[(50, 3e5), (180, 3e5)], base_cps=50.0,
+                        ct=[(1, 0.0012), (3, 0.0004)])
+    calls = []
+
+    def counted(x, y, *args, **kwargs):
+        calls.append(len(y))
+        return levmar(x, y, *args, **kwargs)
+
+    levmar = peakfit._levmar
+    monkeypatch.setattr(peakfit, "_levmar", counted)
+    curve = ct_scan(stream, compute_rates(stream), d_max=6, n_hot=8)
+    assert calls == [1]  # one fit, of the pooled histogram
+    assert not curve.shape.fallback
+    assert curve.shape.n_iterations > 0
+
+
+# Acceptance 3's profile, whose far half (d = 5..11) is weak cross-talk
+# of 1e-4 to 1.3e-4.
+FAR_PROFILE = {1: 1.2e-3, 2: 3.0e-4, 3: 5.5e-4, 4: 2.0e-4, 5: 1.3e-4,
+               6: 1.0e-4, 7: 1.0e-4, 8: 1.0e-4, 9: 1.0e-4, 10: 1.0e-4,
+               11: 1.0e-4}
+
+
+@pytest.mark.parametrize("delay_ps", [0.0, 5000.0],
+                         ids=["no_delays", "5ns_delays"])
+def test_weak_far_cross_talk_is_unbiased(delay_ps):
+    # Acceptance 3's hot pixels over 30 seeds, 20 s each.  Injected
+    # delays of up to +-5 ns stay in the stream (no --delays), so every
+    # pair's peak sits somewhere else.  The relative error of the curve,
+    # averaged over d = 5..11 per seed, must average to zero within two
+    # standard errors over the seeds.
+    hot = [15, 45, 75, 105, 135, 165, 195, 225]
+    errors = []
+    for seed in range(300, 330):
+        delays = tuple(np.random.default_rng(seed).uniform(
+            -delay_ps, delay_ps, 256)) if delay_ps else None
+        config = SimConfig(
+            seed=seed, duration_s=20.0,
+            dcr=DcrProfile(base_cps=60.0,
+                           overrides=tuple((p, 25_000.0) for p in hot)),
+            ct_profile=tuple(sorted(FAR_PROFILE.items())), delays_ps=delays)
+        stream, _truth = simulate(config)
+        curve = ct_scan(stream, compute_rates(stream), d_max=11, n_hot=8)
+        errors.append(np.mean([curve.point(d).probability / FAR_PROFILE[d]
+                               - 1.0 for d in range(5, 12)]))
+    errors = np.array(errors)
+    stderr = errors.std(ddof=1) / np.sqrt(len(errors))
+    assert abs(errors.mean()) <= 2 * stderr, (
+        f"mean relative error {errors.mean():+.2%} +- {stderr:.2%}")
+
+
+def test_narrow_window_takes_its_background_outside_the_peak():
+    # A +-500 ps window has no bin beyond 10 sigma of the peak, so the
+    # background comes from the bins outside +-3 sigma.
+    stream = sim_stream(overrides=[(100, 5e5)], base_cps=2e4,
+                        ct=[(1, 0.0012)], duration_s=1.0)
+    hist = build_histogram(stream, (100, 101), 500.0,
+                           stream.sensor.mean_bin_width_ps)
+    n_source = int(np.count_nonzero(stream.pixel == 100))
+    est = _estimate_from_histogram(hist, 100, 101, n_source)
+    sigma = crosstalk._pooled_shape([hist], [(100, 101)]).sigma_ps
+    assert est.significant
+    dist = np.abs(hist.bin_centers - est.center_ps)
+    assert not (dist > SIDEBAND_SIGMAS * sigma).any()
+    window = dist <= PEAK_WINDOW_SIGMAS * sigma
+    assert 0 < window.sum() < len(hist.counts)
+    assert est.bg_per_bin > 0
+    assert est.gross == hist.counts[window].sum()
+    assert est.bg_per_bin == pytest.approx(hist.counts[~window].mean())
+    assert abs(est.probability - 0.0012) <= 3 * est.error
+
+
+def test_peakless_scan_falls_back_to_the_null_window(caplog):
+    # No cross-talk and hardly any dark counts: the pooled nearest
+    # neighbors hold no significant peak.
+    stream = sim_stream(overrides=[(70, 2e5), (200, 2e5)], base_cps=80.0,
+                        duration_s=1.0)
+    caplog.set_level(logging.INFO, logger="spadkit.crosstalk")
+    curve = ct_scan(stream, compute_rates(stream), d_max=3, n_hot=8)
+    assert curve.shape.fallback
+    assert curve.shape.sigma_ps == FALLBACK_SIGMA_PS
+    assert curve.shape.offset_ps == 0.0
+    assert all(e.placement == "null_window" and e.center_ps == 0.0
+               for e in curve.estimates)
+    assert [r.levelno for r in caplog.records] == [logging.WARNING,
+                                                   logging.INFO]
+    assert "no significant peak" in caplog.records[0].getMessage()
+    doc = curve.to_json_dict()
+    assert doc["shape"]["fallback"] is True
+    assert CtCurve.from_json_dict(doc) == curve
 
 
 def test_scan_requires_hot_pixels_and_valid_args():
@@ -228,6 +345,57 @@ def test_curve_json_roundtrip(tmp_path):
                 {"window_ps": "25000"}):
         with pytest.raises(DataError):
             CtCurve.from_json_dict({**doc, **bad})
+
+
+def test_curve_documents_carry_the_shape_and_every_estimate(tmp_path):
+    shape = CtShape(sigma_ps=58.2, offset_ps=3.1, chi2_dof=1.04,
+                    n_iterations=7, stop_reason="chi2_stall", n_pooled=2,
+                    fallback=False)
+    estimates = (
+        CtEstimate(source=5, target=6, probability=1.2e-3, error=3e-5,
+                   n_source=10**6, significant=True, gross=1201,
+                   net=1200.0, bg_per_bin=0.04, center_ps=22.5,
+                   placement="matched_filter"),
+        CtEstimate(source=5, target=4, probability=-1e-6, error=1e-6,
+                   n_source=10**6, significant=False, upper_limit=3e-6,
+                   gross=0, net=-1.0, bg_per_bin=0.03, center_ps=0.0,
+                   placement="null_window"))
+    curve = CtCurve(points=(CtPoint(1, 6e-4, 6e-4, 2, False),),
+                    pairs=((5, 6), (5, 4)), window_ps=25_000.0,
+                    estimates=estimates, shape=shape)
+    path = tmp_path / "curve.json"
+    curve.save(str(path))
+    doc = json.loads(path.read_text())
+    assert doc["schema_version"] == 2
+    assert doc["shape"]["sigma_ps"] == 58.2
+    assert [e["placement"] for e in doc["estimates"]] == [
+        "matched_filter", "null_window"]
+    assert CtCurve.load(str(path)) == curve
+    # a failed pooled fit has no chi2/dof
+    failed = replace(shape, chi2_dof=None, fallback=True)
+    assert CtCurve.from_json_dict(
+        replace(curve, shape=failed).to_json_dict()).shape == failed
+    # schema 1 held the points and pairs only
+    old = {key: doc[key] for key in ("kind", "window_ps", "points", "pairs")}
+    for version in ({"schema_version": 1}, {}):
+        back = CtCurve.from_json_dict({**old, **version})
+        assert back == replace(curve, estimates=(), shape=None)
+    estimate = doc["estimates"][0]
+    for bad in ({"schema_version": 3},
+                {"estimates": None},
+                {"estimates": [{**estimate, "gross": 1.5}]},
+                {"estimates": [{**estimate, "gross": -1}]},
+                {"estimates": [{**estimate, "placement": "fit"}]},
+                {"estimates": [{**estimate, "net": "1200"}]},
+                {"estimates": [{**estimate, "upper_limit": "none"}]},
+                {"estimates": [{**estimate, "stop_reason": "chi2_stall"}]},
+                {"shape": {**doc["shape"], "fallback": "false"}},
+                {"shape": {**doc["shape"], "n_iterations": -2}}):
+        with pytest.raises(DataError):
+            CtCurve.from_json_dict({**doc, **bad})
+    del doc["shape"]
+    with pytest.raises(DataError):
+        CtCurve.from_json_dict(doc)
 
 
 def test_point_validation():
