@@ -199,7 +199,8 @@ class CtCurve(Document):
     ``pairs`` records every (hot pixel, neighbor) pair that entered the
     average, in scan order, and ``estimates`` their estimates in the same
     order; ``shape`` is the scan's peak shape.  A schema-1 document loads
-    with no estimates and no shape.
+    with no estimates and no shape; a schema-2 document whose estimates
+    are not one per pair, in the order of ``pairs``, does not load.
     """
 
     points: tuple[CtPoint, ...]
@@ -260,6 +261,11 @@ class CtCurve(Document):
             elif version == 2:
                 estimates = tuple(CtEstimate.from_json_dict(e)
                                   for e in as_list(doc["estimates"]))
+                # none (a curve without them, as schema 1 loads), or one
+                # per pair in the order of the pairs
+                if estimates and \
+                        [(e.source, e.target) for e in estimates] != list(pairs):
+                    raise ValueError("estimates do not match pairs")
                 shape = (CtShape.from_json_dict(doc["shape"])
                          if doc["shape"] is not None else None)
             else:

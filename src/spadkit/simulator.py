@@ -31,16 +31,20 @@ source in time by |N(0, ct_jitter)|.
 Memory contract: ``simulate`` and ``simulate_code_density`` hold one
 stream's columns plus bounded scratch.  A block is generated into its
 final columns, with room for the cross-talk spawns behind their sources;
-delays, jitter and rounding act in place; dropping and sorting records
-rebuild one column at a time.  The scratch is then at most about two
-8-byte columns of the largest block: the sort key and the permutation, or
-the permutation and one rebuilt column.  A stream of one block keeps that
-block's columns, and the columns of several blocks are joined one column
-at a time.  Lineage arrays exist only when ``include_lineage`` is set.
-``PhotonStream.write`` adds one boundary per cycle and pieces of a fixed
-length.  Traced by ``tracemalloc``, simulating and writing a one-block
-beam run peaks below 2x its column bytes, and the code-density simulation
-below 1.8x (the tests bound them at 3x and 2x).
+delays, jitter and rounding act in place; dropping records rebuilds one
+column at a time.  Sorting (``timestream.sort_records``) sorts one packed
+8-byte key per record in place, into which the old cycle column is freed,
+and decodes the columns from it: no permutation exists.  The scratch is
+then at most about one 8-byte column of the largest block: the jitter
+draw or the sort key.  Only with lineage, when the key and the record
+index need more than 64 bits together, does the sort gather through a
+permutation, which adds a second 8-byte column.  A stream of one block
+keeps that block's columns, and the columns of several blocks are joined
+one column at a time.  Lineage arrays exist only when ``include_lineage``
+is set.  ``PhotonStream.write`` adds one boundary per cycle and pieces of
+a fixed length.  Traced by ``tracemalloc``, simulating and writing a
+one-block beam run peaks at 1.63x its column bytes, and the code-density
+simulation at 1.54x (the tests bound them at 1.8x and 1.7x).
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ import numpy as np
 from .documents import as_float, as_list, decode_fields, pairs
 from .errors import DataError
 from .timestream import (PhotonStream, SensorConfig, StreamHeader, _pieces,
-                         record_order)
+                         sort_records)
 
 logger = logging.getLogger(__name__)
 
@@ -343,8 +347,7 @@ def simulate(config: SimConfig) -> tuple[PhotonStream, SimTruth]:
         if dropped:
             _gather(block, keep)
         del keep
-        _gather(block, record_order(block["cycle"], block["time"],
-                                    block["pixel"]))
+        sort_records(block, "cycle", "time", "pixel")
         for name, column in block.items():
             parts.setdefault(name, []).append(column)
 
@@ -436,8 +439,9 @@ def _generate_block(rng, config: SimConfig, dark_rates, label_index,
         n_dark = rng.poisson(dark_rates * weight_sum * cycle_s)
         total_dark = int(n_dark.sum())
         cdf = np.cumsum(ramp)
-        u = rng.uniform(0.0, weight_sum, total_dark)
-        dark_cyc = np.uint64(c0) + np.searchsorted(cdf, u).astype(np.uint64)
+        dark_cyc = np.searchsorted(
+            cdf, rng.uniform(0.0, weight_sum, total_dark)).astype(np.uint64)
+        dark_cyc += np.uint64(c0)
     else:
         n_dark = rng.poisson(dark_rates * span * cycle_s)
         total_dark = int(n_dark.sum())
@@ -446,6 +450,9 @@ def _generate_block(rng, config: SimConfig, dark_rates, label_index,
     dark_t = rng.uniform(0.0, period, total_dark)
     emit(dark_cyc, dark_pix, dark_t, ORIGIN_DARK, -1)
     truth.n_dark += total_dark
+    # each stage's arrays go once emitted: the parts hold the records, and
+    # the columns are joined from them below
+    del dark_cyc, dark_pix, dark_t
 
     # 2. beam singles (pair attempts are carved out of the two-beam rates)
     attempt_rate = 0.0
@@ -461,6 +468,7 @@ def _generate_block(rng, config: SimConfig, dark_rates, label_index,
         emit(cycles, np.full(n, beam.pixel, dtype=np.uint16), times,
              ORIGIN_BEAM_SINGLE, class_id)
         truth.n_beam_singles += n
+        del cycles, times, class_id
 
     # 3. cross-arm pair attempts; same-class attempts become bunched pairs
     if attempt_rate > 0:
@@ -490,6 +498,7 @@ def _generate_block(rng, config: SimConfig, dark_rates, label_index,
              ORIGIN_PAIR_B, cls_b)
         truth.n_pair_attempts += n
         truth.n_pair_bunched += int(matched.sum())
+        del cycles, t_a, t_b, cyc_b, cyc_indep, cls_a, cls_b, dt, matched
 
     # 4. cross-talk spawns from every photon above, depth 1.  Only the
     # pixels decide which photons spawn, so the other columns are joined
@@ -628,9 +637,8 @@ def simulate_code_density(sensor: SensorConfig, widths_ps, counts_per_pixel,
 
     columns = {"cycle_index": cycles, "pixel": pix, "time_ps": times,
                "raw_code": codes}
-    del cycles, pix, times, codes  # so that _gather frees each old column
-    _gather(columns, record_order(columns["cycle_index"], columns["time_ps"],
-                                  columns["pixel"]))
+    del cycles, pix, times, codes  # so that the sort frees the old columns
+    sort_records(columns)
     return PhotonStream(
         header=StreamHeader(sensor=sensor,
                             metadata={"source": "simulation",

@@ -165,9 +165,9 @@ class StreamHeader:
 # ---------------------------------------------------------------------------
 # columnar stream
 
-# Records per piece in passes over whole columns (record_order, the
-# writer, the simulators): a pass holds a few arrays of this length at a
-# time, never one per record.
+# Records per piece in passes over whole columns (record_order and
+# sort_records, validate, the writer, the simulators): a pass holds a few
+# arrays of this length at a time, never one per record.
 _PIECE = 1 << 16
 
 
@@ -194,6 +194,122 @@ def _dense_ranks(values: np.ndarray, before, start: int) -> np.ndarray:
     return ranks
 
 
+class _Key(NamedTuple):
+    """The packed sort key of ``record_order``, with its field layout."""
+
+    words: np.ndarray    # uint64 per record
+    cmin: object         # the cycle field holds cycle - cmin
+    tmin: object         # the time field holds time - tmin; None: its rank
+    index_bits: int      # the record index, in the lowest bits
+    pix_bits: int
+    time_bits: int
+    cycle_bits: int
+
+
+def _record_key(cyc: np.ndarray, t: np.ndarray, pix: np.ndarray) -> _Key | None:
+    """The packed key of ``record_order``, or None where only
+    ``np.lexsort`` sorts the records: fewer than two, columns of unequal
+    lengths or of other dtypes, a negative pixel, a NaN time, or a key
+    over 64 bits.  The record index is in the words when it fits beside
+    the key (``index_bits`` is 0 otherwise)."""
+    n = len(pix)
+    if n < 2 or len(cyc) != n or len(t) != n or cyc.dtype.kind not in "ui" \
+            or pix.dtype.kind not in "ui" or t.dtype.kind not in "uif":
+        return None
+    tmin, tmax = t.min(), t.max()
+    if pix.min() < 0 or np.isnan(tmin):
+        return None
+    pix_bits = int(pix.max()).bit_length()
+    words = np.empty(n, dtype=np.uint64)
+
+    if t.dtype.kind != "f" or (tmax - tmin < 2.0 ** 53 and _whole(t)):
+        time_bits = (int(tmax) - int(tmin)).bit_length()
+        # in float64, or for integers modulo 2**64: every difference fits,
+        # where the column's own dtype may overflow or round
+        np.subtract(t, tmin, out=words, casting="unsafe",
+                    dtype=np.float64 if t.dtype.kind == "f" else np.int64)
+    else:  # dense rank, written to each record's place in ``words``
+        by_time, rank = np.argsort(t), 0
+        for lo, hi in _pieces(n):
+            ordered = t[by_time[lo:hi]]
+            ranks = _dense_ranks(ordered, t[by_time[lo - 1]] if lo
+                                 else ordered[0], rank)
+            words[by_time[lo:hi]] = ranks
+            rank = int(ranks[-1])
+        time_bits, tmin = rank.bit_length(), None
+        del by_time
+
+    cmin = cyc.min()
+    cycle_bits = (int(cyc.max()) - int(cmin)).bit_length()
+    key_bits = cycle_bits + time_bits + pix_bits
+    if key_bits > 64:
+        return None
+    index_bits = (n - 1).bit_length()
+    if key_bits + index_bits > 64:
+        index_bits = 0
+
+    words <<= pix_bits
+    np.bitwise_or(words, pix, out=words, dtype=np.uint64, casting="unsafe")
+    for lo, hi in _pieces(n):
+        part = words[lo:hi]
+        if cycle_bits:
+            field = np.subtract(cyc[lo:hi], cmin, dtype=np.uint64,
+                                casting="unsafe")
+            field <<= time_bits + pix_bits
+            part |= field
+        if index_bits:
+            part <<= index_bits
+            part |= np.arange(lo, hi, dtype=np.uint64)
+    return _Key(words, cmin, tmin, index_bits, pix_bits, time_bits,
+                cycle_bits)
+
+
+def _key_order(key: _Key) -> np.ndarray:
+    """The permutation that sorts ``key``'s records, ties in index order;
+    uses up ``key.words``."""
+    words = key.words
+    if key.index_bits:
+        words.sort()
+        words &= np.uint64((1 << key.index_bits) - 1)
+        return words.view(np.intp) if np.dtype(np.intp).itemsize == 8 \
+            else words.astype(np.intp)
+
+    # quicksort and a repair of the few ties: a stable argsort of the key
+    # (timsort) takes two to four times as long on the simulators'
+    # unordered records
+    order = np.argsort(words)
+    # sorted position i ties with i + 1: put each run of equal keys back in
+    # original index order
+    first = np.concatenate([
+        lo + np.flatnonzero(np.diff(words[order[lo:hi + 1]]) == 0)
+        for lo, hi in _pieces(len(words) - 1)])
+    if first.size:
+        tied = np.union1d(first, first + 1)
+        picked = order[tied]
+        order[tied] = picked[np.lexsort((picked, words[picked]))]
+    return order
+
+
+def _field(words: np.ndarray, low: int, bits: int) -> np.ndarray:
+    """The ``bits``-bit field of ``words`` that starts at bit ``low``."""
+    if not bits:
+        return np.zeros(len(words), dtype=np.uint64)
+    field = words >> np.uint64(low)
+    if low + bits < 64:
+        field &= np.uint64((1 << bits) - 1)
+    return field
+
+
+def _add_min(field: np.ndarray, low, out: np.ndarray) -> None:
+    """``out = field + low``: a key field decoded to its column's values.
+    Integers add modulo 2**64, as their fields were taken."""
+    if out.dtype.kind == "f":
+        np.add(field, low, out=out)
+    else:
+        field += np.uint64(int(low) % (1 << 64))
+        np.copyto(out, field, casting="unsafe")
+
+
 def record_order(cycle_index: np.ndarray, time_ps: np.ndarray,
                  pixel: np.ndarray) -> np.ndarray:
     """Permutation that puts records in stream order: (cycle, time, pixel).
@@ -205,10 +321,11 @@ def record_order(cycle_index: np.ndarray, time_ps: np.ndarray,
         key = cycle << (time_bits + pixel_bits) | time << pixel_bits | pixel
 
     * cycle: ``cycle - min``, which also holds indices of 2**63 and more;
-    * time: ``time - min`` when every time is a whole number and the span
-      ``max - min`` is below 2**53, so float64 holds every difference
-      exactly; otherwise the dense rank of the time (one ``argsort``),
-      which gives ``-0.0`` and ``0.0`` one value, as ``np.lexsort`` does;
+    * time: ``time - min``, taken in float64 (or modulo 2**64 for
+      integers), when every time is a whole number and the span ``max -
+      min`` is below 2**53, so float64 holds every difference exactly;
+      otherwise the dense rank of the time (one ``argsort``), which gives
+      ``-0.0`` and ``0.0`` one value, as ``np.lexsort`` does;
     * pixel: the pixel index, in the low bits.
 
     Each field keeps the order of its column, so key order is stream
@@ -228,80 +345,84 @@ def record_order(cycle_index: np.ndarray, time_ps: np.ndarray,
     3. ``np.lexsort``, when the key needs more than 64 bits, a time is
        NaN, or a column is neither integer nor (for times) float.
 
+    ``apply_delays`` and ``apply_lut`` re-sort with it, and
+    ``sort_records`` falls back on it.  The simulators call
+    ``sort_records``, which decodes the columns from the sorted key and
+    makes no permutation.
+
     Memory besides the result: the key, 8 bytes per record, which on path
     1 becomes the result; on the rank path, the ``argsort`` of the times
     until the ranks are in the key.  The key is built in place; every
     other pass over the columns runs in pieces of ``_PIECE`` records.
     """
     cyc, t, pix = np.asarray(cycle_index), np.asarray(time_ps), np.asarray(pixel)
-    n = len(pix)
-    if n < 2 or len(cyc) != n or len(t) != n or cyc.dtype.kind not in "ui" \
-            or pix.dtype.kind not in "ui" or t.dtype.kind not in "uif":
+    key = _record_key(cyc, t, pix)
+    if key is None:
         return np.lexsort((pix, t, cyc))
-    tmin, tmax = t.min(), t.max()
-    if pix.min() < 0 or np.isnan(tmin):
-        return np.lexsort((pix, t, cyc))
-    pieces, steps = _pieces(n), _pieces(n - 1)
-    pix_bits = int(pix.max()).bit_length()
-    key = np.empty(n, dtype=np.uint64)
+    return _key_order(key)
 
-    if t.dtype.kind != "f" or (tmax - tmin < 2.0 ** 53 and _whole(t)):
-        time_bits = (int(tmax) - int(tmin)).bit_length()
-        np.subtract(t, tmin, out=key, casting="unsafe")
-    else:  # dense rank, written to each record's place in ``key``
-        by_time, rank = np.argsort(t), 0
+
+def sort_records(columns: dict[str, np.ndarray], cycle: str = "cycle_index",
+                 time: str = "time_ps", pixel: str = "pixel") -> None:
+    """Put the record columns of ``columns`` in stream order, in place:
+    each becomes ``column[record_order(cycle, time, pixel)]``, with the
+    columns named by ``cycle``, ``time`` and ``pixel``.
+
+    ``record_order``'s key holds every bit of the three key columns when
+    its times are not ranked, so no permutation is made: the words are
+    sorted in place (``ndarray.sort``) and the three columns decoded from
+    them.  Records with equal keys are equal in all three columns, so
+    their order among themselves cannot show there.  Any other column
+    follows the record index in the low bits of the sorted words, and
+    needs the key and the index to fit in 64 bits together.  A decoded
+    time of zero is ``+0.0``, also where the column held ``-0.0``.
+
+    Otherwise -- ranked (fractional) times, a key over 64 bits, other
+    columns and no room for the index -- the columns are gathered through
+    ``record_order``'s permutation, one column at a time.
+
+    The time and pixel arrays are overwritten, and the key's buffer
+    becomes the cycle column (a copy, when that is not ``uint64``).
+    Memory besides the columns: the key, 8 bytes per record, from which
+    the old cycle column is freed; and one other column while it is
+    gathered.
+    """
+    cyc, t, pix = columns[cycle], columns[time], columns[pixel]
+    others = [name for name in columns if name not in (cycle, time, pixel)]
+    key = _record_key(cyc, t, pix)
+    if key is None or key.tmin is None or (others and not key.index_bits):
+        order = np.lexsort((pix, t, cyc)) if key is None else _key_order(key)
+        del cyc, t, pix, key  # so that each old column is freed in turn
+        for name in columns:
+            columns[name] = columns[name][order]
+        return
+
+    cycle_dtype = cyc.dtype
+    words = key.words
+    words.sort()
+    columns[cycle] = words  # every old cycle is in the words
+    del cyc
+    low = key.index_bits
+    index = np.uint64((1 << low) - 1)
+    pieces = _pieces(len(words))
+    for name in others:
+        column = np.empty_like(columns[name])
         for lo, hi in pieces:
-            ordered = t[by_time[lo:hi]]
-            ranks = _dense_ranks(ordered, t[by_time[lo - 1]] if lo
-                                 else ordered[0], rank)
-            key[by_time[lo:hi]] = ranks
-            rank = int(ranks[-1])
-        time_bits = rank.bit_length()
-        del by_time
-
-    cmin = cyc.min()
-    cycle_bits = (int(cyc.max()) - int(cmin)).bit_length()
-    key_bits = cycle_bits + time_bits + pix_bits
-    if key_bits > 64:
-        del key
-        return np.lexsort((pix, t, cyc))
-    index_bits = (n - 1).bit_length()
-    if key_bits + index_bits > 64:
-        index_bits = 0  # quicksort and tie repair below
-
-    key <<= pix_bits
-    np.bitwise_or(key, pix, out=key, dtype=np.uint64, casting="unsafe")
+            column[lo:hi] = columns[name][words[lo:hi] & index]
+        columns[name] = column
     for lo, hi in pieces:
-        part = key[lo:hi]
-        if cycle_bits:
-            field = np.subtract(cyc[lo:hi], cmin, dtype=np.uint64,
-                                casting="unsafe")
-            field <<= time_bits + pix_bits
-            part |= field
-        if index_bits:
-            part <<= index_bits
-            part |= np.arange(lo, hi, dtype=np.uint64)
-
-    if index_bits:
-        key.sort()
-        key &= (1 << index_bits) - 1
-        return key.view(np.intp) if np.dtype(np.intp).itemsize == 8 \
-            else key.astype(np.intp)
-
-    # quicksort and a repair of the few ties: a stable argsort of the key
-    # (timsort) takes two to four times as long on the simulators'
-    # unordered records
-    order = np.argsort(key)
-    # sorted position i ties with i + 1: put each run of equal keys back in
-    # original index order
-    first = np.concatenate([
-        lo + np.flatnonzero(np.diff(key[order[lo:hi + 1]]) == 0)
-        for lo, hi in steps])
-    if first.size:
-        tied = np.union1d(first, first + 1)
-        picked = order[tied]
-        order[tied] = picked[np.lexsort((picked, key[picked]))]
-    return order
+        part = words[lo:hi]
+        pix[lo:hi] = _field(part, low, key.pix_bits)
+        _add_min(_field(part, low + key.pix_bits, key.time_bits), key.tmin,
+                 t[lo:hi])
+    # the cycles, decoded in place of the words
+    if key.cycle_bits:
+        words >>= np.uint64(low + key.pix_bits + key.time_bits)
+    else:
+        words.fill(0)
+    _add_min(words, key.cmin, words)
+    if cycle_dtype != words.dtype:
+        columns[cycle] = words.astype(cycle_dtype)
 
 
 @dataclass
@@ -351,16 +472,23 @@ class PhotonStream:
         return np.bincount(self.pixel, minlength=self.sensor.num_pixels)
 
     def validate(self) -> None:
-        """Check the stream invariants; raise StreamFormatError on violation."""
+        """Check the stream invariants; raise StreamFormatError on violation.
+
+        The record checks run in pieces of ``_PIECE`` records (the order
+        check with one record of overlap), so they hold no per-record
+        array."""
         sensor = self.sensor
-        if self.n_records == 0:
+        n, t = self.n_records, self.time_ps
+        if n == 0:
             return
         if self.pixel.min() < 0 or self.pixel.max() >= sensor.num_pixels:
             raise StreamFormatError("pixel index out of range")
-        in_window = (self.time_ps >= 0) & (self.time_ps < sensor.cycle_period_ps)
-        if not in_window.all():
+        if not all(((t[lo:hi] >= 0) & (t[lo:hi] < sensor.cycle_period_ps)).all()
+                   for lo, hi in _pieces(n)):
             raise StreamFormatError("record time outside cycle")
-        if not _lex_ordered(self.cycle_index, self.time_ps, self.pixel).all():
+        if not all(_lex_ordered(self.cycle_index[lo:hi + 1], t[lo:hi + 1],
+                                self.pixel[lo:hi + 1]).all()
+                   for lo, hi in _pieces(n - 1)):
             raise StreamFormatError("records not sorted by (cycle, time, pixel)")
         if self.total_cycles <= int(self.cycle_index[-1]):
             raise StreamFormatError("total_cycles smaller than last cycle index")

@@ -380,15 +380,16 @@ def test_curve_documents_carry_the_shape_and_every_estimate(tmp_path):
     for version in ({"schema_version": 1}, {}):
         back = CtCurve.from_json_dict({**old, **version})
         assert back == replace(curve, estimates=(), shape=None)
-    estimate = doc["estimates"][0]
+    estimate, other = doc["estimates"]
     for bad in ({"schema_version": 3},
                 {"estimates": None},
-                {"estimates": [{**estimate, "gross": 1.5}]},
-                {"estimates": [{**estimate, "gross": -1}]},
-                {"estimates": [{**estimate, "placement": "fit"}]},
-                {"estimates": [{**estimate, "net": "1200"}]},
-                {"estimates": [{**estimate, "upper_limit": "none"}]},
-                {"estimates": [{**estimate, "stop_reason": "chi2_stall"}]},
+                {"estimates": [{**estimate, "gross": 1.5}, other]},
+                {"estimates": [{**estimate, "gross": -1}, other]},
+                {"estimates": [{**estimate, "placement": "fit"}, other]},
+                {"estimates": [{**estimate, "net": "1200"}, other]},
+                {"estimates": [{**estimate, "upper_limit": "none"}, other]},
+                {"estimates": [{**estimate, "stop_reason": "chi2_stall"},
+                               other]},
                 {"shape": {**doc["shape"], "fallback": "false"}},
                 {"shape": {**doc["shape"], "n_iterations": -2}}):
         with pytest.raises(DataError):
@@ -396,6 +397,37 @@ def test_curve_documents_carry_the_shape_and_every_estimate(tmp_path):
     del doc["shape"]
     with pytest.raises(DataError):
         CtCurve.from_json_dict(doc)
+
+
+def _three_pair_document():
+    estimates = tuple(
+        CtEstimate(source=s, target=t, probability=1e-3, error=1e-4,
+                   n_source=10**5, significant=True, gross=101, net=100.0,
+                   bg_per_bin=0.01, center_ps=20.0,
+                   placement="matched_filter")
+        for s, t in ((5, 6), (5, 4), (9, 10)))
+    curve = CtCurve(points=(CtPoint(1, 1e-3, 1e-4, 3, False),),
+                    pairs=tuple((e.source, e.target) for e in estimates),
+                    window_ps=25_000.0, estimates=estimates)
+    doc = curve.to_json_dict()
+    assert CtCurve.from_json_dict(doc) == curve
+    return doc
+
+
+def test_curve_document_with_fewer_estimates_than_pairs_is_refused():
+    doc = _three_pair_document()
+    with pytest.raises(DataError, match="estimates do not match pairs"):
+        CtCurve.from_json_dict({**doc, "estimates": doc["estimates"][:1]})
+
+
+def test_curve_document_with_estimates_out_of_pair_order_is_refused():
+    doc = _three_pair_document()
+    with pytest.raises(DataError, match="estimates do not match pairs"):
+        CtCurve.from_json_dict({**doc, "estimates": doc["estimates"][::-1]})
+    # the same pairs in the estimates' order load
+    assert CtCurve.from_json_dict(
+        {**doc, "estimates": doc["estimates"][::-1],
+         "pairs": doc["pairs"][::-1]}).pairs == ((9, 10), (5, 4), (5, 6))
 
 
 def test_point_validation():

@@ -351,6 +351,28 @@ def test_columnar_validate_rejects_unsorted():
         ps.validate()
 
 
+@pytest.mark.parametrize("piece", [1, 2, 3])
+def test_validate_checks_across_its_pieces(piece):
+    # every adjacent pair of records is checked, also where a piece ends,
+    # and every record's window, also in the last piece
+    n = 7
+    ordered = PhotonStream(
+        HEADER, cycle_index=np.arange(n, dtype=np.uint64),
+        pixel=np.zeros(n, dtype=np.uint16), time_ps=np.full(n, 100.0))
+    with mock.patch.object(timestream, "_PIECE", piece):
+        ordered.validate()
+        for k in range(n - 1):
+            swapped = np.arange(n, dtype=np.uint64)
+            swapped[[k, k + 1]] = k + 1, k
+            with pytest.raises(StreamFormatError, match="sorted"):
+                dataclasses.replace(ordered, cycle_index=swapped).validate()
+        for k in range(n):
+            late = ordered.time_ps.copy()
+            late[k] = SENSOR.cycle_period_ps
+            with pytest.raises(StreamFormatError, match="outside cycle"):
+                dataclasses.replace(ordered, time_ps=late).validate()
+
+
 def test_cycle_index_beyond_2_63_roundtrip():
     index = 2**63 + 5
     cycles = [AcquisitionCycle(0, (TimestampRecord(3, 10),)),
@@ -719,6 +741,24 @@ def test_record_order_sorts_one_key_unless_it_needs_over_64_bits(
     assert lexsort.called is fallback  # unique keys: no tie to repair
 
 
+@pytest.mark.parametrize("cycle, time, pixel", [
+    # 30000 - -30000 overflows int16: the difference is taken in int64
+    ([0, 1], np.array([30000, -30000], np.int16), [0, 0]),
+    # 4 - -2**24 and 3 - -2**24 round to one float32, not to one float64
+    ([0, 0, 0], np.array([-2.0**24, 4.0, 3.0], np.float32), [0, 0, 1]),
+])
+def test_key_takes_narrow_time_differences_exactly(cycle, time, pixel):
+    cycle, pixel = np.array(cycle, np.uint64), np.array(pixel, np.uint16)
+    want = np.lexsort((pixel, time, cycle))
+    assert np.array_equal(timestream.record_order(cycle, time, pixel), want)
+    columns = {"cycle_index": cycle.copy(), "time_ps": time.copy(),
+               "pixel": pixel.copy()}
+    timestream.sort_records(columns)
+    assert columns["time_ps"].dtype == time.dtype
+    assert np.array_equal(columns["time_ps"], time[want])
+    assert np.array_equal(columns["cycle_index"], cycle[want])
+
+
 def _spied_record_order(cycle, time, pixel):
     """``record_order``'s result and its calls of ``np.argsort`` and
     ``np.lexsort``, which tell its three paths apart."""
@@ -771,3 +811,110 @@ def test_record_order_one_word_path_up_to_64_bits(cycle_span, one_word):
     assert np.array_equal(got, np.lexsort((pixel, time, cycle)))
     assert argsorts == (0 if one_word else 1)
     assert lexsorts == 0  # unique keys: no tie to repair
+
+
+# ---------------------------------------------------------------------------
+# sort_records: the columns decoded from the sorted key, or gathered
+
+@st.composite
+def sort_columns(draw):
+    """``order_columns``, with times sometimes as int64 or int16 (when
+    whole and in range), and with zero, one or two other columns: the
+    record index, which shows the order among ties, and a uint8 tag."""
+    cycle, time, pixel = draw(order_columns())
+    whole = np.isfinite(time).all() and (np.floor(time) == time).all()
+    kind = draw(st.sampled_from(["f8", "i8", "i2"]))
+    if whole and kind == "i8" or whole and kind == "i2" and (
+            np.abs(time) < 2**15).all():
+        time = time.astype(kind)
+    columns = {"cycle_index": cycle, "time_ps": time, "pixel": pixel}
+    n = len(pixel)
+    others = draw(st.integers(0, 2))
+    if others >= 1:
+        columns["index"] = np.arange(n, dtype=np.int64)
+    if others == 2:
+        columns["tag"] = (np.arange(n) % 7).astype(np.uint8)
+    return columns
+
+
+def _check_sort_records(columns, piece=None):
+    """``sort_records`` of a copy of ``columns``, checked: every column in
+    ``np.lexsort`` order.  Returns the sorted columns and the calls of
+    ``np.argsort`` and ``np.lexsort`` that the sort made, which tell its
+    word path (none) from its fallbacks."""
+    want = np.lexsort((columns["pixel"], columns["time_ps"],
+                       columns["cycle_index"]))
+    got = {name: column.copy() for name, column in columns.items()}
+    with mock.patch.object(timestream, "_PIECE", piece or timestream._PIECE), \
+            mock.patch("numpy.argsort", wraps=np.argsort) as argsort, \
+            mock.patch("numpy.lexsort", wraps=np.lexsort) as lexsort:
+        timestream.sort_records(got)
+    assert list(got) == list(columns)
+    for name, column in columns.items():
+        assert got[name].dtype == column.dtype, name
+        assert np.array_equal(got[name], column[want], equal_nan=True), name
+    return got, argsort.call_count, lexsort.call_count
+
+
+@settings(max_examples=600, deadline=None)
+@given(sort_columns(), st.sampled_from([1, 2, 3, timestream._PIECE]))
+@example({"cycle_index": np.array([5, 5, 5, 5], dtype=np.uint64),
+          "time_ps": np.array([0.0, -0.0, 0.0, -0.0]),
+          "pixel": np.array([1, 0, 1, 0], dtype=np.uint16),
+          "index": np.arange(4)}, timestream._PIECE)
+def test_property_sort_records_is_a_lexsort_gather(columns, piece):
+    _check_sort_records(columns, piece)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_sort_records_of_no_record_and_of_one(n):
+    got, _, _ = _check_sort_records({
+        "cycle_index": np.full(n, 2**64 - 1, dtype=np.uint64),
+        "time_ps": np.full(n, -0.0), "pixel": np.full(n, 7, np.uint16),
+        "raw_code": np.full(n, 3, np.uint32)})
+    assert all(len(column) == n for column in got.values())
+
+
+@pytest.mark.parametrize("cycle_span, others, calls", [
+    # 28 + 10 + 16 key bits and 10 index bits: 64, the word path
+    (2**28 - 1, True, (0, 0)),
+    # 29 + 10 + 16 + 10: 65, a quicksort of the key and a gather
+    (2**28, True, (1, 0)),
+    # no other column needs no index: 55 bits, the word path
+    (2**28, False, (0, 0)),
+    # 38 + 10 + 16 key bits: 64, the word path
+    (2**38 - 1, False, (0, 0)),
+    # 39 + 10 + 16: 65, np.lexsort and a gather
+    (2**38, False, (0, 1)),
+])
+def test_sort_records_decodes_keys_up_to_64_bits(cycle_span, others, calls):
+    cycle, time, pixel = _unique_columns(1000, cycle_span, sub_ps=False)
+    columns = {"cycle_index": cycle, "time_ps": time, "pixel": pixel}
+    if others:
+        columns["raw_code"] = np.arange(1000, dtype=np.uint32)
+    assert _check_sort_records(columns)[1:] == calls
+
+
+def test_sort_records_keeps_ties_in_index_order_and_zeros_positive():
+    # runs of ~10^4 equal keys over several pieces, zeros of both signs
+    rng = np.random.default_rng(8)
+    n = 3 * timestream._PIECE
+    columns = {"cycle_index": rng.integers(0, 3, n).astype(np.uint64),
+               "time_ps": rng.choice([-0.0, 0.0, 1.0], n),
+               "pixel": rng.integers(0, 2, n).astype(np.uint16),
+               "raw_code": np.arange(n, dtype=np.uint32)}
+    got, argsorts, lexsorts = _check_sort_records(columns)
+    assert (argsorts, lexsorts) == (0, 0)
+    # the decoded zeros are +0.0; the written bytes cannot tell
+    assert not np.signbit(got["time_ps"]).any()
+
+
+@pytest.mark.parametrize("time, calls", [
+    # fractional: the times' argsort for their ranks, then a gather
+    (np.array([3.5, 1.0, 2.0, 1.0]), (1, 0)),
+    (np.array([3.0, np.nan, 2.0, 1.0]), (0, 1)),  # NaN: np.lexsort
+])
+def test_sort_records_gathers_times_it_cannot_decode(time, calls):
+    columns = {"cycle_index": np.array([1, 0, 1, 0], dtype=np.uint64),
+               "time_ps": time, "pixel": np.array([0, 1, 1, 0], np.uint16)}
+    assert _check_sort_records(columns)[1:] == calls
