@@ -104,19 +104,30 @@ class DeltaHistogram(Document):
     @classmethod
     def from_json_dict(cls, doc: dict) -> "DeltaHistogram":
         try:
-            normalized = doc.get("normalized")
+            counts = np.array([as_count(c) for c in as_list(doc["counts"])],
+                              dtype=np.int64)
+            normalized = median = None
+            if doc.get("normalized") is not None:
+                # the fit weights and scales by these: a list as long as
+                # the counts, and a positive median
+                normalized = np.array([as_float(v) for v in
+                                       as_list(doc["normalized"])],
+                                      dtype=np.float64)
+                if len(normalized) != len(counts):
+                    raise ValueError(f"{len(normalized)} normalized values "
+                                     f"for {len(counts)} counts")
+                median = as_float(doc["median_count"])
+                if median <= 0:
+                    raise ValueError(f"median_count {median} is not positive")
             return cls(
                 pixel_a=as_count(doc["pixel_a"]),
                 pixel_b=as_count(doc["pixel_b"]),
                 window_ps=as_float(doc["window_ps"]),
                 bin_width_ps=as_float(doc["bin_width_ps"]),
-                counts=np.array([as_count(c) for c in as_list(doc["counts"])],
-                                dtype=np.int64),
+                counts=counts,
                 total_pairs=as_count(doc["total_pairs"]),
-                normalized=(np.asarray(normalized, dtype=np.float64)
-                            if normalized is not None else None),
-                median_count=(as_float(doc["median_count"])
-                              if normalized is not None else None),
+                normalized=normalized,
+                median_count=median,
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"malformed histogram document: {exc}") from None

@@ -50,32 +50,27 @@ holds: ``PhotonStream.write`` version 2, ``write_stream`` version 1.
 Builds of spadkit that predate version 2 cannot read files written by
 ``PhotonStream.write``.
 
-Two readers parse the payload; both read either version:
-
-* ``read_stream`` -- the streaming reader, one cycle (v1) or one slab
-  (v2) at a time; every structural error it raises carries the byte
-  offset and, where known, the cycle index;
-* ``PhotonStream.read`` -- the whole stream into columns.
-
-Both readers share one parser per version, so they raise the same error
-for any defect: ``_iter_cycles`` for v1, whose cycles ``PhotonStream.read``
-collects with ``from_cycles``, and for v2 ``_decode_slab``, which checks
-the few ``np.frombuffer`` views of a slab.  The layout of a slab follows
-the record batches of Apache Arrow's IPC format.
+Two readers, ``read_stream`` (one slab of whole cycles at a time; a v1
+slab holds about ``_PIECE`` records) and ``PhotonStream.read`` (the whole
+stream), take their slabs from ``_iter_slabs``, so both raise the same
+error, with its byte offset and, where known, cycle index, for any defect.
+The version chooses only the byte decoder: for v1 a walk over the flag
+bytes and one gather per slab, for v2 a few ``np.frombuffer`` views.  One
+checker, ``_check_slab``, holds every rule on a slab's contents.  The v2
+slab layout follows the record batches of Apache Arrow's IPC format.
 """
 
 from __future__ import annotations
 
-import logging
 import struct
+from array import array
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from typing import BinaryIO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import StreamFormatError
-
-logger = logging.getLogger(__name__)
 
 MAGIC = b"SPK1"
 FORMAT_VERSION = 2          # columnar slabs, written by PhotonStream.write
@@ -84,7 +79,6 @@ STREAMING_CYCLE_COUNT = 0xFFFF_FFFF_FFFF_FFFF
 
 _HEADER = struct.Struct("<4sHHQHI")          # magic .. clock_period_ps
 _U16 = struct.Struct("<H")
-_U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 _CYCLE_HEADER = struct.Struct("<QI")          # cycle_index, record_count
 _SLAB_HEADER = struct.Struct("<QQB")          # n_cycles, n_records, flags
@@ -206,12 +200,14 @@ class _Key(NamedTuple):
     cycle_bits: int
 
 
-def _record_key(cyc: np.ndarray, t: np.ndarray, pix: np.ndarray) -> _Key | None:
+def _record_key(cyc: np.ndarray, t: np.ndarray, pix: np.ndarray,
+                index: bool = True) -> _Key | None:
     """The packed key of ``record_order``, or None where only
     ``np.lexsort`` sorts the records: fewer than two, columns of unequal
     lengths or of other dtypes, a negative pixel, a NaN time, or a key
     over 64 bits.  The record index is in the words when it fits beside
-    the key (``index_bits`` is 0 otherwise)."""
+    the key and a permutation may be made: always with ``index``, else
+    only for ranked times (``index_bits`` is 0 otherwise)."""
     n = len(pix)
     if n < 2 or len(cyc) != n or len(t) != n or cyc.dtype.kind not in "ui" \
             or pix.dtype.kind not in "ui" or t.dtype.kind not in "uif":
@@ -244,7 +240,7 @@ def _record_key(cyc: np.ndarray, t: np.ndarray, pix: np.ndarray) -> _Key | None:
     key_bits = cycle_bits + time_bits + pix_bits
     if key_bits > 64:
         return None
-    index_bits = (n - 1).bit_length()
+    index_bits = (n - 1).bit_length() if index or tmin is None else 0
     if key_bits + index_bits > 64:
         index_bits = 0
 
@@ -345,11 +341,6 @@ def record_order(cycle_index: np.ndarray, time_ps: np.ndarray,
     3. ``np.lexsort``, when the key needs more than 64 bits, a time is
        NaN, or a column is neither integer nor (for times) float.
 
-    ``apply_delays`` and ``apply_lut`` re-sort with it, and
-    ``sort_records`` falls back on it.  The simulators call
-    ``sort_records``, which decodes the columns from the sorted key and
-    makes no permutation.
-
     Memory besides the result: the key, 8 bytes per record, which on path
     1 becomes the result; on the rank path, the ``argsort`` of the times
     until the ranks are in the key.  The key is built in place; every
@@ -372,10 +363,10 @@ def sort_records(columns: dict[str, np.ndarray], cycle: str = "cycle_index",
     its times are not ranked, so no permutation is made: the words are
     sorted in place (``ndarray.sort``) and the three columns decoded from
     them.  Records with equal keys are equal in all three columns, so
-    their order among themselves cannot show there.  Any other column
-    follows the record index in the low bits of the sorted words, and
-    needs the key and the index to fit in 64 bits together.  A decoded
-    time of zero is ``+0.0``, also where the column held ``-0.0``.
+    their order among themselves cannot show there.  Only for other
+    columns do the words hold the record index, in their low bits; those
+    columns follow it, and key and index must fit in 64 bits together.
+    A decoded time of zero is ``+0.0``, also where the column held ``-0.0``.
 
     Otherwise -- ranked (fractional) times, a key over 64 bits, other
     columns and no room for the index -- the columns are gathered through
@@ -389,7 +380,7 @@ def sort_records(columns: dict[str, np.ndarray], cycle: str = "cycle_index",
     """
     cyc, t, pix = columns[cycle], columns[time], columns[pixel]
     others = [name for name in columns if name not in (cycle, time, pixel)]
-    key = _record_key(cyc, t, pix)
+    key = _record_key(cyc, t, pix, index=bool(others))
     if key is None or key.tmin is None or (others and not key.index_bits):
         order = np.lexsort((pix, t, cyc)) if key is None else _key_order(key)
         del cyc, t, pix, key  # so that each old column is freed in turn
@@ -603,31 +594,27 @@ class PhotonStream:
         """Read a whole binary stream into columnar form.
 
         Unlike ``read_stream`` this holds the whole stream at once; use the
-        streaming reader when memory must stay bounded by one slab (v2) or
-        one cycle (v1).  A v1 file goes through the streaming parser, one
-        record object at a time, at several times the cost of v2;
-        ``PhotonStream.read(v1_path).write(v2_path)`` converts it once.
+        streaming reader when memory must stay bounded by one slab.  When
+        any record of a v1 file has a raw code, those without read as 0.
         """
         if isinstance(source, str):
             with open(source, "rb") as fh:
                 return cls.read(fh)
         header, cycle_count, offset = _read_header(source)
-        if header.version == RECORD_FORMAT_VERSION:
-            # Cycles pass through one at a time rather than as a list,
-            # which would hold every record object at once.
-            cycles = _iter_cycles(source, header.sensor, cycle_count, offset)
-            return cls.from_cycles(header, cycles, _total_cycles(header, -1))
-        parts = []
-        last_index = -1
-        for slab in _iter_slabs(source, header.sensor, cycle_count, offset):
-            # Copies, so no column keeps the slab's bytes alive.
+        parts, last_index = [], -1
+        for slab in _iter_slabs(source, header, cycle_count, offset):
+            # Copies, so no column keeps the slab's bytes alive; np.array
+            # drops a v1 slab's mask (its masked codes are 0).
             parts.append((slab.cycle, slab.pixel.copy(),
                           slab.time.astype(np.float64),
-                          None if slab.raw is None else slab.raw.copy()))
+                          None if slab.raw is None else np.array(slab.raw)))
             last_index = int(slab.index[-1])
         if not parts:
             parts = [(np.empty(0, np.uint64), np.empty(0, np.uint16),
                       np.empty(0, np.float64), None)]
+        if any(part[3] is not None for part in parts):  # 0 for the others
+            parts = [(*part[:3], np.zeros(len(part[1]), np.uint32)
+                      if part[3] is None else part[3]) for part in parts]
         cycle_rep, pixel, time_ps, raw_code = (
             column[0] if len(column) == 1 or column[0] is None
             else np.concatenate(column) for column in zip(*parts))
@@ -667,16 +654,15 @@ def write_stream(header: StreamHeader, cycles: Sequence[AcquisitionCycle],
 def read_stream(source: BinaryIO) -> tuple[StreamHeader, Iterator[AcquisitionCycle]]:
     """Open a binary stream for incremental reading.
 
-    Returns the parsed header and a generator of cycles; memory use is
-    bounded by the largest single cycle (v1) or slab (v2).  All structural
-    violations raise ``StreamFormatError`` -- arbitrary bytes never crash
-    the parser.
+    Returns the parsed header and a generator of cycles, decoded one slab
+    at a time (v1: about ``_PIECE`` records, or one larger cycle; v2: as
+    written), which bounds the memory.  A v1 record written without a raw
+    code has ``raw_code=None``.  Structural violations raise
+    ``StreamFormatError`` -- arbitrary bytes never crash the parser.
     """
     header, cycle_count, offset = _read_header(source)
-    if header.version == RECORD_FORMAT_VERSION:
-        return header, _iter_cycles(source, header.sensor, cycle_count, offset)
     return header, _slab_cycles(
-        _iter_slabs(source, header.sensor, cycle_count, offset))
+        _iter_slabs(source, header, cycle_count, offset))
 
 
 def _read_header(source: BinaryIO) -> tuple[StreamHeader, int, int]:
@@ -713,198 +699,211 @@ def _read_header(source: BinaryIO) -> tuple[StreamHeader, int, int]:
     return header, cycle_count, offset
 
 
-def _iter_cycles(source: BinaryIO, sensor: SensorConfig, cycle_count: int,
-                 offset: int) -> Iterator[AcquisitionCycle]:
-    # ``offset`` counts the bytes consumed so far instead of asking the
-    # source, so pipes report positions too.  Errors point at the cycle
-    # header or record at fault.
-    n_pixels, period = sensor.num_pixels, sensor.cycle_period_ps
-    prev_index = -1
-    seen = 0
-    while True:
-        head = source.read(_CYCLE_HEADER.size)
-        if not head:
-            break
-        if len(head) < _CYCLE_HEADER.size:
-            raise StreamFormatError(
-                "unexpected end of stream while reading a cycle header",
-                offset=offset)
-        index, count = _CYCLE_HEADER.unpack(head)
-        if index <= prev_index:
-            raise StreamFormatError("cycle index not strictly increasing",
-                                    cycle_index=index, offset=offset)
-        prev_index = index
-        offset += _CYCLE_HEADER.size
+class _Slab(NamedTuple):
+    """The columns of a slab of whole cycles, views of its bytes in v2."""
 
-        records = []
-        prev_key = (-1, -1)
-        for _ in range(count):
-            fixed = source.read(_REC_PLAIN.size)
-            if len(fixed) < _REC_PLAIN.size:
-                raise StreamFormatError(
-                    "unexpected end of stream while reading a record",
-                    cycle_index=index, offset=offset)
-            pixel, time_ps, flags = _REC_PLAIN.unpack(fixed)
-            raw = None
-            if flags & _FLAG_RAW:
-                code = source.read(_U32.size)
-                if len(code) < _U32.size:
-                    raise StreamFormatError(
-                        "unexpected end of stream while reading a raw code",
-                        cycle_index=index, offset=offset)
-                (raw,) = _U32.unpack(code)
-            if flags & ~_FLAG_RAW:
-                raise StreamFormatError(
-                    f"corrupt record (reserved flag bits 0x{flags:02x})",
-                    cycle_index=index, offset=offset)
-            if pixel >= n_pixels:
-                raise StreamFormatError(
-                    f"corrupt record (pixel {pixel} out of range)",
-                    cycle_index=index, offset=offset)
-            if time_ps >= period:
-                raise StreamFormatError(
-                    f"corrupt record (time {time_ps} outside cycle)",
-                    cycle_index=index, offset=offset)
-            key = (time_ps, pixel)
-            if key < prev_key:
-                raise StreamFormatError("records not sorted by (time, pixel)",
-                                        cycle_index=index, offset=offset)
-            prev_key = key
-            records.append(TimestampRecord(pixel, time_ps, raw))
-            offset += _REC_PLAIN.size if raw is None else _REC_RAW.size
-        seen += 1
-        yield AcquisitionCycle(index, tuple(records))
+    index: np.ndarray          # u64 per cycle
+    count: np.ndarray          # u32 per cycle
+    pixel: np.ndarray          # u16 per record
+    time: np.ndarray           # u64 per record
+    raw: np.ndarray | None     # u32 per record, when the slab has raw codes;
+    #                            a v1 slab masks (as 0) records without one
+    cycle: np.ndarray | None = None   # u64 per record, set by the checker
 
+
+def _iter_slabs(source: BinaryIO, header: StreamHeader, cycle_count: int,
+                offset: int) -> Iterator[_Slab]:
+    """The checked slabs of the payload from byte ``offset``; the version
+    chooses only the decoder, which yields ``(slab, where, fault, end)``:
+    ``where`` for ``_check_slab``, a fault of its layout that ends the payload
+    (raised once the slab passes the checker), the byte offset after it."""
+    decode = _v1_slabs if header.version == RECORD_FORMAT_VERSION \
+        else _v2_slabs
+    prev_index, seen = -1, 0
+    for slab, where, fault, offset in decode(source, offset):
+        if len(slab.index):
+            slab = _check_slab(slab, where, header.sensor, prev_index)
+            prev_index = int(slab.index[-1])
+            seen += len(slab.index)
+        if fault is not None:
+            raise fault
+        yield slab
     if cycle_count != STREAMING_CYCLE_COUNT and seen != cycle_count:
         raise StreamFormatError(
             f"header promises {cycle_count} cycles, found {seen}",
             offset=offset)
 
 
-class _Slab(NamedTuple):
-    """Decoded columns of one v2 slab (views of its bytes where possible)."""
+def _check_slab(slab: _Slab, where: Mapping[str, Sequence[int]],
+                sensor: SensorConfig, prev_index: int) -> _Slab:
+    """``slab`` with its cycle column, checked in this order: cycle indices
+    strictly increase (from ``prev_index``, or -1), pixels and times lie in
+    range, and each cycle's records are sorted by (time, pixel).  The first
+    entry that breaks the first broken rule is reported, at the byte offset
+    ``where[column][k]`` of entry ``k`` of its column."""
+    index, pixel, time = slab.index, slab.pixel, slab.time
+    def check(ok, column, cycles, message):
+        if not ok.all():
+            k = int(np.argmin(ok))
+            raise StreamFormatError(message(k), cycle_index=int(cycles[k]),
+                                    offset=int(where[column][k]))
 
-    index: np.ndarray          # u64 per cycle
-    count: np.ndarray          # u32 per cycle
-    cycle: np.ndarray          # u64 per record: its cycle's index
-    pixel: np.ndarray          # u16 per record
-    time: np.ndarray           # u64 per record
-    raw: np.ndarray | None     # u32 per record, when the slab has raw codes
+    check(np.append(int(index[0]) > prev_index, index[1:] > index[:-1]),
+          "index", index, lambda k: "cycle index not strictly increasing")
+    # built after the index check: before it, a v2 read peaked 0.8 MB higher
+    cycle = np.repeat(index, slab.count)
+    check(pixel < sensor.num_pixels, "pixel", cycle,
+          lambda k: f"corrupt record (pixel {pixel[k]} out of range)")
+    check(time < np.uint64(sensor.cycle_period_ps), "time", cycle,
+          lambda k: f"corrupt record (time {time[k]} outside cycle)")
+    # A record out of (time, pixel) order is the second of its pair.
+    check(np.append(True, _lex_ordered(cycle, time, pixel)), "time", cycle,
+          lambda k: "records not sorted by (time, pixel)")
+    return slab._replace(cycle=cycle)
 
 
-def _iter_slabs(source: BinaryIO, sensor: SensorConfig, cycle_count: int,
-                offset: int) -> Iterator[_Slab]:
-    """The decoded slabs of a v2 payload that starts at byte ``offset``.
+# A v1 record's bytes and the 4 after: ``raw`` is its code if flag bit 0.
+_V1_RECORD = np.dtype({"names": ["pixel", "time", "flags", "raw"],
+                       "formats": ["<u2", "<u8", "u1", "<u4"],
+                       "offsets": [0, 2, 10, 11], "itemsize": 15})
 
-    Slab-level errors point at the slab header, record-level ones at the
-    column entry at fault; ``offset`` counts bytes consumed, so pipes
-    report positions too.
-    """
-    prev_index = -1
-    first_flags = None
-    seen = 0
+
+def _v1_slabs(source: BinaryIO, offset: int) -> Iterator[tuple]:
+    """The v1 payload from byte ``offset`` as slabs of whole cycles, at most
+    ``_PIECE`` records each (a larger cycle gets a slab of its own): a walk
+    over the flag bytes keeps the offsets of cycle headers and records, and
+    one gather reads the records.  A stream cut short or reserved flag bits
+    end the walk, and the slab so far (its last cycle cut) brings the fault."""
+    buf = bytearray()   # the bytes read from ``offset`` on
+    step = (_REC_PLAIN.size, _REC_RAW.size)   # by the raw flag
+
+    def fill(need: int) -> int:  # the last offset a raw record fits at
+        while len(buf) < need and (more := source.read(
+                max(need - len(buf), _PIECE * _REC_RAW.size))):
+            buf.extend(more)
+        return len(buf) - _REC_RAW.size
+
     while True:
-        head = source.read(_SLAB_HEADER.size)
-        if not head:
-            break
+        heads, index, count, starts = map(array, "qQIq")
+        append, fault, p, last = starts.append, None, 0, fill(0)
+        while len(starts) < _PIECE and len(index) < _PIECE:
+            if p > last:  # the stream may end inside this cycle header
+                last = fill(p + _REC_RAW.size)
+                if len(buf) < p + _CYCLE_HEADER.size:
+                    if p < len(buf):
+                        fault = _cut_short("a cycle header", offset=offset + p)
+                    break
+            i, c = _CYCLE_HEADER.unpack_from(buf, p)
+            if starts and len(starts) + c > _PIECE:
+                break
+            heads.append(p)
+            index.append(i)
+            count.append(c)
+            q = p + _CYCLE_HEADER.size
+            for n in range(c):
+                if q > last:  # the stream may end inside this record
+                    last = fill(q + _REC_RAW.size)
+                    cut = "a record" if q + _REC_PLAIN.size > len(buf) else \
+                        "a raw code" if q > last and buf[q + 10] & _FLAG_RAW \
+                        else None
+                    if cut:
+                        fault = _cut_short(cut, cycle_index=i, offset=offset + q)
+                        break
+                flags = buf[q + 10]
+                if flags & ~_FLAG_RAW:
+                    fault = StreamFormatError(
+                        f"corrupt record (reserved flag bits 0x{flags:02x})",
+                        cycle_index=i, offset=offset + q)
+                    break
+                append(q)
+                q += step[flags]
+            if fault is not None:
+                count[-1] = n
+                break
+            p = q
+
+        if not index and fault is None:
+            return
+        at = np.frombuffer(starts, np.int64)
+        rows = np.lib.stride_tricks.sliding_window_view(np.frombuffer(
+            bytes(buf) + bytes(_REC_RAW.size), np.uint8), _REC_RAW.size)[at]
+        rows = rows.view(_V1_RECORD)[:, 0]
+        flags = rows["flags"]
+        raw = None if not flags.any() else rows["raw"] if flags.all() \
+            else np.ma.masked_array(np.where(flags, rows["raw"], 0),
+                                    mask=flags == 0)
+        at = at + offset
+        yield (_Slab(np.frombuffer(index, np.uint64),
+                     np.frombuffer(count, np.uint32), rows["pixel"],
+                     rows["time"], raw),
+               {"index": np.frombuffer(heads, np.int64) + offset,
+                "pixel": at, "time": at}, fault, offset + p)
+        del buf[:p]  # no fault came: ``_iter_slabs`` raises one
+        offset += p
+
+
+def _v2_slabs(source: BinaryIO, offset: int) -> Iterator[tuple]:
+    """The v2 payload from byte ``offset``, one slab at a time; the rules on
+    a slab header are checked here, each defect at the header's offset."""
+    first_flags = None
+    while head := source.read(_SLAB_HEADER.size):
         if len(head) < _SLAB_HEADER.size:
-            raise StreamFormatError(
-                "unexpected end of stream while reading a slab header",
-                offset=offset)
+            raise _cut_short("a slab header", offset=offset)
         n_cycles, n_records, flags = _SLAB_HEADER.unpack(head)
         if flags & ~_FLAG_RAW:
             raise StreamFormatError(
                 f"corrupt slab (reserved flag bits 0x{flags:02x})",
                 offset=offset)
-        if first_flags is None:
-            first_flags = flags
-        elif flags != first_flags:
+        if first_flags not in (None, flags):
             raise StreamFormatError("slab raw flag differs from the first "
                                     "slab's", offset=offset)
+        first_flags = flags
         if n_cycles == 0:
             raise StreamFormatError("slab holds no cycles", offset=offset)
         # u64 + u32 per cycle; u16 + u64 (+ u32 raw) per record
         size = 12 * n_cycles + (14 if flags else 10) * n_records
         body = _read_upto(source, size)
         if len(body) < size:
+            raise _cut_short("a slab", offset=offset)
+        count = np.frombuffer(body, "<u4", n_cycles, 8 * n_cycles)
+        if (held := int(count.sum(dtype=np.uint64))) != n_records:
             raise StreamFormatError(
-                "unexpected end of stream while reading a slab",
-                offset=offset)
-        slab = _decode_slab(body, n_cycles, n_records, bool(flags), sensor,
-                            prev_index, offset)
-        prev_index = int(slab.index[-1])
-        seen += n_cycles
-        offset += _SLAB_HEADER.size + size
-        yield slab
+                f"slab header promises {n_records} records, its cycles hold "
+                f"{held}", offset=offset)
+        at = offset + _SLAB_HEADER.size          # where the body starts
+        pixel_at, time_at = 12 * n_cycles, 12 * n_cycles + 2 * n_records
+        raw_at = time_at + 8 * n_records
+        offset = at + size
+        yield (_Slab(np.frombuffer(body, "<u8", n_cycles), count,
+                     np.frombuffer(body, "<u2", n_records, pixel_at),
+                     np.frombuffer(body, "<u8", n_records, time_at),
+                     np.frombuffer(body, "<u4", n_records, raw_at)
+                     if flags else None),
+               {"index": range(at, at + pixel_at, 8),
+                "pixel": range(at + pixel_at, at + time_at, 2),
+                "time": range(at + time_at, at + raw_at, 8)}, None, offset)
 
-    if cycle_count != STREAMING_CYCLE_COUNT and seen != cycle_count:
-        raise StreamFormatError(
-            f"header promises {cycle_count} cycles, found {seen}",
-            offset=offset)
 
-
-def _decode_slab(body: bytes, n_cycles: int, n_records: int, raw: bool,
-                 sensor: SensorConfig, prev_index: int, offset: int) -> _Slab:
-    """Columns of one v2 slab body, checked against every rule on its
-    contents; ``offset`` is that of the slab header, ``prev_index`` the
-    last cycle index of the slab before (-1 for none)."""
-    at = offset + _SLAB_HEADER.size          # where the body starts
-    pixel_at = 12 * n_cycles
-    time_at = pixel_at + 2 * n_records
-    index = np.frombuffer(body, "<u8", n_cycles)
-    count = np.frombuffer(body, "<u4", n_cycles, 8 * n_cycles)
-    pixel = np.frombuffer(body, "<u2", n_records, pixel_at)
-    time = np.frombuffer(body, "<u8", n_records, time_at)
-    raw_code = np.frombuffer(body, "<u4", n_records, time_at + 8 * n_records) \
-        if raw else None
-
-    rising = np.empty(n_cycles, dtype=bool)
-    rising[0] = int(index[0]) > prev_index
-    rising[1:] = index[1:] > index[:-1]
-    if not rising.all():
-        k = int(np.argmin(rising))
-        raise StreamFormatError("cycle index not strictly increasing",
-                                cycle_index=int(index[k]), offset=at + 8 * k)
-    held = int(count.sum(dtype=np.uint64))
-    if held != n_records:
-        raise StreamFormatError(
-            f"slab header promises {n_records} records, its cycles hold "
-            f"{held}", offset=offset)
-
-    cycle = np.repeat(index, count)
-
-    def check(ok, message, column_at, width):
-        if not ok.all():
-            k = int(np.argmin(ok))
-            raise StreamFormatError(message(k), cycle_index=int(cycle[k]),
-                                    offset=at + column_at + width * k)
-
-    check(pixel < sensor.num_pixels,
-          lambda k: f"corrupt record (pixel {pixel[k]} out of range)",
-          pixel_at, 2)
-    check(time < np.uint64(sensor.cycle_period_ps),
-          lambda k: f"corrupt record (time {time[k]} outside cycle)",
-          time_at, 8)
-    # A record out of (time, pixel) order is the second of its pair.
-    ordered = np.ones(n_records, dtype=bool)
-    ordered[1:] = _lex_ordered(cycle, time, pixel)
-    check(ordered, lambda k: "records not sorted by (time, pixel)",
-          time_at, 8)
-    return _Slab(index, count, cycle, pixel, time, raw_code)
+def _cut_short(what: str, **where) -> StreamFormatError:
+    return StreamFormatError(f"unexpected end of stream while reading {what}",
+                             **where)
 
 
 def _slab_cycles(slabs: Iterable[_Slab]) -> Iterator[AcquisitionCycle]:
-    """The record model of decoded slabs, one cycle at a time."""
+    """The record model of decoded slabs, one cycle at a time.  The columns
+    become Python values for whole cycles of about 4,096 records at once:
+    a ``tolist`` per cycle costs more, and of a whole slab more memory."""
     for slab in slabs:
-        stops = np.cumsum(slab.count, dtype=np.int64).tolist()
-        lo = 0
-        for index, hi in zip(slab.index.tolist(), stops):
-            raws = [None] * (hi - lo) if slab.raw is None \
-                else slab.raw[lo:hi].tolist()
-            yield AcquisitionCycle(index, tuple(map(
-                TimestampRecord, slab.pixel[lo:hi].tolist(),
-                slab.time[lo:hi].tolist(), raws)))
-            lo = hi
+        stops = np.cumsum(slab.count, dtype=np.int64)
+        starts = stops - slab.count
+        for r0, r1 in _slab_runs(starts, _PIECE >> 4):
+            lo, hi = int(starts[r0]), int(stops[r1 - 1])
+            records = map(TimestampRecord, slab.pixel[lo:hi].tolist(),
+                          slab.time[lo:hi].tolist(), [None] * (hi - lo)
+                          if slab.raw is None else slab.raw[lo:hi].tolist())
+            for index, n in zip(slab.index[r0:r1].tolist(),
+                                slab.count[r0:r1].tolist()):
+                yield AcquisitionCycle(index, tuple(islice(records, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -958,7 +957,7 @@ def _write_cycle(sink: BinaryIO, cycle: AcquisitionCycle,
 def _read_exact(source: BinaryIO, n: int, what: str) -> bytes:
     data = source.read(n)
     if len(data) != n:
-        raise StreamFormatError(f"unexpected end of stream while reading {what}")
+        raise _cut_short(what)
     return data
 
 

@@ -622,6 +622,27 @@ def test_fit_on_too_few_bins_exits_two(tmp_path, capsys):
         assert err["type"] == "DataError" and "bins" in err["error"]
 
 
+@pytest.mark.parametrize("change", [
+    {"normalized": 5.0},                       # a scalar, not a list
+    {"median_count": -3},
+    {"normalized": [1.0] * 39},                # one value short
+    {"normalized": [[1.0]] * 40},              # nested
+], ids=["scalar", "negative median", "short", "nested"])
+def test_fit_refuses_a_malformed_normalization(change, tmp_path, capsys):
+    counts = np.full(40, 100, dtype=np.int64)
+    counts[18:22] = 400
+    peak = normalize_histogram(DeltaHistogram(
+        pixel_a=0, pixel_b=1, window_ps=1000.0, bin_width_ps=50.0,
+        total_pairs=int(counts.sum()), counts=counts))
+    path = tmp_path / "h.json"
+    write_json(str(path), {**peak.to_json_dict(), **change})
+    assert main(["fit", "--in", str(path),
+                 "--out", str(tmp_path / "fit.json")]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["type"] == "DataError"
+    assert "malformed histogram document" in err["error"]
+
+
 @pytest.mark.parametrize("argv, model_bins, grid_bins", [
     (["calibrate", "--window", "50"], 10, 6),
     (["ct-scan", "--dmax", "2", "--nhot", "2", "--window", "50"], 10, 6),

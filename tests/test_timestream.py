@@ -578,6 +578,92 @@ def test_slab_defects_same_error_from_both_readers(mutate, match, cycle, at):
     assert_readers_agree(bytes(data))
 
 
+def mixed_cycles():
+    """Cycles of 1, 3, 1 and 2 records; the first two have no raw codes,
+    the third has one, and the last mixes a plain and a raw record."""
+    rec = TimestampRecord
+    return [AcquisitionCycle(0, (rec(1, 5),)),
+            AcquisitionCycle(2, (rec(1, 5), rec(3, 5), rec(0, 9))),
+            AcquisitionCycle(5, (rec(7, 2, raw_code=17),)),
+            AcquisitionCycle(6, (rec(2, 4), rec(2, 8, raw_code=0)))]
+
+
+@pytest.mark.parametrize("piece", [1, 2, 3, timestream._PIECE])
+def test_v1_mixed_raw_and_plain_round_trip_bit_for_bit(piece):
+    data = stream_bytes(HEADER, mixed_cycles())
+    with mock.patch.object(timestream, "_PIECE", piece):
+        header, cycles = read_stream(io.BytesIO(data))
+        cycles = list(cycles)
+        assert cycles == mixed_cycles()
+        assert stream_bytes(header, cycles) == data
+        assert_readers_agree(data)
+
+
+def test_v1_slabs_of_whole_cycles_with_codes_only_in_a_later_slab():
+    # slabs of at most 2 records, or one larger cycle: the first two have
+    # no raw codes, the last mixes a plain and a raw record
+    cycles = mixed_cycles()
+    data = stream_bytes(HEADER, cycles)
+    with mock.patch.object(timestream, "_PIECE", 2):
+        header, _, offset = timestream._read_header(io.BytesIO(data))
+        source = io.BytesIO(data[offset:])
+        slabs = list(timestream._iter_slabs(source, header, len(cycles), 0))
+        back = PhotonStream.read(io.BytesIO(data))
+    assert [slab.count.tolist() for slab in slabs] == [[1], [3], [1], [2]]
+    assert [slab.raw is None for slab in slabs] == [True, True, False, False]
+    want = PhotonStream.from_cycles(HEADER, cycles)
+    assert_same_columns(back, want)
+    assert back.raw_code.tolist() == [0, 0, 0, 0, 17, 0, 0]
+
+
+def cut(n):
+    def mutate(data, start):
+        del data[len(data) - n:]
+    return mutate
+
+
+# The cycles of SLAB_DEFECTS as v1, all plain.  Offsets count from the
+# payload: cycle headers at 0, 34 and 57, records at 12, 23, 46 and 69
+# (pixel at +0, time at +2, flags at +10), the end at 80.
+V1_DOUBLE_DEFECTS = [
+    # each rule runs over the whole slab in turn: a pixel out of range
+    # comes before an earlier time out of range or an unsorted record
+    ("pixel over time", [put("<Q", 25, SENSOR.cycle_period_ps),
+                         put("<H", 69, SENSOR.num_pixels)], "pixel 256", 8, 69),
+    ("index over order", [put("<Q", 25, 4), put("<Q", 57, 3)],
+     "strictly increasing", 3, 57),
+    # the records before a layout fault pass the checker first ...
+    ("pixel, then cut", [put("<H", 12, SENSOR.num_pixels), cut(3)],
+     "pixel 256", 0, 12),
+    ("pixel, then flags", [put("<H", 12, SENSOR.num_pixels),
+                           put("<B", 56, 0x82)], "pixel 256", 0, 12),
+    # ... and the records after one are never read
+    ("flags, then pixel", [put("<B", 56, 0x82),
+                           put("<H", 69, SENSOR.num_pixels)],
+     "reserved flag bits 0x82", 3, 46),
+]
+
+
+@pytest.mark.parametrize("mutations, match, cycle, at",
+                         [case[1:] for case in V1_DOUBLE_DEFECTS],
+                         ids=[case[0] for case in V1_DOUBLE_DEFECTS])
+def test_v1_double_defects_same_error_from_both_readers(mutations, match,
+                                                        cycle, at):
+    good = stream_bytes(HEADER, [
+        AcquisitionCycle(0, (TimestampRecord(1, 5), TimestampRecord(2, 6))),
+        AcquisitionCycle(3, (TimestampRecord(4, 7),)),
+        AcquisitionCycle(8, (TimestampRecord(5, 9),))])
+    start = payload_offset(good)
+    assert len(good) == start + 80
+    data = bytearray(good)
+    for mutate in mutations:
+        mutate(data, start)
+    with pytest.raises(StreamFormatError, match=match) as exc:
+        list(read_stream(io.BytesIO(bytes(data)))[1])
+    assert (exc.value.cycle_index, exc.value.offset) == (cycle, start + at)
+    assert_readers_agree(bytes(data))
+
+
 # ---------------------------------------------------------------------------
 # properties
 
@@ -893,6 +979,26 @@ def test_sort_records_decodes_keys_up_to_64_bits(cycle_span, others, calls):
     if others:
         columns["raw_code"] = np.arange(1000, dtype=np.uint32)
     assert _check_sort_records(columns)[1:] == calls
+
+
+@pytest.mark.parametrize("others, index_bits", [(False, 0), (True, 10)])
+def test_sort_records_puts_the_index_in_the_key_only_for_other_columns(
+        others, index_bits):
+    # 21 + 10 + 16 key bits leave room for the 10 index bits, which only
+    # another column needs
+    cycle, time, pixel = _unique_columns(1000, 2**20, sub_ps=False)
+    columns = {"cycle_index": cycle, "time_ps": time, "pixel": pixel}
+    if others:
+        columns["raw_code"] = np.arange(1000, dtype=np.uint32)
+    record_key, keys = timestream._record_key, []
+
+    def spy(*args, **kwargs):
+        keys.append(record_key(*args, **kwargs))
+        return keys[-1]
+
+    with mock.patch.object(timestream, "_record_key", spy):
+        assert _check_sort_records(columns)[1:] == (0, 0)
+    assert [key.index_bits for key in keys] == [index_bits]
 
 
 def test_sort_records_keeps_ties_in_index_order_and_zeros_positive():
