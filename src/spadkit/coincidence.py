@@ -44,6 +44,10 @@ _PAIR_CHUNK = 1 << 26
 # boundaries, so counts add exactly across chunks.  Chunks of 2^18 left
 # flood's heap fragmented enough to raise its peak RSS by 7 %.
 _RECORD_CHUNK = 1 << 16
+# Most bins a pair histogram may have: 2^24 bins of 1 ps still span a
+# whole 4 us cycle.  A --window over --bin ratio beyond it is refused
+# before the count cube is allocated.
+MAX_BINS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -150,7 +154,8 @@ def pair_histograms(stream: PhotonStream, pairs,
 
     Each histogram has the contract of ``build_histogram``.  The counts
     sit in one ``(n_unique_pairs, n_bins)`` array; a pair requested twice
-    gets two histograms over the same row.
+    gets two histograms over the same row.  A grid of more than
+    ``MAX_BINS`` bins raises ``DataError`` before anything is allocated.
     """
     sensor = stream.sensor
     pairs = list(pairs)
@@ -166,6 +171,9 @@ def pair_histograms(stream: PhotonStream, pairs,
         bin_width_ps = default_bin_width_ps(stream)
     if window_ps <= 0 or bin_width_ps <= 0:
         raise ValueError("window and bin width must be positive")
+    if not 2.0 * window_ps / bin_width_ps <= MAX_BINS:
+        raise DataError(f"a +-{window_ps:g} ps window in {bin_width_ps:g} ps "
+                        f"bins needs over {MAX_BINS} bins")
 
     codes = np.array([int(a) * sensor.num_pixels + int(b) for a, b in pairs],
                      dtype=np.int64)

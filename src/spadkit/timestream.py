@@ -200,6 +200,15 @@ class _Key(NamedTuple):
     cycle_bits: int
 
 
+def _key_columns(cyc: np.ndarray, t: np.ndarray, pix: np.ndarray) -> bool:
+    """Two records or more, in columns of one length and of dtypes a key
+    can hold."""
+    n = len(pix)
+    return n >= 2 and len(cyc) == n and len(t) == n \
+        and cyc.dtype.kind in "ui" and pix.dtype.kind in "ui" \
+        and t.dtype.kind in "uif"
+
+
 def _record_key(cyc: np.ndarray, t: np.ndarray, pix: np.ndarray,
                 index: bool = True) -> _Key | None:
     """The packed key of ``record_order``, or None where only
@@ -208,10 +217,9 @@ def _record_key(cyc: np.ndarray, t: np.ndarray, pix: np.ndarray,
     over 64 bits.  The record index is in the words when it fits beside
     the key and a permutation may be made: always with ``index``, else
     only for ranked times (``index_bits`` is 0 otherwise)."""
-    n = len(pix)
-    if n < 2 or len(cyc) != n or len(t) != n or cyc.dtype.kind not in "ui" \
-            or pix.dtype.kind not in "ui" or t.dtype.kind not in "uif":
+    if not _key_columns(cyc, t, pix):
         return None
+    n = len(pix)
     tmin, tmax = t.min(), t.max()
     if pix.min() < 0 or np.isnan(tmin):
         return None
@@ -286,6 +294,69 @@ def _key_order(key: _Key) -> np.ndarray:
     return order
 
 
+def _same_cycle(cyc: np.ndarray) -> np.ndarray | None:
+    """Per adjacent pair of records: the same cycle?  None unless the
+    cycles never decrease, which is checked piece by piece, so cycles out
+    of order cost about one piece."""
+    same = np.empty(len(cyc) - 1, dtype=bool)
+    for lo, hi in _pieces(len(same)):
+        a, b = cyc[lo:hi], cyc[lo + 1:hi + 1]
+        if (b < a).any():
+            return None
+        np.equal(a, b, out=same[lo:hi])
+    return same
+
+
+def _order_in_cycles(cyc: np.ndarray, t: np.ndarray, pix: np.ndarray,
+                     same: np.ndarray) -> np.ndarray | None:
+    """``record_order`` of records whose cycles never decrease (``same``
+    from ``_same_cycle``): only records that share a cycle move, and only
+    inside it.  None where the whole stream is sorted instead: every
+    record in a cycle of three or more, or a NaN time in a cycle of two.
+    Uses up ``same``."""
+    n = len(pix)
+    # a record in a cycle of three or more is, or is next to, a record of
+    # the same cycle as both its neighbours
+    middle = same[:-1] & same[1:]  # record i + 1's neighbours share its cycle
+    long = np.zeros(n, dtype=bool)
+    long[1:-1] = middle
+    long[:-2] |= middle
+    long[2:] |= middle
+    del middle
+    if long.all():
+        return None
+
+    # cycles of exactly two: records i and i + 1, swapped where (time,
+    # pixel) of i + 1 is the smaller; equal ones keep index order
+    same &= ~long[:-1]
+    first = np.flatnonzero(same)
+    del same
+    ta, tb = t[first], t[first + 1]
+    if t.dtype.kind == "f" and (np.isnan(ta).any() or np.isnan(tb).any()):
+        return None
+    pa, pb = pix[first], pix[first + 1]
+    first = first[(tb < ta) | ((tb == ta) & (pb < pa))]
+    del ta, tb, pa, pb
+    order = np.arange(n, dtype=np.intp)
+    order[first] = first + 1
+    order[first + 1] = first
+    del first
+
+    # longer cycles: sorted by (the cycle's rank among them, time, pixel),
+    # which keeps each cycle's records on its own places
+    rows = np.flatnonzero(long)
+    del long
+    if len(rows):
+        cycles = cyc[rows]
+        rank = _dense_ranks(cycles, cycles[0], 0)
+        del cycles
+        sub_t, sub_pix = t[rows], pix[rows]
+        key = _record_key(rank, sub_t, sub_pix)
+        order[rows] = rows[np.lexsort((sub_pix, sub_t, rank)) if key is None
+                           else _key_order(key)]
+    return order
+
+
 def _field(words: np.ndarray, low: int, bits: int) -> np.ndarray:
     """The ``bits``-bit field of ``words`` that starts at bit ``low``."""
     if not bits:
@@ -345,8 +416,34 @@ def record_order(cycle_index: np.ndarray, time_ps: np.ndarray,
     1 becomes the result; on the rank path, the ``argsort`` of the times
     until the ranks are in the key.  The key is built in place; every
     other pass over the columns runs in pieces of ``_PIECE`` records.
+
+    Cycles in order.  A stream whose cycle column never decreases -- what
+    ``apply_delays`` and ``apply_lut`` pass, since a correction moves no
+    record to another cycle -- is ordered only where records share a
+    cycle.  The check runs piece by piece and stops at the first piece out
+    of order; such a stream takes the paths above.  Otherwise:
+
+    * a record alone in its cycle keeps its place;
+    * a cycle of exactly two records is ordered by one vectorised
+      compare-and-swap on (time, pixel); equal ones, ``-0.0`` and ``0.0``
+      among them, keep index order;
+    * the records of cycles of three or more take the key above, with the
+      cycle's rank among those cycles in place of the cycle, so its field
+      is narrower, and go back to their own places;
+    * when such cycles hold every record (dense cycles, as in a TDC
+      code-density run), the whole stream takes the key above directly;
+    * a NaN time in a cycle of two sends the whole stream to
+      ``np.lexsort``.
+
+    Its memory besides the result: boolean masks, one byte per record
+    each, and arrays as long as the records that share a cycle.
     """
     cyc, t, pix = np.asarray(cycle_index), np.asarray(time_ps), np.asarray(pixel)
+    same = _same_cycle(cyc) if _key_columns(cyc, t, pix) else None
+    if same is not None:
+        order = _order_in_cycles(cyc, t, pix, same)
+        if order is not None:
+            return order
     key = _record_key(cyc, t, pix)
     if key is None:
         return np.lexsort((pix, t, cyc))

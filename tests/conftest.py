@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import io
 import struct
+import tracemalloc
 
 import numpy as np
+import pytest
 
 from spadkit import (
     AcquisitionCycle,
@@ -62,3 +64,22 @@ def with_metadata_entry(data: bytes, key: str, value: str) -> bytes:
     # the 22-byte fixed header, the u16 entry count, the entries, then
     # the u64 cycle count
     return data[:22] + struct.pack("<H", 1) + entry + data[payload - 8:]
+
+
+def traced_peak(run):
+    """(result of run(), peak bytes that tracemalloc saw during it)."""
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing")
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def column_bytes(stream) -> int:
+    """Bytes of a stream's record columns."""
+    return sum(column.nbytes for column in (
+        stream.cycle_index, stream.pixel, stream.time_ps, stream.raw_code)
+        if column is not None)

@@ -16,7 +16,7 @@ from conftest import stream_bytes, with_metadata_entry
 
 from spadkit import cli, simulator
 from spadkit.cli import main
-from spadkit.coincidence import (DeltaHistogram, build_histogram,
+from spadkit.coincidence import (MAX_BINS, DeltaHistogram, build_histogram,
                                  normalize_histogram)
 from spadkit.crosstalk import CtCurve, ct_scan
 from spadkit.documents import write_json
@@ -660,6 +660,23 @@ def test_too_few_bins_for_the_model_exits_two(argv, model_bins, grid_bins,
     assert err["type"] == "DataError"
     assert f"need at least {model_bins} bins" in err["error"]
     assert f"got {grid_bins}" in err["error"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["coincidence", "--pair", "5,6", "--bin", "1e-300"],
+    ["report", "--pair", "70,73", "--window", "1e300"],
+    ["calibrate", "--window", "1e300"],
+    ["ct-scan", "--dmax", "2", "--nhot", "2", "--window", "1e300"],
+])
+def test_too_many_bins_exits_two(argv, sim_stream_path, tmp_path, capsys):
+    # each grid needs over 2**63 bins, more than any array may hold: the
+    # bin limit refuses it before the count cube is allocated
+    out = tmp_path / "out"
+    assert main([*argv, "--in", sim_stream_path, "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["type"] == "DataError"
+    assert f"needs over {MAX_BINS} bins" in err["error"]
     assert not out.exists()
 
 

@@ -140,6 +140,14 @@ def test_bin_count_is_ceiling():
     assert n_bins(500.0, 300.0) == 4  # 1000/300 -> ceil(3.33)
 
 
+def test_bin_count_over_the_limit_is_refused():
+    # a +-2**23 ps window in bins just under 1 ps needs one bin too many
+    s = stream_from([(0, 1, 10.0), (0, 2, 20.0)])
+    width = 2.0 ** 24 / (coincidence.MAX_BINS + 1)
+    with pytest.raises(DataError, match=f"over {coincidence.MAX_BINS} bins"):
+        pair_histograms(s, [(1, 2)], 2.0 ** 23, width)
+
+
 def test_default_bin_width_is_three_tdc_bins():
     s = stream_from([(0, 1, 10.0)])
     assert default_bin_width_ps(s) == pytest.approx(3 * 2500 / 140)

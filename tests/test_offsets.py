@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import column_bytes, traced_peak
 from spadkit import (CalibrationError, DataError, FitError, PhotonStream,
                      SensorConfig, StreamFormatError, offsets)
 from spadkit.coincidence import build_histogram
@@ -315,6 +316,21 @@ def test_apply_zero_delays_is_identity(calibrated_scenario):
     np.testing.assert_array_equal(out.pixel, stream.pixel)
     np.testing.assert_array_equal(out.cycle_index, stream.cycle_index)
     out.validate()
+
+
+def test_apply_delays_holds_the_columns_plus_bounded_scratch(
+        calibrated_scenario):
+    # fractional delays on a stream of cycles of one, two and more records:
+    # the re-sort's masks and shared-cycle arrays stay below the peak of
+    # ``take``, which builds the corrected columns beside the permutation
+    stream, _truth = calibrated_scenario
+    sizes = np.unique(np.unique(stream.cycle_index, return_counts=True)[1])
+    assert sizes[0] == 1 and sizes[1] == 2 and sizes[-1] >= 3
+    delays = np.random.default_rng(6).uniform(-5000.0, 5000.0,
+                                              SensorConfig().num_pixels)
+    out, peak = traced_peak(lambda: apply_delays(stream, delays))
+    assert out.n_records == stream.n_records
+    assert peak <= 1.9 * column_bytes(stream)  # measured 1.89x
 
 
 def test_apply_keeps_records_leaving_the_cycle():

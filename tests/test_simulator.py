@@ -5,6 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from conftest import column_bytes, traced_peak
 from spadkit import DataError, SensorConfig
 from spadkit.coincidence import build_histogram
 from spadkit.peakfit import fit_gaussian
@@ -552,26 +553,6 @@ class _NullSink:
         return memoryview(data).nbytes
 
 
-def _traced_peak(run):
-    """(result of run(), peak bytes that tracemalloc saw during it)."""
-    import tracemalloc
-
-    if tracemalloc.is_tracing():
-        pytest.skip("tracemalloc is already tracing")
-    tracemalloc.start()
-    try:
-        result = run()
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def _column_bytes(stream) -> int:
-    return sum(column.nbytes for column in (
-        stream.cycle_index, stream.pixel, stream.time_ps, stream.raw_code)
-        if column is not None)
-
-
 def test_simulate_and_write_hold_one_stream_plus_scratch():
     # one block of two beams with pairs, cross-talk and delays: the
     # columns are built in place, so the peak stays near one stream
@@ -589,18 +570,18 @@ def test_simulate_and_write_hold_one_stream_plus_scratch():
         stream.write(_NullSink())
         return stream
 
-    stream, peak = _traced_peak(run)
+    stream, peak = traced_peak(run)
     assert stream.n_records > 250_000
-    assert peak <= 1.8 * _column_bytes(stream)  # measured 1.63x
+    assert peak <= 1.8 * column_bytes(stream)  # measured 1.63x
 
 
 def test_code_density_holds_one_stream_plus_scratch():
     sensor = SensorConfig(num_pixels=16)
     widths = np.full(sensor.tdc_bins_per_clock, sensor.mean_bin_width_ps)
-    stream, peak = _traced_peak(lambda: simulate_code_density(
+    stream, peak = traced_peak(lambda: simulate_code_density(
         sensor, widths, 20_000, seed=5, n_cycles=100))
     assert stream.n_records == 320_000
-    assert peak <= 1.7 * _column_bytes(stream)  # measured 1.54x
+    assert peak <= 1.7 * column_bytes(stream)  # measured 1.54x
 
 
 def test_simulators_sort_without_a_permutation():

@@ -760,22 +760,32 @@ def test_property_columnar_parser_total_on_mutations(data):
 
 @st.composite
 def order_columns(draw):
-    """Columns that reach each branch of ``record_order``: cycles in and out
-    of order, near 2**63 or spread over 2**40 and more; whole, sub-ps,
-    negative, signed-zero and NaN times, and whole times whose span is near
-    2**53; pixels up to 65535; few distinct values, so exact ties are
-    common."""
+    """Columns that reach each branch of ``record_order``: cycles out of
+    order, in order, or in order in runs of one, two and more records (the
+    shapes a correction leaves), near 2**63 and 2**64 or spread over 2**40
+    and more; whole, sub-ps, negative, signed-zero and NaN times, times
+    pushed out of the cycle, and whole times whose span is near 2**53;
+    pixels up to 65535; few distinct values, so exact ties are common."""
     n = draw(st.integers(0, 40))
     base = draw(st.sampled_from([0, 2**63, 2**64 - 64]))
     stride = draw(st.sampled_from([1, 7, 2**40, 2**57]))
-    steps = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    shape = draw(st.sampled_from(["unordered", "ordered", "runs"]))
+    if shape == "runs":
+        lengths = draw(st.lists(st.sampled_from([1, 2, 3, 5]),
+                                min_size=n, max_size=n))
+        steps = np.repeat(np.arange(n), lengths)[:n].tolist()
+    else:
+        steps = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
     cycles = [min(base + stride * s, 2**64 - 1) for s in steps]
-    if draw(st.booleans()):
+    if shape == "ordered":
         cycles.sort()
     times = st.sampled_from([0.0, -0.0, 1.0, 3.0, -2.0, 2_500.0, 3_999_999.0])
     if draw(st.booleans()):  # sub-ps, as after a delay or LUT correction
         times = times | st.sampled_from([0.25, -0.5, 17.125, 1e-3, 2.0**53,
                                          np.nan])
+    if draw(st.booleans()):  # outside [0, period), as delays leave them
+        times = times | st.sampled_from([-4_999.75, -0.25, 4_000_000.0,
+                                         4_003_999.5])
     if draw(st.booleans()):  # spans of 2**53 - 1, 2**53 and 2**53 + 1
         times = times | st.sampled_from([-1.5 * 2.0**52, 2.0**51 - 1,
                                          2.0**51, 2.0**51 + 1])
@@ -795,6 +805,11 @@ def order_columns(draw):
 @example((np.zeros(3, dtype=np.uint64),
           np.array([2.0**51 + 1, -1.5 * 2.0**52, 2.0**51]),
           np.array([0, 0, 1], dtype=np.uint16)), timestream._PIECE)
+# cycles in order: one of two whose zeros tie, then one of three
+@example((np.array([2**64 - 3, 2**64 - 3, 2**64 - 2] + [2**64 - 1] * 3,
+                   dtype=np.uint64),
+          np.array([0.0, -0.0, 7.5, 4_000_000.0, -0.0, 0.0]),
+          np.array([1, 1, 0, 0, 1, 0], dtype=np.uint16)), 2)
 def test_property_record_order_is_lexsort(columns, piece):
     # small pieces put piece boundaries inside runs of equal values
     cycle, time, pixel = columns
@@ -897,6 +912,83 @@ def test_record_order_one_word_path_up_to_64_bits(cycle_span, one_word):
     assert np.array_equal(got, np.lexsort((pixel, time, cycle)))
     assert argsorts == (0 if one_word else 1)
     assert lexsorts == 0  # unique keys: no tie to repair
+
+
+def _cycle_runs(lengths, rng):
+    """Cycles in order, one per entry of ``lengths``, with gaps between
+    them; sub-ps and signed-zero times and two pixels, so ties are
+    common."""
+    cycle = np.repeat(np.cumsum(rng.integers(1, 4, len(lengths))), lengths)
+    n = len(cycle)
+    return (cycle.astype(np.uint64),
+            rng.choice([-0.0, 0.0, 0.25, 1.5, -2.75, 4_000_000.5], n),
+            rng.integers(0, 2, n).astype(np.uint16))
+
+
+def _spied_keys(cycle, time, pixel):
+    """``record_order``'s result, the columns it built a key of, and
+    whether it ordered the records inside their cycles."""
+    record_key, keyed = timestream._record_key, []
+
+    def spy(*columns, **kwargs):
+        keyed.append(columns)
+        return record_key(*columns, **kwargs)
+
+    with mock.patch.object(timestream, "_record_key", spy), \
+            mock.patch.object(timestream, "_order_in_cycles",
+                              wraps=timestream._order_in_cycles) as local:
+        got = timestream.record_order(cycle, time, pixel)
+    assert np.array_equal(got, np.lexsort((pixel, time, cycle)))
+    return got, keyed, local.called
+
+
+def test_record_order_swaps_cycles_of_two_without_a_sort():
+    # lone records and cycles of two over several pieces: sub-ps times
+    # would take the time rank's argsort on the key path
+    rng = np.random.default_rng(9)
+    columns = _cycle_runs(rng.choice([1, 2], 2 * timestream._PIECE), rng)
+    got, argsorts, lexsorts = _spied_record_order(*columns)
+    assert np.array_equal(got, np.lexsort(columns[::-1]))
+    assert got.dtype == np.intp
+    assert (argsorts, lexsorts) == (0, 0)
+
+
+def test_record_order_keys_longer_cycles_by_their_rank():
+    # only the records of cycles of three or more are keyed, with each
+    # cycle's rank among them in place of its index
+    rng = np.random.default_rng(11)
+    lengths = rng.choice([1, 2, 3, 4, 9], 5000)
+    cycle, time, pixel = _cycle_runs(lengths, rng)
+    _, keyed, local = _spied_keys(cycle, time, pixel)
+    long = np.repeat(lengths >= 3, lengths)
+    assert local and len(keyed) == 1
+    rank, sub_time, sub_pixel = keyed[0]
+    assert np.array_equal(rank, np.repeat(np.arange(np.sum(lengths >= 3)),
+                                          lengths[lengths >= 3]))
+    assert np.array_equal(sub_time, time[long])
+    assert np.array_equal(sub_pixel, pixel[long])
+
+
+def test_record_order_sorts_dense_cycles_once_without_a_gather():
+    # every record in a cycle of three or more: the whole stream takes the
+    # key of its own columns, and sub-ps times one argsort for their rank
+    rng = np.random.default_rng(10)
+    columns = _cycle_runs(rng.integers(3, 3000, 100), rng)
+    _, keyed, local = _spied_keys(*columns)
+    assert local and len(keyed) == 1
+    assert all(a is b for a, b in zip(keyed[0], columns))
+    assert _spied_record_order(*columns)[1:] == (1, 0)
+
+
+def test_record_order_takes_the_stream_key_for_cycles_out_of_order():
+    # cycles of one and two, two of them swapped in the last piece
+    rng = np.random.default_rng(12)
+    cycle, time, pixel = _cycle_runs(
+        rng.choice([1, 2], 2 * timestream._PIECE), rng)
+    cycle[[-3, -1]] = cycle[[-1, -3]]
+    _, keyed, local = _spied_keys(cycle, time, pixel)
+    assert not local and len(keyed) == 1
+    assert keyed[0][0] is cycle
 
 
 # ---------------------------------------------------------------------------
