@@ -16,12 +16,26 @@ One body counts every pair histogram: ``pair_histograms`` fills an
 ``(n_unique_pairs, n_bins)`` count cube for a whole scan in one pass, and
 ``build_histogram`` is a one-pair call.  The pass walks the stream in
 chunks of about ``_RECORD_CHUNK`` records cut at cycle boundaries, so
-counts add exactly across chunks.  In each chunk the records of the
-requested pixels are grouped by a (dense cycle id, pixel) key, partner
-groups up to the largest pair distance are found among the next keys,
-and their record pairs are added to the cube in blocks of at most
-``_PAIR_CHUNK`` pairs.  Memory stays bounded by the cube, one chunk and
-one block, whatever the stream's length.
+counts add exactly across chunks, and keeps only the records of the
+requested pixels.  It relies on the stream's order: records sorted by
+(cycle, time), as every reader, simulator and correction leaves them.  So
+in pass k = 1, 2, ... record i meets record i + k, and a record leaves the
+walk once i + k is in another cycle or more than a window later, since
+every later partner is further away.  A surviving pair whose pixels form
+a requested pair adds its dt to that pair's row of the cube.  A stream
+whose records are out of cycle order, or whose kept records are out of
+time order within a cycle (NaN times included), raises ``DataError``
+instead of losing pairs; the cycle check covers every record, so the
+answer does not depend on where the chunks are cut.
+
+The cost is the number of same-cycle record pairs of the requested pixels
+that lie inside the window, whatever the pixel pairs asked: a flood of
+sparse cycles walks a few passes, one dense pair a handful more.  A scan
+over a stream of thousands of records per cycle walks every in-window
+pair of them (3.07M records in cycles of about 3,100, a whole-sensor
+adjacent scan: 58.8M pairs, about half a second).  Memory beyond the cube
+is a few arrays of one chunk's length, whatever the stream's length: under
+six times one chunk's record columns where every record pairs.
 """
 
 from __future__ import annotations
@@ -38,12 +52,11 @@ DEFAULT_WINDOW_PS = 25_000.0
 
 SCHEMA_VERSION = 1
 
-# Keep any single pairing expansion below ~64M entries.
-_PAIR_CHUNK = 1 << 26
 # Stream records walked per chunk of a pair count; chunks end on cycle
 # boundaries, so counts add exactly across chunks.  Chunks of 2^18 left
 # flood's heap fragmented enough to raise its peak RSS by 7 %.
 _RECORD_CHUNK = 1 << 16
+_UNORDERED = "stream records are not in (cycle, time) order"
 # Most bins a pair histogram may have: 2^24 bins of 1 ps still span a
 # whole 4 us cycle.  A --window over --bin ratio beyond it is refused
 # before the count cube is allocated.
@@ -195,125 +208,111 @@ def _count_pairs(stream, codes, cube, window_ps, bin_width_ps) -> None:
     The stream is walked in chunks of about ``_RECORD_CHUNK`` records cut
     at cycle boundaries (a cycle larger than that is one chunk), so counts
     add exactly across chunks and memory beyond the cube stays bounded by
-    one chunk plus ``_PAIR_CHUNK`` expanded pairs.
+    a few arrays of one chunk's length.  Raises ``DataError`` where the
+    stream's records are not in cycle order, or the records of the
+    requested pixels not in time order within their cycle.
     """
     n_pix = stream.sensor.num_pixels
     lows, highs = np.divmod(codes, n_pix)
     wanted = np.zeros(max(n_pix, int(stream.pixel.max(initial=0)) + 1), bool)
     wanted[lows] = wanted[highs] = True
-    # row_at[rank[low], high - low] is the row of pair (low, high), or -1;
-    # pixels that are no pair's low pixel rank on the last, empty line.
-    # One line per low pixel and one column per distance up to the
-    # largest: a table lookup instead of a search per candidate.
+    # row_at[base[low] + high - low] is the row of pair (low, high), or -1:
+    # one line per low pixel and one column per distance up to the largest
+    # is a table lookup instead of a search per candidate.  Pixels that
+    # are no pair's low pixel read the last, empty line, and a last column
+    # of -1 takes every distance beyond the largest.
     low_pixels, low_rank = np.unique(lows, return_inverse=True)
-    rank = np.full(n_pix, len(low_pixels))
-    rank[low_pixels] = np.arange(len(low_pixels))
-    row_at = np.full((len(low_pixels) + 1, int((highs - lows).max()) + 1), -1)
-    row_at[low_rank.reshape(-1), highs - lows] = np.arange(len(codes))
+    width = int((highs - lows).max()) + 2
+    base = np.full(n_pix, len(low_pixels) * width, dtype=np.intp)
+    base[low_pixels] = np.arange(len(low_pixels)) * width
+    row_at = np.full((len(low_pixels) + 1) * width, -1, dtype=np.intp)
+    row_at[low_rank.reshape(-1) * width + highs - lows] = np.arange(
+        len(codes))
+    lookup = (base, row_at, width - 1)
     cycles = stream.cycle_index
+    n = len(cycles)
     start = 0
-    while start < len(cycles):
+    while start < n:
         stop = start + _RECORD_CHUNK
-        if stop < len(cycles):
-            stop = int(np.searchsorted(cycles, cycles[stop], side="left"))
-            if stop <= start:
-                stop = int(np.searchsorted(cycles, cycles[start],
-                                           side="right"))
+        if stop < n:
+            # back to where the cycle of record ``stop`` begins; searched
+            # within the chunk, so an unordered stream still moves on
+            back = int(np.searchsorted(cycles[start:stop], cycles[stop]))
+            stop = start + back if back else start + int(np.searchsorted(
+                cycles[start:], cycles[start], side="right"))
         chunk = slice(start, stop)
+        cyc = cycles[chunk]
+        # every record, kept or not: the cut above lies between two
+        # cycles once the chunk's cycles never decrease, so which streams
+        # pass does not depend on where chunks are cut
+        if not (cyc[1:] >= cyc[:-1]).all():
+            raise DataError(_UNORDERED)
         keep = wanted[stream.pixel[chunk]]
-        cyc, t, pix = (stream.cycle_index[chunk], stream.time_ps[chunk],
-                       stream.pixel[chunk])
+        t, pix = stream.time_ps[chunk], stream.pixel[chunk]
         if not keep.all():
             cyc, t, pix = cyc[keep], t[keep], pix[keep]
         if len(cyc):
-            _count_chunk(cyc, t, pix, rank, row_at, cube, window_ps,
-                         bin_width_ps)
+            _count_chunk(cyc, t, pix, lookup, cube, window_ps, bin_width_ps)
         start = stop
 
 
-def _count_chunk(cyc, t, pix, rank, row_at, cube, window_ps,
+def _count_chunk(cyc, t, pix, lookup, cube, window_ps,
                  bin_width_ps) -> None:
-    """``_count_pairs`` on one chunk of whole cycles, sorted by cycle."""
-    # Only records that share their cycle can pair.
-    first = np.empty(len(cyc) + 1, dtype=bool)
-    first[0] = first[-1] = True
-    np.not_equal(cyc[1:], cyc[:-1], out=first[1:-1])
-    shared = np.flatnonzero(~(first[:-1] & first[1:]))
-    if not len(shared):
-        return
-    # Group by (cycle, pixel) with one key: a dense cycle id cannot
-    # overflow, and with a stride of 2P keys of different cycles lie more
-    # than P - 1 apart, so only keys of one cycle are a pair distance apart.
-    stride = 2 * len(rank)
-    key = np.cumsum(first[shared], dtype=np.int64)
-    key *= stride
-    key += pix[shared]
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    order = shared[order]  # sorted position -> record of the chunk
-    new_run = np.empty(len(key), dtype=bool)
-    new_run[0] = True
-    np.not_equal(key[1:], key[:-1], out=new_run[1:])
-    run_start = np.flatnonzero(new_run)
-    run_key = key[run_start]
-    run_start = np.append(run_start, len(key))
+    """``_count_pairs`` on one chunk of whole cycles.
 
-    # Partner runs j = 1, 2, ... ahead: keys increase along the runs, so a
-    # run whose gap exceeds the largest pair distance at j does so beyond.
-    d_max = row_at.shape[1] - 1
-    lows, highs, rows = [], [], []
-    cand = np.flatnonzero(np.diff(run_key) <= d_max)
-    j = 1
-    while len(cand):
-        row = row_at[rank[run_key[cand] % stride],
-                     run_key[cand + j] - run_key[cand]]
-        hit = row >= 0
-        lows.append(cand[hit])
-        highs.append(cand[hit] + j)
-        rows.append(row[hit])
-        j += 1
-        cand = cand[cand + j < len(run_key)]
-        cand = cand[run_key[cand + j] - run_key[cand] <= d_max]
-    if not lows:
-        return
-    low, high = np.concatenate(lows), np.concatenate(highs)
-    len_low = run_start[low + 1] - run_start[low]
-    len_high = run_start[high + 1] - run_start[high]
+    Records in (cycle, time) order meet their partners in passes: in
+    pass k record i meets record i + k.  A record leaves the walk once
+    i + k is in another cycle or more than a window later, because every
+    later record is further away.  The caller has checked the cycle
+    order; the times are checked here, on the kept records only."""
+    same = cyc[1:] == cyc[:-1]
+    # NaN times are in no order and fail here too
+    if not (~same | (t[1:] >= t[:-1])).all():
+        raise DataError(_UNORDERED)
+    gap = t[1:] - t[:-1]
+    # integer gathers: a boolean index of a float column costs several
+    # times as much
+    i = np.flatnonzero(same & (gap <= window_ps))
+    gap = gap[i]
+    k = 1
+    while len(i):
+        _add_pairs(pix[i], pix[i + k], gap, lookup, cube, window_ps,
+                   bin_width_ps)
+        k += 1
+        i = i[:np.searchsorted(i, len(t) - k)]
+        j = i + k
+        gap = t[j]
+        gap -= t[i]
+        near = np.flatnonzero((cyc[j] == cyc[i]) & (gap <= window_ps))
+        i, gap = i[near], gap[near]
 
-    # One unit per record of the lower pixel's run; its partners are the
-    # whole higher run.  Expand units in blocks of at most _PAIR_CHUNK
-    # record pairs (one unit may exceed it alone).
-    unit_a = _ranges(run_start[low], len_low)
-    unit_b = np.repeat(run_start[high], len_low)
-    unit_len = np.repeat(len_high, len_low)
-    unit_row = np.repeat(np.concatenate(rows), len_low)
+
+def _add_pairs(p_i, p_j, gap, lookup, cube, window_ps, bin_width_ps):
+    """Add the record pairs of pixels ``p_i``, ``p_j`` that form a pair
+    of ``cube`` to its row: ``gap`` is t_j - t_i, in the window, and
+    ``lookup`` is (base, row_at, its last column) of ``_count_pairs``."""
+    base, row_at, far = lookup
+    d = np.subtract(p_j, p_i, dtype=np.intp)
+    np.abs(d, out=d)
+    np.minimum(d, far, out=d)
+    d += base[np.minimum(p_i, p_j)]
+    row = np.take(row_at, d, out=d)
+    hit = np.flatnonzero(row >= 0)
+    # dt = t_high - t_low: where the lower pixel comes second, the exact
+    # negation of t_j - t_i
+    dt = gap[hit]
+    np.negative(dt, out=dt, where=p_i[hit] > p_j[hit])
+    dt += window_ps
+    dt /= bin_width_ps
     nb = cube.shape[1]
-    flat = cube.reshape(-1)
-    csum = np.concatenate(([0], np.cumsum(unit_len)))
-    begin = 0
-    while begin < len(unit_a):
-        end = int(np.searchsorted(csum, csum[begin] + _PAIR_CHUNK,
-                                  side="right")) - 1
-        block = slice(begin, min(max(end, begin + 1), len(unit_a)))
-        n = unit_len[block]
-        a_idx = order[np.repeat(unit_a[block], n)]
-        b_idx = order[_ranges(unit_b[block], n)]
-        dt = t[b_idx] - t[a_idx]
-        inside = np.abs(dt) <= window_ps
-        idx = ((dt[inside] + window_ps) / bin_width_ps).astype(np.int64)
-        np.clip(idx, 0, nb - 1, out=idx)  # dt == +window lands in last bin
-        idx += np.repeat(unit_row[block], n)[inside] * nb
-        # Unlike a bincount, this allocates nothing the size of the cube,
-        # which fragmented the heap as much as larger chunks did.
-        np.add.at(flat, idx, 1)
-        begin = block.stop
-
-
-def _ranges(starts, lengths):
-    """Concatenated ``arange(s, s + n)`` for each (s, n)."""
-    ends = np.cumsum(lengths)
-    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(
-        starts - (ends - lengths), lengths)
+    idx = dt.astype(np.int64)
+    np.minimum(idx, nb - 1, out=idx)  # dt == +window: the last bin
+    row = row[hit]
+    row *= nb
+    idx += row
+    # Unlike a bincount, this allocates nothing the size of the cube,
+    # which fragmented the heap as much as larger chunks did.
+    np.add.at(cube.reshape(-1), idx, 1)
 
 
 def build_histogram(stream: PhotonStream, pair: tuple[int, int],

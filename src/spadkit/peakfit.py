@@ -66,6 +66,7 @@ import numpy as np
 from .coincidence import DeltaHistogram
 from .documents import field_dict
 from .errors import FitError
+from .rates import _median
 
 MAX_ITERATIONS = 200
 REL_STEP_TOL = 1e-8
@@ -579,7 +580,7 @@ def _single_peak_seed(x, y, order=None):
     if order is None:
         order = np.argsort(x, kind="stable")
     x, y = x[order], y[order]
-    bg = float(np.median(y))
+    bg = float(_median(y))
     peak = int(np.argmax(y))
     amp = float(y[peak] - bg)
     mu = float(x[peak])

@@ -5,6 +5,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import os
+import pathlib
+import subprocess
+import sys
 import types
 import xml.etree.ElementTree as ET
 
@@ -315,6 +319,35 @@ def test_report_directory(sim_stream_path, tmp_path):
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["subcommand"] == "report"
     assert manifest["config"]["pair"] == [70, 73]
+
+
+@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                    reason="numpy 1.x imports numpy.ma with numpy itself")
+def test_analyses_never_import_numpy_ma(sim_stream_path, tmp_path):
+    # np.median imports numpy.ma on float input, several ms of every
+    # analysis process; the commands take their medians without it.
+    script = (
+        "import json, sys\n"
+        "from spadkit.cli import main\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+        "stream, out = sys.argv[1:]\n"
+        "codes = [main(['report', '--in', stream, '--pair', '70,73',\n"
+        "               '--hint', '5000', '--out', out + '/report']),\n"
+        "         main(['calibrate', '--in', stream,\n"
+        "               '--out', out + '/d.json']),\n"
+        "         main(['dcr', '--in', stream, '--subsets', '4',\n"
+        "               '--out', out + '/r.json'])]\n"
+        "print(json.dumps([codes, 'numpy.ma' in sys.modules]))\n")
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", script, sim_stream_path,
+                           str(tmp_path)], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    codes, ma = json.loads(done.stdout.splitlines()[-1])
+    assert codes[0] == codes[2] == 0 and codes[1] in (0, 3), codes
+    assert not ma
 
 
 def test_fit_on_malformed_json_exits_two(tmp_path, capsys):

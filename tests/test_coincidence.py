@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from spadkit import DataError, PhotonStream, SensorConfig, StreamHeader
 from spadkit import coincidence
 from spadkit.offsets import apply_delays
+from conftest import column_bytes, traced_peak
 from spadkit.coincidence import (
     DeltaHistogram,
     PixelIndex,
@@ -86,8 +87,8 @@ def test_window_edges_inclusive():
 
 
 def test_window_edges_inclusive_from_either_side():
-    # The pairing walks whichever pixel has fewer records; both roles must
-    # keep dt = t_b - t_a and both closed window edges.
+    # The walk meets pixel 1 before pixel 2 in time or after it; both
+    # orders must keep dt = t_b - t_a and both closed window edges.
     for dense, sparse in ((1, 2), (2, 1)):
         recs = [(0, dense, t) for t in (1000.0, 1200.0, 1300.0, 2000.0)]
         recs.append((0, sparse, 1500.0))
@@ -253,14 +254,14 @@ def lopsided_record_sets(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(lopsided_record_sets(), st.sampled_from([1, 2, 3, 1 << 26]))
+@given(lopsided_record_sets(), st.sampled_from([1, 2, 3, 1 << 16]))
 def test_property_lopsided_pairs_match_brute_force(recs, chunk):
-    # A small _PAIR_CHUNK splits the expansion on whichever side is walked.
+    # Small chunks end the walk at the edges of the dense cycles.
     window, bw = 1500.0, 130.0
     s = stream_from(recs)
     expected = brute_force_counts(recs, 1, 2, window, bw)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(coincidence, "_PAIR_CHUNK", chunk)
+        m.setattr(coincidence, "_RECORD_CHUNK", chunk)
         for h in (build_histogram(s, (1, 2), window, bw),
                   PixelIndex.from_stream(s).histogram((1, 2), window, bw)):
             np.testing.assert_array_equal(h.counts, expected)
@@ -384,18 +385,15 @@ def scan_record_sets(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(scan_record_sets(), st.sampled_from([1, 2, 3, 5, 1 << 16]),
-       st.sampled_from([1, 2, 7, 1 << 26]))
-def test_property_pair_histograms_match_brute_force(scan, record_chunk,
-                                                    pair_chunk):
+@given(scan_record_sets(), st.sampled_from([1, 2, 3, 5, 1 << 16]))
+def test_property_pair_histograms_match_brute_force(scan, record_chunk):
     # Small chunks put cycles larger than a chunk and pairs on both sides
-    # of chunk edges; small pair blocks split the expansion of one run.
+    # of chunk edges.
     recs, pairs = scan
     window, bw = 1500.0, 130.0
     s = stream_from(recs)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(coincidence, "_RECORD_CHUNK", record_chunk)
-        m.setattr(coincidence, "_PAIR_CHUNK", pair_chunk)
         hists = pair_histograms(s, pairs, window, bw)
     assert len(hists) == len(pairs)
     for pair, h in zip(pairs, hists):
@@ -406,6 +404,135 @@ def test_property_pair_histograms_match_brute_force(scan, record_chunk,
         single = build_histogram(s, pair, window, bw)
         np.testing.assert_array_equal(single.counts, h.counts)
         assert single.total_pairs == h.total_pairs
+
+
+def time_ordered_stream(records, ties) -> PhotonStream:
+    """records: (cycle, pixel, time_ps), put in (cycle, time) order with
+    equal (cycle, time) records in the order of the permutation ``ties``:
+    the walk needs no pixel order, so either pixel of a dt = 0 pair may
+    come first."""
+    order = sorted(ties, key=lambda k: records[k][0::2])
+    cyc, pix, t = (np.array([records[k][f] for k in order], dtype=dtype)
+                   for f, dtype in ((0, np.uint64), (1, np.uint16),
+                                    (2, np.float64)))
+    return PhotonStream(HEADER, cyc, pix, t)
+
+
+@st.composite
+def walk_record_sets(draw):
+    """Up to 40 records of pixels 1 to 3 and unwanted 0, 4 and 9 in a few
+    cycles, packed into a span of 0 (every dt = 0), one window (every
+    record of a cycle pairs, many passes) or two windows.  Times are
+    whole picoseconds around ``t0`` and some sit exactly +-window from
+    another record of their cycle, with other records between them."""
+    window = 1500
+    t0 = draw(st.sampled_from([1000, 2**40]))
+    span = draw(st.sampled_from([0, window, 2 * window]))
+    n_cycles = draw(st.integers(1, 3))
+    pixel = st.sampled_from([1, 2, 3, 0, 4, 9])
+    recs = [(draw(st.integers(0, n_cycles - 1)), draw(pixel),
+             float(t0 + draw(st.integers(0, span))))
+            for _ in range(draw(st.integers(0, 40)))]
+    for _ in range(draw(st.integers(0, 6)) if recs else 0):
+        cycle, _pixel, t = draw(st.sampled_from(recs))
+        shift = draw(st.sampled_from([-window, window, 0]))
+        recs.append((cycle, draw(pixel), t + shift))
+    return recs, draw(st.permutations(range(len(recs))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(walk_record_sets(), st.sampled_from([1, 3, 1 << 16]))
+def test_property_walk_matches_brute_force(walk, chunk):
+    recs, ties = walk
+    pairs = [(1, 2), (1, 3), (2, 3)]
+    window, bw = 1500.0, 130.0
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(coincidence, "_RECORD_CHUNK", chunk)
+        hists = pair_histograms(time_ordered_stream(recs, ties), pairs,
+                                window, bw)
+    for pair, h in zip(pairs, hists):
+        np.testing.assert_array_equal(
+            h.counts, brute_force_counts(recs, *pair, window, bw))
+
+
+@pytest.mark.parametrize("cycles, times", [
+    ([1, 2, 1], [10.0, 20.0, 30.0]),     # cycles out of order
+    ([1, 1, 1], [10.0, 30.0, 20.0]),     # times out of order in a cycle
+    ([1, 1, 2], [10.0, np.nan, 20.0]),   # a NaN time is in no order
+    ([1, 2, 3, 2], [10.0] * 4),          # one record out of order, last
+], ids=["cycles", "times", "nan", "last"])
+@pytest.mark.parametrize("chunk", [1, 2, 1 << 16])
+def test_out_of_order_streams_are_refused(cycles, times, chunk):
+    # API streams are not checked when made: a pair count on records out
+    # of (cycle, time) order raises rather than losing pairs.
+    n = len(cycles)
+    s = PhotonStream(HEADER, np.array(cycles, np.uint64),
+                     np.array([1, 2] * n, np.uint16)[:n],
+                     np.array(times, np.float64))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(coincidence, "_RECORD_CHUNK", chunk)
+        with pytest.raises(DataError, match=r"\(cycle, time\) order"):
+            pair_histograms(s, [(1, 2)], 1000.0, 100.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1,
+                max_size=9), st.integers(1, 4))
+def test_property_cycle_order_is_checked_whatever_the_chunks(recs, chunk):
+    # Any cycle column, unrequested pixels 0 and 3 included: a count is
+    # refused exactly when the column decreases somewhere.
+    cyc = np.array([c for c, _ in recs], np.uint64)
+    s = PhotonStream(HEADER, cyc, np.array([p for _, p in recs], np.uint16),
+                     np.zeros(len(recs)))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(coincidence, "_RECORD_CHUNK", chunk)
+        if (cyc[1:] >= cyc[:-1]).all():
+            pair_histograms(s, [(1, 2)], 1000.0, 100.0)
+        else:
+            with pytest.raises(DataError, match="order"):
+                pair_histograms(s, [(1, 2)], 1000.0, 100.0)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 1 << 16])
+def test_every_record_needs_cycle_order_but_only_kept_ones_time_order(
+        chunk):
+    # Pixel 5 is requested by no pair.  Its times out of order within a
+    # cycle do not matter; its cycle out of order is refused at every
+    # chunk size, so the answer never depends on where chunks are cut.
+    s = PhotonStream(HEADER, np.array([3, 3, 3, 3], np.uint64),
+                     np.array([1, 5, 5, 2], np.uint16),
+                     np.array([10.0, 90.0, 5.0, 40.0]))
+    bad = PhotonStream(HEADER, np.array([3, 3, 2, 3], np.uint64),
+                       s.pixel, s.time_ps)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(coincidence, "_RECORD_CHUNK", chunk)
+        h, = pair_histograms(s, [(1, 2)], 1000.0, 100.0)
+        assert h.total_pairs == 1 and h.counts[10] == 1
+        with pytest.raises(DataError, match="order"):
+            pair_histograms(bad, [(1, 2)], 1000.0, 100.0)
+
+
+def test_pair_count_scratch_is_a_few_chunks():
+    # A long stream of dense cycles on 16 pixels, every record in the
+    # window of every other of its cycle: the walk's arrays beyond the
+    # cube stay a small multiple of one chunk's record columns.
+    rng = np.random.default_rng(5)
+    per_cycle = 40
+    n = per_cycle * 3200
+    cyc = np.repeat(np.arange(n // per_cycle, dtype=np.uint64), per_cycle)
+    t = np.sort(rng.integers(0, 1000, (n // per_cycle, per_cycle)),
+                axis=1).reshape(-1).astype(np.float64)
+    s = PhotonStream(HEADER, cyc, rng.integers(0, 16, n).astype(np.uint16),
+                     t)
+    pairs = [(a, b) for a in range(16) for b in range(a + 1, 16)]
+    chunk = 1 << 12
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(coincidence, "_RECORD_CHUNK", chunk)
+        hists, peak = traced_peak(
+            lambda: pair_histograms(s, pairs, 25_000.0, 500.0))
+    cube = len(pairs) * len(hists[0].counts) * 8
+    assert sum(h.total_pairs for h in hists) > n * 10
+    assert peak - cube < 6 * chunk * column_bytes(s) / n
 
 
 def test_duplicate_pairs_read_one_row():

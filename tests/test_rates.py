@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spadkit import DataError, PhotonStream, SensorConfig, StreamHeader
-from spadkit.rates import RateReport, compute_rates, split_subsets
+from spadkit.rates import RateReport, _median, compute_rates, split_subsets
 
 from conftest import random_cycles
 
@@ -233,3 +233,18 @@ def test_report_json_shape():
     assert len(d["rates_cps"]) == 4
     assert [s["label"] for s in d["subsets"]] == ["subset 0", "subset 1"]
     assert all("schema_version" in s for s in d["subsets"])
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint16, np.float64])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10, 935])
+def test_median_is_np_median_bit_for_bit(dtype, n):
+    rng = np.random.default_rng(n)
+    values = (rng.normal(size=n) * 1000).astype(dtype)
+    for row in (values, np.concatenate(
+            [np.full(n // 2, values[-1]), values[n // 2:]])):  # ties
+        got, want = _median(row), np.median(row)
+        assert type(got) is type(want) and got == want
+    if values.dtype.kind == "f":
+        values[n // 2] = np.nan
+        got, want = _median(values), np.median(values)
+        assert type(got) is type(want) and np.isnan(got)
