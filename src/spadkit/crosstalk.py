@@ -11,18 +11,24 @@ is estimated by counting, against one peak shape per scan:
 
 1. Each pair's counts are read source -> target (dt = t_target -
    t_source), so every cross-talk peak leans the same way.
-2. The shape: each nearest-neighbor (d = 1) histogram's peak is found
-   with a ~100 ps box filter, the histograms are shifted onto one bin and
-   summed, and one Gaussian fit on the sum gives sigma and the fitted
-   center's offset from the bin that a Gaussian matched filter of that
-   sigma picks on the sum (the cross-talk peak is asymmetric).
+2. The shape: each nearest-neighbor (d = 1) histogram's peak is placed
+   by the cross-talk peak front end in ``peakfit`` (``_box_peaks``, a
+   ~100 ps box filter, which ``measure_offsets`` places its peaks with
+   too), the histograms are shifted onto one bin and summed, and one
+   Gaussian fit on the sum gives sigma and the fitted center's offset
+   from the bin that a Gaussian matched filter of that sigma picks on the
+   sum (the cross-talk peak is asymmetric).  The share of the sum's net
+   counts that lies within +- 3 sigma of its center is the window share.
 3. Each pair's center is the argmax, over the whole window, of its counts
    correlated with a Gaussian of that sigma, plus the offset.  Pairs need
    not share a center, so a scan without a delay calibration measures as
    well as one with it.
 4. The gross counts in center +- 3 sigma, minus a sideband background
    (the mean count per bin beyond +- 10 sigma, times the window's bins),
-   divided by the source counts.
+   divided by the window share and by the source counts
+   (``peakfit._window_counts``).  The window alone keeps about 99.7 % of
+   the asymmetric peak, so without the share every distance would read
+   about 0.3 % low.
 
 A pair whose net count is below three times its Poisson error instead
 counts a fixed window at dt = 0 of +- 3 ``FALLBACK_SIGMA_PS``:
@@ -50,7 +56,9 @@ from .coincidence import DEFAULT_WINDOW_PS, DeltaHistogram, pair_histograms
 from .documents import (Document, as_bool, as_count, as_float, as_list,
                         decode_fields, field_dict)
 from .errors import DataError, FitError
-from .peakfit import SIGNIFICANCE_SIGMAS, fit_gaussians
+from .peakfit import (PEAK_WINDOW_SIGMAS, SIDEBAND_SIGMAS,
+                      SIGNIFICANCE_SIGMAS, _box_peaks, _clears_noise,
+                      _cumulative, _window_counts, fit_gaussians)
 from .rates import RateReport
 from .timestream import PhotonStream
 
@@ -63,21 +71,10 @@ SCHEMA_VERSION = 2
 # ~1e-4 absolute; refuse rather than report mush.
 MIN_SOURCE_COUNTS = 10_000
 
-# Half-width of the counting window is this many shape sigmas.
-PEAK_WINDOW_SIGMAS = 3.0
-
-# The background per bin is the mean count beyond this many sigmas from
-# the center.
-SIDEBAND_SIGMAS = 10.0
-
 # Effective sigma for the dt = 0 window when a pair has no significant
 # peak.  Generous against TDC jitter (~40 ps rms per pixel) so a real but
 # statistically weak peak is still fully covered.
 FALLBACK_SIGMA_PS = 100.0
-
-# Width of the box filter that finds the nearest-neighbor peaks before
-# the pooled fit knows their sigma.
-COARSE_BOX_PS = 100.0
 
 # The Gaussian matched filter reaches this many sigmas either side.
 FILTER_SIGMAS = 4.0
@@ -111,10 +108,11 @@ class CtEstimate:
     ``probability`` is ``net / n_source``, where ``net`` is ``gross``
     (the counts in the window around ``center_ps``, in the histogram's
     dt = t_b - t_a with a < b) minus ``bg_per_bin`` times the window's
-    bins.  ``placement`` says where the window sat: at the pair's
-    matched-filter peak, or at dt = 0 ("null_window") when the pair has
-    no significant peak; then the probability can come out negative and
-    ``upper_limit`` (3 sigma) is set.
+    bins, divided, for a window at the pair's peak, by the scan shape's
+    ``window_share``.  ``placement`` says where the window sat: at the
+    pair's matched-filter peak, or at dt = 0 ("null_window") when the
+    pair has no significant peak; then the probability can come out
+    negative and ``upper_limit`` (3 sigma) is set.
     """
 
     source: int
@@ -152,10 +150,15 @@ class CtShape:
 
     ``offset_ps`` is the fitted center minus the center of the bin that
     the Gaussian matched filter picks on the pooled histogram;
-    ``chi2_dof`` is None when the fit failed.  ``fallback`` is set when
-    the fit failed or found no significant peak: every pair of the scan
-    then counts the dt = 0 window of ``FALLBACK_SIGMA_PS``, which
-    ``sigma_ps`` holds.
+    ``chi2_dof`` is None when the fit failed.  ``window_share`` is the
+    part of the pooled histogram's net counts that falls inside +- 3
+    sigma of its fitted center; each placed pair's net count is divided
+    by it, so that a window cut short of the peak's tails does not read
+    low.  A document written without it loads with 1.0, which is how its
+    pairs were counted.  ``fallback`` is set when the fit failed or found
+    no significant peak: every pair of the scan then counts the dt = 0
+    window of ``FALLBACK_SIGMA_PS``, which ``sigma_ps`` holds, and
+    ``window_share`` is 1.0.
     """
 
     sigma_ps: float
@@ -165,6 +168,7 @@ class CtShape:
     stop_reason: str
     n_pooled: int
     fallback: bool
+    window_share: float = 1.0
 
     def to_json_dict(self) -> dict:
         return field_dict(self)
@@ -291,22 +295,6 @@ def _oriented(rows, turned) -> np.ndarray:
     return np.where(turned[:, None], rows[:, ::-1], rows)
 
 
-def _cumulative(rows) -> np.ndarray:
-    """Per row, ``cum[j] - cum[i]`` is the count of bins i..j-1."""
-    cum = np.zeros((len(rows), rows.shape[1] + 1), dtype=np.int64)
-    np.cumsum(rows, axis=1, out=cum[:, 1:])
-    return cum
-
-
-def _box_peaks(rows, half: int) -> np.ndarray:
-    """Per row, the bin whose +- ``half`` bins hold the most counts."""
-    n = rows.shape[1]
-    cum = _cumulative(rows)
-    lo = np.clip(np.arange(n) - half, 0, n)
-    hi = np.clip(np.arange(n) + half + 1, 0, n)
-    return np.argmax(cum[:, hi] - cum[:, lo], axis=1)
-
-
 def _gauss_peaks(rows, sigma_bins: float) -> np.ndarray:
     """Per row, the bin where the counts correlate best with a Gaussian of
     ``sigma_bins``; bins outside the window count as empty."""
@@ -328,7 +316,7 @@ def _pooled_shape(hists, pairs) -> CtShape:
     n = len(x)
     rows = _oriented(np.stack([hist.counts for hist in hists]),
                      _turned(pairs))
-    peaks = _box_peaks(rows, round(0.5 * COARSE_BOX_PS / bin_width))
+    peaks = _box_peaks(_cumulative(rows), bin_width)
     # Roll every peak onto the middle bin; the flat background wraps.
     shifted = (np.arange(n) + (peaks - n // 2)[:, None]) % n
     pooled = np.take_along_axis(rows, shifted, axis=1).sum(axis=0)
@@ -343,41 +331,16 @@ def _pooled_shape(hists, pairs) -> CtShape:
             stop_reason=fit.reason if failed else fit.stop_reason,
             n_pooled=len(hists), fallback=True)
     peak = _gauss_peaks(pooled[None], fit.sigma_ps / bin_width)[0]
+    # The sidebands hold no net count, so the whole histogram's net count
+    # is the peak's.
+    _gross, bg, in_window, _var = _window_counts(
+        _cumulative(pooled[None]), x, np.array([fit.center_ps]),
+        np.array([fit.sigma_ps]))
     return CtShape(
         sigma_ps=fit.sigma_ps, offset_ps=fit.center_ps - float(x[peak]),
         chi2_dof=fit.chi2 / fit.dof, n_iterations=fit.n_iterations,
-        stop_reason=fit.stop_reason, n_pooled=len(hists), fallback=False)
-
-
-def _window_counts(cum, x, centers, sigmas):
-    """Per row of the cumulative counts ``cum``: the gross counts in
-    ``centers`` +- 3 ``sigmas`` (at least the nearest bin), the window's
-    bins, the sideband background per bin and the variance of the net
-    counts.  The sideband is every bin beyond +- 10 sigma, or, when there
-    is none, every bin outside the window."""
-    n = len(x)
-    reach = PEAK_WINDOW_SIGMAS * sigmas
-    lo = np.searchsorted(x, centers - reach, side="left")
-    hi = np.searchsorted(x, centers + reach, side="right")
-    nearest = np.clip(np.rint((centers - x[0]) / (x[1] - x[0])), 0, n - 1)
-    empty = hi <= lo
-    lo = np.where(empty, nearest.astype(np.intp), lo)
-    hi = np.where(empty, lo + 1, hi)
-    left = np.searchsorted(x, centers - SIDEBAND_SIGMAS * sigmas, side="left")
-    right = np.searchsorted(x, centers + SIDEBAND_SIGMAS * sigmas,
-                            side="right")
-    no_side = left + (n - right) == 0
-    left = np.where(no_side, lo, left)
-    right = np.where(no_side, hi, right)
-
-    def at(i):
-        return np.take_along_axis(cum, i[:, None], axis=1)[:, 0]
-
-    gross = at(hi) - at(lo)
-    n_window = hi - lo
-    n_side = np.maximum(left + (n - right), 1)
-    bg = (at(left) + cum[:, -1] - at(right)) / n_side
-    return gross, n_window, bg, gross + n_window**2 * bg / n_side
+        stop_reason=fit.stop_reason, n_pooled=len(hists), fallback=False,
+        window_share=float(in_window[0] / (pooled.sum() - bg[0] * n)))
 
 
 def _estimates(hists, pairs, n_sources, shape: CtShape) -> list[CtEstimate]:
@@ -404,14 +367,12 @@ def _block_estimates(hists, pairs, n_sources, shape) -> list[CtEstimate]:
                              shape.sigma_ps / hists[0].bin_width_ps)
         found = np.where(turned, x[n - 1 - peaks] - shape.offset_ps,
                          x[peaks] + shape.offset_ps)
-        gross, n_window, bg, var = _window_counts(
-            cum, x, found, np.full(len(rows), shape.sigma_ps))
-        placed = (gross - bg * n_window
-                  >= SIGNIFICANCE_SIGMAS * np.sqrt(np.maximum(var, 1.0)))
+        placed = _clears_noise(*_window_counts(
+            cum, x, found, np.full(len(rows), shape.sigma_ps))[2:])
         centers = np.where(placed, found, 0.0)
-    gross, n_window, bg, var = _window_counts(
-        cum, x, centers, np.where(placed, shape.sigma_ps, FALLBACK_SIGMA_PS))
-    net = gross - bg * n_window
+    gross, bg, net, var = _window_counts(
+        cum, x, centers, np.where(placed, shape.sigma_ps, FALLBACK_SIGMA_PS),
+        np.where(placed, shape.window_share, 1.0))
     error = np.sqrt(np.maximum(var, 1.0))
     out = []
     for k, (source, target) in enumerate(pairs):

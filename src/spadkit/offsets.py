@@ -13,7 +13,31 @@ the mean delay to zero removes the free global shift and makes the
 solution unique.  Forward substitution solves the chain exactly in one
 O(n) pass, so no general linear solver is involved.
 
-Pairs without a significant peak (dead pixel, not enough light) leave a
+Each pair's peak is placed by the cross-talk peak front end that
+``ct_scan`` shares (``peakfit._box_peaks``): the ~100 ps box filter that
+holds the most counts of the pair's whole +-25 ns histogram.  Only a cut
+of +-``CUT_HALF_PS`` around that bin is fitted.  Every cut has the same
+number of bins, so the cuts share one grid of offsets from their first
+bin and one batched ``fit_gaussians`` run fits them all; each fitted
+center is then moved back by its cut's place.  A cut near an edge of the
+histogram is moved inside it rather than shortened.
+
+A pair is valid only when three tests pass:
+
+1. the cut's fit finds a significant peak with a finite center error;
+2. its sigma is at most ``MAX_SIGMA_PS``, a fifth of the cut's
+   half-width, so that the cut holds the peak's tails and background on
+   both sides: a broad peak is refused, never truncated into a
+   measurement;
+3. the window of +- 3 fitted sigmas around the fitted center holds net
+   counts of at least three Poisson errors above the background of the
+   whole histogram, the mean count per bin beyond +- 10 sigmas
+   (``peakfit._window_counts``, the test ``ct_scan`` places its windows
+   by).  A cut's own background is too short to tell a fluctuation
+   from a peak: on peakless histograms the cut fits alone take more
+   pairs for valid than fits of the whole histogram did.
+
+Pairs without a valid measurement (dead pixel, not enough light) leave a
 gap: the chain continues with an assumed zero offset there, the pair is
 recorded in ``gap_pixels``, and the result is flagged degraded when more
 than 20% of the pairs fell out.
@@ -28,11 +52,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coincidence import DEFAULT_WINDOW_PS, pair_histograms
+from .coincidence import DEFAULT_WINDOW_PS, DeltaHistogram, pair_histograms
 from .documents import (Document, as_bool, as_count, as_float, decode_fields,
                         field_dict)
 from .errors import CalibrationError, DataError, FitError
-from .peakfit import fit_gaussians
+from .peakfit import (_box_peaks, _clears_noise, _cumulative, _window_counts,
+                      fit_gaussians)
 from .timestream import PhotonStream, record_order
 
 logger = logging.getLogger(__name__)
@@ -45,6 +70,17 @@ MAX_INVALID_FRACTION = 0.2
 
 # mean(d) = 0 is exact by construction; allow only float round-off.
 MEAN_TOL_PS = 1e-9
+
+# Half-width of the cut around each pair's placed peak that its fit sees.
+# The adjacent cross-talk peak has a sigma of about 63 ps: two 40 ps
+# detection jitters, the half-normal cross-talk delay and the TDC bins.
+# +-700 ps is about 11 of those sigmas, which leaves the fit a background
+# on both sides of the peak.
+CUT_HALF_PS = 700.0
+
+# A fitted sigma above this could belong to a peak the cut truncated, so
+# it makes the pair invalid.
+MAX_SIGMA_PS = CUT_HALF_PS / 5
 
 
 @dataclass(frozen=True)
@@ -138,42 +174,81 @@ class DelayVector(Document):
 def measure_offsets(stream: PhotonStream,
                     window_ps: float = DEFAULT_WINDOW_PS,
                     ) -> list[OffsetMeasurement]:
-    """Fit the cross-talk peak of every adjacent pixel pair.
+    """Measure the cross-talk peak of every adjacent pixel pair.
 
     Expects uniform weak illumination (ambient light works) so that
-    every pixel fires and neighbor cross-talk produces a peak.  Returns
-    one measurement per pair; pairs without a significant peak come back
-    flagged invalid rather than raising.
+    every pixel fires and neighbor cross-talk produces a peak.  Each
+    pair's histogram over +- ``window_ps`` is counted, its peak placed by
+    the box filter, and a cut of +- ``CUT_HALF_PS`` around it fitted; the
+    module docstring gives the three tests a valid pair passes.  Returns
+    one measurement per pair; pairs that fail a test come back flagged
+    invalid rather than raising.
     """
     num_pixels = stream.sensor.num_pixels
-    bin_width = stream.sensor.mean_bin_width_ps
-    fits = fit_gaussians(pair_histograms(
+    return _measure(pair_histograms(
         stream, [(i, i + 1) for i in range(num_pixels - 1)], window_ps,
-        bin_width))
+        stream.sensor.mean_bin_width_ps))
+
+
+def _measure(hists) -> list[OffsetMeasurement]:
+    """The measurements of adjacent-pair histograms ``hists``, which share
+    one grid.  The histograms go once their cumulative counts are made."""
+    pairs = [(hist.pixel_a, hist.pixel_b) for hist in hists]
+    x = hists[0].bin_centers
+    bin_width = hists[0].bin_width_ps
+    n = len(x)
+    cum = _cumulative(np.stack([hist.counts for hist in hists]))
+    del hists
+    width = min(2 * math.ceil(CUT_HALF_PS / bin_width) + 1, n)
+    start = np.clip(_box_peaks(cum, bin_width) - width // 2, 0, n - width)
+    cuts = np.diff(np.take_along_axis(
+        cum, start[:, None] + np.arange(width + 1), axis=1), axis=1)
+    # The cut's window is half its span less a part in 1e12, so that
+    # n_bins cannot round it up to one bin more.
+    grid = DeltaHistogram(pixel_a=0, pixel_b=1,
+                          window_ps=0.5 * width * bin_width * (1 - 1e-12),
+                          bin_width_ps=bin_width,
+                          counts=np.zeros(width, dtype=np.int64),
+                          total_pairs=0)
+    fits = fit_gaussians(
+        replace(grid, pixel_a=a, pixel_b=b, counts=cut,
+                total_pairs=int(cut.sum()))
+        for (a, b), cut in zip(pairs, cuts))
+    del cuts
+
+    fitted = np.array([not isinstance(fit, FitError) and fit.significant
+                       and math.isfinite(fit.center_err_ps) for fit in fits])
+    sigmas = np.array([fit.sigma_ps if ok else bin_width
+                       for fit, ok in zip(fits, fitted)])
+    centers = np.array([fit.center_ps if ok else 0.0
+                        for fit, ok in zip(fits, fitted)])
+    centers += x[start] - grid.bin_centers[0]
+    narrow = sigmas <= MAX_SIGMA_PS
+    clear = _clears_noise(*_window_counts(cum, x, centers, sigmas)[2:])
+    valid = fitted & narrow & clear
+
     out = []
     reasons = Counter()
-    for i, fit in enumerate(fits):
-        valid = False
-        off = math.nan
-        sigma = math.inf
-        if isinstance(fit, FitError):
-            reasons[fit.reason] += 1
-        else:
-            reasons[fit.stop_reason] += 1
-            if fit.significant and math.isfinite(fit.center_err_ps):
-                # Histogram dt runs t_{i+1} - t_i; the offset convention
-                # is t_i - t_{i+1}, hence the sign flip.
-                off = -fit.center_ps
-                sigma = fit.center_err_ps
-                valid = True
-        out.append(OffsetMeasurement(pixel_low=i, pixel_high=i + 1,
-                                     off_ps=off, sigma_ps=sigma, valid=valid))
+    for k, ((a, b), fit) in enumerate(zip(pairs, fits)):
+        reasons[fit.reason if isinstance(fit, FitError)
+                else fit.stop_reason] += 1
+        # Histogram dt runs t_{i+1} - t_i; the offset convention is
+        # t_i - t_{i+1}, hence the sign flip.
+        out.append(OffsetMeasurement(
+            pixel_low=a, pixel_high=b,
+            off_ps=-float(centers[k]) if valid[k] else math.nan,
+            sigma_ps=fit.center_err_ps if valid[k] else math.inf,
+            valid=bool(valid[k])))
     # A batched run takes as many passes as its longest fit iterates.
     iterations = [fit.n_iterations for fit in fits]
-    logger.info("measure_offsets: %d adjacent pairs, fit stop reasons %s, "
-                "%d solver iterations in %d batched passes", len(out),
-                dict(reasons.most_common()), sum(iterations),
-                max(iterations, default=0))
+    logger.info("measure_offsets: %d adjacent pairs, cut +-%d bins, fit "
+                "stop reasons %s, %d solver iterations in %d batched passes; "
+                "refused %d by the fit, %d by the width guard, %d by the "
+                "sideband test", len(out), width // 2,
+                dict(reasons.most_common()),
+                sum(iterations), max(iterations), int((~fitted).sum()),
+                int((fitted & ~narrow).sum()),
+                int((fitted & narrow & ~clear).sum()))
     return out
 
 

@@ -15,13 +15,18 @@ There is one solver, and it is batched: it fits B histograms that share a
 grid together, stacking their residuals, Jacobians and normal equations,
 while each fit keeps its own damping, accept/reject decisions, iteration
 count and ending.  ``fit_gaussians`` fits a whole scan's histograms in one
-call (``measure_offsets`` and ``ct_scan`` use it); the single-histogram
-functions are batches of one.  A fit comes out bit for bit the same alone
-or in any batch: the stacked ``matmul``, ``solve`` and ``eigh`` calls and
-row sums make the same floating-point operations per fit as their 2-D
-forms (``einsum`` would not).  The fits run in blocks of ``BLOCK_FITS``,
-so the block's (fits, n, P) Jacobian stays small, and a fit whose linear
-system is singular fails alone.
+call (``measure_offsets`` fits its pairs' cuts, ``ct_scan`` its pooled
+shape); the single-histogram functions are batches of one.  A fit comes
+out bit for bit the same alone or in any batch: the stacked ``matmul``,
+``solve`` and ``eigh`` calls and row sums make the same floating-point
+operations per fit as their 2-D forms (``einsum`` would not).  The fits
+run in blocks of ``BLOCK_FITS``, so the block's (fits, n, P) Jacobian
+stays small, and a fit whose linear system is singular fails alone.
+
+Both cross-talk calibrations find their peaks through one front end that
+fits nothing: ``_box_peaks`` places each histogram's peak with a box
+filter, and ``_window_counts`` counts a +- 3 sigma window against the
+background of the sidebands beyond +- 10 sigma.
 
 The solver is a damped Gauss-Newton iteration (Levenberg-Marquardt
 flavor): the normal equations get a multiplicative damping term that
@@ -79,6 +84,15 @@ SUPPORT_SIGMAS = 40.0
 # The solver runs its fits in blocks of at most this many, so a block's
 # (fits, n, P) Jacobian stays a few MB however many fits a scan holds.
 BLOCK_FITS = 32
+
+# Width of the box filter that places a cross-talk peak before any fit
+# knows its sigma.
+COARSE_BOX_PS = 100.0
+# Half-width of a counting window is this many sigmas.
+PEAK_WINDOW_SIGMAS = 3.0
+# The background per bin is the mean count beyond this many sigmas from
+# the center.
+SIDEBAND_SIGMAS = 10.0
 
 SCHEMA_VERSION = 1
 
@@ -603,6 +617,73 @@ def _fwhm_sigma(x, y, bg, amp, peak):
         j += 1
     fwhm = float(x[j] - x[i]) + spacing
     return max(fwhm / 2.355, spacing / 2.355, 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the cross-talk peak front end: placing and counting without a fit
+#
+# ``ct_scan`` and ``measure_offsets`` find their peaks with these: a box
+# filter places each histogram's peak, and a window of +- 3 sigma around
+# it is counted against the mean count per bin of the sidebands beyond
+# +- 10 sigma.
+
+def _cumulative(rows) -> np.ndarray:
+    """Per row, ``cum[j] - cum[i]`` is the count of bins i..j-1."""
+    cum = np.zeros((len(rows), rows.shape[1] + 1), dtype=np.int64)
+    np.cumsum(rows, axis=1, out=cum[:, 1:])
+    return cum
+
+
+def _box_peaks(cum, bin_width_ps: float) -> np.ndarray:
+    """Per row of the cumulative counts ``cum``, the bin whose box of
+    about ``COARSE_BOX_PS`` centered on it holds the most counts."""
+    half = round(0.5 * COARSE_BOX_PS / bin_width_ps)
+    n = cum.shape[1] - 1
+    lo = np.clip(np.arange(n) - half, 0, n)
+    hi = np.clip(np.arange(n) + half + 1, 0, n)
+    boxes = cum[:, hi]
+    boxes -= cum[:, lo]
+    return np.argmax(boxes, axis=1)
+
+
+def _window_counts(cum, x, centers, sigmas, share=1.0):
+    """Per row of the cumulative counts ``cum`` on the bin centers ``x``:
+    the gross counts in ``centers`` +- 3 ``sigmas`` (at least the nearest
+    bin), the sideband background per bin, and the net counts and their
+    variance.  The sideband is every bin beyond +- 10 sigma, or, when
+    there is none, every bin outside the window.  The net counts are
+    those above the background divided by ``share``, the part of a peak
+    that the window holds, so that they stand for the whole peak."""
+    n = len(x)
+    reach = PEAK_WINDOW_SIGMAS * sigmas
+    lo = np.searchsorted(x, centers - reach, side="left")
+    hi = np.searchsorted(x, centers + reach, side="right")
+    nearest = np.clip(np.rint((centers - x[0]) / (x[1] - x[0])), 0, n - 1)
+    empty = hi <= lo
+    lo = np.where(empty, nearest.astype(np.intp), lo)
+    hi = np.where(empty, lo + 1, hi)
+    left = np.searchsorted(x, centers - SIDEBAND_SIGMAS * sigmas, side="left")
+    right = np.searchsorted(x, centers + SIDEBAND_SIGMAS * sigmas,
+                            side="right")
+    no_side = left + (n - right) == 0
+    left = np.where(no_side, lo, left)
+    right = np.where(no_side, hi, right)
+
+    def at(i):
+        return np.take_along_axis(cum, i[:, None], axis=1)[:, 0]
+
+    gross = at(hi) - at(lo)
+    n_window = hi - lo
+    n_side = np.maximum(left + (n - right), 1)
+    bg = (at(left) + cum[:, -1] - at(right)) / n_side
+    net = (gross - bg * n_window) / share
+    return gross, bg, net, (gross + n_window**2 * bg / n_side) / share**2
+
+
+def _clears_noise(net, var) -> np.ndarray:
+    """Which net counts reach ``SIGNIFICANCE_SIGMAS`` of their Poisson
+    error (at least one count)."""
+    return net >= SIGNIFICANCE_SIGMAS * np.sqrt(np.maximum(var, 1.0))
 
 
 # ---------------------------------------------------------------------------

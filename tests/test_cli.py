@@ -216,13 +216,18 @@ def test_calibrate_and_ct_scan_log_fit_stop_reasons(sim_stream_path, tmp_path,
         curve.shape.n_iterations, curve.shape.stop_reason)
     assert reason in reasons and 0 < iterations <= MAX_ITERATIONS
     assert n_placed == sum(e.significant for e in curve.estimates)
-    n_pairs, by_reason, iterations, passes = logged["measure_offsets"]
+    (n_pairs, cut_half, by_reason, iterations, passes, by_fit, by_width,
+     by_sideband) = logged["measure_offsets"]
     assert n_pairs == 255
+    # +-700 ps in bins of the mean TDC bin, 2500/140 ps
+    assert cut_half == 40
     assert sum(by_reason.values()) == n_pairs and set(by_reason) <= reasons
     _check_solver_work(by_reason, iterations, passes)
     n_invalid, n_pairs, fraction = logged["calibrate"]
     assert n_pairs == 255 and 0 <= n_invalid <= n_pairs
     assert fraction == n_invalid / n_pairs
+    # each invalid pair is refused by the first test it fails
+    assert by_fit + by_width + by_sideband == n_invalid
 
 
 def _check_solver_work(by_reason, iterations, passes):

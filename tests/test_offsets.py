@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import column_bytes, traced_peak
 from spadkit import (CalibrationError, DataError, FitError, PhotonStream,
                      SensorConfig, StreamFormatError, offsets)
-from spadkit.coincidence import build_histogram
+from spadkit.coincidence import (DEFAULT_WINDOW_PS, DeltaHistogram,
+                                 build_histogram, pair_histograms)
 from spadkit.offsets import (
     DelayVector,
     OffsetMeasurement,
@@ -22,7 +24,7 @@ from spadkit.offsets import (
     measure_offsets,
     solve_delays,
 )
-from spadkit.peakfit import fit_gaussian
+from spadkit.peakfit import fit_gaussian, fit_gaussians
 from spadkit.simulator import DcrProfile, SimConfig, simulate
 
 
@@ -288,6 +290,79 @@ def test_dark_only_stream_has_no_valid_pairs():
     assert invalid_fraction(ms) == 1.0
     with pytest.raises(CalibrationError):
         solve_delays(ms)
+
+
+def _full_window_measurements(hists):
+    """What measure_offsets measured before it cut: one fit of each whole
+    histogram, valid when significant with a finite center error."""
+    return [OffsetMeasurement(i, i + 1, -fit.center_ps, fit.center_err_ps,
+                              True)
+            if not isinstance(fit, FitError) and fit.significant
+            and math.isfinite(fit.center_err_ps)
+            else OffsetMeasurement(i, i + 1, math.nan, math.inf, False)
+            for i, fit in enumerate(fit_gaussians(hists))]
+
+
+@pytest.mark.parametrize("level", [1.0, 5.0, 20.0])
+def test_peakless_pairs_are_no_more_often_valid_than_full_fits(level):
+    # Poisson-flat histograms over the whole +-25 ns window.  The cut's
+    # fit alone takes more of them for peaks than a fit of the whole
+    # histogram does (at these seeds: 20 against 12 at 5 counts per bin,
+    # 33 against 23 at 20); the sideband test takes them back.
+    bin_width = SensorConfig().mean_bin_width_ps
+    rows = np.random.default_rng(int(level * 1000)).poisson(level, (256, 2800))
+    hists = [DeltaHistogram(pixel_a=k, pixel_b=k + 1,
+                            window_ps=DEFAULT_WINDOW_PS,
+                            bin_width_ps=bin_width, counts=row,
+                            total_pairs=int(row.sum()))
+             for k, row in enumerate(rows)]
+    full = sum(m.valid for m in _full_window_measurements(hists))
+    assert sum(m.valid for m in offsets._measure(hists)) <= full
+
+
+def test_broad_peak_is_refused_not_truncated(caplog):
+    # A 300 ps peak overflows the +-700 ps cut, whose fit then comes out
+    # wider than a fifth of it; the 63 ps peak beside it is measured.
+    bin_width = SensorConfig().mean_bin_width_ps
+    x = -DEFAULT_WINDOW_PS + bin_width * (np.arange(2800) + 0.5)
+    rng = np.random.default_rng(3)
+    hists = []
+    for k, sigma in enumerate((63.0, 300.0)):
+        row = rng.poisson(2.0 + 400.0 * np.exp(-0.5 * ((x - 1234.0) / sigma)
+                                                ** 2))
+        hists.append(DeltaHistogram(pixel_a=k, pixel_b=k + 1,
+                                    window_ps=DEFAULT_WINDOW_PS,
+                                    bin_width_ps=bin_width, counts=row,
+                                    total_pairs=int(row.sum())))
+    caplog.set_level(logging.INFO, logger="spadkit.offsets")
+    narrow, broad = offsets._measure(hists)
+    assert narrow.valid and abs(narrow.off_ps + 1234.0) <= 5 * narrow.sigma_ps
+    assert not broad.valid
+    (record,) = caplog.records
+    assert record.args[-3:] == (0, 1, 0)
+
+
+def test_cut_fits_calibrate_as_well_as_full_window_fits():
+    # The benchmark's tiny flood (32 pixels, 2 s of 2000 cps, 5 %
+    # nearest-neighbor cross-talk, +-5 ns delays) over 24 seeds.
+    cut, full = [], []
+    for seed in range(24):
+        delays = np.random.default_rng(seed).uniform(-5000.0, 5000.0, 32)
+        stream, _truth = simulate(SimConfig(
+            sensor=SensorConfig(num_pixels=32), seed=seed, duration_s=2.0,
+            dcr=DcrProfile(base_cps=2000.0), ct_profile=((1, 0.05),),
+            delays_ps=tuple(delays)))
+        hists = pair_histograms(stream, [(i, i + 1) for i in range(31)],
+                                DEFAULT_WINDOW_PS,
+                                stream.sensor.mean_bin_width_ps)
+        for ms, errors in ((measure_offsets(stream), cut),
+                           (_full_window_measurements(hists), full)):
+            vec = solve_delays(ms)
+            errors.append(np.sqrt(np.mean(
+                (vec.delays_ps - (delays - delays.mean())) ** 2)))
+    cut = np.array(cut)
+    stderr = cut.std(ddof=1) / np.sqrt(len(cut))
+    assert cut.mean() - np.mean(full) <= stderr, (cut.mean(), np.mean(full))
 
 
 def test_gauge_constant_injected_shift_is_removed():
