@@ -133,7 +133,8 @@ def _read_stream(path: str, lut_path: str | None = None,
         if lut is not None:
             _check_lut(stream, lut)
         n_read = stream.n_records
-        stream = stream.take(np.isin(stream.pixel, pair))
+        stream = stream.take(np.flatnonzero(
+            (stream.pixel == pair[0]) | (stream.pixel == pair[1])))
         if lut is not None:
             logger.info("apply_lut: converted %d of %d records "
                         "(pixels %d, %d)", stream.n_records, n_read, *pair)

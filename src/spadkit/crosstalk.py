@@ -455,12 +455,12 @@ def ct_scan(stream: PhotonStream, rate_report: RateReport,
             PEAK_WINDOW_SIGMAS * FALLBACK_SIGMA_PS)
     logger.info(
         "ct_scan: %d pairs; pooled fit of %d pairs: sigma %.1f ps, offset "
-        "%.1f ps, chi2/dof %s, %d iterations, stop reason %s; %d "
-        "matched_filter and %d null_window pairs", len(pairs),
-        shape.n_pooled, shape.sigma_ps, shape.offset_ps,
+        "%.1f ps, chi2/dof %s, %d iterations, stop reason %s, window "
+        "share %.4f; %d matched_filter and %d null_window pairs",
+        len(pairs), shape.n_pooled, shape.sigma_ps, shape.offset_ps,
         "n/a" if shape.chi2_dof is None else f"{shape.chi2_dof:.3g}",
-        shape.n_iterations, shape.stop_reason, n_placed,
-        len(pairs) - n_placed)
+        shape.n_iterations, shape.stop_reason, shape.window_share,
+        n_placed, len(pairs) - n_placed)
 
     per_distance: dict[int, list[CtEstimate]] = {
         d: [] for d in range(1, d_max + 1)}

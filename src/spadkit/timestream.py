@@ -55,18 +55,34 @@ slab holds about ``_PIECE`` records) and ``PhotonStream.read`` (the whole
 stream), take their slabs from ``_iter_slabs``, so both raise the same
 error, with its byte offset and, where known, cycle index, for any defect.
 The version chooses only the byte decoder: for v1 a walk over the flag
-bytes and one gather per slab, for v2 a few ``np.frombuffer`` views.  One
-checker, ``_check_slab``, holds every rule on a slab's contents.  The v2
-slab layout follows the record batches of Apache Arrow's IPC format.
+bytes and one gather per slab, for v2 the slab's columns as they lie in
+the file.  One checker, ``_check_slab``, holds every rule on a slab's
+contents and runs each rule in pieces of ``_PIECE`` entries.  The v2 slab
+layout follows the record batches of Apache Arrow's IPC format, and like
+Arrow's readers, ``PhotonStream.read`` reads the slabs of a seekable v2
+source straight into the stream's preallocated columns.
+
+What a read holds besides what it returns:
+
+* ``PhotonStream.read`` of a seekable v2 source: a few arrays of
+  ``_PIECE`` entries (the columns are sized by one pass over the slab
+  headers, then each slab's columns are read into their place);
+* ``PhotonStream.read`` of a pipe or of a v1 file: each slab's bytes (v2)
+  or gathered records (v1) and its converted columns, then one
+  ``np.concatenate`` of them;
+* ``read_stream``: one slab's bytes or records and its cycle column.
 """
 
 from __future__ import annotations
 
+import io
 import struct
+import sys
 from array import array
 from dataclasses import dataclass, field, replace
 from itertools import islice
-from typing import BinaryIO, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import (BinaryIO, Callable, Iterable, Iterator, Mapping,
+                    NamedTuple, Sequence)
 
 import numpy as np
 
@@ -92,7 +108,9 @@ _FLAG_RAW = 0x01
 # ``_PIECE`` records, so the slab size does not bound its memory.
 _IO_CHUNK = 1 << 22
 # Largest single read: a corrupt slab header may claim any size, so a
-# slab body is read in pieces of at most this many bytes.
+# slab body from a source that cannot seek is read in pieces of at most
+# this many bytes.  From a seekable one, a slab is read only once the
+# source is known to hold it.
 _READ_CHUNK = 1 << 26
 
 
@@ -160,8 +178,9 @@ class StreamHeader:
 # columnar stream
 
 # Records per piece in passes over whole columns (record_order and
-# sort_records, validate, the writer, the simulators): a pass holds a few
-# arrays of this length at a time, never one per record.
+# sort_records, validate, the writer, the readers' checker, the
+# simulators): a pass holds a few arrays of this length at a time, never
+# one per record.
 _PIECE = 1 << 16
 
 
@@ -693,11 +712,31 @@ class PhotonStream:
         Unlike ``read_stream`` this holds the whole stream at once; use the
         streaming reader when memory must stay bounded by one slab.  When
         any record of a v1 file has a raw code, those without read as 0.
+
+        What the read holds besides the columns it returns:
+
+        * a seekable v2 source (a path, an open file, ``io.BytesIO``): a
+          few arrays of ``_PIECE`` entries.  One pass over the slab headers
+          sizes the columns, which are allocated once; each slab's columns
+          are read into their place, its times as u64 in the float64
+          column's memory, and checked there; once every slab has passed,
+          the times are converted to float64 in place, piece by piece.
+        * a pipe or any source that cannot seek, and every v1 file: each
+          slab's bytes (v2) or gathered records (v1) with its converted
+          columns, then one ``np.concatenate`` of the slabs' columns.
         """
         if isinstance(source, str):
             with open(source, "rb") as fh:
                 return cls.read(fh)
         header, cycle_count, offset = _read_header(source)
+        into = _Columns.sized(source, header, offset)
+        if into is not None:
+            for _ in _iter_slabs(source, header, cycle_count, offset, into):
+                pass
+            return cls(header=header, cycle_index=into.cycle,
+                       pixel=into.pixel, time_ps=into.float_times(),
+                       raw_code=into.raw,
+                       total_cycles=_total_cycles(header, into.last_index))
         parts, last_index = [], -1
         for slab in _iter_slabs(source, header, cycle_count, offset):
             # Copies, so no column keeps the slab's bytes alive; np.array
@@ -797,7 +836,8 @@ def _read_header(source: BinaryIO) -> tuple[StreamHeader, int, int]:
 
 
 class _Slab(NamedTuple):
-    """The columns of a slab of whole cycles, views of its bytes in v2."""
+    """The columns of a slab of whole cycles; in v2, views of its bytes or
+    of the whole-stream columns (``_Columns.take``)."""
 
     index: np.ndarray          # u64 per cycle
     count: np.ndarray          # u32 per cycle
@@ -808,20 +848,117 @@ class _Slab(NamedTuple):
     cycle: np.ndarray | None = None   # u64 per record, set by the checker
 
 
+@dataclass
+class _Columns:
+    """The record columns of a whole seekable v2 stream, allocated once and
+    filled slab by slab by ``_v2_slabs``.  ``time`` holds each record's
+    u64 until ``float_times`` converts it."""
+
+    cycle: np.ndarray            # u64
+    pixel: np.ndarray            # u16
+    time: np.ndarray             # float64
+    raw: np.ndarray | None       # u32, when the slabs have raw codes
+    end: int                     # the offset at which the source ends
+    filled: int = 0              # records placed so far
+    last_index: int = -1         # the last cycle index placed
+
+    @classmethod
+    def sized(cls, source: BinaryIO, header: StreamHeader,
+              offset: int) -> "_Columns | None":
+        """Empty columns for the records of a v2 ``source`` whose payload
+        starts at ``offset``, or None where ``source`` cannot seek or
+        ``readinto``, or the machine is big-endian (columns are read as
+        they lie in the file).  One pass over the slab headers, seeking
+        over the bodies, sums the records; it stops at the first header
+        ``_v2_slabs`` will refuse, a slab cut short included, so no more
+        is allocated than the source holds."""
+        if header.version != FORMAT_VERSION or sys.byteorder != "little" \
+                or not hasattr(source, "readinto"):
+            return None
+        try:
+            if not source.seekable():
+                return None
+            start = source.tell()
+            end = offset + source.seek(0, io.SEEK_END) - start
+        except (AttributeError, OSError, ValueError):
+            return None
+        n, flags, at = 0, None, offset
+        try:
+            while at < end:
+                source.seek(start + at - offset)
+                _, n_records, flags, size = _slab_header(
+                    source.read(_SLAB_HEADER.size), at, flags, end)
+                n += n_records
+                at += _SLAB_HEADER.size + size
+        except StreamFormatError:
+            pass  # _v2_slabs raises it when it reaches this slab
+        source.seek(start)
+        return cls(np.empty(n, np.uint64), np.empty(n, np.uint16),
+                   np.empty(n, np.float64),
+                   np.empty(n, np.uint32) if flags else None, end)
+
+    def take(self, source: BinaryIO, n_cycles: int, n_records: int,
+             raw: bool, offset: int
+             ) -> tuple[_Slab, Callable[[], np.ndarray]]:
+        """The slab whose body ``source`` reads next, and its fill step.
+
+        The index, counts and pixels are read at once: while the index and
+        counts are checked, they wait in the slab's part of the cycle and
+        time columns.  The fill step, called by the checker once the index
+        passes, builds the cycle column in place of the index and reads the
+        times and raw codes into their columns."""
+        lo, hi = self.filled, self.filled + n_records
+        if hi > len(self.pixel):  # the source changed after it was sized
+            raise StreamFormatError("stream changed while it was read",
+                                    offset=offset)
+        self.filled = hi
+        cycle, time = self.cycle[lo:hi], self.time[lo:hi].view(np.uint64)
+        if n_cycles <= n_records:
+            index, count = cycle[:n_cycles], time.view(np.uint32)[:n_cycles]
+        else:  # cycles without records, which no writer makes
+            index = np.empty(n_cycles, np.uint64)
+            count = np.empty(n_cycles, np.uint32)
+        pixel = self.pixel[lo:hi]
+        codes = self.raw[lo:hi] if raw else None
+        for column in (index, count, pixel):
+            _read_into(source, column, offset)
+
+        def fill() -> np.ndarray:
+            self.last_index = int(index[-1])
+            _fill_cycles(index, count, cycle)
+            _read_into(source, time, offset)
+            if codes is not None:
+                _read_into(source, codes, offset)
+            return cycle
+
+        return _Slab(index, count, pixel, time, codes), fill
+
+    def float_times(self) -> np.ndarray:
+        """The time column, converted from u64 in place, piece by piece."""
+        bits = self.time.view(np.uint64)
+        for lo, hi in _pieces(len(bits)):
+            self.time[lo:hi] = bits[lo:hi]
+        return self.time
+
+
 def _iter_slabs(source: BinaryIO, header: StreamHeader, cycle_count: int,
-                offset: int) -> Iterator[_Slab]:
+                offset: int, into: _Columns | None = None) -> Iterator[_Slab]:
     """The checked slabs of the payload from byte ``offset``; the version
-    chooses only the decoder, which yields ``(slab, where, fault, end)``:
-    ``where`` for ``_check_slab``, a fault of its layout that ends the payload
-    (raised once the slab passes the checker), the byte offset after it."""
-    decode = _v1_slabs if header.version == RECORD_FORMAT_VERSION \
-        else _v2_slabs
+    chooses only the decoder, which yields ``(slab, where, fill, fault,
+    end)``: ``where`` and ``fill`` for ``_check_slab``, a fault of its
+    layout that ends the payload (raised once the slab passes the
+    checker), the byte offset after it.  With ``into``, a v2 decoder puts
+    the slabs' columns in those whole-stream columns."""
+    slabs = _v1_slabs(source, offset) \
+        if header.version == RECORD_FORMAT_VERSION \
+        else _v2_slabs(source, offset, into)
     prev_index, seen = -1, 0
-    for slab, where, fault, offset in decode(source, offset):
+    for slab, where, fill, fault, offset in slabs:
         if len(slab.index):
-            slab = _check_slab(slab, where, header.sensor, prev_index)
-            prev_index = int(slab.index[-1])
-            seen += len(slab.index)
+            # read before the check, whose fill step may overwrite the index
+            last, seen = int(slab.index[-1]), seen + len(slab.index)
+            slab = _check_slab(slab, where, header.sensor, prev_index, fill)
+            prev_index = last
         if fault is not None:
             raise fault
         yield slab
@@ -832,31 +969,74 @@ def _iter_slabs(source: BinaryIO, header: StreamHeader, cycle_count: int,
 
 
 def _check_slab(slab: _Slab, where: Mapping[str, Sequence[int]],
-                sensor: SensorConfig, prev_index: int) -> _Slab:
+                sensor: SensorConfig, prev_index: int,
+                fill: Callable[[], np.ndarray] | None = None) -> _Slab:
     """``slab`` with its cycle column, checked in this order: cycle indices
     strictly increase (from ``prev_index``, or -1), pixels and times lie in
     range, and each cycle's records are sorted by (time, pixel).  The first
     entry that breaks the first broken rule is reported, at the byte offset
-    ``where[column][k]`` of entry ``k`` of its column."""
-    index, pixel, time = slab.index, slab.pixel, slab.time
-    def check(ok, column, cycles, message):
-        if not ok.all():
-            k = int(np.argmin(ok))
-            raise StreamFormatError(message(k), cycle_index=int(cycles[k]),
-                                    offset=int(where[column][k]))
+    ``where[column][k]`` of entry ``k`` of its column.
 
-    check(np.append(int(index[0]) > prev_index, index[1:] > index[:-1]),
-          "index", index, lambda k: "cycle index not strictly increasing")
-    # built after the index check: before it, a v2 read peaked 0.8 MB higher
-    cycle = np.repeat(index, slab.count)
-    check(pixel < sensor.num_pixels, "pixel", cycle,
+    Each rule runs over pieces of ``_PIECE`` entries, the order rule with
+    one record of overlap, so the check holds no per-record array.  The
+    cycle column is built once the index passes: by ``fill()`` where the
+    decoder gives one (``_Columns.take``), else by ``np.repeat``."""
+    index, pixel, time = slab.index, slab.pixel, slab.time
+
+    def check(n, ok, column, cycles, message, first=0):
+        # ``ok(lo, hi)``: the rule on entries first + [lo, hi) of n
+        for lo, hi in _pieces(n):
+            good = ok(lo, hi)
+            if not good.all():
+                k = first + lo + int(np.argmin(good))
+                raise StreamFormatError(
+                    message(k), cycle_index=int(cycles[k]),
+                    offset=int(where[column][k]))
+
+    def increasing(lo, hi):  # entry 0 follows ``prev_index``
+        good = np.empty(hi - lo, dtype=bool)
+        good[0] = int(index[lo]) > (int(index[lo - 1]) if lo else prev_index)
+        np.greater(index[lo + 1:hi], index[lo:hi - 1], out=good[1:])
+        return good
+
+    check(len(index), increasing, "index", index,
+          lambda k: "cycle index not strictly increasing")
+    cycle = np.repeat(index, slab.count) if fill is None else fill()
+    period = np.uint64(sensor.cycle_period_ps)
+    check(len(pixel), lambda lo, hi: pixel[lo:hi] < sensor.num_pixels,
+          "pixel", cycle,
           lambda k: f"corrupt record (pixel {pixel[k]} out of range)")
-    check(time < np.uint64(sensor.cycle_period_ps), "time", cycle,
+    check(len(time), lambda lo, hi: time[lo:hi] < period, "time", cycle,
           lambda k: f"corrupt record (time {time[k]} outside cycle)")
     # A record out of (time, pixel) order is the second of its pair.
-    check(np.append(True, _lex_ordered(cycle, time, pixel)), "time", cycle,
-          lambda k: "records not sorted by (time, pixel)")
+    check(len(pixel) - 1, lambda lo, hi: _lex_ordered(
+        cycle[lo:hi + 1], time[lo:hi + 1], pixel[lo:hi + 1]), "time", cycle,
+          lambda k: "records not sorted by (time, pixel)", first=1)
     return slab._replace(cycle=cycle)
+
+
+def _fill_cycles(index: np.ndarray, count: np.ndarray,
+                 out: np.ndarray) -> None:
+    """``out[:] = np.repeat(index, count)``, made in runs of whole cycles
+    of about ``_PIECE`` records, or one larger cycle, which is filled
+    without a copy.
+
+    ``index`` may be the head of ``out`` when every cycle holds a record:
+    the cycles are placed in pieces from the last back, and the records of
+    cycle k start at or after entry k."""
+    if not count.all():
+        index = index.copy()
+    end = len(out)
+    for a, b in reversed(_pieces(len(index))):
+        values, n = index[a:b].copy(), count[a:b]
+        stops = np.cumsum(n, dtype=np.int64)
+        begin = end - int(stops[-1])
+        starts = stops - n
+        for r0, r1 in _slab_runs(starts, _PIECE):
+            lo, hi = begin + int(starts[r0]), begin + int(stops[r1 - 1])
+            out[lo:hi] = values[r0] if r1 - r0 == 1 \
+                else np.repeat(values[r0:r1], n[r0:r1])
+        end = begin
 
 
 # A v1 record's bytes and the 4 after: ``raw`` is its code if flag bit 0.
@@ -934,51 +1114,72 @@ def _v1_slabs(source: BinaryIO, offset: int) -> Iterator[tuple]:
                      np.frombuffer(count, np.uint32), rows["pixel"],
                      rows["time"], raw),
                {"index": np.frombuffer(heads, np.int64) + offset,
-                "pixel": at, "time": at}, fault, offset + p)
+                "pixel": at, "time": at}, None, fault, offset + p)
         del buf[:p]  # no fault came: ``_iter_slabs`` raises one
         offset += p
 
 
-def _v2_slabs(source: BinaryIO, offset: int) -> Iterator[tuple]:
-    """The v2 payload from byte ``offset``, one slab at a time; the rules on
-    a slab header are checked here, each defect at the header's offset."""
-    first_flags = None
+def _v2_slabs(source: BinaryIO, offset: int,
+              into: _Columns | None = None) -> Iterator[tuple]:
+    """The v2 payload from byte ``offset``, one slab at a time;
+    ``_slab_header`` checks each slab header.  Without ``into``, a slab's
+    columns are views of its body, read into one ``bytes``; with ``into``
+    (a seekable source), they are slices of its whole-stream columns, read
+    by ``into.take`` once the source is known to hold the slab."""
+    first_flags, end = None, None if into is None else into.end
     while head := source.read(_SLAB_HEADER.size):
-        if len(head) < _SLAB_HEADER.size:
-            raise _cut_short("a slab header", offset=offset)
-        n_cycles, n_records, flags = _SLAB_HEADER.unpack(head)
-        if flags & ~_FLAG_RAW:
-            raise StreamFormatError(
-                f"corrupt slab (reserved flag bits 0x{flags:02x})",
-                offset=offset)
-        if first_flags not in (None, flags):
-            raise StreamFormatError("slab raw flag differs from the first "
-                                    "slab's", offset=offset)
+        n_cycles, n_records, flags, size = _slab_header(head, offset,
+                                                        first_flags, end)
         first_flags = flags
-        if n_cycles == 0:
-            raise StreamFormatError("slab holds no cycles", offset=offset)
         # u64 + u32 per cycle; u16 + u64 (+ u32 raw) per record
-        size = 12 * n_cycles + (14 if flags else 10) * n_records
-        body = _read_upto(source, size)
-        if len(body) < size:
-            raise _cut_short("a slab", offset=offset)
-        count = np.frombuffer(body, "<u4", n_cycles, 8 * n_cycles)
-        if (held := int(count.sum(dtype=np.uint64))) != n_records:
+        pixel_at, time_at = 12 * n_cycles, 12 * n_cycles + 2 * n_records
+        raw_at = time_at + 8 * n_records
+        if into is None:
+            body = _read_upto(source, size)
+            if len(body) < size:
+                raise _cut_short("a slab", offset=offset)
+            slab, fill = _Slab(
+                np.frombuffer(body, "<u8", n_cycles),
+                np.frombuffer(body, "<u4", n_cycles, 8 * n_cycles),
+                np.frombuffer(body, "<u2", n_records, pixel_at),
+                np.frombuffer(body, "<u8", n_records, time_at),
+                np.frombuffer(body, "<u4", n_records, raw_at)
+                if flags else None), None
+        else:
+            slab, fill = into.take(source, n_cycles, n_records, flags, offset)
+        if (held := int(slab.count.sum(dtype=np.uint64))) != n_records:
             raise StreamFormatError(
                 f"slab header promises {n_records} records, its cycles hold "
                 f"{held}", offset=offset)
         at = offset + _SLAB_HEADER.size          # where the body starts
-        pixel_at, time_at = 12 * n_cycles, 12 * n_cycles + 2 * n_records
-        raw_at = time_at + 8 * n_records
         offset = at + size
-        yield (_Slab(np.frombuffer(body, "<u8", n_cycles), count,
-                     np.frombuffer(body, "<u2", n_records, pixel_at),
-                     np.frombuffer(body, "<u8", n_records, time_at),
-                     np.frombuffer(body, "<u4", n_records, raw_at)
-                     if flags else None),
-               {"index": range(at, at + pixel_at, 8),
-                "pixel": range(at + pixel_at, at + time_at, 2),
-                "time": range(at + time_at, at + raw_at, 8)}, None, offset)
+        yield (slab, {"index": range(at, at + pixel_at, 8),
+                      "pixel": range(at + pixel_at, at + time_at, 2),
+                      "time": range(at + time_at, at + raw_at, 8)},
+               fill, None, offset)
+
+
+def _slab_header(head: bytes, offset: int, first_flags: int | None,
+                 end: int | None) -> tuple[int, int, int, int]:
+    """(n_cycles, n_records, flags, body size) of the v2 slab header
+    ``head``, read at ``offset``, where each of its defects is reported.
+    With ``end``, the offset at which the source ends, a body that runs
+    past it is cut short here, before any of it is read."""
+    if len(head) < _SLAB_HEADER.size:
+        raise _cut_short("a slab header", offset=offset)
+    n_cycles, n_records, flags = _SLAB_HEADER.unpack(head)
+    if flags & ~_FLAG_RAW:
+        raise StreamFormatError(
+            f"corrupt slab (reserved flag bits 0x{flags:02x})", offset=offset)
+    if first_flags not in (None, flags):
+        raise StreamFormatError("slab raw flag differs from the first "
+                                "slab's", offset=offset)
+    if n_cycles == 0:
+        raise StreamFormatError("slab holds no cycles", offset=offset)
+    size = 12 * n_cycles + (14 if flags else 10) * n_records
+    if end is not None and offset + _SLAB_HEADER.size + size > end:
+        raise _cut_short("a slab", offset=offset)
+    return n_cycles, n_records, flags, size
 
 
 def _cut_short(what: str, **where) -> StreamFormatError:
@@ -1061,6 +1262,17 @@ def _read_exact(source: BinaryIO, n: int, what: str) -> bytes:
 def _read_length_prefixed(source: BinaryIO, what: str) -> bytes:
     (n,) = _U16.unpack(_read_exact(source, 2, what + " length"))
     return _read_exact(source, n, what)
+
+
+def _read_into(source: BinaryIO, out: np.ndarray, offset: int) -> None:
+    """Fill ``out`` with the next bytes of ``source``, as they lie there;
+    a source that ends first cuts the slab at ``offset`` short."""
+    view = memoryview(out).cast("B")
+    while view.nbytes:
+        n = source.readinto(view)
+        if not n:
+            raise _cut_short("a slab", offset=offset)
+        view = view[n:]
 
 
 def _read_upto(source: BinaryIO, n: int) -> bytes:

@@ -208,12 +208,14 @@ def test_calibrate_and_ct_scan_log_fit_stop_reasons(sim_stream_path, tmp_path,
     # ct_scan fits once: the pooled nearest-neighbor histograms
     curve = CtCurve.load(str(tmp_path / "ct.json"))
     (n_pairs, n_pooled, sigma, offset, _chi2_dof, iterations, reason,
-     n_placed, n_null) = logged["ct_scan"]
+     share, n_placed, n_null) = logged["ct_scan"]
     assert n_pairs == len(curve.pairs) == n_placed + n_null
     assert n_pooled == sum(abs(t - s) == 1 for s, t in curve.pairs)
-    assert (sigma, offset, iterations, reason) == (
+    assert (sigma, offset, iterations, reason, share) == (
         curve.shape.sigma_ps, curve.shape.offset_ps,
-        curve.shape.n_iterations, curve.shape.stop_reason)
+        curve.shape.n_iterations, curve.shape.stop_reason,
+        curve.shape.window_share)
+    assert 0.9 < share < 1.0
     assert reason in reasons and 0 < iterations <= MAX_ITERATIONS
     assert n_placed == sum(e.significant for e in curve.estimates)
     (n_pairs, cut_half, by_reason, iterations, passes, by_fit, by_width,

@@ -193,8 +193,10 @@ def test_scan_estimates_equal_the_counting_estimator(caplog):
     assert any(not hist.counts.any() for hist in hists)
     (record,) = caplog.records
     assert record.levelno == logging.INFO
-    assert record.args[-2:] == (placements["matched_filter"],
+    assert record.args[-3:] == (shape.window_share,
+                                placements["matched_filter"],
                                 placements["null_window"])
+    assert f"window share {shape.window_share:.4f};" in record.getMessage()
 
 
 def test_scan_calls_the_solver_once(monkeypatch):

@@ -4,16 +4,19 @@ from __future__ import annotations
 
 import dataclasses
 import io
+import os
 import re
 import struct
+import tempfile
+import threading
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import (random_cycles, random_header, stream_bytes,
-                      with_metadata_entry)
+from conftest import (column_bytes, random_cycles, random_header,
+                      stream_bytes, traced_peak, with_metadata_entry)
 from spadkit import (
     AcquisitionCycle,
     PhotonStream,
@@ -664,6 +667,181 @@ def test_v1_double_defects_same_error_from_both_readers(mutations, match,
     assert_readers_agree(bytes(data))
 
 
+class Pipe:
+    """A source that reads like a pipe: it cannot seek."""
+
+    def __init__(self, data: bytes):
+        self._data = io.BytesIO(data)
+
+    def read(self, n: int = -1) -> bytes:
+        return self._data.read(n)
+
+    def seekable(self) -> bool:
+        return False
+
+
+def read_from_each_source(data, tmp_dir):
+    """``PhotonStream.read`` of ``data`` from a file path, ``io.BytesIO``
+    (both seekable) and a ``Pipe``, or the fields of the error each
+    raises."""
+    path = os.path.join(tmp_dir, "s.spk1")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return [read_outcome(PhotonStream.read, source)
+            for source in (path, io.BytesIO(data), Pipe(data))]
+
+
+# The cycles of SLAB_DEFECTS in one slab.  Offsets count from the payload:
+# slab header at 0, indices at 17, counts 41, pixels 53 (record k's at
+# 53 + 2k), times 61 (record k's at 61 + 8k), the end at 93.
+V2_DOUBLE_DEFECTS = [
+    # each rule runs over the whole slab, piece after piece, in turn
+    ("pixel over time", [put("<Q", 69, SENSOR.cycle_period_ps),
+                         put("<H", 59, SENSOR.num_pixels)], "pixel 256", 8, 59),
+    ("index over order", [put("<Q", 69, 4), put("<Q", 33, 3)],
+     "strictly increasing", 3, 33),
+    ("time over order", [put("<Q", 69, 4),
+                         put("<Q", 85, SENSOR.cycle_period_ps)],
+     "outside cycle", 8, 85),
+    # the first offending entry, whichever piece holds the other
+    ("first of two pixels", [put("<H", 59, SENSOR.num_pixels),
+                             put("<H", 55, SENSOR.num_pixels + 1)],
+     "pixel 257", 0, 55),
+    ("first of two indices", [put("<Q", 33, 0), put("<Q", 25, 0)],
+     "strictly increasing", 0, 25),
+    # the slab's layout comes before its contents
+    ("counts, then pixel", [put("<H", 53, SENSOR.num_pixels),
+                            put("<I", 41, 3)],
+     "promises 4 records, its cycles hold 5", None, 0),
+    ("pixel, then cut", [put("<H", 53, SENSOR.num_pixels), cut(3)],
+     "end of stream while reading a slab", None, 0),
+]
+
+
+@pytest.mark.parametrize("piece", [1, 2])
+@pytest.mark.parametrize("mutations, match, cycle, at",
+                         [case[1:] for case in V2_DOUBLE_DEFECTS],
+                         ids=[case[0] for case in V2_DOUBLE_DEFECTS])
+def test_v2_double_defects_same_error_from_every_source(
+        mutations, match, cycle, at, piece, tmp_path):
+    stream = PhotonStream.from_cycles(HEADER, [
+        AcquisitionCycle(0, (TimestampRecord(1, 5), TimestampRecord(2, 6))),
+        AcquisitionCycle(3, (TimestampRecord(4, 7),)),
+        AcquisitionCycle(8, (TimestampRecord(5, 9),))])
+    good = columnar_bytes(stream)
+    start = payload_offset(good)
+    assert len(good) == start + 93
+    data = bytearray(good)
+    for mutate in mutations:
+        mutate(data, start)
+    with mock.patch.object(timestream, "_PIECE", piece):
+        outcomes = read_from_each_source(bytes(data), tmp_path)
+        assert_readers_agree(bytes(data))
+    message, got_cycle, got_at = outcomes[0]
+    assert re.search(match, message)
+    assert (got_cycle, got_at) == (cycle, start + at)
+    assert outcomes == [outcomes[0]] * 3
+
+
+@pytest.mark.parametrize("slab, claim", [(0, 2**33), (0, 2**61), (1, 3),
+                                         (1, 2**40)])
+def test_slab_claiming_more_records_than_the_file_holds(slab, claim,
+                                                        tmp_path):
+    # the two slabs of SLAB_DEFECTS; each header's n_records at +8
+    good = columnar_bytes(PhotonStream.from_cycles(HEADER, [
+        AcquisitionCycle(0, (TimestampRecord(1, 5), TimestampRecord(2, 6))),
+        AcquisitionCycle(3, (TimestampRecord(4, 7),)),
+        AcquisitionCycle(8, (TimestampRecord(5, 9),))]), slab_records=2)
+    start = payload_offset(good)
+    at = start + (0, 49)[slab]
+    data = bytearray(good)
+    struct.pack_into("<Q", data, at + 8, claim)
+    outcomes, peak = traced_peak(
+        lambda: read_from_each_source(bytes(data), tmp_path))
+    message, cycle, offset = outcomes[0]
+    assert "unexpected end of stream while reading a slab" in message
+    assert (cycle, offset) == (None, at)
+    assert outcomes == [outcomes[0]] * 3
+    assert_readers_agree(bytes(data))
+    assert peak < 1 << 20  # nothing is allocated for the claim
+
+
+def test_read_from_a_pipe_equals_the_read_from_a_file(tmp_path):
+    stream = nonempty_stream(31, raw=True)
+    data = columnar_bytes(stream, slab_records=3)
+    path = tmp_path / "s.spk1"
+    path.write_bytes(data)
+    read, write = os.pipe()
+    writer = threading.Thread(target=lambda: (os.write(write, data),
+                                              os.close(write)))
+    writer.start()
+    with os.fdopen(read, "rb") as pipe:
+        assert not pipe.seekable()
+        piped = PhotonStream.read(pipe)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert_same_stream(piped, PhotonStream.read(str(path)))
+    assert_same_columns(piped, stream)
+
+
+def v2_bytes(slabs):
+    """A v2 file of hand-made plain slabs, each (indices, counts, pixels,
+    times), which may hold cycles without records."""
+    data = bytearray(columnar_bytes(PhotonStream.from_cycles(HEADER, [])))
+    struct.pack_into("<Q", data, len(data) - 8,
+                     sum(len(slab[0]) for slab in slabs))  # cycle count
+    for index, count, pixel, time in slabs:
+        data += struct.pack("<QQB", len(index), len(pixel), 0)
+        for values, dtype in zip((index, count, pixel, time),
+                                 ("<u8", "<u4", "<u2", "<u8")):
+            data += np.array(values, dtype).tobytes()
+    return bytes(data)
+
+
+@pytest.mark.parametrize("piece", [1, timestream._PIECE])
+def test_cycles_without_records_read_from_every_source(piece, tmp_path):
+    # a slab that opens with an empty cycle, so cycle 5's records start
+    # on cycle 2's index entry; then one with more cycles than records,
+    # whose index and counts cannot wait in the columns
+    data = v2_bytes([([0, 2, 5], [0, 1, 3], [3, 1, 2, 2], [10, 5, 9, 12]),
+                     ([6, 7, 9], [0, 1, 0], [4], [8])])
+    want = read_via_stream(data)
+    assert want.cycle_index.tolist() == [2, 5, 5, 5, 7]
+    assert want.total_cycles == 10
+    with mock.patch.object(timestream, "_PIECE", piece):
+        for got in read_from_each_source(data, tmp_path):
+            assert_same_stream(got, want)
+
+
+def sized_stream(n, records_per_cycle, raw, seed):
+    """``n`` random records, about ``records_per_cycle`` to a cycle."""
+    rng = np.random.default_rng(seed)
+    cycle = np.sort(rng.integers(0, int(n / records_per_cycle) + 1, n))
+    time = rng.integers(0, SENSOR.cycle_period_ps, n).astype(np.float64)
+    pixel = rng.integers(0, SENSOR.num_pixels, n).astype(np.uint16)
+    order = timestream.record_order(cycle, time, pixel)
+    return PhotonStream(HEADER, cycle[order].astype(np.uint64), pixel[order],
+                        time[order], rng.integers(0, 140, n, dtype=np.uint32)
+                        if raw else None)
+
+
+@pytest.mark.parametrize("records_per_cycle, raw", [(1.1, False),
+                                                    (3000, True)])
+@pytest.mark.parametrize("slab_records", [None, 50_000])
+def test_read_holds_the_columns_and_a_few_pieces(records_per_cycle, raw,
+                                                 slab_records, tmp_path):
+    # flood-shaped (about one record a cycle) and TDC-shaped (dense raw
+    # cycles) files of several pieces, in one slab and in six
+    stream = sized_stream(300_000, records_per_cycle, raw, seed=35)
+    path = tmp_path / "s.spk1"
+    path.write_bytes(columnar_bytes(stream, slab_records))
+    back, peak = traced_peak(lambda: PhotonStream.read(str(path)))
+    assert_same_columns(back, stream)
+    # measured 5.0 pieces of u64 (one slab, flood-shaped) besides the
+    # columns; the whole-slab read held about twice the columns
+    assert peak - column_bytes(back) <= 8 * 8 * timestream._PIECE
+
+
 # ---------------------------------------------------------------------------
 # properties
 
@@ -711,6 +889,24 @@ def test_property_columnar_roundtrip_bit_identical(cycles, slab_records):
     assert_same_columns(back, stream)
     assert_readers_agree(data)
     assert columnar_bytes(back, slab_records) == data
+
+
+@settings(max_examples=100, deadline=None)
+@given(cycles_strategy(), st.booleans(), st.sampled_from([1, 3, None]),
+       st.sampled_from([1, 3, timestream._PIECE]))
+def test_property_read_equal_from_every_source(cycles, v1, slab_records,
+                                               piece):
+    """Version 1 and 2, plain and raw (or both, in v1), one slab and many:
+    a file path, ``io.BytesIO`` and a pipe give the same columns, those
+    of the record-model reader, with the same dtypes."""
+    stream = PhotonStream.from_cycles(HEADER, cycles)
+    data = stream_bytes(HEADER, cycles) if v1 \
+        else columnar_bytes(stream, slab_records)
+    want = read_via_stream(data)
+    with mock.patch.object(timestream, "_PIECE", piece), \
+            tempfile.TemporaryDirectory() as tmp:
+        for got in read_from_each_source(data, tmp):
+            assert_same_stream(got, want)
 
 
 @settings(max_examples=150, deadline=None)
