@@ -250,7 +250,10 @@ def _count_pairs(stream, codes, cube, window_ps, bin_width_ps) -> None:
         keep = wanted[stream.pixel[chunk]]
         t, pix = stream.time_ps[chunk], stream.pixel[chunk]
         if not keep.all():
-            cyc, t, pix = cyc[keep], t[keep], pix[keep]
+            # an integer gather: at a scan's kept fractions a boolean
+            # index is several times slower
+            kept = np.flatnonzero(keep)
+            cyc, t, pix = cyc[kept], t[kept], pix[kept]
         if len(cyc):
             _count_chunk(cyc, t, pix, lookup, cube, window_ps, bin_width_ps)
         start = stop

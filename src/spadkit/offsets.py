@@ -18,8 +18,9 @@ Each pair's peak is placed by the cross-talk peak front end that
 holds the most counts of the pair's whole +-25 ns histogram.  Only a cut
 of +-``CUT_HALF_PS`` around that bin is fitted.  Every cut has the same
 number of bins, so the cuts share one grid of offsets from their first
-bin and one batched ``fit_gaussians`` run fits them all; each fitted
-center is then moved back by its cut's place.  A cut near an edge of the
+bin, and their counts go straight to one batched solver run, as one
+array with its Poisson weights; each fitted center is then moved back by
+its cut's place.  A cut near an edge of the
 histogram is moved inside it rather than shortened.
 
 A pair is valid only when three tests pass:
@@ -56,8 +57,9 @@ from .coincidence import DEFAULT_WINDOW_PS, DeltaHistogram, pair_histograms
 from .documents import (Document, as_bool, as_count, as_float, decode_fields,
                         field_dict)
 from .errors import CalibrationError, DataError, FitError
-from .peakfit import (_box_peaks, _clears_noise, _cumulative, _window_counts,
-                      fit_gaussians)
+from .peakfit import (_box_peaks, _clears_noise, _cumulative,
+                      _single_peak_fits, _window_counts)
+from .rates import _median
 from .timestream import PhotonStream, record_order
 
 logger = logging.getLogger(__name__)
@@ -205,16 +207,16 @@ def _measure(hists) -> list[OffsetMeasurement]:
         cum, start[:, None] + np.arange(width + 1), axis=1), axis=1)
     # The cut's window is half its span less a part in 1e12, so that
     # n_bins cannot round it up to one bin more.
-    grid = DeltaHistogram(pixel_a=0, pixel_b=1,
-                          window_ps=0.5 * width * bin_width * (1 - 1e-12),
-                          bin_width_ps=bin_width,
-                          counts=np.zeros(width, dtype=np.int64),
-                          total_pairs=0)
-    fits = fit_gaussians(
-        replace(grid, pixel_a=a, pixel_b=b, counts=cut,
-                total_pairs=int(cut.sum()))
-        for (a, b), cut in zip(pairs, cuts))
+    cut_x = DeltaHistogram(pixel_a=0, pixel_b=1,
+                           window_ps=0.5 * width * bin_width * (1 - 1e-12),
+                           bin_width_ps=bin_width,
+                           counts=np.zeros(width, dtype=np.int64),
+                           total_pairs=0).bin_centers
+    # the cuts' counts with Poisson weights, as fit_gaussians fits them
+    y = cuts.astype(np.float64)
     del cuts
+    fits = _single_peak_fits(cut_x, y, 1.0 / np.maximum(y, 1.0))
+    del y
 
     fitted = np.array([not isinstance(fit, FitError) and fit.significant
                        and math.isfinite(fit.center_err_ps) for fit in fits])
@@ -222,7 +224,7 @@ def _measure(hists) -> list[OffsetMeasurement]:
                        for fit, ok in zip(fits, fitted)])
     centers = np.array([fit.center_ps if ok else 0.0
                         for fit, ok in zip(fits, fitted)])
-    centers += x[start] - grid.bin_centers[0]
+    centers += x[start] - cut_x[0]
     narrow = sigmas <= MAX_SIGMA_PS
     clear = _clears_noise(*_window_counts(cum, x, centers, sigmas)[2:])
     valid = fitted & narrow & clear
@@ -241,12 +243,16 @@ def _measure(hists) -> list[OffsetMeasurement]:
             valid=bool(valid[k])))
     # A batched run takes as many passes as its longest fit iterates.
     iterations = [fit.n_iterations for fit in fits]
+    chi2_dof = [fit.chi2 / fit.dof for fit in fits
+                if not isinstance(fit, FitError)]
     logger.info("measure_offsets: %d adjacent pairs, cut +-%d bins, fit "
-                "stop reasons %s, %d solver iterations in %d batched passes; "
-                "refused %d by the fit, %d by the width guard, %d by the "
-                "sideband test", len(out), width // 2,
-                dict(reasons.most_common()),
-                sum(iterations), max(iterations), int((~fitted).sum()),
+                "stop reasons %s, chi2/dof median %.3g max %.3g, %d solver "
+                "iterations in %d batched passes; refused %d by the fit, %d "
+                "by the width guard, %d by the sideband test", len(out),
+                width // 2, dict(reasons.most_common()),
+                float(_median(np.array(chi2_dof))) if chi2_dof else math.nan,
+                max(chi2_dof, default=math.nan), sum(iterations),
+                max(iterations), int((~fitted).sum()),
                 int((fitted & ~narrow).sum()),
                 int((fitted & narrow & ~clear).sum()))
     return out

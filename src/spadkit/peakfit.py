@@ -15,13 +15,19 @@ There is one solver, and it is batched: it fits B histograms that share a
 grid together, stacking their residuals, Jacobians and normal equations,
 while each fit keeps its own damping, accept/reject decisions, iteration
 count and ending.  ``fit_gaussians`` fits a whole scan's histograms in one
-call (``measure_offsets`` fits its pairs' cuts, ``ct_scan`` its pooled
-shape); the single-histogram functions are batches of one.  A fit comes
-out bit for bit the same alone or in any batch: the stacked ``matmul``,
-``solve`` and ``eigh`` calls and row sums make the same floating-point
-operations per fit as their 2-D forms (``einsum`` would not).  The fits
-run in blocks of ``BLOCK_FITS``, so the block's (fits, n, P) Jacobian
-stays small, and a fit whose linear system is singular fails alone.
+call (``measure_offsets`` hands its pairs' cuts to the batched core
+directly, ``ct_scan`` fits its pooled shape); the single-histogram
+functions are batches of one.  A fit comes out bit for bit the same alone
+or in any batch: the stacked ``matmul``, ``solve`` and ``eigh`` calls and
+row sums make the same floating-point operations per fit as their 2-D
+forms (``einsum`` would not).  The fits run in blocks sized by bins, at
+most ``BLOCK_BINS`` (fits times bins per fit), so a block's (fits, n, P)
+Jacobian stays a few MB: 32 fits of 2,800 bins, or all 255 cuts of 81
+bins of a delay calibration in one block.  A fit whose linear system is
+singular fails alone.  The work per fit outside the stacked calls is
+done for all fits at once too: the seeds (median, peak and half-maximum
+width) row-wise, and the covariances of all converged fits in one stacked
+``eigh`` and ``matmul`` once the last fit has ended.
 
 Both cross-talk calibrations find their peaks through one front end that
 fits nothing: ``_box_peaks`` places each histogram's peak with a box
@@ -81,9 +87,10 @@ LAMBDA_MAX = 1e12
 SIGNIFICANCE_SIGMAS = 3.0
 # A peak is evaluated where |x - mu| <= SUPPORT_SIGMAS * |sigma|.
 SUPPORT_SIGMAS = 40.0
-# The solver runs its fits in blocks of at most this many, so a block's
-# (fits, n, P) Jacobian stays a few MB however many fits a scan holds.
-BLOCK_FITS = 32
+# The solver runs its fits in blocks of at most this many bins (fits times
+# bins per fit), so a block's (fits, n, P) Jacobian stays a few MB however
+# many fits a scan holds.
+BLOCK_BINS = 32 * 2800
 
 # Width of the box filter that places a cross-talk peak before any fit
 # knows its sigma.
@@ -326,14 +333,16 @@ def _levmar(x, y, weights, p0, *, lower, upper) -> list:
 
     Every fit keeps its own damping, steps and ending, and comes out bit
     for bit as it would alone: a pass runs one iteration of every fit
-    still active, in blocks of at most ``BLOCK_FITS`` fits.  A fit's
+    still active, in blocks of at most ``BLOCK_BINS`` bins.  A fit's
     trial evaluates its peaks once; an accepted trial's residual and peak
     values then give its Jacobian and normal equations without another
-    ``exp``, and the last normal matrix gives its covariance.
+    ``exp``.  Once every fit has ended, the converged fits' last normal
+    matrices give their covariances in one stacked call.
     """
     gaussians = _Gaussians(x)
     p = np.clip(np.array(p0, dtype=np.float64), lower, upper)
     n_fits, n_par = p.shape
+    block = _block_fits(gaussians.n)
     chi2 = np.empty(n_fits)
     normal = np.empty((n_fits, n_par, n_par))
     grad = np.empty((n_fits, n_par))
@@ -345,7 +354,7 @@ def _levmar(x, y, weights, p0, *, lower, upper) -> list:
     done = np.zeros(n_fits, dtype=bool)
     # J and J * W of one block: zero but for J's column 0 of ones, and for
     # the support entries each use writes and then sets back to 0.0.
-    shape = (min(n_fits, BLOCK_FITS), gaussians.n, n_par)
+    shape = (min(n_fits, block), gaussians.n, n_par)
     jac_block, jw_block = np.zeros(shape), np.zeros(shape)
     jac_block[:, :, 0] = 1.0
     jac_columns, jw_columns = _columns(jac_block), _columns(jw_block)
@@ -396,13 +405,16 @@ def _levmar(x, y, weights, p0, *, lower, upper) -> list:
                           n_iterations=passes)
         done[i] = True
 
+    converged = []
+
     def converge(i, reason):
-        out[i] = (p[i].copy(), _gauss_newton_covariance(normal[i]),
-                  float(chi2[i]), passes, reason)
+        # the covariance comes once every fit has ended
+        out[i] = (p[i].copy(), None, float(chi2[i]), passes, reason)
+        converged.append(i)
         done[i] = True
 
-    for start in range(0, n_fits, BLOCK_FITS):
-        rows = np.arange(start, min(start + BLOCK_FITS, n_fits))
+    for start in range(0, n_fits, block):
+        rows = np.arange(start, min(start + block, n_fits))
         chi2[rows], w, r, peaks = trial(rows, p[rows])
         finite = np.isfinite(chi2[rows])
         if not finite.all():
@@ -426,9 +438,9 @@ def _levmar(x, y, weights, p0, *, lower, upper) -> list:
                 fail(i, "normal equations singular", "singular")
             todo, steps = active[solved], steps[solved]
 
-        for start in range(0, len(todo), BLOCK_FITS):
-            rows = todo[start:start + BLOCK_FITS]
-            step = steps[start:start + BLOCK_FITS]
+        for start in range(0, len(todo), block):
+            rows = todo[start:start + block]
+            step = steps[start:start + block]
             p_new = np.clip(p[rows] + step, lower[rows], upper[rows])
             chi2_new, w, r, peaks = trial(rows, p_new)
             chi2_old = chi2[rows]
@@ -475,7 +487,15 @@ def _levmar(x, y, weights, p0, *, lower, upper) -> list:
                 fail(i, f"fit did not converge in {MAX_ITERATIONS} "
                         "iterations", "max_iterations")
         active = active[~done[active]]
+    if converged:
+        for i, cov in zip(converged, _covariances(normal[converged])):
+            out[i] = (out[i][0], cov, *out[i][2:])
     return out
+
+
+def _block_fits(n_bins) -> int:
+    """How many fits of ``n_bins`` bins a block of ``BLOCK_BINS`` holds."""
+    return max(BLOCK_BINS // max(n_bins, 1), 1)
 
 
 def _damped_steps(normal, grad, lam):
@@ -500,6 +520,23 @@ def _damped_steps(normal, grad, lam):
             except np.linalg.LinAlgError:
                 solved[i] = False
         return steps, solved
+
+
+def _covariances(normals):
+    """``_gauss_newton_covariance`` of each of the stacked normal matrices,
+    bit for bit: one stacked ``eigh`` and ``matmul`` make the same
+    operations per matrix as their 2-D forms.  A rank-deficient matrix
+    takes the per-matrix path, which marks its unconstrained directions
+    infinite."""
+    vals, vecs = np.linalg.eigh(normals)
+    tol = np.maximum(np.maximum.reduce(vals, axis=1), 0.0) * 1e-12
+    good = vals > tol[:, None]
+    inv_vals = np.zeros_like(vals)
+    inv_vals[good] = 1.0 / vals[good]
+    covs = np.matmul(vecs * inv_vals[:, None, :], vecs.transpose(0, 2, 1))
+    for k in np.flatnonzero(~good.all(axis=1)):
+        covs[k] = _gauss_newton_covariance(normals[k])
+    return covs
 
 
 def _gauss_newton_covariance(normal):
@@ -587,36 +624,45 @@ def _fit_arrays(hist: DeltaHistogram):
     return x, y, weights
 
 
-def _single_peak_seed(x, y, order=None):
-    """(bg, amp, mu, sigma) seed, the same for any order of the points:
-    the argmax tie-break and the FWHM walk run in x's stable ascending
-    ``order`` (computed here unless the caller shares it)."""
-    if order is None:
-        order = np.argsort(x, kind="stable")
-    x, y = x[order], y[order]
-    bg = float(_median(y))
-    peak = int(np.argmax(y))
-    amp = float(y[peak] - bg)
-    mu = float(x[peak])
-    sigma = _fwhm_sigma(x, y, bg, amp, peak)
-    return np.array([bg, amp, mu, sigma])
+def _single_peak_seeds(x, y, order):
+    """The (bg, amp, mu, sigma) seed of each row of ``y`` on the grid
+    ``x``, shape (B, 4), the same for any order of the points: the argmax
+    tie-break and the FWHM walk run in x's stable ascending ``order``.
 
-
-def _fwhm_sigma(x, y, bg, amp, peak):
-    """Sigma seed from the full width at half maximum of the contiguous
-    run around the peak bin (stray bins elsewhere must not widen it).
-    ``x`` must ascend."""
-    spacing = float(x[1] - x[0]) if len(x) > 1 else 1.0
-    if amp <= 0:
-        return spacing
-    half = bg + 0.5 * amp
-    i = j = peak
-    while i > 0 and y[i - 1] >= half:
-        i -= 1
-    while j < len(y) - 1 and y[j + 1] >= half:
-        j += 1
-    fwhm = float(x[j] - x[i]) + spacing
-    return max(fwhm / 2.355, spacing / 2.355, 1e-9)
+    bg is the row's median and the peak its largest bin.  Sigma comes from
+    the full width at half maximum of the contiguous run of bins at or
+    above half maximum around the peak bin (stray bins elsewhere must not
+    widen it; a NaN ends the run), or is one bin spacing without a peak
+    above the median.  The rows go in blocks of ``BLOCK_BINS`` bins, as
+    the solver's do."""
+    n = len(x)
+    block = _block_fits(n)
+    x = x[order]
+    spacing = float(x[1] - x[0]) if n > 1 else 1.0
+    at = np.arange(n)
+    out = np.empty((len(y), 4))
+    for start in range(0, len(y), block):
+        rows = y[start:start + block]
+        bg = _median(rows)
+        rows = rows[:, order]
+        peak = np.argmax(rows, axis=1)
+        amp = np.take_along_axis(rows, peak[:, None], axis=1)[:, 0] - bg
+        ends = ~(rows >= (bg + 0.5 * amp)[:, None])
+        # the run's first bin follows the last end left of the peak, its
+        # last bin precedes the first end right of it
+        left = ends & (at < peak[:, None])
+        first = np.where(left.any(axis=1),
+                         n - np.argmax(left[:, ::-1], axis=1), 0)
+        right = ends & (at > peak[:, None])
+        last = np.where(right.any(axis=1), np.argmax(right, axis=1) - 1,
+                        n - 1)
+        # max(fwhm / 2.355, spacing / 2.355, 1e-9) as Python's max takes it
+        sigma = (x[last] - x[first] + spacing) / 2.355
+        for floor in (spacing / 2.355, 1e-9):
+            sigma = np.where(floor > sigma, floor, sigma)
+        out[start:start + block] = np.stack(
+            [bg, amp, x[peak], np.where(amp <= 0, spacing, sigma)], axis=1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -757,9 +803,7 @@ def _single_peak_fits(x, y, weights, center_bounds=None) -> list:
     if flat.any():
         y, weights = y[rows], weights[rows]
 
-    order = np.argsort(x, kind="stable")
-    p0 = np.array([_single_peak_seed(x, y_k, order)
-                   for y_k in y]).reshape(-1, 4)
+    p0 = _single_peak_seeds(x, y, np.argsort(x, kind="stable"))
     lower = np.tile([-np.inf, -np.inf, -np.inf, 1e-9], (len(rows), 1))
     upper = np.full((len(rows), 4), np.inf)
     if center_bounds is not None:
@@ -844,10 +888,9 @@ def _two_peak_fits(x, y, weights, hints) -> list:
     lower = np.tile([-np.inf, -np.inf, -np.inf, 1e-9, -np.inf, -np.inf, 1e-9],
                     (len(rows), 1))
     upper = np.full((len(rows), 7), np.inf)
-    order = np.argsort(x, kind="stable")
-    for k, i in enumerate(rows):
+    seeds = _single_peak_seeds(x, y[rows], np.argsort(x, kind="stable"))
+    for k, (i, (bg0, a1, mu1, s1)) in enumerate(zip(rows, seeds)):
         hint = hints[i]
-        bg0, a1, mu1, s1 = _single_peak_seed(x, y[i], order)
         resid = y[i] - gauss_model(x, np.array([bg0, a1, mu1, s1]))
         mu2, a2 = _second_peak_seed(x, resid, mu1, hint)
         p0[k] = [bg0, a1, mu1, s1, max(a2, 0.05 * a1), mu2, s1]

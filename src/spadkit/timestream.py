@@ -1017,25 +1017,27 @@ def _check_slab(slab: _Slab, where: Mapping[str, Sequence[int]],
 
 def _fill_cycles(index: np.ndarray, count: np.ndarray,
                  out: np.ndarray) -> None:
-    """``out[:] = np.repeat(index, count)``, made in runs of whole cycles
-    of about ``_PIECE`` records, or one larger cycle, which is filled
-    without a copy.
+    """``out[:] = np.repeat(index, count)``, made as a prefix sum in pieces
+    of ``_PIECE`` cycles: a piece's records are zeroed, its first cycle's
+    index and the steps to each next index are put at each cycle's first
+    record, and ``np.cumsum`` runs in place.
 
-    ``index`` may be the head of ``out`` when every cycle holds a record:
-    the cycles are placed in pieces from the last back, and the records of
-    cycle k start at or after entry k."""
+    ``index`` may be the head of ``out``: cycles without records are
+    dropped into a copy first, so the records of cycle k start at or after
+    entry k, and the pieces are placed from the last back."""
     if not count.all():
-        index = index.copy()
+        kept = count > 0
+        index, count = index[kept], count[kept]
     end = len(out)
     for a, b in reversed(_pieces(len(index))):
         values, n = index[a:b].copy(), count[a:b]
         stops = np.cumsum(n, dtype=np.int64)
         begin = end - int(stops[-1])
-        starts = stops - n
-        for r0, r1 in _slab_runs(starts, _PIECE):
-            lo, hi = begin + int(starts[r0]), begin + int(stops[r1 - 1])
-            out[lo:hi] = values[r0] if r1 - r0 == 1 \
-                else np.repeat(values[r0:r1], n[r0:r1])
+        piece = out[begin:end]
+        piece[:] = 0
+        piece[stops[:-1]] = np.diff(values)
+        piece[0] = values[0]
+        np.cumsum(piece, out=piece)
         end = begin
 
 

@@ -218,12 +218,14 @@ def test_calibrate_and_ct_scan_log_fit_stop_reasons(sim_stream_path, tmp_path,
     assert 0.9 < share < 1.0
     assert reason in reasons and 0 < iterations <= MAX_ITERATIONS
     assert n_placed == sum(e.significant for e in curve.estimates)
-    (n_pairs, cut_half, by_reason, iterations, passes, by_fit, by_width,
+    (n_pairs, cut_half, by_reason, median_chi2_dof, max_chi2_dof,
+     iterations, passes, by_fit, by_width,
      by_sideband) = logged["measure_offsets"]
     assert n_pairs == 255
     # +-700 ps in bins of the mean TDC bin, 2500/140 ps
     assert cut_half == 40
     assert sum(by_reason.values()) == n_pairs and set(by_reason) <= reasons
+    assert 0.0 <= median_chi2_dof <= max_chi2_dof
     _check_solver_work(by_reason, iterations, passes)
     n_invalid, n_pairs, fraction = logged["calibrate"]
     assert n_pairs == 255 and 0 <= n_invalid <= n_pairs

@@ -6,6 +6,7 @@ import io
 import json
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import column_bytes, traced_peak
 from spadkit import (CalibrationError, DataError, FitError, PhotonStream,
-                     SensorConfig, StreamFormatError, offsets)
+                     SensorConfig, StreamFormatError, offsets, peakfit)
 from spadkit.coincidence import (DEFAULT_WINDOW_PS, DeltaHistogram,
                                  build_histogram, pair_histograms)
 from spadkit.offsets import (
@@ -220,6 +221,28 @@ def test_correction_closes_the_loop(calibrated_scenario):
     assert rms <= 50.0
 
 
+def test_stacked_covariances_equal_per_fit_on_the_flood_fits(
+        calibrated_scenario, monkeypatch):
+    # The normal matrices of the 510 cut fits of a flood calibration and
+    # its closure, as the solver hands them to the stacked covariance.
+    stream, _truth = calibrated_scenario
+    normals = []
+    stacked = peakfit._covariances
+
+    def capture(batch):
+        normals.extend(batch.copy())
+        return stacked(batch)
+
+    monkeypatch.setattr(peakfit, "_covariances", capture)
+    vec = solve_delays(measure_offsets(stream))
+    measure_offsets(apply_delays(stream, vec))
+    normals = np.array(normals)
+    assert len(normals) == 2 * (len(vec) - 1)
+    np.testing.assert_array_equal(
+        stacked(normals),
+        [peakfit._gauss_newton_covariance(n) for n in normals])
+
+
 def test_pair_only_correction_matches_whole_stream(calibrated_scenario):
     # The command line corrects only the pair's records when it has one.
     stream, _truth = calibrated_scenario
@@ -250,19 +273,10 @@ def test_dead_pixel_invalidates_its_two_pairs(calibrated_scenario):
     assert not vec.degraded
 
 
-def _fit_one_by_one(hists):
-    out = []
-    for hist in hists:
-        try:
-            out.append(fit_gaussian(hist))
-        except FitError as exc:
-            out.append(exc)
-    return out
-
-
 def test_batched_fits_measure_what_single_fits_measure(monkeypatch, caplog):
     # A small seeded flood with one dead pixel and a dim stretch, so the
-    # batch holds fits that converge, fail and meet empty histograms.
+    # batch holds fits that converge, fail and meet empty histograms.  The
+    # reference fits each cut alone, as a histogram of the cut's grid.
     rng = np.random.default_rng(31)
     config = SimConfig(
         sensor=SensorConfig(num_pixels=48), seed=31, duration_s=4.0,
@@ -272,14 +286,35 @@ def test_batched_fits_measure_what_single_fits_measure(monkeypatch, caplog):
         delays_ps=tuple(rng.uniform(-3000.0, 3000.0, 48)))
     stream, _truth = simulate(config)
     stream = stream.take(stream.pixel != 12)
+    bin_width = stream.sensor.mean_bin_width_ps
+    alone = []
+
+    def fit_one_by_one(x, y, weights):
+        cut = DeltaHistogram(0, 1, 0.5 * len(x) * bin_width * (1 - 1e-12),
+                             bin_width, np.zeros(len(x), dtype=np.int64), 0)
+        assert np.array_equal(x, cut.bin_centers)
+        assert np.array_equal(weights, 1.0 / np.maximum(y, 1.0))
+        for row in y:
+            counts = row.astype(np.int64)
+            try:
+                alone.append(fit_gaussian(replace(
+                    cut, counts=counts, total_pairs=int(counts.sum()))))
+            except FitError as exc:
+                alone.append(exc)
+        return alone
+
     caplog.set_level(logging.INFO, logger="spadkit.offsets")
     batched = measure_offsets(stream)
-    monkeypatch.setattr(offsets, "fit_gaussians", _fit_one_by_one)
+    monkeypatch.setattr(offsets, "_single_peak_fits", fit_one_by_one)
     one_by_one = measure_offsets(stream)
     assert repr(batched) == repr(one_by_one)
     first, second = (r.getMessage() for r in caplog.records)
     assert first == second
     assert "empty_histogram" in first and 0 < invalid_fraction(batched) < 1
+    # the line reports the median and largest chi2/dof of the cut fits
+    chi2_dof = [f.chi2 / f.dof for f in alone if not isinstance(f, FitError)]
+    assert caplog.records[0].args[3:5] == (np.median(chi2_dof),
+                                           max(chi2_dof))
 
 
 def test_dark_only_stream_has_no_valid_pairs():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from spadkit import DataError, FitError, peakfit
 from spadkit.coincidence import DeltaHistogram, normalize_histogram
 from spadkit.peakfit import (
@@ -316,6 +317,32 @@ def test_fit_documents_carry_the_stop_reason():
         assert fit.stop_reason in CONVERGED
 
 
+def _loop_seed(x, y):
+    """The seed rule one row at a time, walking the FWHM bin by bin: the
+    reference for the row-wise ``_single_peak_seeds``."""
+    order = np.argsort(x, kind="stable")
+    x, y = x[order], y[order]
+    bg = float(np.median(y))
+    peak = int(np.argmax(y))
+    amp = float(y[peak] - bg)
+    spacing = float(x[1] - x[0]) if len(x) > 1 else 1.0
+    if amp <= 0:
+        return np.array([bg, amp, float(x[peak]), spacing])
+    half = bg + 0.5 * amp
+    i = j = peak
+    while i > 0 and y[i - 1] >= half:
+        i -= 1
+    while j < len(y) - 1 and y[j + 1] >= half:
+        j += 1
+    fwhm = float(x[j] - x[i]) + spacing
+    return np.array([bg, amp, float(x[peak]),
+                     max(fwhm / 2.355, spacing / 2.355, 1e-9)])
+
+
+def _seed_rows(x, y):
+    return peakfit._single_peak_seeds(x, y, np.argsort(x, kind="stable"))
+
+
 def test_seed_and_fit_do_not_depend_on_point_order():
     # 60 seeded single peaks on 201 bins, fitted in order and permuted:
     # the seed reads x in ascending order, so both fits start from the
@@ -328,9 +355,8 @@ def test_seed_and_fit_do_not_depend_on_point_order():
                           10 ** rng.uniform(1.5, 3.2)])
         y = rng.poisson(gauss_model(X, truth)).astype(float)
         perm = rng.permutation(len(X))
-        np.testing.assert_array_equal(
-            peakfit._single_peak_seed(X[perm], y[perm]),
-            peakfit._single_peak_seed(X, y))
+        np.testing.assert_array_equal(_seed_rows(X[perm], y[perm][None]),
+                                      _seed_rows(X, y[None]))
         in_order, permuted = (_outcome(fit_peak, (X, y), {}),
                               _outcome(fit_peak, (X[perm], y[perm]), {}))
         failed = isinstance(in_order, FitError)
@@ -338,6 +364,58 @@ def test_seed_and_fit_do_not_depend_on_point_order():
         if not failed:
             assert abs(permuted.center_ps - in_order.center_ps) \
                 <= 1e-3 * bin_width, seed
+
+
+def _seed_corpus():
+    """Rows on the 201-bin grid ``X`` for the seed oracle: seeded peaks,
+    rows without a peak above the median (amp <= 0), peaks in the first or
+    last bin and runs that reach an edge, ties for the maximum, NaN and
+    infinite bins, and a peak only one bin wide."""
+    rows = []
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        truth = np.array([rng.uniform(2, 60), rng.uniform(20, 600),
+                          rng.uniform(-8000, 8000),
+                          10 ** rng.uniform(1.5, 3.2)])
+        rows.append(rng.poisson(gauss_model(X, truth)).astype(float))
+    n = len(X)
+    rows.append(np.full(n, 7.0))
+    rows.append(np.where(np.arange(n) % 3 == 0, 2.0, 9.0))   # max == median
+    rows.append(np.where(np.arange(n) < 5, 0.0, 4.0))
+    for at in (0, n - 1):
+        for reach in (1, 4, n // 2):
+            row = np.full(n, 3.0)
+            row[slice(0, reach) if at == 0 else slice(n - reach, n)] = 50.0
+            row[at] = 80.0
+            rows.append(row)
+    ties = np.full(n, 1.0)
+    ties[[40, 41, 42, 150, 151]] = 30.0
+    rows.append(ties)
+    spike = np.full(n, 2.0)
+    spike[77] = 500.0
+    rows.append(spike)
+    for bad in (np.nan, np.inf, -np.inf):
+        row = rows[0].copy()
+        row[100] = bad
+        rows.append(row)
+        row = rows[0].copy()
+        row[int(np.argmax(row)) + 1] = bad   # inside the half-maximum run
+        rows.append(row)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "permuted"])
+def test_row_wise_seeds_equal_the_loop_seed(order):
+    y = _seed_corpus()
+    perm = {"ascending": np.arange(len(X)),
+            "descending": np.arange(len(X))[::-1],
+            "permuted": np.random.default_rng(4).permutation(len(X))}[order]
+    with np.errstate(all="ignore"):
+        got = _seed_rows(X[perm], y[:, perm])
+        want = np.array([_loop_seed(X[perm], row[perm]) for row in y])
+    np.testing.assert_array_equal(got, want)
+    assert (want[:, 1] <= 0).sum() >= 3
+    assert {X[0], X[-1]} <= set(want[:, 2])
 
 
 def test_flat_fit_reads_the_grid_in_ascending_order():
@@ -604,13 +682,13 @@ def _batch_row(func, args, kwargs):
     return "two", x, y, weights, args[1]
 
 
-@pytest.mark.parametrize("block", [peakfit.BLOCK_FITS, 4])
+@pytest.mark.parametrize("block", [peakfit.BLOCK_BINS // 2800, 4, "all"])
 def test_batches_on_one_grid_equal_the_reference(monkeypatch,
                                                  reference_outcomes, block):
     # The cases grouped by model and grid, each group fitted as one batch,
-    # so fits of every ending share the solver's passes and blocks (with
-    # small blocks, many of them).
-    monkeypatch.setattr(peakfit, "BLOCK_FITS", block)
+    # so fits of every ending share the solver's passes and blocks: blocks
+    # of the default budget of bins, blocks of 4 fits (many of them), or
+    # one block holding every fit of the group.
     cases = _fit_cases()
     groups = {}
     for k, case in enumerate(cases):
@@ -621,6 +699,9 @@ def test_batches_on_one_grid_equal_the_reference(monkeypatch,
         for (kind, _grid), members in groups.items():
             ks, rows = zip(*members)
             x = rows[0][1]
+            if block != peakfit.BLOCK_BINS // 2800:
+                fits = len(members) if block == "all" else block
+                monkeypatch.setattr(peakfit, "BLOCK_BINS", fits * len(x))
             y = np.array([row[2] for row in rows])
             weights = np.array([row[3] for row in rows])
             extra = [row[4] for row in rows]
@@ -757,6 +838,47 @@ def test_rare_endings_in_a_batch_leave_their_neighbors_alone(monkeypatch):
         assert np.array_equal(got.covariance, want.covariance)
         assert (got.chi2, got.n_iterations, got.stop_reason) \
             == (want.chi2, want.n_iterations, want.stop_reason)
+
+
+def test_stacked_covariances_take_the_per_fit_path_when_rank_deficient():
+    # Normal matrices of Jacobians with a dead column, two equal columns,
+    # no weight at all and a direction below the eigenvalue cut, stacked
+    # between full-rank ones: each comes out as it does alone, the
+    # unconstrained directions infinite.
+    rng = np.random.default_rng(21)
+    jacs = [rng.normal(size=(81, 4)) for _ in range(6)]
+    jacs[1][:, 2] = 0.0
+    jacs[2][:, 3] = jacs[2][:, 1]
+    jacs[3][:] = 0.0
+    jacs[4][:, 0] *= 1e-9
+    normals = np.array([j.T @ j for j in jacs])
+    got = peakfit._covariances(normals)
+    for k, normal in enumerate(normals):
+        np.testing.assert_array_equal(
+            got[k], peakfit._gauss_newton_covariance(normal))
+    assert [bool(np.isinf(c).any()) for c in got] == [
+        False, True, True, True, True, False]
+
+
+def test_fit_gaussians_memory_is_that_of_a_solver_block():
+    # 255 histograms of 2,800 bins, as a full-window scan fits them: the
+    # peak is the data and weights of every fit, the two Jacobian blocks
+    # and the trial arrays of a block (21.6 MB with numpy 2.4.6).  Seeds
+    # taken over every row at once add copies of the data and break the
+    # bound.
+    n, fits = 2800, 255
+    x = -25_000.0 + 50_000.0 / n * (np.arange(n) + 0.5)
+    rng = np.random.default_rng(8)
+    hists = [DeltaHistogram(k, k + 1, 25_000.0, 50_000.0 / n, row,
+                            int(row.sum()))
+             for k, row in enumerate(rng.poisson(gauss_model(x, np.array(
+                 [3.0, 200.0, rng.uniform(-5000, 5000), 63.0])), (fits, n)))]
+    peakfit.fit_gaussians(hists[:2])
+    result, peak = traced_peak(lambda: peakfit.fit_gaussians(hists))
+    assert len(result) == fits
+    block = peakfit.BLOCK_BINS // n * n * 8
+    data = fits * n * 8
+    assert peak <= 2 * data + 2 * 4 * block + 8 * block, peak / 1e6
 
 
 EVALUATOR_GRIDS = {

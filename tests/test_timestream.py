@@ -909,6 +909,30 @@ def test_property_read_equal_from_every_source(cycles, v1, slab_records,
             assert_same_stream(got, want)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 2**40), st.integers(0, 6)),
+                max_size=40),
+       st.integers(0, 2**62), st.booleans(),
+       st.sampled_from([1, 2, 3, timestream._PIECE]))
+@example([(1, 2), (3, timestream._PIECE + 5), (1, 0), (2, 1)], 7, True,
+         timestream._PIECE)
+@example([(1, 0), (1, 0), (1, 3)], 0, True, 2)
+def test_property_fill_cycles_equals_repeat(cycles, first, aliased, piece):
+    """The cycle column built from (index, count) is ``np.repeat``'s, with
+    cycles without records, cycles larger than a piece, and the index
+    held at the head of the column it fills, as a slab read puts it."""
+    index = first + np.cumsum([step for step, _ in cycles], dtype=np.uint64)
+    count = np.array([n for _, n in cycles], dtype=np.uint32)
+    want = np.repeat(index, count)
+    out = np.full(len(want), 0xDEAD, dtype=np.uint64)
+    if aliased and len(index) <= len(out):
+        out[:len(index)] = index
+        index = out[:len(index)]
+    with mock.patch.object(timestream, "_PIECE", piece):
+        timestream._fill_cycles(index, count, out)
+    np.testing.assert_array_equal(out, want)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.binary(max_size=600))
 def test_property_parser_total_on_garbage(blob):
