@@ -12,21 +12,22 @@ median bin count turns the histogram into a correlation estimate whose
 background sits at 1 and whose peaks read directly as contrast above
 background.
 
-One body counts every pair histogram: ``pair_histograms`` fills an
-``(n_unique_pairs, n_bins)`` count cube for a whole scan in one pass, and
-``build_histogram`` is a one-pair call.  The pass walks the stream in
-chunks of about ``_RECORD_CHUNK`` records cut at cycle boundaries, so
-counts add exactly across chunks, and keeps only the records of the
-requested pixels.  It relies on the stream's order: records sorted by
-(cycle, time), as every reader, simulator and correction leaves them.  So
-in pass k = 1, 2, ... record i meets record i + k, and a record leaves the
-walk once i + k is in another cycle or more than a window later, since
-every later partner is further away.  A surviving pair whose pixels form
-a requested pair adds its dt to that pair's row of the cube.  A stream
-whose records are out of cycle order, or whose kept records are out of
-time order within a cycle (NaN times included), raises ``DataError``
-instead of losing pairs; the cycle check covers every record, so the
-answer does not depend on where the chunks are cut.
+One body counts every pair: ``_pair_counts`` fills an ``(n_unique_pairs,
+n_bins)`` count cube for a whole scan in one pass, on the one grid of
+``_grid``.  The calibrations take that cube as it is; ``pair_histograms``
+wraps it into histograms, and ``build_histogram`` is a one-pair call.  The
+pass walks the stream in chunks of about ``_RECORD_CHUNK`` records cut at
+cycle boundaries, so counts add exactly across chunks, and keeps only the
+records of the requested pixels.  It relies on the stream's order: records
+sorted by (cycle, time), as every reader, simulator and correction leaves
+them.  So in pass k = 1, 2, ... record i meets record i + k, and a record
+leaves the walk once i + k is in another cycle or more than a window later,
+since every later partner is further away.  A surviving pair whose pixels
+form a requested pair adds its dt to that pair's row of the cube.  A stream
+whose records are out of cycle order, or whose kept records are out of time
+order within a cycle (NaN times included), raises ``DataError`` instead of
+losing pairs; the cycle check covers every record, so the answer does not
+depend on where the chunks are cut.
 
 The cost is the number of same-cycle record pairs of the requested pixels
 that lie inside the window, whatever the pixel pairs asked: a flood of
@@ -92,13 +93,11 @@ class DeltaHistogram(Document):
 
     @property
     def bin_edges(self) -> np.ndarray:
-        n = len(self.counts)
-        return -self.window_ps + self.bin_width_ps * np.arange(n + 1)
+        return _grid(self.window_ps, self.bin_width_ps, len(self.counts))[0]
 
     @property
     def bin_centers(self) -> np.ndarray:
-        edges = self.bin_edges
-        return 0.5 * (edges[:-1] + edges[1:])
+        return _grid(self.window_ps, self.bin_width_ps, len(self.counts))[1]
 
     # -- serialization -----------------------------------------------------
 
@@ -154,6 +153,12 @@ def n_bins(window_ps: float, bin_width_ps: float) -> int:
     return int(np.ceil(2.0 * window_ps / bin_width_ps))
 
 
+def _grid(window_ps, bin_width_ps, n) -> tuple[np.ndarray, np.ndarray]:
+    """(edges, centers) of ``n`` bins of ``bin_width_ps`` from -window."""
+    edges = -window_ps + bin_width_ps * np.arange(n + 1)
+    return edges, 0.5 * (edges[:-1] + edges[1:])
+
+
 def default_bin_width_ps(source: PhotonStream | PixelIndex) -> float:
     """Three mean TDC bins of ``source.sensor``: fine enough for ~100 ps
     peaks, coarse enough to keep background bins populated."""
@@ -166,53 +171,49 @@ def pair_histograms(stream: PhotonStream, pairs,
     """One histogram per pair of ``pairs``, all counted in one pass.
 
     Each histogram has the contract of ``build_histogram``.  The counts
-    sit in one ``(n_unique_pairs, n_bins)`` array; a pair requested twice
-    gets two histograms over the same row.  A grid of more than
-    ``MAX_BINS`` bins raises ``DataError`` before anything is allocated.
+    sit in one ``(n_unique_pairs, n_bins)`` array (``_pair_counts``); a
+    pair requested twice gets two histograms over the same row.
     """
-    sensor = stream.sensor
+    if bin_width_ps is None:
+        bin_width_ps = default_bin_width_ps(stream)
     pairs = list(pairs)
+    cube, rows = _pair_counts(stream, pairs, window_ps, bin_width_ps)
+    return [DeltaHistogram(pixel_a=a, pixel_b=b, window_ps=float(window_ps),
+                           bin_width_ps=float(bin_width_ps),
+                           counts=cube[row], total_pairs=int(cube[row].sum()))
+            for (a, b), row in zip(pairs, rows)]
+
+
+def _pair_counts(stream: PhotonStream, pairs, window_ps: float,
+                 bin_width_ps: float) -> tuple[np.ndarray, np.ndarray]:
+    """The counts of the ordered pixel pairs ``pairs`` in one pass (the
+    module docstring gives the walk): an ``(n_unique_pairs, n_bins)`` cube
+    over +- ``window_ps`` in bins of ``bin_width_ps``, its rows in the
+    ascending order of the distinct pairs, and per pair its row.  A grid of
+    more than ``MAX_BINS`` bins raises ``DataError`` before anything is
+    allocated."""
+    n_pix = stream.sensor.num_pixels
     for pair in pairs:
         a, b = pair
         if a == b:
             raise ValueError("pair pixels must differ")
         if a > b:
             raise ValueError("pair must be ordered pixel_a < pixel_b")
-        if not (0 <= a < sensor.num_pixels and 0 <= b < sensor.num_pixels):
-            raise ValueError(f"pair {pair} outside 0..{sensor.num_pixels - 1}")
-    if bin_width_ps is None:
-        bin_width_ps = default_bin_width_ps(stream)
+        if not (0 <= a < n_pix and 0 <= b < n_pix):
+            raise ValueError(f"pair {pair} outside 0..{n_pix - 1}")
     if window_ps <= 0 or bin_width_ps <= 0:
         raise ValueError("window and bin width must be positive")
     if not 2.0 * window_ps / bin_width_ps <= MAX_BINS:
         raise DataError(f"a +-{window_ps:g} ps window in {bin_width_ps:g} ps "
                         f"bins needs over {MAX_BINS} bins")
 
-    codes = np.array([int(a) * sensor.num_pixels + int(b) for a, b in pairs],
+    codes = np.array([int(a) * n_pix + int(b) for a, b in pairs],
                      dtype=np.int64)
     codes, rows = np.unique(codes, return_inverse=True)
     cube = np.zeros((len(codes), n_bins(window_ps, bin_width_ps)),
                     dtype=np.int64)
-    if len(codes):
-        _count_pairs(stream, codes, cube, window_ps, bin_width_ps)
-    return [DeltaHistogram(pixel_a=a, pixel_b=b, window_ps=float(window_ps),
-                           bin_width_ps=float(bin_width_ps),
-                           counts=cube[row], total_pairs=int(cube[row].sum()))
-            for (a, b), row in zip(pairs, rows.reshape(-1))]
-
-
-def _count_pairs(stream, codes, cube, window_ps, bin_width_ps) -> None:
-    """Add each same-cycle record pair of the pixel pairs ``codes`` (sorted
-    ``a * P + b``) with |dt| <= window to its row of ``cube``.
-
-    The stream is walked in chunks of about ``_RECORD_CHUNK`` records cut
-    at cycle boundaries (a cycle larger than that is one chunk), so counts
-    add exactly across chunks and memory beyond the cube stays bounded by
-    a few arrays of one chunk's length.  Raises ``DataError`` where the
-    stream's records are not in cycle order, or the records of the
-    requested pixels not in time order within their cycle.
-    """
-    n_pix = stream.sensor.num_pixels
+    if not len(codes):
+        return cube, rows.reshape(-1)
     lows, highs = np.divmod(codes, n_pix)
     wanted = np.zeros(max(n_pix, int(stream.pixel.max(initial=0)) + 1), bool)
     wanted[lows] = wanted[highs] = True
@@ -257,11 +258,12 @@ def _count_pairs(stream, codes, cube, window_ps, bin_width_ps) -> None:
         if len(cyc):
             _count_chunk(cyc, t, pix, lookup, cube, window_ps, bin_width_ps)
         start = stop
+    return cube, rows.reshape(-1)
 
 
 def _count_chunk(cyc, t, pix, lookup, cube, window_ps,
                  bin_width_ps) -> None:
-    """``_count_pairs`` on one chunk of whole cycles.
+    """``_pair_counts`` on one chunk of whole cycles.
 
     Records in (cycle, time) order meet their partners in passes: in
     pass k record i meets record i + k.  A record leaves the walk once
@@ -293,7 +295,7 @@ def _count_chunk(cyc, t, pix, lookup, cube, window_ps,
 def _add_pairs(p_i, p_j, gap, lookup, cube, window_ps, bin_width_ps):
     """Add the record pairs of pixels ``p_i``, ``p_j`` that form a pair
     of ``cube`` to its row: ``gap`` is t_j - t_i, in the window, and
-    ``lookup`` is (base, row_at, its last column) of ``_count_pairs``."""
+    ``lookup`` is (base, row_at, its last column) of ``_pair_counts``."""
     base, row_at, far = lookup
     d = np.subtract(p_j, p_i, dtype=np.intp)
     np.abs(d, out=d)

@@ -7,17 +7,18 @@ nearby pixel this produces a sharp coincidence peak, and
 
     P_ct = (peak counts above background) / (source counts)
 
-is estimated by counting, against one peak shape per scan:
+is estimated by counting, against one peak shape per scan, on count
+rows of the scan's cube (``coincidence._pair_counts``):
 
 1. Each pair's counts are read source -> target (dt = t_target -
    t_source), so every cross-talk peak leans the same way.
-2. The shape: each nearest-neighbor (d = 1) histogram's peak is placed
-   by the cross-talk peak front end in ``peakfit`` (``_box_peaks``, a
-   ~100 ps box filter, which ``measure_offsets`` places its peaks with
-   too), the histograms are shifted onto one bin and summed, and one
-   Gaussian fit on the sum gives sigma and the fitted center's offset
-   from the bin that a Gaussian matched filter of that sigma picks on the
-   sum (the cross-talk peak is asymmetric).  The share of the sum's net
+2. The shape: each nearest-neighbor (d = 1) row's peak is placed by the
+   cross-talk peak front end in ``peakfit`` (``_box_peaks``, a ~100 ps
+   box filter, which ``measure_offsets`` places its peaks with too), the
+   rows are shifted onto one bin and summed, and one Gaussian fit on the
+   sum (``peakfit._single_peak_fits``) gives sigma and the fitted center's
+   offset from the bin that a Gaussian matched filter of that sigma picks
+   on the sum (the cross-talk peak is asymmetric).  The share of the sum's net
    counts that lies within +- 3 sigma of its center is the window share.
 3. Each pair's center is the argmax, over the whole window, of its counts
    correlated with a Gaussian of that sigma, plus the offset.  Pairs need
@@ -48,17 +49,18 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .coincidence import DEFAULT_WINDOW_PS, DeltaHistogram, pair_histograms
+from .coincidence import DEFAULT_WINDOW_PS, _grid, _pair_counts
 from .documents import (Document, as_bool, as_count, as_float, as_list,
                         decode_fields, field_dict)
 from .errors import DataError, FitError
 from .peakfit import (PEAK_WINDOW_SIGMAS, SIDEBAND_SIGMAS,
                       SIGNIFICANCE_SIGMAS, _box_peaks, _clears_noise,
-                      _cumulative, _window_counts, fit_gaussians)
+                      _count_variance, _cumulative, _single_peak_fits,
+                      _window_counts)
 from .rates import RateReport
 from .timestream import PhotonStream
 
@@ -308,29 +310,25 @@ def _gauss_peaks(rows, sigma_bins: float) -> np.ndarray:
     return np.argmax(np.round(corr, 6), axis=1)
 
 
-def _pooled_shape(hists, pairs) -> CtShape:
-    """The peak shape of ``hists``: their peaks shifted onto one bin,
-    summed and fitted once."""
-    x = hists[0].bin_centers
-    bin_width = hists[0].bin_width_ps
+def _pooled_shape(counts, pairs, x, bin_width_ps: float) -> CtShape:
+    """The peak shape of the rows ``counts`` of ``pairs`` on the centers
+    ``x``: their peaks shifted onto one bin, summed and fitted once."""
     n = len(x)
-    rows = _oriented(np.stack([hist.counts for hist in hists]),
-                     _turned(pairs))
-    peaks = _box_peaks(_cumulative(rows), bin_width)
+    rows = _oriented(counts, _turned(pairs))
+    peaks = _box_peaks(_cumulative(rows), bin_width_ps)
     # Roll every peak onto the middle bin; the flat background wraps.
     shifted = (np.arange(n) + (peaks - n // 2)[:, None]) % n
     pooled = np.take_along_axis(rows, shifted, axis=1).sum(axis=0)
-    fit = fit_gaussians([replace(hists[0], counts=pooled,
-                                 total_pairs=int(pooled.sum()))])[0]
-    if isinstance(fit, FitError) or not fit.significant:
-        failed = isinstance(fit, FitError)
+    fit = _single_peak_fits(x, pooled[None].astype(np.float64))[0]
+    failed = isinstance(fit, FitError)
+    if failed or not fit.significant:
         return CtShape(
             sigma_ps=FALLBACK_SIGMA_PS, offset_ps=0.0,
             chi2_dof=None if failed else fit.chi2 / fit.dof,
             n_iterations=fit.n_iterations,
             stop_reason=fit.reason if failed else fit.stop_reason,
-            n_pooled=len(hists), fallback=True)
-    peak = _gauss_peaks(pooled[None], fit.sigma_ps / bin_width)[0]
+            n_pooled=len(rows), fallback=True)
+    peak = _gauss_peaks(pooled[None], fit.sigma_ps / bin_width_ps)[0]
     # The sidebands hold no net count, so the whole histogram's net count
     # is the peak's.
     _gross, bg, in_window, _var = _window_counts(
@@ -339,41 +337,42 @@ def _pooled_shape(hists, pairs) -> CtShape:
     return CtShape(
         sigma_ps=fit.sigma_ps, offset_ps=fit.center_ps - float(x[peak]),
         chi2_dof=fit.chi2 / fit.dof, n_iterations=fit.n_iterations,
-        stop_reason=fit.stop_reason, n_pooled=len(hists), fallback=False,
+        stop_reason=fit.stop_reason, n_pooled=len(rows), fallback=False,
         window_share=float(in_window[0] / (pooled.sum() - bg[0] * n)))
 
 
-def _estimates(hists, pairs, n_sources, shape: CtShape) -> list[CtEstimate]:
-    """Every pair's estimate against ``shape``: the window at its
-    matched-filter peak, or at dt = 0 where that holds no significant
-    net count (every pair, when the shape is a fallback).  Pairs are
-    counted in blocks of ``BLOCK_PAIRS``, which bounds the scratch."""
-    return [estimate for k in range(0, len(hists), BLOCK_PAIRS)
+def _estimates(cube, rows, pairs, n_sources, shape: CtShape, x,
+               bin_width_ps: float) -> list[CtEstimate]:
+    """Every pair's estimate against ``shape``, ``pairs[k]`` from row
+    ``rows[k]`` of ``cube``: the window at its matched-filter peak, or at
+    dt = 0 where that holds no significant net count (every pair, when the
+    shape is a fallback).  The rows are gathered and counted in blocks of
+    ``BLOCK_PAIRS``, which bounds the scratch."""
+    return [estimate for k in range(0, len(pairs), BLOCK_PAIRS)
             for estimate in _block_estimates(
-                hists[k:k + BLOCK_PAIRS], pairs[k:k + BLOCK_PAIRS],
-                n_sources[k:k + BLOCK_PAIRS], shape)]
+                cube[rows[k:k + BLOCK_PAIRS]], pairs[k:k + BLOCK_PAIRS],
+                n_sources[k:k + BLOCK_PAIRS], shape, x, bin_width_ps)]
 
 
-def _block_estimates(hists, pairs, n_sources, shape) -> list[CtEstimate]:
-    x = hists[0].bin_centers
+def _block_estimates(counts, pairs, n_sources, shape, x,
+                     bin_width_ps) -> list[CtEstimate]:
     n = len(x)
-    rows = np.stack([hist.counts for hist in hists])
-    cum = _cumulative(rows)
-    placed = np.zeros(len(rows), dtype=bool)
-    centers = np.zeros(len(rows))
+    cum = _cumulative(counts)
+    placed = np.zeros(len(counts), dtype=bool)
+    centers = np.zeros(len(counts))
     if not shape.fallback:
         turned = _turned(pairs)
-        peaks = _gauss_peaks(_oriented(rows, turned),
-                             shape.sigma_ps / hists[0].bin_width_ps)
+        peaks = _gauss_peaks(_oriented(counts, turned),
+                             shape.sigma_ps / bin_width_ps)
         found = np.where(turned, x[n - 1 - peaks] - shape.offset_ps,
                          x[peaks] + shape.offset_ps)
         placed = _clears_noise(*_window_counts(
-            cum, x, found, np.full(len(rows), shape.sigma_ps))[2:])
+            cum, x, found, np.full(len(counts), shape.sigma_ps))[2:])
         centers = np.where(placed, found, 0.0)
     gross, bg, net, var = _window_counts(
         cum, x, centers, np.where(placed, shape.sigma_ps, FALLBACK_SIGMA_PS),
         np.where(placed, shape.window_share, 1.0))
-    error = np.sqrt(np.maximum(var, 1.0))
+    error = np.sqrt(_count_variance(var))
     out = []
     for k, (source, target) in enumerate(pairs):
         n_source = int(n_sources[k])
@@ -388,19 +387,6 @@ def _block_estimates(hists, pairs, n_sources, shape) -> list[CtEstimate]:
             center_ps=float(centers[k]),
             placement=PLACEMENTS[0] if significant else PLACEMENTS[1]))
     return out
-
-
-def _estimate_from_histogram(hist: DeltaHistogram, source: int, target: int,
-                             n_source: int) -> CtEstimate:
-    """The estimate of one pair on its own: a scan of one pair, whose
-    shape comes from the fit of its own histogram."""
-    if n_source < MIN_SOURCE_COUNTS:
-        raise DataError(
-            f"source pixel {source} has {n_source} counts; "
-            f"need at least {MIN_SOURCE_COUNTS}")
-    pair = [(source, target)]
-    return _estimates([hist], pair, [n_source],
-                      _pooled_shape([hist], pair))[0]
 
 
 def ct_scan(stream: PhotonStream, rate_report: RateReport,
@@ -434,17 +420,19 @@ def ct_scan(stream: PhotonStream, rate_report: RateReport,
     bin_width = stream.sensor.mean_bin_width_ps
     pairs = [(h, target) for h in usable for d in range(1, d_max + 1)
              for target in (h - d, h + d) if 0 <= target < num_pixels]
-    hists = pair_histograms(stream, [(min(h, target), max(h, target))
-                                     for h, target in pairs],
-                            window_ps, bin_width)
+    # Nearby hot pixels share pairs: a shared pair has one row of the cube.
+    cube, rows = _pair_counts(stream, [(min(h, target), max(h, target))
+                                       for h, target in pairs],
+                              window_ps, bin_width)
+    x = _grid(window_ps, bin_width, cube.shape[1])[1]
     # Every source has a nearest neighbor, the strongest partner it has.
     nearest = [k for k, (h, target) in enumerate(pairs)
                if abs(target - h) == 1]
-    shape = _pooled_shape([hists[k] for k in nearest],
-                          [pairs[k] for k in nearest])
-    estimates = _estimates(hists, pairs, [counts[h] for h, _ in pairs],
-                           shape)
-    del hists
+    shape = _pooled_shape(cube[rows[nearest]], [pairs[k] for k in nearest],
+                          x, bin_width)
+    estimates = _estimates(cube, rows, pairs, [counts[h] for h, _ in pairs],
+                           shape, x, bin_width)
+    del cube
 
     n_placed = sum(e.significant for e in estimates)
     if shape.fallback:

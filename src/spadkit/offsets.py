@@ -13,15 +13,15 @@ the mean delay to zero removes the free global shift and makes the
 solution unique.  Forward substitution solves the chain exactly in one
 O(n) pass, so no general linear solver is involved.
 
-Each pair's peak is placed by the cross-talk peak front end that
+Each pair's peak is placed, on its row of the scan's count cube
+(``coincidence._pair_counts``), by the cross-talk peak front end that
 ``ct_scan`` shares (``peakfit._box_peaks``): the ~100 ps box filter that
-holds the most counts of the pair's whole +-25 ns histogram.  Only a cut
-of +-``CUT_HALF_PS`` around that bin is fitted.  Every cut has the same
-number of bins, so the cuts share one grid of offsets from their first
-bin, and their counts go straight to one batched solver run, as one
-array with its Poisson weights; each fitted center is then moved back by
-its cut's place.  A cut near an edge of the
-histogram is moved inside it rather than shortened.
+holds the most counts of the pair's whole +-25 ns row.  Only a cut of
++-``CUT_HALF_PS`` around that bin is fitted.  The cuts share one grid of
+offsets from their first bin and go straight to one batched solver run;
+each fitted center is then moved back by its cut's place.  A cut near an
+edge is moved inside the row rather than shortened, and a cut of fewer
+counts than the model's four parameters is not fitted.
 
 A pair is valid only when three tests pass:
 
@@ -53,7 +53,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coincidence import DEFAULT_WINDOW_PS, DeltaHistogram, pair_histograms
+from .coincidence import DEFAULT_WINDOW_PS, _grid, _pair_counts
 from .documents import (Document, as_bool, as_count, as_float, decode_fields,
                         field_dict)
 from .errors import CalibrationError, DataError, FitError
@@ -83,6 +83,9 @@ CUT_HALF_PS = 700.0
 # A fitted sigma above this could belong to a peak the cut truncated, so
 # it makes the pair invalid.
 MAX_SIGMA_PS = CUT_HALF_PS / 5
+
+# Fewer counts than the single-peak model's parameters: a cut not fitted.
+_MIN_CUT_COUNTS = 4
 
 
 @dataclass(frozen=True)
@@ -186,41 +189,42 @@ def measure_offsets(stream: PhotonStream,
     one measurement per pair; pairs that fail a test come back flagged
     invalid rather than raising.
     """
-    num_pixels = stream.sensor.num_pixels
-    return _measure(pair_histograms(
-        stream, [(i, i + 1) for i in range(num_pixels - 1)], window_ps,
-        stream.sensor.mean_bin_width_ps))
+    bin_width = stream.sensor.mean_bin_width_ps
+    pairs = [(i, i + 1) for i in range(stream.sensor.num_pixels - 1)]
+    # distinct ascending pairs: row k is pair k; _measure frees the cube
+    return _measure(pairs, _pair_counts(stream, pairs, window_ps,
+                                        bin_width)[0], window_ps, bin_width)
 
 
-def _measure(hists) -> list[OffsetMeasurement]:
-    """The measurements of adjacent-pair histograms ``hists``, which share
-    one grid.  The histograms go once their cumulative counts are made."""
-    pairs = [(hist.pixel_a, hist.pixel_b) for hist in hists]
-    x = hists[0].bin_centers
-    bin_width = hists[0].bin_width_ps
-    n = len(x)
-    cum = _cumulative(np.stack([hist.counts for hist in hists]))
-    del hists
-    width = min(2 * math.ceil(CUT_HALF_PS / bin_width) + 1, n)
-    start = np.clip(_box_peaks(cum, bin_width) - width // 2, 0, n - width)
+def _measure(pairs, counts, window_ps: float,
+             bin_width_ps: float) -> list[OffsetMeasurement]:
+    """The measurements of the adjacent pairs ``pairs`` from their rows of
+    ``counts``, each over +- ``window_ps`` in bins of ``bin_width_ps``.
+    The counts go once their cumulative counts are made."""
+    n = counts.shape[1]
+    x = _grid(window_ps, bin_width_ps, n)[1]
+    cum = _cumulative(counts)
+    del counts
+    width = min(2 * math.ceil(CUT_HALF_PS / bin_width_ps) + 1, n)
+    start = np.clip(_box_peaks(cum, bin_width_ps) - width // 2, 0, n - width)
     cuts = np.diff(np.take_along_axis(
         cum, start[:, None] + np.arange(width + 1), axis=1), axis=1)
-    # The cut's window is half its span less a part in 1e12, so that
-    # n_bins cannot round it up to one bin more.
-    cut_x = DeltaHistogram(pixel_a=0, pixel_b=1,
-                           window_ps=0.5 * width * bin_width * (1 - 1e-12),
-                           bin_width_ps=bin_width,
-                           counts=np.zeros(width, dtype=np.int64),
-                           total_pairs=0).bin_centers
-    # the cuts' counts with Poisson weights, as fit_gaussians fits them
-    y = cuts.astype(np.float64)
+    # Half the cut's span less a part in 1e12 once kept n_bins from adding
+    # a bin; n_bins no longer sees the cut, but the fits' bits depend on it.
+    cut_x = _grid(0.5 * width * bin_width_ps * (1 - 1e-12), bin_width_ps,
+                  width)[1]
+    fits = [FitError("cut holds fewer counts than the model has "
+                     "parameters", reason="too_few_counts")] * len(pairs)
+    rows = np.flatnonzero(cuts.sum(axis=1) >= _MIN_CUT_COUNTS)
+    y = cuts[rows].astype(np.float64)
     del cuts
-    fits = _single_peak_fits(cut_x, y, 1.0 / np.maximum(y, 1.0))
+    for i, fit in zip(rows, _single_peak_fits(cut_x, y)):
+        fits[i] = fit
     del y
 
     fitted = np.array([not isinstance(fit, FitError) and fit.significant
                        and math.isfinite(fit.center_err_ps) for fit in fits])
-    sigmas = np.array([fit.sigma_ps if ok else bin_width
+    sigmas = np.array([fit.sigma_ps if ok else bin_width_ps
                        for fit, ok in zip(fits, fitted)])
     centers = np.array([fit.center_ps if ok else 0.0
                         for fit, ok in zip(fits, fitted)])
@@ -229,11 +233,10 @@ def _measure(hists) -> list[OffsetMeasurement]:
     clear = _clears_noise(*_window_counts(cum, x, centers, sigmas)[2:])
     valid = fitted & narrow & clear
 
+    reasons = Counter(fit.reason if isinstance(fit, FitError)
+                      else fit.stop_reason for fit in fits)
     out = []
-    reasons = Counter()
     for k, ((a, b), fit) in enumerate(zip(pairs, fits)):
-        reasons[fit.reason if isinstance(fit, FitError)
-                else fit.stop_reason] += 1
         # Histogram dt runs t_{i+1} - t_i; the offset convention is
         # t_i - t_{i+1}, hence the sign flip.
         out.append(OffsetMeasurement(

@@ -14,20 +14,20 @@ fit result evaluates itself (``model``) and names itself (the ``kind`` in
 There is one solver, and it is batched: it fits B histograms that share a
 grid together, stacking their residuals, Jacobians and normal equations,
 while each fit keeps its own damping, accept/reject decisions, iteration
-count and ending.  ``fit_gaussians`` fits a whole scan's histograms in one
-call (``measure_offsets`` hands its pairs' cuts to the batched core
-directly, ``ct_scan`` fits its pooled shape); the single-histogram
-functions are batches of one.  A fit comes out bit for bit the same alone
-or in any batch: the stacked ``matmul``, ``solve`` and ``eigh`` calls and
-row sums make the same floating-point operations per fit as their 2-D
-forms (``einsum`` would not).  The fits run in blocks sized by bins, at
-most ``BLOCK_BINS`` (fits times bins per fit), so a block's (fits, n, P)
-Jacobian stays a few MB: 32 fits of 2,800 bins, or all 255 cuts of 81
-bins of a delay calibration in one block.  A fit whose linear system is
-singular fails alone.  The work per fit outside the stacked calls is
-done for all fits at once too: the seeds (median, peak and half-maximum
-width) row-wise, and the covariances of all converged fits in one stacked
-``eigh`` and ``matmul`` once the last fit has ended.
+count and ending.  The calibrations hand their count arrays to the batched
+core, ``_single_peak_fits`` (``measure_offsets`` its pairs' cuts,
+``ct_scan`` its pooled shape); ``fit_gaussians`` fits a list of histograms,
+and the single-histogram functions are batches of one.  A fit comes out bit
+for bit the same alone or in any batch: the stacked ``matmul``, ``solve``
+and ``eigh`` calls and row sums make the same floating-point operations per
+fit as their 2-D forms (``einsum`` would not).  The fits run in blocks
+sized by bins, at most ``BLOCK_BINS`` (fits times bins per fit), so a
+block's (fits, n, P) Jacobian stays a few MB: 32 fits of 2,800 bins, or all
+255 cuts of 81 bins of a delay calibration in one block.  A fit whose
+linear system is singular fails alone.  The work per fit outside the
+stacked calls is done for all fits at once too: the seeds (median, peak and
+half-maximum width) row-wise, and the covariances of all converged fits in
+one stacked ``eigh`` and ``matmul`` once the last fit has ended.
 
 Both cross-talk calibrations find their peaks through one front end that
 fits nothing: ``_box_peaks`` places each histogram's peak with a box
@@ -38,8 +38,9 @@ The solver is a damped Gauss-Newton iteration (Levenberg-Marquardt
 flavor): the normal equations get a multiplicative damping term that
 grows tenfold whenever a step fails to reduce chi^2 and shrinks tenfold
 on success.  Residuals carry Poisson weights 1 / max(count, 1) in raw
-count units; normalized histograms rescale the same weights.  No external
-optimizer is involved, so results are deterministic across platforms.
+count units (``_count_variance``); normalized histograms rescale the same
+weights.  No external optimizer is involved, so results are deterministic
+across platforms.
 
 Each trial parameter vector is evaluated once: the accepted trial's
 residual and per-peak exp(-z^2 / 2) then give the Jacobian, and the last
@@ -605,23 +606,25 @@ def _component(p, cov, errs, i) -> PeakComponent:
 # ---------------------------------------------------------------------------
 # data extraction and seeding
 
+def _count_variance(counts):
+    """The one count-variance rule: a count's Poisson variance, at least 1."""
+    return np.maximum(counts, 1.0)
+
+
 def _fit_arrays(hist: DeltaHistogram):
     """(x, y, weights) in the units the histogram carries.
 
-    Raw counts get Poisson weights 1/max(count, 1); a normalized histogram
-    scales both data and weights by the stored median, which leaves the
-    chi^2 of any model/data pair unchanged.
+    Raw counts get Poisson weights 1/var (``_count_variance``); a
+    normalized histogram scales both data and weights by the stored
+    median, which leaves the chi^2 of any model/data pair unchanged.
     """
     x = hist.bin_centers
     counts = hist.counts.astype(np.float64)
-    var_raw = np.maximum(counts, 1.0)
+    var = _count_variance(counts)
     if hist.normalized is not None:
-        y = hist.normalized.astype(np.float64)
-        weights = hist.median_count**2 / var_raw
-    else:
-        y = counts
-        weights = 1.0 / var_raw
-    return x, y, weights
+        return x, hist.normalized.astype(np.float64), \
+            hist.median_count**2 / var
+    return x, counts, 1.0 / var
 
 
 def _single_peak_seeds(x, y, order):
@@ -729,7 +732,7 @@ def _window_counts(cum, x, centers, sigmas, share=1.0):
 def _clears_noise(net, var) -> np.ndarray:
     """Which net counts reach ``SIGNIFICANCE_SIGMAS`` of their Poisson
     error (at least one count)."""
-    return net >= SIGNIFICANCE_SIGMAS * np.sqrt(np.maximum(var, 1.0))
+    return net >= SIGNIFICANCE_SIGMAS * np.sqrt(_count_variance(var))
 
 
 # ---------------------------------------------------------------------------
@@ -774,11 +777,9 @@ def fit_peak(x, y, *, weights=None,
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if weights is None:
-        weights = 1.0 / np.maximum(y, 1.0)
-    weights = np.asarray(weights, dtype=np.float64)
-    return _raised(_single_peak_fits(x, y[None], weights[None],
-                                     center_bounds)[0])
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.float64)[None]
+    return _raised(_single_peak_fits(x, y[None], weights, center_bounds)[0])
 
 
 def _raised(fit):
@@ -787,14 +788,17 @@ def _raised(fit):
     return fit
 
 
-def _single_peak_fits(x, y, weights, center_bounds=None) -> list:
-    """Single-peak fits of the rows of ``y`` (weights alike) on the grid
-    ``x``, in one solver run: per row a ``GaussianFit`` or the
-    ``FitError`` that ended it.  ``center_bounds`` is one (lo, hi) box
-    for the peak position, or one per row."""
+def _single_peak_fits(x, y, weights=None, center_bounds=None) -> list:
+    """Single-peak fits of the rows of ``y`` (weights alike, by default
+    Poisson weights) on the grid ``x``, in one solver run: per row a
+    ``GaussianFit`` or the ``FitError`` that ended it.
+    ``center_bounds`` is one (lo, hi) box for the peak position, or one
+    per row."""
     if len(x) < 10:
         raise ValueError(
             f"need at least 10 bins to fit a peak, got {len(x)}")
+    if weights is None:
+        weights = 1.0 / _count_variance(y)
     out: list = [None] * len(y)
     flat = np.ptp(y, axis=1) == 0.0
     for i in np.flatnonzero(flat):

@@ -335,7 +335,7 @@ def simulate(config: SimConfig) -> tuple[PhotonStream, SimTruth]:
                                 span, period, cycle_s, truth)
         # delays and detection jitter apply to every record, as
         # (t + delay) + jitter
-        time, pix = block["time"], block["pixel"]
+        time, pix = block["time_ps"], block["pixel"]
         for lo, hi in _pieces(len(time)):
             time[lo:hi] += delays[pix[lo:hi]]
         time += rng.normal(0.0, config.jitter_sigma_ps, len(time))
@@ -347,20 +347,16 @@ def simulate(config: SimConfig) -> tuple[PhotonStream, SimTruth]:
         if dropped:
             _gather(block, keep)
         del keep
-        sort_records(block, "cycle", "time", "pixel")
+        sort_records(block)
         for name, column in block.items():
             parts.setdefault(name, []).append(column)
 
     header = StreamHeader(sensor=sensor, metadata={
         "source": "simulation", "seed": str(config.seed)})
     # total_cycles >= 1, so every part list is non-empty.
-    stream = PhotonStream(
-        header=header,
-        cycle_index=_join(parts.pop("cycle")),
-        pixel=_join(parts.pop("pixel")),
-        time_ps=_join(parts.pop("time")),
-        total_cycles=total_cycles,
-    )
+    stream = PhotonStream(header=header, total_cycles=total_cycles, **{
+        name: _join(parts.pop(name))
+        for name in ("cycle_index", "pixel", "time_ps")})
     if config.include_lineage:
         truth.origin = _join(parts.pop("origin"))
         truth.class_id = _join(parts.pop("class_id"))
@@ -405,8 +401,9 @@ def _generate_block(rng, config: SimConfig, dark_rates, label_index,
                     truth: SimTruth) -> dict[str, np.ndarray]:
     """All photons for cycles [c0, c0+span) in a fixed draw order.
 
-    Returns pre-delay, pre-drop record columns by name: ``cycle``,
-    ``pixel``, ``time``, and with lineage ``origin`` and ``class_id``.
+    Returns pre-delay, pre-drop record columns by the stream's names
+    (``cycle_index``, ``pixel``, ``time_ps``), and ``origin`` and
+    ``class_id`` with lineage.
     The sources come first, then their cross-talk spawns.  The RNG call
     sequence depends only on the config (array shapes are data-dependent),
     which is what makes the output reproducible.
@@ -414,13 +411,14 @@ def _generate_block(rng, config: SimConfig, dark_rates, label_index,
     sensor = config.sensor
     num_pixels = sensor.num_pixels
     lineage = config.include_lineage
-    parts: dict[str, list] = {name: [] for name in ("cycle", "pixel", "time")
-                              + (("origin", "class_id") if lineage else ())}
+    parts: dict[str, list] = {
+        name: [] for name in ("cycle_index", "pixel", "time_ps")
+        + (("origin", "class_id") if lineage else ())}
 
     def emit(cycles, pixels, times, origin, class_id):
-        parts["cycle"].append(cycles.astype(np.uint64, copy=False))
+        parts["cycle_index"].append(cycles.astype(np.uint64, copy=False))
         parts["pixel"].append(pixels.astype(np.uint16, copy=False))
-        parts["time"].append(times.astype(np.float64, copy=False))
+        parts["time_ps"].append(times.astype(np.float64, copy=False))
         if not lineage:
             return
         n = len(cycles)
@@ -520,7 +518,8 @@ def _generate_block(rng, config: SimConfig, dark_rates, label_index,
     block = {name: _join(column, n_ct) for name, column in parts.items()}
     block["pixel"] = _join([pix], n_ct)
     del pix
-    cyc, pix, time = block["cycle"], block["pixel"], block["time"]
+    cyc, pix = block["cycle_index"], block["pixel"]
+    time = block["time_ps"]
     at = n_src
     for chosen, direction, jitter in spawns:
         stop = at + len(chosen)

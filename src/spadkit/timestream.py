@@ -469,11 +469,10 @@ def record_order(cycle_index: np.ndarray, time_ps: np.ndarray,
     return _key_order(key)
 
 
-def sort_records(columns: dict[str, np.ndarray], cycle: str = "cycle_index",
-                 time: str = "time_ps", pixel: str = "pixel") -> None:
+def sort_records(columns: dict[str, np.ndarray]) -> None:
     """Put the record columns of ``columns`` in stream order, in place:
-    each becomes ``column[record_order(cycle, time, pixel)]``, with the
-    columns named by ``cycle``, ``time`` and ``pixel``.
+    each becomes ``column[record_order(cycle_index, time_ps, pixel)]``,
+    with the key columns named as the stream's.
 
     ``record_order``'s key holds every bit of the three key columns when
     its times are not ranked, so no permutation is made: the words are
@@ -494,8 +493,9 @@ def sort_records(columns: dict[str, np.ndarray], cycle: str = "cycle_index",
     the old cycle column is freed; and one other column while it is
     gathered.
     """
-    cyc, t, pix = columns[cycle], columns[time], columns[pixel]
-    others = [name for name in columns if name not in (cycle, time, pixel)]
+    keys = ("cycle_index", "time_ps", "pixel")
+    cyc, t, pix = (columns[name] for name in keys)
+    others = [name for name in columns if name not in keys]
     key = _record_key(cyc, t, pix, index=bool(others))
     if key is None or key.tmin is None or (others and not key.index_bits):
         order = np.lexsort((pix, t, cyc)) if key is None else _key_order(key)
@@ -507,7 +507,7 @@ def sort_records(columns: dict[str, np.ndarray], cycle: str = "cycle_index",
     cycle_dtype = cyc.dtype
     words = key.words
     words.sort()
-    columns[cycle] = words  # every old cycle is in the words
+    columns["cycle_index"] = words  # every old cycle is in the words
     del cyc
     low = key.index_bits
     index = np.uint64((1 << low) - 1)
@@ -529,7 +529,7 @@ def sort_records(columns: dict[str, np.ndarray], cycle: str = "cycle_index",
         words.fill(0)
     _add_min(words, key.cmin, words)
     if cycle_dtype != words.dtype:
-        columns[cycle] = words.astype(cycle_dtype)
+        columns["cycle_index"] = words.astype(cycle_dtype)
 
 
 @dataclass
@@ -845,7 +845,7 @@ class _Slab(NamedTuple):
     time: np.ndarray           # u64 per record
     raw: np.ndarray | None     # u32 per record, when the slab has raw codes;
     #                            a v1 slab masks (as 0) records without one
-    cycle: np.ndarray | None = None   # u64 per record, set by the checker
+    cycle: np.ndarray | None = None   # u64 per record, made by the checker
 
 
 @dataclass
@@ -899,14 +899,14 @@ class _Columns:
 
     def take(self, source: BinaryIO, n_cycles: int, n_records: int,
              raw: bool, offset: int
-             ) -> tuple[_Slab, Callable[[], np.ndarray]]:
+             ) -> tuple[_Slab, Callable[[], None]]:
         """The slab whose body ``source`` reads next, and its fill step.
 
         The index, counts and pixels are read at once: while the index and
         counts are checked, they wait in the slab's part of the cycle and
-        time columns.  The fill step, called by the checker once the index
-        passes, builds the cycle column in place of the index and reads the
-        times and raw codes into their columns."""
+        time columns.  Once the index passes, the checker builds the cycle
+        column there, in place of the index, and calls the fill step, which
+        reads the times and raw codes into their columns."""
         lo, hi = self.filled, self.filled + n_records
         if hi > len(self.pixel):  # the source changed after it was sized
             raise StreamFormatError("stream changed while it was read",
@@ -922,16 +922,14 @@ class _Columns:
         codes = self.raw[lo:hi] if raw else None
         for column in (index, count, pixel):
             _read_into(source, column, offset)
+        self.last_index = int(index[-1])
 
-        def fill() -> np.ndarray:
-            self.last_index = int(index[-1])
-            _fill_cycles(index, count, cycle)
+        def fill() -> None:
             _read_into(source, time, offset)
             if codes is not None:
                 _read_into(source, codes, offset)
-            return cycle
 
-        return _Slab(index, count, pixel, time, codes), fill
+        return _Slab(index, count, pixel, time, codes, cycle), fill
 
     def float_times(self) -> np.ndarray:
         """The time column, converted from u64 in place, piece by piece."""
@@ -955,7 +953,7 @@ def _iter_slabs(source: BinaryIO, header: StreamHeader, cycle_count: int,
     prev_index, seen = -1, 0
     for slab, where, fill, fault, offset in slabs:
         if len(slab.index):
-            # read before the check, whose fill step may overwrite the index
+            # read before the check, whose cycle column may overwrite the index
             last, seen = int(slab.index[-1]), seen + len(slab.index)
             slab = _check_slab(slab, where, header.sensor, prev_index, fill)
             prev_index = last
@@ -970,7 +968,7 @@ def _iter_slabs(source: BinaryIO, header: StreamHeader, cycle_count: int,
 
 def _check_slab(slab: _Slab, where: Mapping[str, Sequence[int]],
                 sensor: SensorConfig, prev_index: int,
-                fill: Callable[[], np.ndarray] | None = None) -> _Slab:
+                fill: Callable[[], None] | None = None) -> _Slab:
     """``slab`` with its cycle column, checked in this order: cycle indices
     strictly increase (from ``prev_index``, or -1), pixels and times lie in
     range, and each cycle's records are sorted by (time, pixel).  The first
@@ -978,9 +976,10 @@ def _check_slab(slab: _Slab, where: Mapping[str, Sequence[int]],
     ``where[column][k]`` of entry ``k`` of its column.
 
     Each rule runs over pieces of ``_PIECE`` entries, the order rule with
-    one record of overlap, so the check holds no per-record array.  The
-    cycle column is built once the index passes: by ``fill()`` where the
-    decoder gives one (``_Columns.take``), else by ``np.repeat``."""
+    one record of overlap, so the check holds no per-record array.  Once
+    the index passes, ``_fill_cycles`` builds the cycle column, into
+    ``slab.cycle`` where the decoder gives one (``_Columns.take``, whose
+    ``fill()`` then reads the rest of the slab), else into a new array."""
     index, pixel, time = slab.index, slab.pixel, slab.time
 
     def check(n, ok, column, cycles, message, first=0):
@@ -1001,7 +1000,10 @@ def _check_slab(slab: _Slab, where: Mapping[str, Sequence[int]],
 
     check(len(index), increasing, "index", index,
           lambda k: "cycle index not strictly increasing")
-    cycle = np.repeat(index, slab.count) if fill is None else fill()
+    cycle = _fill_cycles(index, slab.count, np.empty(len(pixel), np.uint64)
+                         if slab.cycle is None else slab.cycle)
+    if fill:
+        fill()
     period = np.uint64(sensor.cycle_period_ps)
     check(len(pixel), lambda lo, hi: pixel[lo:hi] < sensor.num_pixels,
           "pixel", cycle,
@@ -1016,11 +1018,11 @@ def _check_slab(slab: _Slab, where: Mapping[str, Sequence[int]],
 
 
 def _fill_cycles(index: np.ndarray, count: np.ndarray,
-                 out: np.ndarray) -> None:
-    """``out[:] = np.repeat(index, count)``, made as a prefix sum in pieces
-    of ``_PIECE`` cycles: a piece's records are zeroed, its first cycle's
-    index and the steps to each next index are put at each cycle's first
-    record, and ``np.cumsum`` runs in place.
+                 out: np.ndarray) -> np.ndarray:
+    """``out[:] = np.repeat(index, count)``, and ``out``, made as a prefix
+    sum in pieces of ``_PIECE`` cycles: a piece's records are zeroed, its
+    first cycle's index and the steps to each next index are put at each
+    cycle's first record, and ``np.cumsum`` runs in place.
 
     ``index`` may be the head of ``out``: cycles without records are
     dropped into a copy first, so the records of cycle k start at or after
@@ -1039,6 +1041,7 @@ def _fill_cycles(index: np.ndarray, count: np.ndarray,
         piece[0] = values[0]
         np.cumsum(piece, out=piece)
         end = begin
+    return out
 
 
 # A v1 record's bytes and the 4 after: ``raw`` is its code if flag bit 0.

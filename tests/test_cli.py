@@ -204,7 +204,7 @@ def test_calibrate_and_ct_scan_log_fit_stop_reasons(sim_stream_path, tmp_path,
               if r.levelno == logging.INFO}
     reasons = {"relative_step", "chi2_stall", "predicted_decrease",
                "max_iterations", "stalled", "singular", "non_finite_seed",
-               "flat_data", "empty_histogram"}
+               "flat_data", "empty_histogram", "too_few_counts"}
     # ct_scan fits once: the pooled nearest-neighbor histograms
     curve = CtCurve.load(str(tmp_path / "ct.json"))
     (n_pairs, n_pooled, sigma, offset, _chi2_dof, iterations, reason,
@@ -238,7 +238,8 @@ def _check_solver_work(by_reason, iterations, passes):
     """A scan's solver work as logged: every pass is one iteration of each
     fit still running, so a fit that ran out of iterations took them all."""
     solved = sum(n for reason, n in by_reason.items()
-                 if reason not in ("flat_data", "empty_histogram"))
+                 if reason not in ("flat_data", "empty_histogram",
+                                   "too_few_counts"))
     assert passes <= iterations <= solved * passes
     assert passes <= MAX_ITERATIONS
     if "max_iterations" in by_reason:

@@ -406,6 +406,27 @@ def test_property_pair_histograms_match_brute_force(scan, record_chunk):
         assert single.total_pairs == h.total_pairs
 
 
+@settings(max_examples=60, deadline=None)
+@given(scan_record_sets())
+def test_property_pair_counts_give_each_pair_its_row(scan):
+    # The calibrations read the cube itself: each requested pair's row
+    # holds its counts, a repeated pair shares its row, and distinct pairs
+    # in ascending order have the rows 0, 1, ... in their order.
+    recs, pairs = scan
+    window, bw = 1500.0, 130.0
+    s = stream_from(recs)
+    cube, rows = coincidence._pair_counts(s, pairs, window, bw)
+    distinct = sorted(set(pairs))
+    assert cube.shape == (len(distinct), n_bins(window, bw))
+    assert [distinct[row] for row in rows] == pairs
+    for pair, row in zip(pairs, rows):
+        np.testing.assert_array_equal(
+            cube[row], brute_force_counts(recs, *pair, window, bw))
+    again, ascending = coincidence._pair_counts(s, distinct, window, bw)
+    assert ascending.tolist() == list(range(len(distinct)))
+    np.testing.assert_array_equal(again, cube)
+
+
 def time_ordered_stream(records, ties) -> PhotonStream:
     """records: (cycle, pixel, time_ps), put in (cycle, time) order with
     equal (cycle, time) records in the order of the permutation ``ties``:

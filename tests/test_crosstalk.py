@@ -10,7 +10,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spadkit import DataError, SensorConfig, crosstalk, peakfit
+from spadkit import (DataError, FitError, SensorConfig, coincidence,
+                     crosstalk, peakfit)
 from spadkit.coincidence import (DEFAULT_WINDOW_PS, build_histogram,
                                  pair_histograms)
 from spadkit.crosstalk import (
@@ -22,7 +23,6 @@ from spadkit.crosstalk import (
     CtEstimate,
     CtPoint,
     CtShape,
-    _estimate_from_histogram,
     ct_scan,
 )
 from spadkit.offsets import apply_delays
@@ -43,13 +43,23 @@ def sim_stream(*, overrides, base_cps=100.0, ct=(), duration_s=2.0, seed=7,
     return stream
 
 
+def estimate_alone(hist, source, target, n_source):
+    """The estimate of one pair on its own: a scan of one pair, whose
+    shape comes from the fit of its own histogram's counts."""
+    pair, counts = [(source, target)], hist.counts[None]
+    x, bin_width = hist.bin_centers, hist.bin_width_ps
+    shape = crosstalk._pooled_shape(counts, pair, x, bin_width)
+    return crosstalk._estimates(counts, [0], pair, [n_source], shape, x,
+                                bin_width)[0]
+
+
 def estimate(stream, source, target):
     """The cross-talk estimate of one pair from its whole-stream histogram,
     at one TDC bin per histogram bin."""
     hist = build_histogram(stream, (min(source, target), max(source, target)),
                            DEFAULT_WINDOW_PS, stream.sensor.mean_bin_width_ps)
     n_source = int(np.count_nonzero(stream.pixel == source))
-    return _estimate_from_histogram(hist, source, target, n_source)
+    return estimate_alone(hist, source, target, n_source)
 
 
 def test_recovers_injected_neighbor_probability():
@@ -84,8 +94,11 @@ def test_zero_count_target_gives_upper_limit():
 
 def test_source_count_floor():
     stream = sim_stream(overrides=[(40, 3e4)], base_cps=0.0, duration_s=0.1)
+    report = compute_rates(stream)
+    assert [p for p, _rate in report.hot_pixels] == [40]
+    assert stream.counts_per_pixel()[40] < MIN_SOURCE_COUNTS
     with pytest.raises(DataError, match="counts"):
-        estimate(stream, 40, 41)
+        ct_scan(stream, report, d_max=1, n_hot=1)
 
 
 def test_error_scales_as_inverse_sqrt_time():
@@ -151,6 +164,97 @@ def test_scan_null_curve_consistent_with_zero():
         assert point.upper_limit
 
 
+def reference_shape(hists, pairs) -> CtShape:
+    """The pooled shape as it was made from histogram objects: their
+    counts stacked and turned source -> target, rolled onto one bin,
+    summed into a histogram and fitted by ``fit_gaussians``."""
+    x, bin_width = hists[0].bin_centers, hists[0].bin_width_ps
+    n = len(x)
+    rows = np.stack([h.counts for h in hists])
+    turned = np.array([t < s for s, t in pairs])
+    rows = np.where(turned[:, None], rows[:, ::-1], rows)
+    peaks = peakfit._box_peaks(peakfit._cumulative(rows), bin_width)
+    shifted = (np.arange(n) + (peaks - n // 2)[:, None]) % n
+    pooled = np.take_along_axis(rows, shifted, axis=1).sum(axis=0)
+    fit = peakfit.fit_gaussians([replace(hists[0], counts=pooled,
+                                         total_pairs=int(pooled.sum()))])[0]
+    if isinstance(fit, FitError) or not fit.significant:
+        failed = isinstance(fit, FitError)
+        return CtShape(FALLBACK_SIGMA_PS, 0.0,
+                       None if failed else fit.chi2 / fit.dof,
+                       fit.n_iterations,
+                       fit.reason if failed else fit.stop_reason,
+                       len(hists), True)
+    peak = crosstalk._gauss_peaks(pooled[None], fit.sigma_ps / bin_width)[0]
+    _gross, bg, net, _var = peakfit._window_counts(
+        peakfit._cumulative(pooled[None]), x, np.array([fit.center_ps]),
+        np.array([fit.sigma_ps]))
+    return CtShape(fit.sigma_ps, fit.center_ps - float(x[peak]),
+                   fit.chi2 / fit.dof, fit.n_iterations, fit.stop_reason,
+                   len(hists), False,
+                   float(net[0] / (pooled.sum() - bg[0] * n)))
+
+
+def reference_scan(stream, pairs):
+    """The shape and estimates of the (source, target) ``pairs`` made
+    through one ``DeltaHistogram`` per pair, each pair estimated on its
+    own histogram."""
+    hists = pair_histograms(stream, [(min(s, t), max(s, t)) for s, t in pairs],
+                            DEFAULT_WINDOW_PS, stream.sensor.mean_bin_width_ps)
+    nearest = [k for k, (s, t) in enumerate(pairs) if abs(t - s) == 1]
+    shape = reference_shape([hists[k] for k in nearest],
+                            [pairs[k] for k in nearest])
+    counts = stream.counts_per_pixel()
+    return shape, [crosstalk._block_estimates(
+        h.counts[None], [pair], [counts[pair[0]]], shape, h.bin_centers,
+        h.bin_width_ps)[0] for pair, h in zip(pairs, hists)]
+
+
+def neighbouring_hot_pixels(seed):
+    """Hot pixels 3 apart, so a scan over d <= 5 asks for some pairs twice,
+    once from each source, one of them turned."""
+    return sim_stream(overrides=[(40, 2e5), (43, 1.5e5), (120, 1e5)],
+                      base_cps=50.0, ct=[(1, 0.002), (3, 0.0005)],
+                      duration_s=1.0, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_scan_from_the_cube_equals_the_histogram_reference(seed):
+    stream = neighbouring_hot_pixels(seed)
+    curve = ct_scan(stream, compute_rates(stream), d_max=5, n_hot=3)
+    asked = Counter((min(s, t), max(s, t)) for s, t in curve.pairs)
+    assert asked[(40, 43)] == 2 and (40, 43) in curve.pairs
+    assert len(curve.pairs) > crosstalk.BLOCK_PAIRS
+    shape, estimates = reference_scan(stream, list(curve.pairs))
+    assert curve.shape == shape and not shape.fallback
+    assert list(curve.estimates) == estimates
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_pair_sets_from_the_cube_equal_the_reference(seed):
+    # Any (source, target) pairs, repeated and turned ones among them,
+    # gathered from the cube across block boundaries.
+    stream = neighbouring_hot_pixels(3)
+    rng = np.random.default_rng(seed)
+    sources = rng.choice([40, 43, 120], 40)
+    targets = sources + rng.choice([-5, -3, -1, 1, 2, 3, 4], 40)
+    pairs = [(int(s), int(t)) for s, t in zip(sources, targets)]
+    pairs += [(40, 41), (43, 42)]
+    bin_width = stream.sensor.mean_bin_width_ps
+    cube, rows = coincidence._pair_counts(
+        stream, [(min(s, t), max(s, t)) for s, t in pairs], DEFAULT_WINDOW_PS,
+        bin_width)
+    x = coincidence._grid(DEFAULT_WINDOW_PS, bin_width, cube.shape[1])[1]
+    nearest = [k for k, (s, t) in enumerate(pairs) if abs(t - s) == 1]
+    shape = crosstalk._pooled_shape(cube[rows[nearest]],
+                                    [pairs[k] for k in nearest], x, bin_width)
+    counts = stream.counts_per_pixel()
+    estimates = crosstalk._estimates(cube, rows, pairs,
+                                     [counts[s] for s, _ in pairs], shape, x,
+                                     bin_width)
+    assert (shape, estimates) == reference_scan(stream, pairs)
+
+
 def test_scan_estimates_equal_the_counting_estimator(caplog):
     # Hot pixels over almost no dark counts: the scan meets significant
     # peaks, peakless pairs and empty histograms.
@@ -168,8 +272,9 @@ def test_scan_estimates_equal_the_counting_estimator(caplog):
         DEFAULT_WINDOW_PS, stream.sensor.mean_bin_width_ps)
     for (s, t), hist, est in zip(curve.pairs, hists, curve.estimates):
         assert (est.source, est.target) == (s, t)
-        assert crosstalk._estimates([hist], [(s, t)], [counts[s]],
-                                    shape) == [est]
+        assert crosstalk._estimates(
+            hist.counts[None], [0], [(s, t)], [counts[s]], shape,
+            hist.bin_centers, hist.bin_width_ps) == [est]
         # the window and the sideband, straight from their definitions
         sigma = shape.sigma_ps if est.significant else FALLBACK_SIGMA_PS
         dist = np.abs(hist.bin_centers - est.center_ps)
@@ -282,8 +387,10 @@ def test_narrow_window_takes_its_background_outside_the_peak():
     hist = build_histogram(stream, (100, 101), 500.0,
                            stream.sensor.mean_bin_width_ps)
     n_source = int(np.count_nonzero(stream.pixel == 100))
-    est = _estimate_from_histogram(hist, 100, 101, n_source)
-    sigma = crosstalk._pooled_shape([hist], [(100, 101)]).sigma_ps
+    est = estimate_alone(hist, 100, 101, n_source)
+    sigma = crosstalk._pooled_shape(hist.counts[None], [(100, 101)],
+                                    hist.bin_centers,
+                                    hist.bin_width_ps).sigma_ps
     assert est.significant
     dist = np.abs(hist.bin_centers - est.center_ps)
     assert not (dist > SIDEBAND_SIGMAS * sigma).any()

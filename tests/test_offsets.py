@@ -289,11 +289,13 @@ def test_batched_fits_measure_what_single_fits_measure(monkeypatch, caplog):
     bin_width = stream.sensor.mean_bin_width_ps
     alone = []
 
-    def fit_one_by_one(x, y, weights):
+    def fit_one_by_one(x, y, weights=None):
         cut = DeltaHistogram(0, 1, 0.5 * len(x) * bin_width * (1 - 1e-12),
                              bin_width, np.zeros(len(x), dtype=np.int64), 0)
         assert np.array_equal(x, cut.bin_centers)
-        assert np.array_equal(weights, 1.0 / np.maximum(y, 1.0))
+        # the core's own weights, which fit_gaussian gives each cut too
+        assert weights is None
+        assert (y.sum(axis=1) >= offsets._MIN_CUT_COUNTS).all()
         for row in y:
             counts = row.astype(np.int64)
             try:
@@ -310,7 +312,7 @@ def test_batched_fits_measure_what_single_fits_measure(monkeypatch, caplog):
     assert repr(batched) == repr(one_by_one)
     first, second = (r.getMessage() for r in caplog.records)
     assert first == second
-    assert "empty_histogram" in first and 0 < invalid_fraction(batched) < 1
+    assert "too_few_counts" in first and 0 < invalid_fraction(batched) < 1
     # the line reports the median and largest chi2/dof of the cut fits
     chi2_dof = [f.chi2 / f.dof for f in alone if not isinstance(f, FitError)]
     assert caplog.records[0].args[3:5] == (np.median(chi2_dof),
@@ -325,6 +327,60 @@ def test_dark_only_stream_has_no_valid_pairs():
     assert invalid_fraction(ms) == 1.0
     with pytest.raises(CalibrationError):
         solve_delays(ms)
+
+
+def test_cuts_of_too_few_counts_run_no_solver_pass(caplog):
+    # 2 s of 100 cps dark counts: no cut holds four counts, so none is
+    # fitted (one fit of a single count used to run all 200 passes).
+    stream, _truth = simulate(SimConfig(seed=21, duration_s=2.0,
+                                        dcr=DcrProfile(base_cps=100.0)))
+    caplog.set_level(logging.INFO, logger="spadkit.offsets")
+    assert invalid_fraction(measure_offsets(stream)) == 1.0
+    (record,) = caplog.records
+    assert record.args[2] == {"too_few_counts": 255}
+    assert record.args[5:7] == (0, 0)  # solver iterations, batched passes
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 223), max_size=3), min_size=1,
+                max_size=6))
+def test_property_cuts_of_under_four_counts_are_never_valid(bins):
+    # Rows of 0 to 3 counts, fitted anyway with the threshold at 0: no
+    # pair comes out valid, so leaving such cuts unfitted changes no
+    # valid pair.
+    counts = np.zeros((len(bins), 224), dtype=np.int64)
+    for row, at in zip(counts, bins):
+        np.add.at(row, at, 1)
+    pairs = [(k, k + 1) for k in range(len(bins))]
+    bin_width = SensorConfig().mean_bin_width_ps
+    window = 112 * bin_width
+    skipped = offsets._measure(pairs, counts, window, bin_width)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(offsets, "_MIN_CUT_COUNTS", 0)
+        fitted = offsets._measure(pairs, counts, window, bin_width)
+    assert not any(meas.valid for meas in fitted)
+    assert repr(fitted) == repr(skipped)
+
+
+def test_cube_path_measures_what_the_histograms_measure():
+    # The tiny flood of the benchmark: the pairs' rows of the count cube
+    # against the histogram objects of the same pairs, stacked.
+    delays = np.random.default_rng(4).uniform(-5000.0, 5000.0, 32)
+    stream, _truth = simulate(SimConfig(
+        sensor=SensorConfig(num_pixels=32), seed=4, duration_s=2.0,
+        dcr=DcrProfile(base_cps=2000.0), ct_profile=((1, 0.05),),
+        delays_ps=tuple(delays)))
+    pairs = [(i, i + 1) for i in range(31)]
+    for s in (stream, apply_delays(stream, solve_delays(
+            measure_offsets(stream)))):
+        hists = pair_histograms(s, pairs, DEFAULT_WINDOW_PS,
+                                s.sensor.mean_bin_width_ps)
+        reference = offsets._measure(
+            pairs, np.stack([h.counts for h in hists]), hists[0].window_ps,
+            hists[0].bin_width_ps)
+        got = measure_offsets(s)
+        assert sum(m.valid for m in got) > 20
+        assert repr(got) == repr(reference)
 
 
 def _full_window_measurements(hists):
@@ -352,7 +408,9 @@ def test_peakless_pairs_are_no_more_often_valid_than_full_fits(level):
                             total_pairs=int(row.sum()))
              for k, row in enumerate(rows)]
     full = sum(m.valid for m in _full_window_measurements(hists))
-    assert sum(m.valid for m in offsets._measure(hists)) <= full
+    cut = offsets._measure([(k, k + 1) for k in range(len(rows))], rows,
+                           DEFAULT_WINDOW_PS, bin_width)
+    assert sum(m.valid for m in cut) <= full
 
 
 def test_broad_peak_is_refused_not_truncated(caplog):
@@ -361,16 +419,11 @@ def test_broad_peak_is_refused_not_truncated(caplog):
     bin_width = SensorConfig().mean_bin_width_ps
     x = -DEFAULT_WINDOW_PS + bin_width * (np.arange(2800) + 0.5)
     rng = np.random.default_rng(3)
-    hists = []
-    for k, sigma in enumerate((63.0, 300.0)):
-        row = rng.poisson(2.0 + 400.0 * np.exp(-0.5 * ((x - 1234.0) / sigma)
-                                                ** 2))
-        hists.append(DeltaHistogram(pixel_a=k, pixel_b=k + 1,
-                                    window_ps=DEFAULT_WINDOW_PS,
-                                    bin_width_ps=bin_width, counts=row,
-                                    total_pairs=int(row.sum())))
+    rows = np.stack([rng.poisson(2.0 + 400.0 * np.exp(
+        -0.5 * ((x - 1234.0) / sigma) ** 2)) for sigma in (63.0, 300.0)])
     caplog.set_level(logging.INFO, logger="spadkit.offsets")
-    narrow, broad = offsets._measure(hists)
+    narrow, broad = offsets._measure([(0, 1), (1, 2)], rows,
+                                     DEFAULT_WINDOW_PS, bin_width)
     assert narrow.valid and abs(narrow.off_ps + 1234.0) <= 5 * narrow.sigma_ps
     assert not broad.valid
     (record,) = caplog.records

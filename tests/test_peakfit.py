@@ -722,6 +722,38 @@ def test_batches_on_one_grid_equal_the_reference(monkeypatch,
                 else got.stop_reason == alone.stop_reason)
 
 
+def test_the_core_weighs_by_the_one_count_variance_rule(monkeypatch):
+    # Without weights the batched core fits 1 / max(count, 1), which
+    # fit_peak, offsets' cuts and the pooled cross-talk fit rely on, and a
+    # histogram's weights come from the same variance.
+    x = np.arange(60.0)
+    rng = np.random.default_rng(8)
+    y = rng.poisson(3.0 + 40.0 * np.exp(-0.5 * ((x - 30.0) / 3.0) ** 2),
+                    (3, 60)).astype(np.float64)
+    y[2, :] = 0.0
+    y[2, 29:32] = [2.0, 0.5, 3.0]
+    rule = 1.0 / np.maximum(y, 1.0)
+    seen = []
+    levmar = peakfit._levmar
+
+    def spy(x, y, weights, *args, **kwargs):
+        seen.append(weights)
+        return levmar(x, y, weights, *args, **kwargs)
+
+    monkeypatch.setattr(peakfit, "_levmar", spy)
+    defaulted = peakfit._single_peak_fits(x, y)
+    assert np.array_equal(seen[0], rule)
+    assert repr(defaulted) == repr(peakfit._single_peak_fits(x, y, rule))
+    assert repr(fit_peak(x, y[0])) == repr(fit_peak(x, y[0],
+                                                    weights=rule[0]))
+    counts = y[0].astype(np.int64)
+    hist = DeltaHistogram(0, 1, 30.0, 1.0, counts, int(counts.sum()))
+    assert np.array_equal(peakfit._fit_arrays(hist)[2], rule[0])
+    normed = normalize_histogram(hist)
+    assert np.array_equal(peakfit._fit_arrays(normed)[2],
+                          normed.median_count ** 2 / np.maximum(y[0], 1.0))
+
+
 def test_fit_gaussians_equals_fit_gaussian_per_histogram():
     rng = np.random.default_rng(14)
     hists = [hist_from_counts(rng.poisson(gauss_model(X, np.array(

@@ -813,6 +813,25 @@ def test_cycles_without_records_read_from_every_source(piece, tmp_path):
             assert_same_stream(got, want)
 
 
+@pytest.mark.parametrize("piece", [1, 2, 3, timestream._PIECE])
+def test_v1_cycles_without_records_read_as_their_cycles(piece, tmp_path):
+    # Empty cycles first, between and last, in v1 slabs of 1 to 3 records
+    # or one: each slab's cycle column is built by _fill_cycles.
+    rec = TimestampRecord
+    cycles = [AcquisitionCycle(0, ()),
+              AcquisitionCycle(1, (rec(1, 5), rec(2, 5))),
+              AcquisitionCycle(3, ()), AcquisitionCycle(4, ()),
+              AcquisitionCycle(7, (rec(0, 9),)),
+              AcquisitionCycle(8, (rec(3, 1), rec(1, 2), rec(2, 4))),
+              AcquisitionCycle(11, ())]
+    data = stream_bytes(HEADER, cycles)
+    want = PhotonStream.from_cycles(HEADER, cycles)
+    assert want.cycle_index.tolist() == [1, 1, 7, 8, 8, 8]
+    with mock.patch.object(timestream, "_PIECE", piece):
+        for got in read_from_each_source(data, tmp_path):
+            assert_same_columns(got, want)
+
+
 def sized_stream(n, records_per_cycle, raw, seed):
     """``n`` random records, about ``records_per_cycle`` to a cycle."""
     rng = np.random.default_rng(seed)
