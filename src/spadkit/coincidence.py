@@ -215,8 +215,11 @@ def _pair_counts(stream: PhotonStream, pairs, window_ps: float,
     if not len(codes):
         return cube, rows.reshape(-1)
     lows, highs = np.divmod(codes, n_pix)
-    wanted = np.zeros(max(n_pix, int(stream.pixel.max(initial=0)) + 1), bool)
+    top = int(stream.pixel.max(initial=0))
+    wanted = np.zeros(max(n_pix, top + 1), bool)
     wanted[lows] = wanted[highs] = True
+    # pairs over every pixel up to the stream's largest drop no record
+    keep_all = bool(wanted[:top + 1].all())
     # row_at[base[low] + high - low] is the row of pair (low, high), or -1:
     # one line per low pixel and one column per distance up to the largest
     # is a table lookup instead of a search per candidate.  Pixels that
@@ -248,9 +251,8 @@ def _pair_counts(stream: PhotonStream, pairs, window_ps: float,
         # pass does not depend on where chunks are cut
         if not (cyc[1:] >= cyc[:-1]).all():
             raise DataError(_UNORDERED)
-        keep = wanted[stream.pixel[chunk]]
         t, pix = stream.time_ps[chunk], stream.pixel[chunk]
-        if not keep.all():
+        if not keep_all and not (keep := wanted[pix]).all():
             # an integer gather: at a scan's kept fractions a boolean
             # index is several times slower
             kept = np.flatnonzero(keep)

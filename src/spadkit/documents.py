@@ -2,7 +2,9 @@
 
 Files hold one JSON object, only finite numbers and no key twice in one
 object: ``read_json`` refuses anything else, ``write_json`` writes a
-non-finite float as ``null``.
+non-finite float as ``null``.  ``read_json`` checks finiteness once per
+document, after the parse, not once per number: a file it refuses is
+parsed a second time, number by number, for the message.
 """
 
 from __future__ import annotations
@@ -30,14 +32,49 @@ def _unique_keys(pairs: list) -> dict:  # json.load alone keeps the last
     return doc
 
 
+def _all_finite(doc) -> bool:
+    """Does ``doc`` hold no non-finite float?  One iterative walk, so no
+    depth the parser accepts is too deep; a list whose ``sum`` is finite
+    holds none, any other list is looked at value by value."""
+    todo = [doc]
+    while todo:
+        obj = todo.pop()
+        if isinstance(obj, dict):
+            todo.extend(obj.values())
+        elif isinstance(obj, list):
+            try:  # TypeError: not all numbers; OverflowError: a huge int
+                if math.isfinite(sum(obj)):
+                    continue
+            except (TypeError, OverflowError):
+                pass
+            todo.extend(obj)
+        elif isinstance(obj, float) and not math.isfinite(obj):
+            return False
+    return True
+
+
 def read_json(path: str, error: type[DataError] = DataError) -> dict:
-    """The JSON object in ``path``; any defect of the file raises ``error``."""
+    """The JSON object in ``path``; any defect of the file raises ``error``.
+
+    A file that fails the parse or the finiteness check is read again with
+    ``_finite`` on every number, which reports the first defect in the
+    file's order (an overflow before a repeated key that follows it)."""
     with open(path, "rb") as fh:
         try:  # ValueError covers JSONDecodeError and UnicodeDecodeError
-            doc = json.load(fh, parse_constant=_finite, parse_float=_finite,
+            doc = json.load(fh, parse_constant=_finite,
                             object_pairs_hook=_unique_keys)
-        except (ValueError, RecursionError) as exc:
-            raise error(f"{path} is not valid JSON: {exc}") from None
+        except (ValueError, RecursionError):
+            clean = False
+        else:
+            clean = _all_finite(doc)
+        if not clean:
+            fh.seek(0)
+            try:
+                doc = json.load(fh, parse_constant=_finite,
+                                parse_float=_finite,
+                                object_pairs_hook=_unique_keys)
+            except (ValueError, RecursionError) as exc:
+                raise error(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise error(f"{path} holds a JSON {type(doc).__name__}, not an object")
     return doc

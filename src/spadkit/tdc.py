@@ -167,7 +167,9 @@ def build_lut(stream: PhotonStream) -> TdcLut:
 def _check_lut(stream: PhotonStream, lut: TdcLut) -> None:
     """Refuse a stream ``lut`` cannot convert: another sensor's LUT, no
     raw codes, a code beyond ``tdc_bins_per_clock``, or a record on a
-    pixel the LUT marks unusable."""
+    pixel the LUT marks unusable.  The last takes a pass over the pixel
+    column, which a LUT without unusable pixels skips: it blocks no
+    record."""
     sensor = stream.sensor
     if (sensor.num_pixels, sensor.tdc_bins_per_clock, sensor.clock_period_ps) != \
             (lut.sensor.num_pixels, lut.sensor.tdc_bins_per_clock,
@@ -180,6 +182,8 @@ def _check_lut(stream: PhotonStream, lut: TdcLut) -> None:
         raise DataError(
             f"raw code {int(codes.max())} out of range "
             f"(tdc_bins={sensor.tdc_bins_per_clock})")
+    if not lut.unusable:
+        return
 
     seen = np.zeros(sensor.num_pixels, dtype=bool)
     seen[stream.pixel] = True

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 
 import numpy as np
@@ -12,7 +13,7 @@ from spadkit import (CalibrationError, DataError, PhotonStream, SensorConfig,
                      StreamFormatError, StreamHeader)
 from spadkit.offsets import apply_delays
 from spadkit.simulator import simulate_code_density
-from spadkit.tdc import TdcLut, apply_lut, build_lut
+from spadkit.tdc import TdcLut, _check_lut, apply_lut, build_lut
 
 SENSOR = SensorConfig()
 CLOCK = SENSOR.clock_period_ps
@@ -179,6 +180,34 @@ def test_apply_refuses_a_lut_of_another_sensor(field, value):
                                 other.mean_bin_width_ps))
     with pytest.raises(CalibrationError, match="fingerprint"):
         apply_lut(stream, lut)
+
+
+def test_check_without_unusable_pixels_keeps_every_other_refusal():
+    # a LUT that marks no pixel unusable blocks no record, so the check
+    # skips its pass over the pixels, and only that
+    plenty = np.repeat(np.arange(BINS, dtype=np.uint32), 100)
+    stream = raw_stream({3: plenty, 200: plenty})
+    lut = TdcLut(SENSOR, np.full((SENSOR.num_pixels, BINS), CLOCK / BINS))
+    _check_lut(stream, lut)
+    other = SensorConfig(num_pixels=64)
+    with pytest.raises(CalibrationError, match="fingerprint"):
+        _check_lut(stream, TdcLut(other, np.full((64, BINS), CLOCK / BINS)))
+    with pytest.raises(DataError, match="no raw TDC codes"):
+        _check_lut(dataclasses.replace(stream, raw_code=None), lut)
+    codes = stream.raw_code.copy()
+    codes[7] = BINS
+    with pytest.raises(DataError, match=f"raw code {BINS} out of range"):
+        _check_lut(dataclasses.replace(stream, raw_code=codes), lut)
+
+
+def test_check_with_an_unusable_pixel_refuses_only_its_records():
+    plenty = np.repeat(np.arange(BINS, dtype=np.uint32), 100)
+    lut = TdcLut(SENSOR, np.full((SENSOR.num_pixels, BINS), CLOCK / BINS),
+                 unusable=frozenset({200}))
+    _check_lut(raw_stream({3: plenty}), lut)
+    with pytest.raises(CalibrationError,
+                       match="uncalibrated pixels: 200$"):
+        _check_lut(raw_stream({3: plenty, 200: plenty[:1]}), lut)
 
 
 def test_lut_constructor_rejects_bad_usable_rows():

@@ -743,6 +743,68 @@ def test_v2_double_defects_same_error_from_every_source(
     assert outcomes == [outcomes[0]] * 3
 
 
+def dense_stream(n_cycles, per_cycle, raw):
+    """Cycles 2, 5, 8, ... of ``per_cycle`` records each, times 10 ps
+    apart from 5 ps and pixels cycling over eight, raw codes if ``raw``."""
+    k = np.arange(n_cycles * per_cycle)
+    index = 2 + 3 * np.arange(n_cycles, dtype=np.uint64)
+    return PhotonStream(HEADER, np.repeat(index, per_cycle),
+                        (k % 8).astype(np.uint16),
+                        (5 + 10 * (k % per_cycle)).astype(np.float64),
+                        (k % 140).astype(np.uint32) if raw else None)
+
+
+# Cycles 2, 5 and 8 of six records each in one slab: record k is record
+# k % 6 of cycle k // 6.  Offsets count from the payload: slab header at
+# 0, indices at 17, counts 41, pixels 53 (record k's at 53 + 2k), times 89
+# (record k's at 89 + 8k), the end at 233.
+DENSE_DEFECTS = [
+    ("index", put("<Q", 25, 1), "strictly increasing", 1, 25),
+    ("pixel", put("<H", 69, SENSOR.num_pixels), "pixel 256", 5, 69),
+    ("time", put("<Q", 201, SENSOR.cycle_period_ps), "outside cycle", 8,
+     201),
+    ("order", put("<Q", 145, 0), "not sorted", 5, 145),
+]
+
+
+@pytest.mark.parametrize("piece", [2, 4, 16, timestream._PIECE])
+@pytest.mark.parametrize("mutate, match, cycle, at",
+                         [case[1:] for case in DENSE_DEFECTS],
+                         ids=[case[0] for case in DENSE_DEFECTS])
+def test_dense_slab_defects_same_error_from_every_source(
+        mutate, match, cycle, at, piece, tmp_path):
+    # six records a cycle: the cycle column is filled by runs, and for a
+    # piece of 2 or 4 by a slice per cycle
+    good = columnar_bytes(dense_stream(3, 6, raw=False))
+    start = payload_offset(good)
+    assert len(good) == start + 233
+    data = bytearray(good)
+    mutate(data, start)
+    with mock.patch.object(timestream, "_PIECE", piece):
+        outcomes = read_from_each_source(bytes(data), tmp_path)
+        assert_readers_agree(bytes(data))
+    message, got_cycle, got_at = outcomes[0]
+    assert re.search(match, message)
+    assert (got_cycle, got_at) == (cycle, start + at)
+    assert outcomes == [outcomes[0]] * 3
+
+
+@pytest.mark.parametrize("piece", [1000, timestream._PIECE])
+def test_dense_cycles_read_alike_from_every_source_and_as_v1(piece,
+                                                             tmp_path):
+    # 40 cycles of 3,100 raw records, the TDC calibration's shape, in
+    # slabs of about 20,000 records; with a piece of 1,000 records every
+    # cycle is larger than a piece
+    stream = dense_stream(40, 3100, raw=True)
+    v2 = columnar_bytes(stream, slab_records=20_000)
+    header, cycles = read_stream(io.BytesIO(v2))
+    v1 = stream_bytes(header, list(cycles))
+    with mock.patch.object(timestream, "_PIECE", piece):
+        for data in (v2, v1):
+            for got in read_from_each_source(data, tmp_path):
+                assert_same_columns(got, stream)
+
+
 @pytest.mark.parametrize("slab, claim", [(0, 2**33), (0, 2**61), (1, 3),
                                          (1, 2**40)])
 def test_slab_claiming_more_records_than_the_file_holds(slab, claim,
@@ -949,6 +1011,34 @@ def test_property_fill_cycles_equals_repeat(cycles, first, aliased, piece):
         index = out[:len(index)]
     with mock.patch.object(timestream, "_PIECE", piece):
         timestream._fill_cycles(index, count, out)
+    np.testing.assert_array_equal(out, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["empty", "single", "dense",
+                                           "large"]), st.integers(0, 99)),
+                max_size=30),
+       st.sampled_from([2, 3, 4, 8]), st.booleans())
+@example([("dense", 0)] * 5 + [("large", 99), ("single", 0), ("dense", 1)],
+         4, True)
+def test_property_fill_cycles_mixes_dense_and_sparse_pieces(cycles, piece,
+                                                             aliased):
+    """Pieces of two or more records a cycle (filled by runs, a cycle of
+    more than ``_PIECE`` records by a slice) and sparser ones (a prefix
+    sum) give ``np.repeat``'s column, with the index at the head of it."""
+    sizes = {"empty": (0, 0), "single": (1, 1), "dense": (2, piece),
+             "large": (piece + 1, 3 * piece)}
+    count = np.array([sizes[kind][0] + r % (sizes[kind][1] - sizes[kind][0]
+                                             + 1) for kind, r in cycles],
+                     dtype=np.uint32)
+    index = np.cumsum(np.arange(1, len(count) + 1), dtype=np.uint64) + 2**60
+    want = np.repeat(index, count)
+    out = np.full(len(want), 0xDEAD, dtype=np.uint64)
+    if aliased and len(index) <= len(out):
+        out[:len(index)] = index
+        index = out[:len(index)]
+    with mock.patch.object(timestream, "_PIECE", piece):
+        assert timestream._fill_cycles(index, count, out) is out
     np.testing.assert_array_equal(out, want)
 
 
