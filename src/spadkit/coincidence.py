@@ -82,6 +82,8 @@ class DeltaHistogram(Document):
     normalized: np.ndarray | None = None
     median_count: float | None = None
 
+    NOUN = "histogram"
+
     def __post_init__(self):
         if self.pixel_a >= self.pixel_b:
             raise ValueError("pair must be ordered pixel_a < pixel_b")
@@ -118,35 +120,33 @@ class DeltaHistogram(Document):
         return doc
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "DeltaHistogram":
-        try:
-            counts = np.array([as_count(c) for c in as_list(doc["counts"])],
-                              dtype=np.int64)
-            normalized = median = None
-            if doc.get("normalized") is not None:
-                # the fit weights and scales by these: a list as long as
-                # the counts, and a positive median
-                normalized = np.array([as_float(v) for v in
-                                       as_list(doc["normalized"])],
-                                      dtype=np.float64)
-                if len(normalized) != len(counts):
-                    raise ValueError(f"{len(normalized)} normalized values "
-                                     f"for {len(counts)} counts")
-                median = as_float(doc["median_count"])
-                if median <= 0:
-                    raise ValueError(f"median_count {median} is not positive")
-            return cls(
-                pixel_a=as_count(doc["pixel_a"]),
-                pixel_b=as_count(doc["pixel_b"]),
-                window_ps=as_float(doc["window_ps"]),
-                bin_width_ps=as_float(doc["bin_width_ps"]),
-                counts=counts,
-                total_pairs=as_count(doc["total_pairs"]),
-                normalized=normalized,
-                median_count=median,
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise DataError(f"malformed histogram document: {exc}") from None
+    def _decode(cls, doc: dict) -> "DeltaHistogram":
+        counts = np.array([as_count(c) for c in as_list(doc["counts"])],
+                          dtype=np.int64)
+        normalized = median = None
+        if doc.get("normalized") is not None:
+            # the fit weights and scales by these: a list as long as the
+            # counts, and the median of the counts, so at most the largest
+            normalized = np.array([as_float(v) for v in
+                                   as_list(doc["normalized"])],
+                                  dtype=np.float64)
+            if len(normalized) != len(counts):
+                raise ValueError(f"{len(normalized)} normalized values "
+                                 f"for {len(counts)} counts")
+            median = as_float(doc["median_count"])
+            if not 0 < median <= counts.max(initial=0):
+                raise ValueError(f"median_count {median} is not in "
+                                 "(0, largest count]")
+        return cls(
+            pixel_a=as_count(doc["pixel_a"]),
+            pixel_b=as_count(doc["pixel_b"]),
+            window_ps=as_float(doc["window_ps"]),
+            bin_width_ps=as_float(doc["bin_width_ps"]),
+            counts=counts,
+            total_pairs=as_count(doc["total_pairs"]),
+            normalized=normalized,
+            median_count=median,
+        )
 
 
 def n_bins(window_ps: float, bin_width_ps: float) -> int:

@@ -215,6 +215,8 @@ class CtCurve(Document):
     estimates: tuple[CtEstimate, ...] = ()
     shape: CtShape | None = None
 
+    NOUN = "curve"
+
     def point(self, distance: int) -> CtPoint:
         for p in self.points:
             if p.distance == distance:
@@ -251,36 +253,33 @@ class CtCurve(Document):
         }
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "CtCurve":
-        try:
-            points = tuple(
-                CtPoint(distance=as_count(p["distance"]),
-                        probability=as_float(p["mean"]),
-                        stderr=as_float(p["stderr"]),
-                        n_pairs=as_count(p["n_pairs"]),
-                        upper_limit=as_bool(p["upper_limit"]))
-                for p in doc["points"])
-            pairs = tuple((as_count(s), as_count(t)) for s, t in doc["pairs"])
-            version = doc.get("schema_version", 1)
-            if version == 1:
-                estimates, shape = (), None
-            elif version == 2:
-                estimates = tuple(CtEstimate.from_json_dict(e)
-                                  for e in as_list(doc["estimates"]))
-                # none (a curve without them, as schema 1 loads), or one
-                # per pair in the order of the pairs
-                if estimates and \
-                        [(e.source, e.target) for e in estimates] != list(pairs):
-                    raise ValueError("estimates do not match pairs")
-                shape = (CtShape.from_json_dict(doc["shape"])
-                         if doc["shape"] is not None else None)
-            else:
-                raise ValueError(f"unknown schema_version {version!r}")
-            return cls(points=points, pairs=pairs,
-                       window_ps=as_float(doc["window_ps"]),
-                       estimates=estimates, shape=shape)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise DataError(f"malformed curve document: {exc}") from None
+    def _decode(cls, doc: dict) -> "CtCurve":
+        points = tuple(
+            CtPoint(distance=as_count(p["distance"]),
+                    probability=as_float(p["mean"]),
+                    stderr=as_float(p["stderr"]),
+                    n_pairs=as_count(p["n_pairs"]),
+                    upper_limit=as_bool(p["upper_limit"]))
+            for p in doc["points"])
+        pairs = tuple((as_count(s), as_count(t)) for s, t in doc["pairs"])
+        version = doc.get("schema_version", 1)
+        if version == 1:
+            estimates, shape = (), None
+        elif version == 2:
+            estimates = tuple(CtEstimate.from_json_dict(e)
+                              for e in as_list(doc["estimates"]))
+            # none (a curve without them, as schema 1 loads), or one per
+            # pair in the order of the pairs
+            if estimates and \
+                    [(e.source, e.target) for e in estimates] != list(pairs):
+                raise ValueError("estimates do not match pairs")
+            shape = (CtShape.from_json_dict(doc["shape"])
+                     if doc["shape"] is not None else None)
+        else:
+            raise ValueError(f"unknown schema_version {version!r}")
+        return cls(points=points, pairs=pairs,
+                   window_ps=as_float(doc["window_ps"]),
+                   estimates=estimates, shape=shape)
 
 
 # ---------------------------------------------------------------------------

@@ -100,10 +100,19 @@ def write_json(path: str, doc, **dump_options) -> None:
 
 
 class Document:
-    """``save``/``load`` over ``to_json_dict``/``from_json_dict``; ``load``
-    passes extra arguments on and raises ``LOAD_ERROR`` for a bad file."""
+    """``save``/``load`` over ``to_json_dict``/``from_json_dict``.
+
+    ``from_json_dict`` is the one decode boundary: it runs the subclass's
+    ``_decode`` on a JSON object and raises any defect it meets as
+    ``LOAD_ERROR``, "malformed ``NOUN`` document: ...", while a
+    ``DataError`` that ``_decode`` raises passes unchanged.  A decoder
+    checks a nested value with ``as_object`` or ``as_list`` before it
+    calls a method of it, so every defect is a ``KeyError``,
+    ``TypeError``, ``ValueError`` or ``OverflowError``.
+    """
 
     LOAD_ERROR = DataError
+    NOUN = "JSON"
 
     def save(self, path: str) -> None:
         write_json(path, self.to_json_dict())
@@ -111,6 +120,14 @@ class Document:
     @classmethod
     def load(cls, path: str, *args):
         return cls.from_json_dict(read_json(path, cls.LOAD_ERROR), *args)
+
+    @classmethod
+    def from_json_dict(cls, doc, *args, **kwargs):
+        try:
+            return cls._decode(as_object(doc), *args, **kwargs)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise cls.LOAD_ERROR(
+                f"malformed {cls.NOUN} document: {exc}") from None
 
 
 def field_dict(obj) -> dict:
@@ -121,11 +138,18 @@ def field_dict(obj) -> dict:
 
 # Field decoders raise TypeError for a wrong type, ValueError for a bad value.
 
+def _shown(value) -> str:
+    """``value``'s repr for a message, cut short: a LUT's rows are 35,840
+    numbers."""
+    text = repr(value)
+    return text if len(text) <= 80 else text[:76] + " ..."
+
+
 def _scalar(kind: type, abc: type):
     def decode(value):
         if isinstance(value, bool) is not (kind is bool) \
                 or not isinstance(value, abc):
-            raise TypeError(f"expected {kind.__name__}, got {value!r}")
+            raise TypeError(f"expected {kind.__name__}, got {_shown(value)}")
         return kind(value)
     return decode
 
@@ -153,23 +177,40 @@ def as_count(value) -> int:
     return n
 
 
+def as_key(key: str) -> int:
+    """An integer key of a JSON object (a pixel, a distance): the plain
+    decimal of a non-negative integer, so that no two keys name one pixel
+    ("3", not "03", " 3", "+3" or "1_0")."""
+    if not (key.isascii() and key.isdigit() and (key[0] != "0" or key == "0")):
+        raise ValueError(f"key {_shown(key)} is not a plain decimal integer")
+    return int(key)
+
+
 def as_list(value) -> list | tuple:
     if not isinstance(value, (list, tuple)):
-        raise TypeError(f"expected a list, got {value!r}")
+        raise TypeError(f"expected a list, got {_shown(value)}")
+    return value
+
+
+def as_object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected an object, got {_shown(value)}")
     return value
 
 
 def pairs(key: type, value: type):
     """Decoder for ``((k, v), ...)`` from an object (``{"17": 2500}``,
-    keys parsed by ``key``) or a list of pairs (``[[17, 2500]]``)."""
-    as_key, as_value = _SCALARS[key.__name__], _SCALARS[value.__name__]
+    an int key read by ``as_key``) or a list of pairs (``[[17, 2500]]``)."""
+    as_item, as_value = _SCALARS[key.__name__], _SCALARS[value.__name__]
+    of_text = as_key if key is int else str
 
     def decode(doc):
         if isinstance(doc, dict):
-            return tuple((key(k), as_value(v)) for k, v in doc.items())
+            return tuple((of_text(k), as_value(v)) for k, v in doc.items())
         if any(len(as_list(item)) != 2 for item in as_list(doc)):
-            raise ValueError(f"expected [key, value] pairs, got {doc!r}")
-        return tuple((as_key(k), as_value(v)) for k, v in doc)
+            raise ValueError(
+                f"expected [key, value] pairs, got {_shown(doc)}")
+        return tuple((as_item(k), as_value(v)) for k, v in doc)
     return decode
 
 
@@ -179,10 +220,8 @@ def decode_fields(cls, doc, **decoders):
     An omitted key keeps the default; an unknown key raises ``DataError``.
     Fields without a decoder convert by their annotated scalar type.
     """
-    if not isinstance(doc, dict):
-        raise TypeError(f"{cls.__name__} must be a JSON object, got {doc!r}")
     fields = {f.name: f.type for f in dataclasses.fields(cls) if f.init}
-    unknown = [key for key in doc if key not in fields]
+    unknown = [key for key in as_object(doc) if key not in fields]
     if unknown:
         raise DataError(f"unknown {cls.__name__} key(s): "
                         + ", ".join(map(repr, unknown)))

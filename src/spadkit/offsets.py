@@ -54,8 +54,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .coincidence import DEFAULT_WINDOW_PS, _grid, _pair_counts
-from .documents import (Document, as_bool, as_count, as_float, decode_fields,
-                        field_dict)
+from .documents import (Document, as_bool, as_count, as_float, as_key,
+                        as_list, as_object, decode_fields, field_dict)
 from .errors import CalibrationError, DataError, FitError
 from .peakfit import (_box_peaks, _clears_noise, _cumulative,
                       _single_peak_fits, _window_counts)
@@ -128,6 +128,8 @@ class DelayVector(Document):
     gap_pixels: tuple[tuple[int, int], ...] = ()
     degraded: bool = False
 
+    NOUN = "delay"
+
     def __post_init__(self):
         d = np.asarray(self.delays_ps, dtype=np.float64)
         object.__setattr__(self, "delays_ps", d)
@@ -158,22 +160,19 @@ class DelayVector(Document):
         }
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "DelayVector":
-        try:
-            raw = doc["delays_ps"]
-            pixels = sorted(int(k) for k in raw)
-            if pixels != list(range(len(pixels))):
-                raise DataError("delay keys must cover 0..n-1 exactly")
-            d = np.array([as_float(raw[str(p)]) for p in pixels])
-            return cls(
-                delays_ps=d,
-                provenance=tuple(OffsetMeasurement.from_json_dict(m)
-                                 for m in doc.get("provenance", [])),
-                gap_pixels=tuple((as_count(a), as_count(b))
-                                 for a, b in doc.get("gap_pixels", [])),
-                degraded=as_bool(doc.get("degraded", False)))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise DataError(f"malformed delay document: {exc}") from None
+    def _decode(cls, doc: dict) -> "DelayVector":
+        raw = as_object(doc["delays_ps"])
+        pixels = sorted(as_key(k) for k in raw)
+        if pixels != list(range(len(pixels))):
+            raise DataError("delay keys must cover 0..n-1 exactly")
+        d = np.array([as_float(raw[str(p)]) for p in pixels])
+        return cls(
+            delays_ps=d,
+            provenance=tuple(OffsetMeasurement.from_json_dict(m)
+                             for m in as_list(doc.get("provenance", []))),
+            gap_pixels=tuple((as_count(a), as_count(b))
+                             for a, b in as_list(doc.get("gap_pixels", []))),
+            degraded=as_bool(doc.get("degraded", False)))
 
 
 def measure_offsets(stream: PhotonStream,

@@ -50,12 +50,13 @@ simulation at 1.54x (the tests bound them at 1.8x and 1.7x).
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import asdict, dataclass, field
 from functools import partial
 
 import numpy as np
 
-from .documents import as_float, as_list, decode_fields, pairs
+from .documents import Document, as_float, as_list, decode_fields, pairs
 from .errors import DataError
 from .timestream import (PhotonStream, SensorConfig, StreamHeader, _pieces,
                          sort_records)
@@ -144,7 +145,7 @@ class BeamSpec:
 
 
 @dataclass(frozen=True)
-class SimConfig:
+class SimConfig(Document):
     sensor: SensorConfig = field(default_factory=SensorConfig)
     seed: int = 0
     duration_s: float = 1.0
@@ -159,6 +160,15 @@ class SimConfig:
     jitter_sigma_ps: float = 40.0
     include_lineage: bool = False
 
+    NOUN = "config"
+
+    def __post_init__(self):
+        # a sigma of -0.0 is 0.0: numpy's normal refuses a negative sign
+        for name in ("correlation_sigma_ps", "ct_jitter_sigma_ps",
+                     "jitter_sigma_ps"):
+            if getattr(self, name) == 0:
+                object.__setattr__(self, name, 0.0)
+
     # -- validation --------------------------------------------------------
 
     def validated(self) -> "SimConfig":
@@ -167,9 +177,17 @@ class SimConfig:
             raise ValueError("seed must fit in 64 bits")
         if self.duration_s <= 0:
             raise ValueError("duration must be positive")
+        cycles = self.total_cycles  # refuses a count outside [1, 2**64)
         self.dcr.rates(self.sensor.num_pixels)
+        pixels = [p for p, _ in self.dcr.overrides]
+        if len(set(pixels)) != len(pixels):
+            raise ValueError("duplicate pixel in dcr overrides")
         if self.dcr.drift_scale < 0:
             raise ValueError("drift_scale must be >= 0")
+        if self.dcr.drift_scale * cycles == math.inf:
+            # the dark rates' ramp sums up to drift_scale per cycle
+            raise ValueError(f"drift_scale {self.dcr.drift_scale} overflows "
+                             f"over {cycles} cycles")
         for beam in self.beams:
             if not 0 <= beam.pixel < self.sensor.num_pixels:
                 raise ValueError(f"beam pixel {beam.pixel} out of range")
@@ -215,11 +233,14 @@ class SimConfig:
 
     @property
     def total_cycles(self) -> int:
-        cycle_s = self.sensor.cycle_period_ps * 1e-12
-        n = int(round(self.duration_s / cycle_s))
-        if n < 1:
-            raise ValueError("duration shorter than one cycle")
-        return n
+        """``duration_s`` in whole cycles: an integer in [1, 2**64), the
+        range of a stream's ``total_cycles``."""
+        cycles = self.duration_s / (self.sensor.cycle_period_ps * 1e-12)
+        if not 0.5 < cycles < 2.0**64:  # rounds to 1 .. 2**64 - 1
+            raise ValueError(
+                f"duration_s {self.duration_s} is {cycles:g} cycles of "
+                f"{self.sensor.cycle_period_ps} ps, not 1 to 2**64 - 1")
+        return round(cycles)
 
     def class_labels(self) -> tuple[str, ...]:
         labels = sorted({label for b in self.beams for label, _ in b.mix})
@@ -231,7 +252,7 @@ class SimConfig:
         return asdict(self)
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "SimConfig":
+    def _decode(cls, d: dict) -> "SimConfig":
         return decode_fields(
             cls, d, sensor=partial(decode_fields, SensorConfig),
             dcr=DcrProfile.from_json_dict,
@@ -239,7 +260,7 @@ class SimConfig:
                                       for b in as_list(beams)),
             ct_profile=pairs(int, float),
             delays_ps=lambda delays: None if delays is None
-            else tuple(as_float(x) for x in as_list(delays)))
+            else tuple(as_float(x) for x in as_list(delays))).validated()
 
 
 @dataclass
@@ -577,7 +598,9 @@ def _bernoulli_indices(rng, n: int, p: float) -> np.ndarray:
     expect = n * p
     size = int(expect + 6.0 * np.sqrt(expect) + 16)
     while pos < n - 1:
-        gaps = rng.geometric(p, size)
+        # A gap beyond n ends the trials as well, and so clipped, the sum
+        # cannot wrap: for p below about 1e-18 the draws reach 2**63 - 1.
+        gaps = np.minimum(rng.geometric(p, size), n + 1)
         idx = pos + np.cumsum(gaps)
         chunks.append(idx)
         pos = int(idx[-1])

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .documents import Document, as_count, as_float, as_list
+from .documents import (Document, as_count, as_float, as_key, as_list,
+                        as_object)
 from .errors import CalibrationError, DataError
 from .timestream import PhotonStream, SensorConfig, record_order
 
@@ -45,6 +46,7 @@ class TdcLut(Document):
     offsets: np.ndarray = field(init=False)
 
     LOAD_ERROR = CalibrationError
+    NOUN = "LUT"
 
     def __post_init__(self):
         expected = (self.sensor.num_pixels, self.sensor.tdc_bins_per_clock)
@@ -82,36 +84,31 @@ class TdcLut(Document):
         }
 
     @classmethod
-    def from_json_dict(cls, doc: dict, sensor: SensorConfig | None = None) -> "TdcLut":
-        try:
-            fp = doc["sensor"]
-            num_pixels = as_count(fp["num_pixels"])
-            bins = as_count(fp["tdc_bins_per_clock"])
-            clock = as_count(fp["clock_period_ps"])
-            if sensor is None:
-                sensor = SensorConfig(num_pixels=num_pixels,
-                                      tdc_bins_per_clock=bins,
-                                      clock_period_ps=clock)
-            elif (num_pixels, bins, clock) != (sensor.num_pixels,
-                                               sensor.tdc_bins_per_clock,
-                                               sensor.clock_period_ps):
-                raise CalibrationError(
-                    "LUT sensor fingerprint does not match the stream sensor")
-            widths = np.zeros((num_pixels, bins))
-            for key, vals in doc["widths_ps"].items():
-                # one spelling per pixel: "1" and " +1" must not both load
-                p = int(key)
-                if str(p) != key or not 0 <= p < num_pixels \
-                        or len(as_list(vals)) != bins:
-                    raise CalibrationError(f"malformed LUT row for pixel {key!r}")
-                widths[p] = _width_row(vals)
-            unusable = frozenset(as_count(p)
-                                 for p in doc.get("unusable_pixels", ()))
-            if not unusable <= set(range(num_pixels)):
-                raise CalibrationError("unusable pixel outside the sensor")
-            return cls(sensor=sensor, widths=widths, unusable=unusable)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise CalibrationError(f"malformed LUT document: {exc}") from None
+    def _decode(cls, doc: dict, sensor: SensorConfig | None = None) -> "TdcLut":
+        fp = as_object(doc["sensor"])
+        num_pixels = as_count(fp["num_pixels"])
+        bins = as_count(fp["tdc_bins_per_clock"])
+        clock = as_count(fp["clock_period_ps"])
+        if sensor is None:
+            sensor = SensorConfig(num_pixels=num_pixels,
+                                  tdc_bins_per_clock=bins,
+                                  clock_period_ps=clock)
+        elif (num_pixels, bins, clock) != (sensor.num_pixels,
+                                           sensor.tdc_bins_per_clock,
+                                           sensor.clock_period_ps):
+            raise CalibrationError(
+                "LUT sensor fingerprint does not match the stream sensor")
+        widths = np.zeros((num_pixels, bins))
+        for key, vals in as_object(doc["widths_ps"]).items():
+            p = as_key(key)
+            if p >= num_pixels or len(as_list(vals)) != bins:
+                raise CalibrationError(f"malformed LUT row for pixel {key!r}")
+            widths[p] = _width_row(vals)
+        unusable = frozenset(as_count(p)
+                             for p in as_list(doc.get("unusable_pixels", [])))
+        if not unusable <= set(range(num_pixels)):
+            raise CalibrationError("unusable pixel outside the sensor")
+        return cls(sensor=sensor, widths=widths, unusable=unusable)
 
 
 def _width_row(vals):

@@ -539,6 +539,21 @@ BAD_INPUTS = [
      b' "mix": []}]}'),
     ("pixels beyond u16", ["simulate", "--config", FILE],
      b'{"duration_s": 0.01, "sensor": {"num_pixels": 70000}}'),
+    # a cycle count is an integer in [1, 2**64), a stream's total_cycles
+    ("duration beyond 2**64 cycles", ["simulate", "--config", FILE],
+     b'{"duration_s": 1e308}',
+     "malformed config document: duration_s 1e+308 is inf cycles of "
+     "4000000 ps, not 1 to 2**64 - 1"),
+    ("duration under a cycle", ["simulate", "--config", FILE],
+     b'{"duration_s": 1e-300}'),
+    # one override per pixel, one spelling per pixel key
+    ("repeated override pixel", ["simulate", "--config", FILE],
+     b'{"duration_s": 0.01, "dcr": {"overrides": [[3, 900], [3, 5]]}}',
+     "malformed config document: duplicate pixel in dcr overrides"),
+    ("zero-padded override pixel", ["simulate", "--config", FILE],
+     b'{"duration_s": 0.01, "dcr": {"overrides": {"3": 900, "03": 5}}}',
+     "malformed config document: dcr: overrides: key '03' is not a plain "
+     "decimal integer"),
     ("deep fit input", ["fit", "--in", FILE], DEEP),
     ("deep delays", ["coincidence", "--in", STREAM, "--pair", "0,1",
                      "--delays", FILE], DEEP),
@@ -550,6 +565,9 @@ BAD_INPUTS = [
     ("negative count", ["fit", "--in", FILE],
      changed(HIST, counts=[-3] + [100] * 39)),
     ("negative total", ["fit", "--in", FILE], changed(HIST, total_pairs=-4)),
+    # the median of the counts, so at most the largest: squared by the fit
+    ("median above every count", ["fit", "--in", FILE],
+     changed(normalize_histogram(HIST), median_count=1e308)),
     ("fractional gap pixel", ["coincidence", "--in", STREAM, "--pair", "0,1",
                               "--delays", FILE],
      changed(DelayVector(np.zeros(256)), gap_pixels=[[0.5, 1]])),
@@ -571,6 +589,9 @@ BAD_INPUTS = [
     ("repeated lut key", ["coincidence", "--in", RAW, "--pair", "0,1",
                           "--lut", FILE],
      lut_rows_before(f'"1": {json.dumps(ROWS["1"])}')),
+    ("lut rows not an object", ["coincidence", "--in", RAW, "--pair", "0,1",
+                                "--lut", FILE],
+     changed(LUT, widths_ps=list(ROWS.values()))),
 ]
 # coincidence and report convert only their pair's records, but check the
 # whole stream against the LUT first: each case fails off the pair, with

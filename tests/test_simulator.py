@@ -11,6 +11,7 @@ from spadkit.coincidence import build_histogram
 from spadkit.peakfit import fit_gaussian
 from spadkit.rates import compute_rates
 from spadkit import simulator, timestream
+from spadkit.documents import field_dict
 from spadkit.simulator import (
     ORIGIN_BEAM_SINGLE,
     ORIGIN_CT,
@@ -192,6 +193,43 @@ def test_config_validation_errors():
         SimConfig(sensor=sensor, duration_s=1e-9).total_cycles
     with pytest.raises(ValueError, match="out of range"):
         SimConfig(sensor=sensor, beams=(BeamSpec(99, 10.0),)).validated()
+    with pytest.raises(ValueError, match="drift_scale 1e\\+308 overflows"):
+        SimConfig(sensor=sensor, dcr=DcrProfile(drift_scale=1e308)).validated()
+    with pytest.raises(ValueError, match="duplicate pixel"):
+        SimConfig(sensor=sensor, dcr=DcrProfile(
+            overrides=((3, 900.0), (3, 5.0)))).validated()
+
+
+@pytest.mark.parametrize("duration_s, cycles", [
+    (0.6 * 4e-6, 1), (1.0, 250_000), ((2**64 - 2**12) * 4e-6, 2**64 - 2**12),
+    (0.4 * 4e-6, None), (1e-300, None), (2**64 * 4e-6, None),
+    (2.0**70, None), (1e308, None)])
+def test_cycle_count_is_a_stream_cycle_count(duration_s, cycles):
+    # 1 to 2**64 - 1 cycles, the range of a stream's total_cycles
+    config = SimConfig(sensor=small_sensor(), duration_s=duration_s)
+    if cycles is not None:
+        assert config.validated().total_cycles == cycles
+        return
+    with pytest.raises(ValueError, match="not 1 to 2\\*\\*64 - 1"):
+        config.validated()
+    with pytest.raises(DataError, match="malformed config document"):
+        SimConfig.from_json_dict({"sensor": {"num_pixels": 16},
+                                  "duration_s": duration_s})
+
+
+def test_negative_zero_sigma_is_zero():
+    # numpy's normal refuses a scale of -0.0, so the config reads it as 0.0
+    fields = ("correlation_sigma_ps", "ct_jitter_sigma_ps", "jitter_sigma_ps")
+    beams = (BeamSpec(pixel=2, rate_cps=2e5), BeamSpec(pixel=9, rate_cps=2e5))
+    config = SimConfig(sensor=small_sensor(), seed=4, duration_s=0.02,
+                       beams=beams, pair_fraction=0.5,
+                       ct_profile=((1, 0.05),))
+    zero = SimConfig(**{**field_dict(config), **{f: 0.0 for f in fields}})
+    signed = SimConfig.from_json_dict(
+        {**config.to_json_dict(), **{f: -0.0 for f in fields}})
+    assert all(str(getattr(signed, f)) == "0.0" for f in fields)
+    assert stream_bytes(simulate(signed)[0]) == \
+        stream_bytes(simulate(zero)[0])
 
 
 def test_json_round_trip():
@@ -546,6 +584,41 @@ def test_ct_sources_are_picks_among_records_with_a_target(direction, prob):
     got = simulator._ct_sources(rng, pix, direction, 16, prob)
     assert np.array_equal(got, expected)
     assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+def _unclipped_bernoulli_indices(rng, n, p):
+    """The geometric-gap walk without the clip: its int64 sum wraps for p
+    below about 1e-18."""
+    chunks, pos = [], -1
+    expect = n * p
+    size = int(expect + 6.0 * np.sqrt(expect) + 16)
+    while pos < n - 1:
+        idx = pos + np.cumsum(rng.geometric(p, size))
+        chunks.append(idx)
+        pos = int(idx[-1])
+    idx = np.concatenate(chunks)
+    return idx[idx < n]
+
+
+@pytest.mark.parametrize("n", [1, 17, 100_000])
+@pytest.mark.parametrize("prob", [0.5, 1e-3, 1e-7, 1e-17])
+def test_clipped_gaps_keep_every_pick_and_draw(n, prob):
+    rng_ref, rng = np.random.default_rng(5), np.random.default_rng(5)
+    expected = _unclipped_bernoulli_indices(rng_ref, n, prob)
+    assert np.array_equal(simulator._bernoulli_indices(rng, n, prob),
+                          expected)
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+@pytest.mark.parametrize("prob", [1e-19, 1e-300])
+def test_tiny_probability_ends(prob):
+    # the gaps are 2**63 - 1 here; unclipped, their sum wrapped negative
+    # and the walk never ended
+    rng = np.random.default_rng(1)
+    assert len(simulator._bernoulli_indices(rng, 10**6, prob)) == 0
+    config = SimConfig(sensor=small_sensor(), seed=2, duration_s=0.01,
+                       dcr=DcrProfile(base_cps=1e4), ct_profile=((1, prob),))
+    assert simulate(config)[1].n_ct == 0
 
 
 class _NullSink:
