@@ -391,7 +391,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=getattr(logging, args.log_level.upper()))
     try:
-        return args.func(args)
+        # numpy's floating-point warnings are no part of a command's
+        # output, and on stderr they would precede its one JSON error
+        # line; ignoring them changes no computed value
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except _ERRORS as exc:
         print(json.dumps({"error": str(exc),
                           "type": type(exc).__name__}), file=sys.stderr)

@@ -17,26 +17,30 @@ n_bins)`` count cube for a whole scan in one pass, on the one grid of
 ``_grid``.  The calibrations take that cube as it is; ``pair_histograms``
 wraps it into histograms, and ``build_histogram`` is a one-pair call.  The
 pass walks the stream in chunks of about ``_RECORD_CHUNK`` records cut at
-cycle boundaries, so counts add exactly across chunks, and keeps only the
-records of the requested pixels.  It relies on the stream's order: records
-sorted by (cycle, time), as every reader, simulator and correction leaves
-them.  So in pass k = 1, 2, ... record i meets record i + k, and a record
-leaves the walk once i + k is in another cycle or more than a window later,
-since every later partner is further away.  A surviving pair whose pixels
-form a requested pair adds its dt to that pair's row of the cube.  A stream
-whose records are out of cycle order, or whose kept records are out of time
-order within a cycle (NaN times included), raises ``DataError`` instead of
-losing pairs; the cycle check covers every record, so the answer does not
-depend on where the chunks are cut.
+cycle boundaries, so counts add exactly across chunks.  It relies on the
+stream's order: records sorted by (cycle, time), as every reader,
+simulator and correction leaves them.  So in pass k = 1, 2, ... record i
+meets record i + k, and a record leaves the walk once i + k is in another
+cycle or more than a window later, since every later partner is further
+away.  Only the records of requested pixels start a walk, and a surviving
+pair whose pixels form a requested pair adds its dt to that pair's row of
+the cube.  A chunk is walked in place, unless it holds fewer requested
+records than records that share their cycle with the next one: then the
+walk runs on a copy of its requested records (``_count_chunk``).  A stream
+with any record out of (cycle, time) order, requested or not (a NaN time
+included), raises ``DataError`` instead of losing pairs: the check covers
+every record, so which streams pass depends neither on where the chunks
+are cut nor on the pairs asked.
 
-The cost is the number of same-cycle record pairs of the requested pixels
-that lie inside the window, whatever the pixel pairs asked: a flood of
-sparse cycles walks a few passes, one dense pair a handful more.  A scan
-over a stream of thousands of records per cycle walks every in-window
-pair of them (3.07M records in cycles of about 3,100, a whole-sensor
-adjacent scan: 58.8M pairs, about half a second).  Memory beyond the cube
-is a few arrays of one chunk's length, whatever the stream's length: under
-six times one chunk's record columns where every record pairs.
+The cost is a few passes over every record (the order check, the pixel
+lookup, the gap to the next record), plus the in-window pairs that start
+at a requested record.  A flood of sparse cycles walks a few passes, one
+dense pair a handful more.  A scan over a stream of thousands of records
+per cycle walks every in-window pair of them (3.07M records in cycles of
+about 3,100, a whole-sensor adjacent scan: 58.8M pairs, about a second on
+a 2-vCPU VM).  Memory beyond the cube is a few arrays of one chunk's
+length, whatever the stream's length: under six times one chunk's record
+columns where every record pairs.
 """
 
 from __future__ import annotations
@@ -218,8 +222,8 @@ def _pair_counts(stream: PhotonStream, pairs, window_ps: float,
     top = int(stream.pixel.max(initial=0))
     wanted = np.zeros(max(n_pix, top + 1), bool)
     wanted[lows] = wanted[highs] = True
-    # pairs over every pixel up to the stream's largest drop no record
-    keep_all = bool(wanted[:top + 1].all())
+    if wanted[:top + 1].all():
+        wanted = None  # pairs over every pixel up to the largest
     # row_at[base[low] + high - low] is the row of pair (low, high), or -1:
     # one line per low pixel and one column per distance up to the largest
     # is a table lookup instead of a search per candidate.  Pixels that
@@ -245,41 +249,57 @@ def _pair_counts(stream: PhotonStream, pairs, window_ps: float,
             stop = start + back if back else start + int(np.searchsorted(
                 cycles[start:], cycles[start], side="right"))
         chunk = slice(start, stop)
-        cyc = cycles[chunk]
-        # every record, kept or not: the cut above lies between two
-        # cycles once the chunk's cycles never decrease, so which streams
-        # pass does not depend on where chunks are cut
-        if not (cyc[1:] >= cyc[:-1]).all():
-            raise DataError(_UNORDERED)
-        t, pix = stream.time_ps[chunk], stream.pixel[chunk]
-        if not keep_all and not (keep := wanted[pix]).all():
-            # an integer gather: at a scan's kept fractions a boolean
-            # index is several times slower
-            kept = np.flatnonzero(keep)
-            cyc, t, pix = cyc[kept], t[kept], pix[kept]
-        if len(cyc):
-            _count_chunk(cyc, t, pix, lookup, cube, window_ps, bin_width_ps)
+        _count_chunk(cycles[chunk], stream.time_ps[chunk],
+                     stream.pixel[chunk], wanted, lookup, cube, window_ps,
+                     bin_width_ps)
         start = stop
     return cube, rows.reshape(-1)
 
 
-def _count_chunk(cyc, t, pix, lookup, cube, window_ps,
+def _count_chunk(cyc, t, pix, wanted, lookup, cube, window_ps,
                  bin_width_ps) -> None:
-    """``_pair_counts`` on one chunk of whole cycles.
+    """``_pair_counts`` on one chunk of whole cycles; ``wanted[p]`` is
+    whether pixel ``p`` is in a requested pair, or None for every pixel.
 
-    Records in (cycle, time) order meet their partners in passes: in
-    pass k record i meets record i + k.  A record leaves the walk once
-    i + k is in another cycle or more than a window later, because every
-    later record is further away.  The caller has checked the cycle
-    order; the times are checked here, on the kept records only."""
+    The order check covers every record of the chunk.  A chunk with fewer
+    requested records than records that share their cycle with the next
+    one has dense cycles of which the pairs want a part (one pair of a
+    TDC stream of 3,100 records per cycle): there a walk over a copy of
+    the requested records costs less than meeting every unrequested
+    partner.  Any other chunk is walked in place, where a partner of an
+    unrequested pixel falls out at ``_add_pairs``' lookup: a copy would
+    cost more than the walk saves.
+    """
     same = cyc[1:] == cyc[:-1]
-    # NaN times are in no order and fail here too
-    if not (~same | (t[1:] >= t[:-1])).all():
+    rising = t[1:] >= t[:-1]
+    if not (cyc[1:] >= cyc[:-1]).all() or (same & ~rising).any():
         raise DataError(_UNORDERED)
+    if wanted is not None:
+        # every pixel indexes ``wanted``; "clip" skips take's bounds
+        # check, which costs as much as the gather
+        keep = np.take(wanted, pix, mode="clip")
+        if np.count_nonzero(keep) < np.count_nonzero(same):
+            kept = np.flatnonzero(keep)
+            cyc, t, pix = cyc[kept], t[kept], pix[kept]
+            same = cyc[1:] == cyc[:-1]
+        else:
+            same &= keep[:-1]
+    _walk(cyc, t, pix, same, lookup, cube, window_ps, bin_width_ps)
+
+
+def _walk(cyc, t, pix, starts, lookup, cube, window_ps,
+          bin_width_ps) -> None:
+    """Count the pairs of records in (cycle, time) order that start at a
+    record i with ``starts[i]`` set, which only a record sharing its cycle
+    with record i + 1 may have.
+
+    In pass k record i meets record i + k.  A record leaves the walk once
+    i + k is in another cycle or more than a window later, because every
+    later record is further away."""
     gap = t[1:] - t[:-1]
     # integer gathers: a boolean index of a float column costs several
     # times as much
-    i = np.flatnonzero(same & (gap <= window_ps))
+    i = np.flatnonzero(starts & (gap <= window_ps))
     gap = gap[i]
     k = 1
     while len(i):

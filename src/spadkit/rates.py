@@ -7,7 +7,8 @@ default) are reported separately, sorted by rate.
 
 ``split_subsets`` cuts a stream into contiguous spans of equal cycle
 count so that slow drifts (temperature, ambient light) show up as a
-trend across per-subset reports.
+trend across per-subset reports; ``compute_rates`` counts those spans in
+one pass over the stream, without cutting it.
 """
 
 from __future__ import annotations
@@ -71,19 +72,27 @@ def compute_rates(stream: PhotonStream, *,
     across the spans in proportion to their cycle counts.
     """
     total_s = _resolve_duration(stream, duration_s)
-
-    report = _rates_for(stream, total_s, hot_threshold_cps)
     if n_subsets is None:
-        return report
+        return _rates_for(stream.counts_per_pixel(), total_s,
+                          hot_threshold_cps)
 
-    subsets = split_subsets(stream, n_subsets)
+    bounds = _span_bounds(stream.total_cycles, n_subsets)
+    counts = _span_counts(stream, bounds)
+    report = _rates_for(counts.sum(axis=0), total_s, hot_threshold_cps)
+    n_pix = stream.sensor.num_pixels
     labeled = []
-    for k, sub in enumerate(subsets):
+    for k in range(n_subsets):
+        cycles = bounds[k + 1] - bounds[k]
         if duration_s is None:
-            sub_s = _resolve_duration(sub, None)
+            sub_s = replace(stream, total_cycles=cycles).duration_s
         else:
-            sub_s = duration_s * sub.total_cycles / stream.total_cycles
-        labeled.append((f"subset {k}", _rates_for(sub, sub_s, hot_threshold_cps)))
+            sub_s = duration_s * cycles / stream.total_cycles
+        # a span's counts end at its own largest pixel, as the bincount
+        # of its records in ``counts_per_pixel`` does
+        row = counts[k]
+        row = row[:max(n_pix, len(np.trim_zeros(row, "b")))]
+        labeled.append((f"subset {k}",
+                        _rates_for(row, sub_s, hot_threshold_cps)))
     return replace(report, subset_reports=tuple(labeled))
 
 
@@ -97,14 +106,7 @@ def split_subsets(stream: PhotonStream, n: int) -> list[PhotonStream]:
     ``total_cycles``, making it a standalone stream whose duration is the
     span length.
     """
-    if n <= 0:
-        raise ValueError(f"subset count must be positive, got {n}")
-    total = stream.total_cycles
-    if n > total:
-        raise DataError(
-            f"cannot split {total} cycles into {n} subsets")
-
-    bounds = [(k * total) // n for k in range(n + 1)]
+    bounds = _span_bounds(stream.total_cycles, n)
     out = []
     for k in range(n):
         lo, hi = bounds[k], bounds[k + 1]
@@ -113,6 +115,33 @@ def split_subsets(stream: PhotonStream, n: int) -> list[PhotonStream]:
         out.append(replace(sub, cycle_index=sub.cycle_index - np.uint64(lo),
                            total_cycles=hi - lo))
     return out
+
+
+def _span_bounds(total: int, n: int) -> list[int]:
+    """The ``n + 1`` cycle bounds of ``split_subsets``' spans."""
+    if n <= 0:
+        raise ValueError(f"subset count must be positive, got {n}")
+    if n > total:
+        raise DataError(
+            f"cannot split {total} cycles into {n} subsets")
+    return [(k * total) // n for k in range(n + 1)]
+
+
+def _span_counts(stream: PhotonStream, bounds: list[int]) -> np.ndarray:
+    """Per-pixel counts of the records in each span ``[bounds[k],
+    bounds[k + 1])`` of cycles, and of those from the last bound on: a row
+    each, a column per pixel up to the largest.
+
+    Each record's span is found from its cycle, in any cycle order, and
+    one ``bincount`` counts span x pixel."""
+    width = max(stream.sensor.num_pixels, int(stream.pixel.max(initial=0)) + 1)
+    span = np.searchsorted(np.array(bounds[1:], dtype=np.uint64),
+                           stream.cycle_index.astype(np.uint64, copy=False),
+                           side="right")
+    span *= width
+    span += stream.pixel
+    return np.bincount(span, minlength=len(bounds) * width).reshape(
+        -1, width)
 
 
 def _resolve_duration(stream: PhotonStream, duration_s: float | None) -> float:
@@ -126,9 +155,9 @@ def _resolve_duration(stream: PhotonStream, duration_s: float | None) -> float:
     return float(duration_s)
 
 
-def _rates_for(stream: PhotonStream, duration_s: float,
+def _rates_for(counts: np.ndarray, duration_s: float,
                hot_threshold_cps: float) -> RateReport:
-    rates = stream.counts_per_pixel() / duration_s
+    rates = counts / duration_s
     hot_idx = np.flatnonzero(rates >= hot_threshold_cps)
     hot = sorted(((int(p), float(rates[p])) for p in hot_idx),
                  key=lambda pr: (-pr[1], pr[0]))

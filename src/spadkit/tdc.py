@@ -98,11 +98,20 @@ class TdcLut(Document):
                                            sensor.clock_period_ps):
             raise CalibrationError(
                 "LUT sensor fingerprint does not match the stream sensor")
-        widths = np.zeros((num_pixels, bins))
-        for key, vals in as_object(doc["widths_ps"]).items():
+        # one row of ``bins`` widths per pixel, checked before the table
+        # is allocated: its size is then the document's own count of
+        # widths, however large a sensor the document declares
+        rows = as_object(doc["widths_ps"])
+        pixels = []
+        for key, vals in rows.items():
             p = as_key(key)
             if p >= num_pixels or len(as_list(vals)) != bins:
                 raise CalibrationError(f"malformed LUT row for pixel {key!r}")
+            pixels.append(p)
+        if len(pixels) != num_pixels:
+            raise ValueError(f"{len(pixels)} rows for {num_pixels} pixels")
+        widths = np.empty((num_pixels, bins))
+        for p, vals in zip(pixels, rows.values()):
             widths[p] = _width_row(vals)
         unusable = frozenset(as_count(p)
                              for p in as_list(doc.get("unusable_pixels", [])))

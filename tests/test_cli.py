@@ -10,6 +10,7 @@ import pathlib
 import subprocess
 import sys
 import types
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -680,6 +681,34 @@ def test_fit_documents_are_strict_json(tmp_path):
     assert main(["fit", "--in", str(hist_path), "--out", str(fit_path)]) == 0
     doc = json.loads(fit_path.read_text(), parse_constant=pytest.fail)
     assert doc["center_err_ps"] is None and doc["sigma_err_ps"] is None
+
+
+@pytest.mark.parametrize("command", ["simulate", "fit"])
+def test_floating_point_warnings_leave_one_json_line(command, tmp_path,
+                                                     capsys):
+    # numpy overflows before the command refuses its input: a dark rate
+    # of 1e308 in a config, a normalized value of 1e308 in a histogram.
+    # Under an "error" filter, a warning that reached stderr would raise.
+    path = tmp_path / "in.json"
+    if command == "simulate":
+        write_json(str(path), {"duration_s": 0.001,
+                               "dcr": {"base_cps": 1e308}})
+        argv = ["simulate", "--config", str(path)]
+    else:
+        counts = np.full(40, 100, dtype=np.int64)
+        counts[18:22] = 400
+        doc = normalize_histogram(DeltaHistogram(
+            pixel_a=0, pixel_b=1, window_ps=1000.0, bin_width_ps=50.0,
+            total_pairs=int(counts.sum()), counts=counts)).to_json_dict()
+        doc["normalized"][0] = 1e308
+        write_json(str(path), doc)
+        argv = ["fit", "--in", str(path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    assert json.loads(lines[0])["type"] in {"DataError", "FitError"}
 
 
 def test_fit_on_too_few_bins_exits_two(tmp_path, capsys):

@@ -476,6 +476,53 @@ def test_property_walk_matches_brute_force(walk, chunk):
             h.counts, brute_force_counts(recs, *pair, window, bw))
 
 
+@st.composite
+def kept_share_record_sets(draw):
+    """Up to 60 records within one window in a few cycles: a drawn number
+    of them, from none to all, on requested pixels 1 to 3, the others on
+    unrequested pixels 0, 4 and 9, in any order."""
+    n = draw(st.integers(1, 60))
+    n_kept = draw(st.integers(0, n))
+    pixels = [draw(st.sampled_from([1, 2, 3])) for _ in range(n_kept)] \
+        + [draw(st.sampled_from([0, 4, 9])) for _ in range(n - n_kept)]
+    n_cycles = draw(st.integers(1, 3))
+    recs = [(draw(st.integers(0, n_cycles - 1)), p,
+             float(1000 + draw(st.integers(0, 1500))))
+            for p in draw(st.permutations(pixels))]
+    return recs, draw(st.permutations(range(n)))
+
+
+def test_walk_matches_brute_force_from_every_record_to_none_kept():
+    # A spy on _walk sees both chunk paths: the walk on the chunk itself,
+    # whose pixel column is the stream's, and the walk on a copy of the
+    # requested records, taken where a chunk holds fewer of them than
+    # records that share their cycle with the next one.
+    pairs = [(1, 2), (1, 3), (2, 3)]
+    window, bw = 1500.0, 130.0
+    walk, in_place = coincidence._walk, set()
+
+    @settings(max_examples=200, deadline=None)
+    @given(kept_share_record_sets(), st.sampled_from([1, 3, 1 << 16]))
+    def check(records, chunk):
+        recs, ties = records
+        s = time_ordered_stream(recs, ties)
+
+        def spy(cyc, t, pix, *rest):
+            in_place.add(np.shares_memory(pix, s.pixel))
+            walk(cyc, t, pix, *rest)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(coincidence, "_RECORD_CHUNK", chunk)
+            m.setattr(coincidence, "_walk", spy)
+            hists = pair_histograms(s, pairs, window, bw)
+        for pair, h in zip(pairs, hists):
+            np.testing.assert_array_equal(
+                h.counts, brute_force_counts(recs, *pair, window, bw))
+
+    check()
+    assert in_place == {True, False}
+
+
 @pytest.mark.parametrize("cycles, times", [
     ([1, 2, 1], [10.0, 20.0, 30.0]),     # cycles out of order
     ([1, 1, 1], [10.0, 30.0, 20.0]),     # times out of order in a cycle
@@ -515,22 +562,61 @@ def test_property_cycle_order_is_checked_whatever_the_chunks(recs, chunk):
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 1 << 16])
-def test_every_record_needs_cycle_order_but_only_kept_ones_time_order(
-        chunk):
+def test_every_record_needs_cycle_and_time_order(chunk):
     # Pixel 5 is requested by no pair.  Its times out of order within a
-    # cycle do not matter; its cycle out of order is refused at every
-    # chunk size, so the answer never depends on where chunks are cut.
+    # cycle are refused, as is its cycle out of order, at every chunk
+    # size: the answer depends neither on the pairs asked nor on where
+    # chunks are cut.
     s = PhotonStream(HEADER, np.array([3, 3, 3, 3], np.uint64),
                      np.array([1, 5, 5, 2], np.uint16),
-                     np.array([10.0, 90.0, 5.0, 40.0]))
-    bad = PhotonStream(HEADER, np.array([3, 3, 2, 3], np.uint64),
-                       s.pixel, s.time_ps)
+                     np.array([10.0, 20.0, 30.0, 40.0]))
+    bad_time = PhotonStream(HEADER, s.cycle_index, s.pixel,
+                            np.array([10.0, 90.0, 5.0, 40.0]))
+    bad_cycle = PhotonStream(HEADER, np.array([3, 3, 2, 3], np.uint64),
+                             s.pixel, s.time_ps)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(coincidence, "_RECORD_CHUNK", chunk)
         h, = pair_histograms(s, [(1, 2)], 1000.0, 100.0)
         assert h.total_pairs == 1 and h.counts[10] == 1
-        with pytest.raises(DataError, match="order"):
-            pair_histograms(bad, [(1, 2)], 1000.0, 100.0)
+        for bad in (bad_time, bad_cycle):
+            with pytest.raises(DataError, match="order"):
+                pair_histograms(bad, [(1, 2)], 1000.0, 100.0)
+
+
+PAIRS_UP_TO_5 = [(a, b) for a in range(6) for b in range(a + 1, 6)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 5),
+                          st.sampled_from([0.0, 10.0, 700.0, np.nan])),
+                min_size=1, max_size=12),
+       st.booleans(),
+       st.lists(st.sampled_from(PAIRS_UP_TO_5), min_size=1, max_size=4),
+       st.sampled_from([1, 2, 3, 1 << 16]))
+def test_property_count_is_refused_exactly_when_out_of_order(
+        recs, in_order, pairs, chunk):
+    # Any records, requested or not, any pairs (some covering every pixel
+    # of the stream) and any chunk size: a count is refused exactly when
+    # a record is out of (cycle, time) order with the one before it, a
+    # NaN time being in no order; otherwise it counts every pair.
+    if in_order:
+        recs = sorted(recs, key=lambda r: (r[0], -1.0 if np.isnan(r[2])
+                                           else r[2]))
+    ordered = all(c1 > c0 or (c1 == c0 and t1 >= t0)
+                  for (c0, _, t0), (c1, _, t1) in zip(recs, recs[1:]))
+    s = PhotonStream(HEADER, np.array([r[0] for r in recs], np.uint64),
+                     np.array([r[1] for r in recs], np.uint16),
+                     np.array([r[2] for r in recs], np.float64))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(coincidence, "_RECORD_CHUNK", chunk)
+        if not ordered:
+            with pytest.raises(DataError, match="order"):
+                pair_histograms(s, pairs, 1000.0, 100.0)
+            return
+        hists = pair_histograms(s, pairs, 1000.0, 100.0)
+    for pair, h in zip(pairs, hists):
+        np.testing.assert_array_equal(
+            h.counts, brute_force_counts(recs, *pair, 1000.0, 100.0))
 
 
 def test_pair_count_scratch_is_a_few_chunks():

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spadkit import DataError, PhotonStream, SensorConfig, StreamHeader
-from spadkit.rates import RateReport, _median, compute_rates, split_subsets
+from spadkit.rates import (RateReport, _median, _rates_for,
+                           _resolve_duration, compute_rates, split_subsets)
 
 from conftest import random_cycles
 
@@ -153,6 +155,48 @@ def test_split_subset_serializes_with_own_cycle_count():
     back = PhotonStream.read(buf)
     assert back.total_cycles == 10
     assert back.header.metadata["total_cycles"] == "10"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 29), st.integers(0, 7)),
+                max_size=60),
+       st.booleans(), st.integers(1, 30), st.integers(1, 8),
+       st.none() | st.sampled_from([0.5, 3.0, 1e-3]))
+def test_property_subset_rates_equal_split_subsets(recs, in_order, total, n,
+                                                   duration):
+    # The one-pass span count against the reports of split_subsets'
+    # streams, on cycle columns in any order, with records past
+    # total_cycles (in no span) and pixels past the sensor's 4 (each
+    # subset's rates end at its own largest pixel, as its bincount does).
+    if in_order:
+        recs = sorted(recs)
+    stream = PhotonStream(
+        StreamHeader(SensorConfig(num_pixels=4)),
+        np.array([c for c, _ in recs], np.uint64),
+        np.array([p for _, p in recs], np.uint16), np.zeros(len(recs)),
+        total_cycles=total)
+    threshold = 2000.0
+    if n > total:
+        with pytest.raises(DataError, match="split"):
+            compute_rates(stream, duration_s=duration, n_subsets=n,
+                          hot_threshold_cps=threshold)
+        return
+    report = compute_rates(stream, duration_s=duration, n_subsets=n,
+                           hot_threshold_cps=threshold)
+    total_s = _resolve_duration(stream, duration)
+    want = [("", _rates_for(stream.counts_per_pixel(), total_s, threshold))]
+    for k, sub in enumerate(split_subsets(stream, n)):
+        sub_s = (_resolve_duration(sub, None) if duration is None
+                 else duration * sub.total_cycles / stream.total_cycles)
+        want.append((f"subset {k}",
+                     _rates_for(sub.counts_per_pixel(), sub_s, threshold)))
+    got = [("", report), *report.subset_reports]
+    assert [label for label, _ in got] == [label for label, _ in want]
+    for (_, g), (_, w) in zip(got, want):
+        assert g.rates_cps.dtype == w.rates_cps.dtype
+        np.testing.assert_array_equal(g.rates_cps, w.rates_cps)
+        assert (g.median_rate_cps, g.hot_pixels, g.duration_s) == \
+            (w.median_rate_cps, w.hot_pixels, w.duration_s)
 
 
 def test_median_invariant_under_pixel_permutation():

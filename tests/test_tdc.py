@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -208,6 +209,35 @@ def test_check_with_an_unusable_pixel_refuses_only_its_records():
     with pytest.raises(CalibrationError,
                        match="uncalibrated pixels: 200$"):
         _check_lut(raw_stream({3: plenty, 200: plenty[:1]}), lut)
+
+
+def test_lut_rows_are_checked_before_the_table_is_allocated():
+    # A LUT of about 100 bytes that declares 65535 x 65535 widths would
+    # have asked for 32 GiB: the rows are checked first, so the table is
+    # no larger than the widths the document holds.
+    huge = {"sensor": {"num_pixels": 65535, "tdc_bins_per_clock": 65535,
+                       "clock_period_ps": 2500}, "widths_ps": {}}
+    short_row = {**huge, "widths_ps": {"0": [1.0]}}
+    tracemalloc.start()
+    try:
+        with pytest.raises(CalibrationError,
+                           match="malformed LUT document: 0 rows for 65535"):
+            TdcLut.from_json_dict(huge)
+        with pytest.raises(CalibrationError,
+                           match="^malformed LUT row for pixel '0'$"):
+            TdcLut.from_json_dict(short_row)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # every pixel needs its row, an unusable one too
+    doc = TdcLut(SensorConfig(num_pixels=2, tdc_bins_per_clock=2),
+                 np.full((2, 2), 1250.0), unusable=frozenset({1}))
+    doc = doc.to_json_dict()
+    TdcLut.from_json_dict(doc)
+    del doc["widths_ps"]["1"]
+    with pytest.raises(CalibrationError, match="1 rows for 2 pixels"):
+        TdcLut.from_json_dict(doc)
 
 
 def test_lut_constructor_rejects_bad_usable_rows():
