@@ -326,9 +326,12 @@ def _add_pairs(p_i, p_j, gap, lookup, cube, window_ps, bin_width_ps):
     row = np.take(row_at, d, out=d)
     hit = np.flatnonzero(row >= 0)
     # dt = t_high - t_low: where the lower pixel comes second, the exact
-    # negation of t_j - t_i
+    # negation of t_j - t_i, as a product with -1.0 (a masked negate costs
+    # several times as much)
+    sign = (p_i[hit] > p_j[hit]) * -2.0
+    sign += 1.0
     dt = gap[hit]
-    np.negative(dt, out=dt, where=p_i[hit] > p_j[hit])
+    dt *= sign
     dt += window_ps
     dt /= bin_width_ps
     nb = cube.shape[1]

@@ -131,6 +131,7 @@ class _Gaussians:
         self.n = len(x)
         self.order = np.argsort(x, kind="stable")
         self.sorted = x[self.order]
+        self.ascending = bool(np.array_equal(self.order, np.arange(self.n)))
         self.ends = self.sorted[[0, -1], None] if self.n \
             else np.zeros((2, 1))
 
@@ -185,13 +186,17 @@ class _Gaussians:
     def support_entries(self, params, peaks) -> list:
         """The Jacobian's entries off column 0 that can be non-zero: per
         peak, its first column, the flat positions ``row * n + j`` of its
-        support and the values there in each of its three columns."""
+        support and the values there in each of its three columns.  On an
+        ascending grid, a peak whose supports cover every bin of every row
+        is at every position in order: its positions are one slice."""
         out = []
+        full = len(params) * self.n
         for i, (row, where, z, e) in zip(range(1, params.shape[1], 3), peaks):
             amp, sigma = params[row, i], params[row, i + 2]
             aez = amp * e * z
-            out.append((i, row * self.n + where,
-                        (e, aez / sigma, aez * z / sigma)))
+            at = slice(full) if self.ascending and len(row) == full \
+                else row * self.n + where
+            out.append((i, at, (e, aez / sigma, aez * z / sigma)))
         return out
 
 
@@ -688,10 +693,15 @@ def _box_peaks(cum, bin_width_ps: float) -> np.ndarray:
     about ``COARSE_BOX_PS`` centered on it holds the most counts."""
     half = round(0.5 * COARSE_BOX_PS / bin_width_ps)
     n = cum.shape[1] - 1
-    lo = np.clip(np.arange(n) - half, 0, n)
-    hi = np.clip(np.arange(n) + half + 1, 0, n)
-    boxes = cum[:, hi]
-    boxes -= cum[:, lo]
+    # the box of bin j is cum[:, hi] - cum[:, lo] with hi = min(j + half +
+    # 1, n) and lo = max(j - half, 0): each a slice, then one edge column
+    boxes = np.empty((len(cum), n), dtype=cum.dtype)
+    inner = max(n - half, 0)
+    boxes[:, :inner] = cum[:, half + 1:half + 1 + inner]
+    boxes[:, inner:] = cum[:, n:]
+    edge = min(half, n)
+    boxes[:, :edge] -= cum[:, :1]
+    boxes[:, edge:] -= cum[:, :n - edge]
     return np.argmax(boxes, axis=1)
 
 

@@ -326,13 +326,12 @@ def _same_cycle(cyc: np.ndarray) -> np.ndarray | None:
     return same
 
 
-def _order_in_cycles(cyc: np.ndarray, t: np.ndarray, pix: np.ndarray,
+def _order_in_cycles(t: np.ndarray, pix: np.ndarray,
                      same: np.ndarray) -> np.ndarray | None:
     """``record_order`` of records whose cycles never decrease (``same``
     from ``_same_cycle``): only records that share a cycle move, and only
-    inside it.  None where the whole stream is sorted instead: every
-    record in a cycle of three or more, or a NaN time in a cycle of two.
-    Uses up ``same``."""
+    inside it.  None where the whole stream is sorted instead: a NaN time
+    in a cycle of two.  Uses up ``same``."""
     n = len(pix)
     # a record in a cycle of three or more is, or is next to, a record of
     # the same cycle as both its neighbours
@@ -342,12 +341,17 @@ def _order_in_cycles(cyc: np.ndarray, t: np.ndarray, pix: np.ndarray,
     long[:-2] |= middle
     long[2:] |= middle
     del middle
-    if long.all():
-        return None
+    if long.all():  # dense cycles: no lone record, no cycle of two
+        return _order_long_cycles(t, pix, same)
+    rows = np.flatnonzero(long)
+    # consecutive records of longer cycles share one exactly where the
+    # first shares its cycle with the next record
+    shared = same[rows[:-1]]
 
     # cycles of exactly two: records i and i + 1, swapped where (time,
     # pixel) of i + 1 is the smaller; equal ones keep index order
     same &= ~long[:-1]
+    del long
     first = np.flatnonzero(same)
     del same
     ta, tb = t[first], t[first + 1]
@@ -361,18 +365,52 @@ def _order_in_cycles(cyc: np.ndarray, t: np.ndarray, pix: np.ndarray,
     order[first + 1] = first
     del first
 
-    # longer cycles: sorted by (the cycle's rank among them, time, pixel),
-    # which keeps each cycle's records on its own places
-    rows = np.flatnonzero(long)
-    del long
+    # longer cycles: each record goes to a place of its own cycle
     if len(rows):
-        cycles = cyc[rows]
-        rank = _dense_ranks(cycles, cycles[0], 0)
-        del cycles
-        sub_t, sub_pix = t[rows], pix[rows]
-        key = _record_key(rank, sub_t, sub_pix)
-        order[rows] = rows[np.lexsort((sub_pix, sub_t, rank)) if key is None
-                           else _key_order(key)]
+        order[rows] = rows[_order_long_cycles(t[rows], pix[rows], shared)]
+    return order
+
+
+def _order_long_cycles(t: np.ndarray, pix: np.ndarray,
+                       same: np.ndarray) -> np.ndarray:
+    """``record_order`` of records whose cycles never decrease, where
+    ``same[i]`` tells whether records i and i + 1 share a cycle.
+
+    One stable ``argsort`` of a complex key orders the records by (cycle,
+    time): its real part is the cycle's rank, a count of cycle changes
+    (exact in float64, where a cycle index of 2**53 or more is not), its
+    imaginary part the time.  Each run of equal keys is then put in (time,
+    pixel) order, stably, which also separates integer times that float64
+    rounds to one value.  A NaN sorts after every other complex value,
+    whatever the real part, so records with a NaN time take
+    ``np.lexsort``."""
+    key = np.empty(len(t), dtype=np.complex128)
+    key.real[0] = 0.0
+    np.cumsum(~same, out=key.real[1:], dtype=np.float64)
+    rank = key.real
+    if t.dtype.kind == "f" and np.isnan(t.min()):
+        return np.lexsort((pix, t, rank))
+    key.imag = t
+    order = np.argsort(key, kind="stable")
+    # Sorted position i ties with i + 1 where both have one time in
+    # float64 and one rank: the ranks keep their places, so that is where
+    # records i and i + 1 share a cycle.  The runs keep index order.
+    times = t if t.dtype.kind == "f" else key.imag
+    first = []
+    for lo, hi in _pieces(len(key) - 1):
+        ordered = times[order[lo:hi + 1]]
+        tie = ordered[1:] == ordered[:-1]
+        tie &= same[lo:hi]
+        first.append(lo + np.flatnonzero(tie))
+    first = np.concatenate(first)
+    if first.size:
+        # a mask, not np.union1d: np.unique imports numpy.ma
+        tied = np.zeros(len(key), dtype=bool)
+        tied[first] = tied[first + 1] = True
+        tied = np.flatnonzero(tied)
+        picked = order[tied]
+        order[tied] = picked[np.lexsort((pix[picked], t[picked],
+                                         rank[picked]))]
     return order
 
 
@@ -401,7 +439,9 @@ def record_order(cycle_index: np.ndarray, time_ps: np.ndarray,
     """Permutation that puts records in stream order: (cycle, time, pixel).
 
     The result is exactly ``np.lexsort((pixel, time_ps, cycle_index))``,
-    the order of ties included.  It comes from one ``uint64`` key per
+    the order of ties included.  The cycle column chooses how.
+
+    Cycles out of order (the simulators' records): one ``uint64`` key per
     record, as wide as its fields need:
 
         key = cycle << (time_bits + pixel_bits) | time << pixel_bits | pixel
@@ -440,27 +480,35 @@ def record_order(cycle_index: np.ndarray, time_ps: np.ndarray,
     ``apply_delays`` and ``apply_lut`` pass, since a correction moves no
     record to another cycle -- is ordered only where records share a
     cycle.  The check runs piece by piece and stops at the first piece out
-    of order; such a stream takes the paths above.  Otherwise:
+    of order; such a stream takes the key above.  Otherwise:
 
     * a record alone in its cycle keeps its place;
     * a cycle of exactly two records is ordered by one vectorised
       compare-and-swap on (time, pixel); equal ones, ``-0.0`` and ``0.0``
       among them, keep index order;
-    * the records of cycles of three or more take the key above, with the
-      cycle's rank among those cycles in place of the cycle, so its field
-      is narrower, and go back to their own places;
-    * when such cycles hold every record (dense cycles, as in a TDC
-      code-density run), the whole stream takes the key above directly;
-    * a NaN time in a cycle of two sends the whole stream to
-      ``np.lexsort``.
+    * the records of cycles of three or more -- every record, in dense
+      cycles such as a TDC code-density run's -- take one stable
+      ``argsort`` of a complex128 key: its real part is the cycle's rank
+      among those cycles, a count of cycle changes (exact in float64,
+      where an index of 2**53 or more is not), its imaginary part the
+      time.  Each run of equal keys, ``-0.0`` and ``0.0`` alike, is then
+      put in (time, pixel) order by ``np.lexsort``, which keeps index
+      order among equal pixels and separates integer times that float64
+      rounds to one value.  The records keep to their cycles' places;
+    * a NaN time in a cycle of three or more sends those cycles' records
+      to ``np.lexsort`` (numpy sorts a NaN imaginary part after every
+      other value, whatever the real part), and one in a cycle of two
+      sends the whole stream to the key above.
 
     Its memory besides the result: boolean masks, one byte per record
-    each, and arrays as long as the records that share a cycle.
+    each; for cycles of three or more, the complex key (16 bytes per
+    record in them) and its ``argsort``, and, unless they are every
+    record, their time and pixel columns.
     """
     cyc, t, pix = np.asarray(cycle_index), np.asarray(time_ps), np.asarray(pixel)
     same = _same_cycle(cyc) if _key_columns(cyc, t, pix) else None
     if same is not None:
-        order = _order_in_cycles(cyc, t, pix, same)
+        order = _order_in_cycles(t, pix, same)
         if order is not None:
             return order
     key = _record_key(cyc, t, pix)

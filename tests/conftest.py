@@ -16,7 +16,7 @@ from spadkit import (
     TimestampRecord,
     write_stream,
 )
-from spadkit import timestream
+from spadkit import peakfit, timestream
 
 
 def random_cycles(rng: np.random.Generator, sensor: SensorConfig,
@@ -83,3 +83,13 @@ def column_bytes(stream) -> int:
     return sum(column.nbytes for column in (
         stream.cycle_index, stream.pixel, stream.time_ps, stream.raw_code)
         if column is not None)
+
+
+def gathered_boxes(cum, bin_width_ps):
+    """The box sums of ``_box_peaks`` from two gathers of the whole cube,
+    ``cum[:, hi]`` and ``cum[:, lo]``: the form its slices must equal."""
+    half = round(0.5 * peakfit.COARSE_BOX_PS / bin_width_ps)
+    n = cum.shape[1] - 1
+    lo = np.clip(np.arange(n) - half, 0, n)
+    hi = np.clip(np.arange(n) + half + 1, 0, n)
+    return cum[:, hi] - cum[:, lo]

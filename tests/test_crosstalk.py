@@ -10,8 +10,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import gathered_boxes
 from spadkit import (DataError, FitError, SensorConfig, coincidence,
-                     crosstalk, peakfit)
+                     crosstalk, offsets, peakfit)
 from spadkit.coincidence import (DEFAULT_WINDOW_PS, build_histogram,
                                  pair_histograms)
 from spadkit.crosstalk import (
@@ -152,6 +153,30 @@ def test_scan_pair_counting_matches_boundary_formula():
         assert point.n_pairs == expected
     edge_targets = [t for s, t in curve.pairs if s == 0]
     assert edge_targets == list(range(1, d_max + 1))  # leftward all clipped
+
+
+def test_calibrations_place_peaks_as_the_gathered_boxes(monkeypatch):
+    # the box filter's slices against its gather form, on the rows that
+    # measure_offsets and ct_scan hand it
+    shapes, box_peaks = [], peakfit._box_peaks
+
+    def spy(cum, bin_width_ps):
+        got = box_peaks(cum, bin_width_ps)
+        assert np.array_equal(got, np.argmax(gathered_boxes(cum, bin_width_ps),
+                                             axis=1))
+        shapes.append(cum.shape)
+        return got
+
+    monkeypatch.setattr(offsets, "_box_peaks", spy)
+    monkeypatch.setattr(crosstalk, "_box_peaks", spy)
+    stream = sim_stream(overrides=[(40, 2e5), (41, 2e5)], base_cps=1000.0,
+                        ct=((1, 0.05),), duration_s=0.5)
+    offsets.measure_offsets(stream)
+    ct_scan(stream, compute_rates(stream), d_max=3, n_hot=2)
+    # every adjacent pair; the two hot pixels' nearest-neighbour rows,
+    # which make the pooled shape
+    num = SensorConfig().num_pixels
+    assert [rows for rows, _ in shapes] == [num - 1, 4]
 
 
 def test_scan_null_curve_consistent_with_zero():

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import traced_peak
+from conftest import gathered_boxes, traced_peak
 from spadkit import DataError, FitError, peakfit
 from spadkit.coincidence import DeltaHistogram, normalize_histogram
 from spadkit.peakfit import (
@@ -870,6 +870,114 @@ def test_rare_endings_in_a_batch_leave_their_neighbors_alone(monkeypatch):
         assert np.array_equal(got.covariance, want.covariance)
         assert (got.chi2, got.n_iterations, got.stop_reason) \
             == (want.chi2, want.n_iterations, want.stop_reason)
+
+
+def _sliced_peaks(monkeypatch):
+    """Per call of the evaluator's ``support_entries``, the first columns
+    of the peaks whose positions came as one slice, and the parameter
+    rows."""
+    calls = []
+    support_entries = peakfit._Gaussians.support_entries
+
+    def spy(self, params, peaks):
+        out = support_entries(self, params, peaks)
+        calls.append(({i for i, at, _ in out if isinstance(at, slice)},
+                      params.copy()))
+        return out
+
+    monkeypatch.setattr(peakfit._Gaussians, "support_entries", spy)
+    return calls
+
+
+def _assert_levmar_matches_reference(x, y, p0):
+    """One batch through ``_levmar`` equals the full-length reference per
+    fit, bit for bit."""
+    weights = 1.0 / np.maximum(y, 1.0)
+    bounds = dict(lower=np.full_like(p0, -np.inf),
+                  upper=np.full_like(p0, np.inf))
+    got = peakfit._levmar(x, y, weights, p0, **bounds)
+    want = _full_levmar_each(x, y, weights, p0, **bounds)
+    for (params, cov, chi2, iterations, reason), ref in zip(got, want,
+                                                           strict=True):
+        assert not isinstance(ref, FitError) and reason in CONVERGED
+        assert np.array_equal(params, ref[0])
+        assert np.array_equal(cov, ref[1], equal_nan=True)
+        assert (chi2, iterations) == (ref[2], ref[3])
+
+
+def test_a_support_that_stops_covering_the_grid_leaves_no_entry(monkeypatch):
+    # Two-peak fits, one per block, so the blocks share the Jacobian
+    # buffers in turn.  The second peak of the first fit is 60 ps wide and
+    # covers all 201 bins, so its entries go in by one slice; that of the
+    # second fit is 12 ps wide, its entries ragged, and the slice's entries
+    # outside them must have been set back to 0.0, or the first fit's peak
+    # shows in the second's Jacobian.  The third fit's second peak starts
+    # 100 ps wide and narrows to 12 ps: full in one pass, ragged in the
+    # next.
+    calls = _sliced_peaks(monkeypatch)
+    x = np.linspace(-1000.0, 1000.0, 201)
+    monkeypatch.setattr(peakfit, "BLOCK_BINS", len(x))
+    truth = np.array([[5.0, 200.0, -300.0, 15.0, 150.0, 0.0, 60.0],
+                      [5.0, 200.0, -300.0, 15.0, 150.0, 400.0, 12.0],
+                      [5.0, 200.0, -300.0, 15.0, 150.0, 350.0, 12.0]])
+    rng = np.random.default_rng(31)
+    y = np.array([rng.poisson(_full_model(x, p)) for p in truth],
+                 dtype=np.float64)
+    p0 = truth * [1.0, 0.75, 0.97, 1.0, 0.8, 1.0, 1.0] + [0, 0, 0, 0, 0, 5, 0]
+    p0[2, 6] = 100.0
+    _assert_levmar_matches_reference(x, y, p0)
+    assert [sliced for sliced, _ in calls[:3]] == [{4}, set(), {4}]
+    third = [sliced for sliced, params in calls[3:]
+             if abs(params[0, 5] - 350.0) < 50.0]
+    assert set() in third  # once it has narrowed
+
+
+def test_full_supports_on_an_unsorted_grid_take_no_slice(monkeypatch):
+    # A peak wide enough to cover every bin: on the ascending grid its
+    # entries go in by one slice; on the same grid permuted, the rows'
+    # positions are not in order, and each entry goes to its own place.
+    calls = _sliced_peaks(monkeypatch)
+    rng = np.random.default_rng(32)
+    truth = np.array([5.0, 200.0, 40.0, 300.0])
+    p0 = np.tile([4.0, 150.0, 90.0, 400.0], (2, 1))
+    for x in (X, rng.permutation(X)):
+        y = rng.poisson(_full_model(x, truth),
+                        size=(2, len(x))).astype(np.float64)
+        _assert_levmar_matches_reference(x, y, p0)
+        assert all(sliced == ({1} if x is X else set())
+                   for sliced, _ in calls)
+        calls.clear()
+
+
+TDC_BIN_PS = 2500 / 140  # the default sensor's bin: a box of 7 bins
+
+
+@pytest.mark.parametrize("n_rows, n_bins, bin_width", [
+    (4, 1, TDC_BIN_PS),      # grids narrower than the box
+    (4, 3, TDC_BIN_PS),
+    (2, 7, TDC_BIN_PS),      # exactly one box wide
+    (4, 8, TDC_BIN_PS),
+    (3, 40, 100.0),          # half = round(0.5) = 0: one bin per box
+    (3, 40, 200.0),
+    (3, 40, 5.0),            # a box of 21 bins
+    (255, 2800, TDC_BIN_PS),  # measure_offsets' rows of a whole window
+    (1, 2800, TDC_BIN_PS),    # a single row
+])
+def test_box_peaks_equal_the_gathered_boxes(n_rows, n_bins, bin_width):
+    rng = np.random.default_rng(n_rows * n_bins)
+    counts = rng.poisson(0.5, (n_rows, n_bins))
+    counts[0] = 0  # every box ties
+    tied = n_rows > 2 and n_bins > 1
+    if tied:  # a flat row: every whole box ties
+        counts[1] = 1
+    cum = peakfit._cumulative(counts)
+    boxes = gathered_boxes(cum, bin_width)
+    got = peakfit._box_peaks(cum, bin_width)
+    # the first of the tied boxes wins
+    assert np.array_equal(got, np.argmax(boxes, axis=1))
+    assert got[0] == 0
+    if tied:
+        assert np.count_nonzero(boxes[1] == boxes[1].max()) > 1
 
 
 def test_stacked_covariances_take_the_per_fit_path_when_rank_deficient():

@@ -1091,38 +1091,48 @@ def test_property_columnar_parser_total_on_mutations(data):
 def order_columns(draw):
     """Columns that reach each branch of ``record_order``: cycles out of
     order, in order, or in order in runs of one, two and more records (the
-    shapes a correction leaves), near 2**63 and 2**64 or spread over 2**40
-    and more; whole, sub-ps, negative, signed-zero and NaN times, times
-    pushed out of the cycle, and whole times whose span is near 2**53;
-    pixels up to 65535; few distinct values, so exact ties are common."""
+    shapes a correction leaves) or only of three and more (dense cycles),
+    near 2**63 and 2**64 or spread over 2**40 and more; whole, sub-ps,
+    negative, signed-zero, infinite and NaN times, times pushed out of the
+    cycle, whole times whose span is near 2**53, and integer times that
+    float64 rounds to one value; pixels up to 65535; few distinct values,
+    so exact ties are common, also across pixels."""
     n = draw(st.integers(0, 40))
     base = draw(st.sampled_from([0, 2**63, 2**64 - 64]))
     stride = draw(st.sampled_from([1, 7, 2**40, 2**57]))
-    shape = draw(st.sampled_from(["unordered", "ordered", "runs"]))
+    shape = draw(st.sampled_from(["unordered", "ordered", "runs", "dense"]))
     if shape == "runs":
         lengths = draw(st.lists(st.sampled_from([1, 2, 3, 5]),
                                 min_size=n, max_size=n))
         steps = np.repeat(np.arange(n), lengths)[:n].tolist()
+    elif shape == "dense":
+        lengths = draw(st.lists(st.sampled_from([3, 4, 5, 9]), max_size=8))
+        steps = np.repeat(np.arange(len(lengths)), lengths).tolist()
+        n = len(steps)
     else:
         steps = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
     cycles = [min(base + stride * s, 2**64 - 1) for s in steps]
     if shape == "ordered":
         cycles.sort()
     times = st.sampled_from([0.0, -0.0, 1.0, 3.0, -2.0, 2_500.0, 3_999_999.0])
+    dtype = np.float64
     if draw(st.booleans()):  # sub-ps, as after a delay or LUT correction
         times = times | st.sampled_from([0.25, -0.5, 17.125, 1e-3, 2.0**53,
-                                         np.nan])
+                                         np.nan, np.inf, -np.inf])
     if draw(st.booleans()):  # outside [0, period), as delays leave them
         times = times | st.sampled_from([-4_999.75, -0.25, 4_000_000.0,
                                          4_003_999.5])
     if draw(st.booleans()):  # spans of 2**53 - 1, 2**53 and 2**53 + 1
         times = times | st.sampled_from([-1.5 * 2.0**52, 2.0**51 - 1,
                                          2.0**51, 2.0**51 + 1])
+    if draw(st.booleans()):  # integers, some one value in float64
+        times, dtype = st.sampled_from([0, 1, -3, 2_500, 2**60, 2**60 + 1,
+                                        2**60 + 2, -2**60 - 1]), np.int64
     top = draw(st.sampled_from([0, 1, 3, 255, 65535]))
     pixels = st.sampled_from(sorted({0, top // 2, top}))
     return (np.array(cycles, dtype=np.uint64),
             np.array(draw(st.lists(times, min_size=n, max_size=n)),
-                     dtype=np.float64),
+                     dtype=dtype),
             np.array(draw(st.lists(pixels, min_size=n, max_size=n)),
                      dtype=np.uint16))
 
@@ -1139,6 +1149,18 @@ def order_columns(draw):
                    dtype=np.uint64),
           np.array([0.0, -0.0, 7.5, 4_000_000.0, -0.0, 0.0]),
           np.array([1, 1, 0, 0, 1, 0], dtype=np.uint16)), 2)
+# dense cycles next to each other above 2**53, which float64 would merge;
+# signed zeros and infinities tie across pixels, a NaN sorts last in its
+# cycle only
+@example((np.repeat(np.array([2**60, 2**60 + 1, 2**60 + 2], dtype=np.uint64),
+                    [4, 3, 3]),
+          np.array([np.inf, 0.0, -0.0, -np.inf, 5.0, -np.inf, -np.inf,
+                    np.nan, 0.0, -0.0]),
+          np.array([0, 1, 0, 1, 2, 1, 0, 0, 1, 0], dtype=np.uint16)), 2)
+# integer times that float64 rounds to one value, in a cycle of three
+@example((np.array([3, 3, 3, 4], dtype=np.uint64),
+          np.array([2**60 + 2, 2**60 + 1, 2**60, 0], dtype=np.int64),
+          np.array([0, 1, 2, 0], dtype=np.uint16)), timestream._PIECE)
 def test_property_record_order_is_lexsort(columns, piece):
     # small pieces put piece boundaries inside runs of equal values
     cycle, time, pixel = columns
@@ -1282,31 +1304,76 @@ def test_record_order_swaps_cycles_of_two_without_a_sort():
     assert (argsorts, lexsorts) == (0, 0)
 
 
-def test_record_order_keys_longer_cycles_by_their_rank():
-    # only the records of cycles of three or more are keyed, with each
-    # cycle's rank among them in place of its index
+def _spied_complex_keys(cycle, time, pixel):
+    """``record_order``'s result, the complex keys it sorted with their
+    sort kind, and whether it built a packed key."""
+    argsort, sorted_keys = np.argsort, []
+
+    def spy(a, *args, **kwargs):
+        if a.dtype == np.complex128:
+            sorted_keys.append((a.copy(), kwargs.get("kind")))
+        return argsort(a, *args, **kwargs)
+
+    with mock.patch("numpy.argsort", spy), \
+            mock.patch.object(timestream, "_record_key",
+                              wraps=timestream._record_key) as record_key:
+        got = timestream.record_order(cycle, time, pixel)
+    assert np.array_equal(got, np.lexsort((pixel, time, cycle)))
+    return got, sorted_keys, record_key.called
+
+
+def test_record_order_sorts_longer_cycles_by_one_complex_key():
+    # only the records of cycles of three or more are sorted, by one
+    # stable argsort of (each cycle's rank among them, time)
     rng = np.random.default_rng(11)
     lengths = rng.choice([1, 2, 3, 4, 9], 5000)
     cycle, time, pixel = _cycle_runs(lengths, rng)
-    _, keyed, local = _spied_keys(cycle, time, pixel)
+    _, sorted_keys, keyed = _spied_complex_keys(cycle, time, pixel)
     long = np.repeat(lengths >= 3, lengths)
-    assert local and len(keyed) == 1
-    rank, sub_time, sub_pixel = keyed[0]
-    assert np.array_equal(rank, np.repeat(np.arange(np.sum(lengths >= 3)),
-                                          lengths[lengths >= 3]))
-    assert np.array_equal(sub_time, time[long])
-    assert np.array_equal(sub_pixel, pixel[long])
+    assert not keyed and len(sorted_keys) == 1
+    key, kind = sorted_keys[0]
+    assert kind == "stable"
+    assert np.array_equal(key.real, np.repeat(
+        np.arange(np.sum(lengths >= 3)), lengths[lengths >= 3]))
+    assert np.array_equal(key.imag, time[long])
 
 
-def test_record_order_sorts_dense_cycles_once_without_a_gather():
-    # every record in a cycle of three or more: the whole stream takes the
-    # key of its own columns, and sub-ps times one argsort for their rank
+def test_record_order_sorts_dense_cycles_by_one_complex_key():
+    # every record in a cycle of three or more: the whole stream takes one
+    # complex argsort, and its ties one lexsort, with no packed key
     rng = np.random.default_rng(10)
-    columns = _cycle_runs(rng.integers(3, 3000, 100), rng)
-    _, keyed, local = _spied_keys(*columns)
-    assert local and len(keyed) == 1
-    assert all(a is b for a, b in zip(keyed[0], columns))
-    assert _spied_record_order(*columns)[1:] == (1, 0)
+    lengths = rng.integers(3, 3000, 100)
+    columns = _cycle_runs(lengths, rng)
+    _, sorted_keys, keyed = _spied_complex_keys(*columns)
+    assert not keyed and len(sorted_keys) == 1
+    key, kind = sorted_keys[0]
+    assert kind == "stable"
+    assert np.array_equal(key.real, np.repeat(np.arange(100), lengths))
+    assert np.array_equal(key.imag, columns[1])
+    assert _spied_record_order(*columns)[1:] == (1, 1)
+
+
+def test_record_order_ranks_cycles_beyond_2_53():
+    # 2**60 + k is one float64 for k = 0, 1, 2: the cycle index would put
+    # records of three cycles in one run of time order
+    cycle = np.repeat(np.arange(2**60, 2**60 + 3, dtype=np.uint64), 4)
+    time = np.array([9.0, 1.0, 5.0, 3.0] * 3)[::-1].copy()
+    pixel = np.zeros(12, dtype=np.uint16)
+    _, sorted_keys, keyed = _spied_complex_keys(cycle, time, pixel)
+    assert not keyed
+    assert np.array_equal(sorted_keys[0][0].real, np.repeat([0, 1, 2], 4))
+
+
+def test_record_order_sends_a_nan_in_a_longer_cycle_to_lexsort():
+    # a NaN imaginary part sorts after every complex value, whatever the
+    # real part: the cycles' records take np.lexsort, not the complex key
+    rng = np.random.default_rng(13)
+    lengths = rng.choice([1, 3, 4], 300)
+    cycle, time, pixel = _cycle_runs(lengths, rng)
+    time[np.flatnonzero(np.repeat(lengths >= 3, lengths))[5]] = np.nan
+    _, sorted_keys, keyed = _spied_complex_keys(cycle, time, pixel)
+    assert not keyed and not sorted_keys
+    assert _spied_record_order(cycle, time, pixel)[1:] == (0, 1)
 
 
 def test_record_order_takes_the_stream_key_for_cycles_out_of_order():
