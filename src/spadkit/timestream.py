@@ -195,24 +195,12 @@ def _whole(values: np.ndarray) -> bool:
         for lo, hi in _pieces(len(values)))
 
 
-def _dense_ranks(values: np.ndarray, before, start: int) -> np.ndarray:
-    """Dense ranks of a piece of an ordered column: ``start`` plus the
-    number of value changes up to each position, counted from ``before``,
-    the value that precedes the piece."""
-    prior = np.empty_like(values)
-    prior[0] = before
-    prior[1:] = values[:-1]
-    ranks = np.cumsum(values != prior, dtype=np.uint64)
-    ranks += start
-    return ranks
-
-
 class _Key(NamedTuple):
-    """The packed sort key of ``record_order``, with its field layout."""
+    """The packed sort key of ``sort_records``, with its field layout."""
 
     words: np.ndarray    # uint64 per record
     cmin: object         # the cycle field holds cycle - cmin
-    tmin: object         # the time field holds time - tmin; None: its rank
+    tmin: object         # the time field holds time - tmin
     index_bits: int      # the record index, in the lowest bits
     pix_bits: int
     time_bits: int
@@ -229,48 +217,37 @@ def _key_columns(cyc: np.ndarray, t: np.ndarray, pix: np.ndarray) -> bool:
 
 
 def _record_key(cyc: np.ndarray, t: np.ndarray, pix: np.ndarray,
-                index: bool = True) -> _Key | None:
-    """The packed key of ``record_order``, or None where only
+                index: bool) -> _Key | None:
+    """The packed key of ``sort_records``, or None where only
     ``np.lexsort`` sorts the records: fewer than two, columns of unequal
-    lengths or of other dtypes, a negative pixel, a NaN time, or a key
-    over 64 bits.  The record index is in the words when it fits beside
-    the key and a permutation may be made: always with ``index``, else
-    only for ranked times (``index_bits`` is 0 otherwise)."""
+    lengths or of other dtypes, a negative pixel, a time that is NaN or
+    not whole, a span of times of 2**53 or more, or a key over 64 bits.
+    With ``index``, the record index is in the low bits of the words when
+    it fits beside the key (``index_bits`` is 0 otherwise)."""
     if not _key_columns(cyc, t, pix):
         return None
     n = len(pix)
     tmin, tmax = t.min(), t.max()
     if pix.min() < 0 or np.isnan(tmin):
         return None
+    if t.dtype.kind == "f" and not (tmax - tmin < 2.0 ** 53 and _whole(t)):
+        return None
     pix_bits = int(pix.max()).bit_length()
-    words = np.empty(n, dtype=np.uint64)
-
-    if t.dtype.kind != "f" or (tmax - tmin < 2.0 ** 53 and _whole(t)):
-        time_bits = (int(tmax) - int(tmin)).bit_length()
-        # in float64, or for integers modulo 2**64: every difference fits,
-        # where the column's own dtype may overflow or round
-        np.subtract(t, tmin, out=words, casting="unsafe",
-                    dtype=np.float64 if t.dtype.kind == "f" else np.int64)
-    else:  # dense rank, written to each record's place in ``words``
-        by_time, rank = np.argsort(t), 0
-        for lo, hi in _pieces(n):
-            ordered = t[by_time[lo:hi]]
-            ranks = _dense_ranks(ordered, t[by_time[lo - 1]] if lo
-                                 else ordered[0], rank)
-            words[by_time[lo:hi]] = ranks
-            rank = int(ranks[-1])
-        time_bits, tmin = rank.bit_length(), None
-        del by_time
-
+    time_bits = (int(tmax) - int(tmin)).bit_length()
     cmin = cyc.min()
     cycle_bits = (int(cyc.max()) - int(cmin)).bit_length()
     key_bits = cycle_bits + time_bits + pix_bits
     if key_bits > 64:
         return None
-    index_bits = (n - 1).bit_length() if index or tmin is None else 0
+    index_bits = (n - 1).bit_length() if index else 0
     if key_bits + index_bits > 64:
         index_bits = 0
 
+    words = np.empty(n, dtype=np.uint64)
+    # in float64, or for integers modulo 2**64: every difference fits,
+    # where the column's own dtype may overflow or round
+    np.subtract(t, tmin, out=words, casting="unsafe",
+                dtype=np.float64 if t.dtype.kind == "f" else np.int64)
     words <<= pix_bits
     np.bitwise_or(words, pix, out=words, dtype=np.uint64, casting="unsafe")
     for lo, hi in _pieces(n):
@@ -287,19 +264,25 @@ def _record_key(cyc: np.ndarray, t: np.ndarray, pix: np.ndarray,
                 cycle_bits)
 
 
-def _key_order(key: _Key) -> np.ndarray:
-    """The permutation that sorts ``key``'s records, ties in index order;
-    uses up ``key.words``."""
-    words = key.words
-    if key.index_bits:
-        words.sort()
-        words &= np.uint64((1 << key.index_bits) - 1)
-        return words.view(np.intp) if np.dtype(np.intp).itemsize == 8 \
-            else words.astype(np.intp)
+def _tied(first: np.ndarray, n: int) -> np.ndarray:
+    """Positions ``first`` and ``first + 1`` among ``n``, each once, in
+    ascending order: the sorted positions of runs of equal keys, where
+    sorted position i ties with i + 1 for each i in ``first``.  A mask,
+    not ``np.union1d``, whose ``np.unique`` imports ``numpy.ma``."""
+    tied = np.zeros(n, dtype=bool)
+    tied[first] = True
+    tied[first + 1] = True
+    return np.flatnonzero(tied)
 
-    # quicksort and a repair of the few ties: a stable argsort of the key
-    # (timsort) takes two to four times as long on the simulators'
-    # unordered records
+
+def _key_order(key: _Key) -> np.ndarray:
+    """The permutation that sorts ``key``'s records (a key with no index
+    bits), ties in index order.
+
+    A quicksort and a repair of the few ties: a stable ``argsort`` of the
+    key (timsort) takes two to four times as long on the simulators'
+    unordered records, and ``np.lexsort`` about five times."""
+    words = key.words
     order = np.argsort(words)
     # sorted position i ties with i + 1: put each run of equal keys back in
     # original index order
@@ -307,7 +290,7 @@ def _key_order(key: _Key) -> np.ndarray:
         lo + np.flatnonzero(np.diff(words[order[lo:hi + 1]]) == 0)
         for lo, hi in _pieces(len(words) - 1)])
     if first.size:
-        tied = np.union1d(first, first + 1)
+        tied = _tied(first, len(words))
         picked = order[tied]
         order[tied] = picked[np.lexsort((picked, words[picked]))]
     return order
@@ -404,10 +387,7 @@ def _order_long_cycles(t: np.ndarray, pix: np.ndarray,
         first.append(lo + np.flatnonzero(tie))
     first = np.concatenate(first)
     if first.size:
-        # a mask, not np.union1d: np.unique imports numpy.ma
-        tied = np.zeros(len(key), dtype=bool)
-        tied[first] = tied[first + 1] = True
-        tied = np.flatnonzero(tied)
+        tied = _tied(first, len(key))
         picked = order[tied]
         order[tied] = picked[np.lexsort((pix[picked], t[picked],
                                          rank[picked]))]
@@ -439,48 +419,16 @@ def record_order(cycle_index: np.ndarray, time_ps: np.ndarray,
     """Permutation that puts records in stream order: (cycle, time, pixel).
 
     The result is exactly ``np.lexsort((pixel, time_ps, cycle_index))``,
-    the order of ties included.  The cycle column chooses how.
-
-    Cycles out of order (the simulators' records): one ``uint64`` key per
-    record, as wide as its fields need:
-
-        key = cycle << (time_bits + pixel_bits) | time << pixel_bits | pixel
-
-    * cycle: ``cycle - min``, which also holds indices of 2**63 and more;
-    * time: ``time - min``, taken in float64 (or modulo 2**64 for
-      integers), when every time is a whole number and the span ``max -
-      min`` is below 2**53, so float64 holds every difference exactly;
-      otherwise the dense rank of the time (one ``argsort``), which gives
-      ``-0.0`` and ``0.0`` one value, as ``np.lexsort`` does;
-    * pixel: the pixel index, in the low bits.
-
-    Each field keeps the order of its column, so key order is stream
-    order.  The key is sorted by one of three paths, chosen by its bits
-    (``index_bits`` is the bit length of ``n - 1``):
-
-    1. one word, when ``cycle_bits + time_bits + pixel_bits + index_bits
-       <= 64``: the key is shifted left by ``index_bits``, the record
-       index goes into the low bits, and the words are sorted in place
-       (``ndarray.sort``, with SIMD kernels on numpy 2).  The low bits of
-       the sorted words are the permutation; equal keys come out in index
-       order by construction.
-    2. quicksort and tie repair, when the key alone fits in 64 bits: an
-       ``argsort`` of the key (not stable), then each run of equal keys is
-       put back in original index order, which gives the result of a
-       stable sort.
-    3. ``np.lexsort``, when the key needs more than 64 bits, a time is
-       NaN, or a column is neither integer nor (for times) float.
-
-    Memory besides the result: the key, 8 bytes per record, which on path
-    1 becomes the result; on the rank path, the ``argsort`` of the times
-    until the ranks are in the key.  The key is built in place; every
-    other pass over the columns runs in pieces of ``_PIECE`` records.
-
-    Cycles in order.  A stream whose cycle column never decreases -- what
-    ``apply_delays`` and ``apply_lut`` pass, since a correction moves no
-    record to another cycle -- is ordered only where records share a
-    cycle.  The check runs piece by piece and stops at the first piece out
-    of order; such a stream takes the key above.  Otherwise:
+    the order of ties included.  The cycle column chooses how: a stream
+    whose cycle column never decreases -- what ``apply_delays`` and
+    ``apply_lut`` pass, since a ``PhotonStream``'s columns are cycle-major
+    and a correction moves no record to another cycle -- is ordered only
+    where records share a cycle.  The check runs piece by piece and stops
+    at the first piece out of order; such a stream, and one with a NaN
+    time in a cycle of two, takes ``np.lexsort`` itself: at 1.14M records
+    out of cycle order, 0.38-0.44 s on one core, where a packed key like
+    ``sort_records``' took about 50 ms.  Every package caller passes a
+    ``PhotonStream``'s columns, which are in cycle order.  Otherwise:
 
     * a record alone in its cycle keeps its place;
     * a cycle of exactly two records is ordered by one vectorised
@@ -497,8 +445,7 @@ def record_order(cycle_index: np.ndarray, time_ps: np.ndarray,
       rounds to one value.  The records keep to their cycles' places;
     * a NaN time in a cycle of three or more sends those cycles' records
       to ``np.lexsort`` (numpy sorts a NaN imaginary part after every
-      other value, whatever the real part), and one in a cycle of two
-      sends the whole stream to the key above.
+      other value, whatever the real part).
 
     Its memory besides the result: boolean masks, one byte per record
     each; for cycles of three or more, the complex key (16 bytes per
@@ -511,10 +458,7 @@ def record_order(cycle_index: np.ndarray, time_ps: np.ndarray,
         order = _order_in_cycles(t, pix, same)
         if order is not None:
             return order
-    key = _record_key(cyc, t, pix)
-    if key is None:
-        return np.lexsort((pix, t, cyc))
-    return _key_order(key)
+    return np.lexsort((pix, t, cyc))
 
 
 def sort_records(columns: dict[str, np.ndarray]) -> None:
@@ -522,18 +466,37 @@ def sort_records(columns: dict[str, np.ndarray]) -> None:
     each becomes ``column[record_order(cycle_index, time_ps, pixel)]``,
     with the key columns named as the stream's.
 
-    ``record_order``'s key holds every bit of the three key columns when
-    its times are not ranked, so no permutation is made: the words are
-    sorted in place (``ndarray.sort``) and the three columns decoded from
-    them.  Records with equal keys are equal in all three columns, so
-    their order among themselves cannot show there.  Only for other
-    columns do the words hold the record index, in their low bits; those
-    columns follow it, and key and index must fit in 64 bits together.
-    A decoded time of zero is ``+0.0``, also where the column held ``-0.0``.
+    The records are sorted by one ``uint64`` key per record, as wide as
+    its fields need:
 
-    Otherwise -- ranked (fractional) times, a key over 64 bits, other
-    columns and no room for the index -- the columns are gathered through
-    ``record_order``'s permutation, one column at a time.
+        key = cycle << (time_bits + pixel_bits) | time << pixel_bits | pixel
+
+    * cycle: ``cycle - min``, which also holds indices of 2**63 and more;
+    * time: ``time - min``, taken in float64 (or modulo 2**64 for
+      integers); every time is a whole number and the span ``max - min``
+      is below 2**53, so float64 holds every difference exactly;
+    * pixel: the pixel index, in the low bits.
+
+    Each field keeps the order of its column, so key order is stream
+    order, and the key holds every bit of the three key columns: the
+    words are sorted in place (``ndarray.sort``, with SIMD kernels on
+    numpy 2) and the three columns decoded from them, with no
+    permutation.  Records with equal keys are equal in all three columns,
+    so their order among themselves cannot show there.  Only for other
+    columns (``raw_code``, lineage) do the words hold the record index,
+    in their low bits, when key and index fit in 64 bits together; those
+    columns follow it.  A decoded time of zero is ``+0.0``, also where the
+    column held ``-0.0``.
+
+    Otherwise the columns are gathered through a permutation, one column
+    at a time:
+
+    * other columns and no room for the index (a lineage run's): the key
+      is quicksorted and its runs of equal keys put back in index order
+      (``_key_order``);
+    * no key -- a time that is NaN or not whole, a span of times of 2**53
+      or more, a key over 64 bits, a negative pixel, fewer than two
+      records or columns a key cannot hold: ``np.lexsort``.
 
     The time and pixel arrays are overwritten, and the key's buffer
     becomes the cycle column (a copy, when that is not ``uint64``).
@@ -545,7 +508,7 @@ def sort_records(columns: dict[str, np.ndarray]) -> None:
     cyc, t, pix = (columns[name] for name in keys)
     others = [name for name in columns if name not in keys]
     key = _record_key(cyc, t, pix, index=bool(others))
-    if key is None or key.tmin is None or (others and not key.index_bits):
+    if key is None or (others and not key.index_bits):
         order = np.lexsort((pix, t, cyc)) if key is None else _key_order(key)
         del cyc, t, pix, key  # so that each old column is freed in turn
         for name in columns:

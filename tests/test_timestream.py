@@ -5,8 +5,11 @@ from __future__ import annotations
 import dataclasses
 import io
 import os
+import pathlib
 import re
 import struct
+import subprocess
+import sys
 import tempfile
 import threading
 from unittest import mock
@@ -1089,14 +1092,16 @@ def test_property_columnar_parser_total_on_mutations(data):
 
 @st.composite
 def order_columns(draw):
-    """Columns that reach each branch of ``record_order``: cycles out of
-    order, in order, or in order in runs of one, two and more records (the
-    shapes a correction leaves) or only of three and more (dense cycles),
-    near 2**63 and 2**64 or spread over 2**40 and more; whole, sub-ps,
-    negative, signed-zero, infinite and NaN times, times pushed out of the
-    cycle, whole times whose span is near 2**53, and integer times that
-    float64 rounds to one value; pixels up to 65535; few distinct values,
-    so exact ties are common, also across pixels."""
+    """Columns that reach each branch of ``record_order`` and of
+    ``sort_records``: cycles out of order (``record_order``'s
+    ``np.lexsort``), in order, or in order in runs of one, two and more
+    records (the shapes a correction leaves) or only of three and more
+    (dense cycles), near 2**63 and 2**64 or spread over 2**40 and more;
+    whole times that a packed key holds, and sub-ps, infinite and NaN
+    times and whole ones whose span reaches 2**53, which it does not;
+    negative and signed-zero times, times pushed out of the cycle, and
+    integer times that float64 rounds to one value; pixels up to 65535;
+    few distinct values, so exact ties are common, also across pixels."""
     n = draw(st.integers(0, 40))
     base = draw(st.sampled_from([0, 2**63, 2**64 - 64]))
     stride = draw(st.sampled_from([1, 7, 2**40, 2**57]))
@@ -1171,26 +1176,12 @@ def test_property_record_order_is_lexsort(columns, piece):
     assert np.array_equal(got, want)
 
 
-def _unique_columns(n, cycle_span, sub_ps):
+def _unique_columns(n, cycle_span):
     rng = np.random.default_rng(5)
     cycle = rng.permutation(np.linspace(0, cycle_span, n, dtype=np.uint64))
-    time = rng.permutation(n).astype(np.float64) + (0.5 if sub_ps else 0.0)
+    time = rng.permutation(n).astype(np.float64)
     pixel = rng.integers(0, 65536, n).astype(np.uint16)
     return cycle, time, pixel
-
-
-@pytest.mark.parametrize("cycle_span, sub_ps, fallback", [
-    (2**20, False, False), (2**20, True, False),
-    (2**44, True, True),   # 45 + 10 + 16 bits
-])
-def test_record_order_sorts_one_key_unless_it_needs_over_64_bits(
-        cycle_span, sub_ps, fallback):
-    columns = _unique_columns(1000, cycle_span, sub_ps)
-    want = np.lexsort(columns[::-1])
-    with mock.patch("numpy.lexsort", wraps=np.lexsort) as lexsort:
-        got = timestream.record_order(*columns)
-    assert np.array_equal(got, want)
-    assert lexsort.called is fallback  # unique keys: no tie to repair
 
 
 @pytest.mark.parametrize("cycle, time, pixel", [
@@ -1220,51 +1211,6 @@ def _spied_record_order(cycle, time, pixel):
     return got, argsort.call_count, lexsort.call_count
 
 
-def test_record_order_one_word_path_keeps_ties_in_index_order():
-    # runs of ~10^4 equal keys across several pieces, on unordered cycles:
-    # 2 + 1 + 1 key bits and 18 index bits take the one-word path, whose
-    # sorted words hold each run in index order with no repair
-    rng = np.random.default_rng(8)
-    n = 3 * timestream._PIECE
-    cycle = rng.integers(0, 3, n).astype(np.uint64)
-    time = rng.integers(0, 2, n).astype(np.float64)
-    pixel = rng.integers(0, 2, n).astype(np.uint16)
-    want = np.lexsort((pixel, time, cycle))
-    got, argsorts, lexsorts = _spied_record_order(cycle, time, pixel)
-    assert got.dtype == want.dtype
-    assert np.array_equal(got, want)
-    assert (argsorts, lexsorts) == (0, 0)
-
-
-def test_record_order_repairs_ties_in_a_large_run():
-    # the same runs of equal keys, with cycles spread over 2**41 and pixels
-    # up to 65535: 42 + 1 + 16 key bits and 18 index bits are 77, so the
-    # key is quicksorted and the repair restores each run's index order
-    rng = np.random.default_rng(8)
-    n = 3 * timestream._PIECE
-    cycle = np.sort(rng.integers(0, 3, n)).astype(np.uint64) << np.uint64(40)
-    time = rng.integers(0, 2, n).astype(np.float64)
-    pixel = (rng.integers(0, 2, n) * 65535).astype(np.uint16)
-    got, argsorts, lexsorts = _spied_record_order(cycle, time, pixel)
-    assert np.array_equal(got, np.lexsort((pixel, time, cycle)))
-    # the key's quicksort (whole times take no rank), then the repair
-    assert (argsorts, lexsorts) == (1, 1)
-
-
-@pytest.mark.parametrize("cycle_span, one_word", [
-    (2**28 - 1, True),  # 28 + 10 + 16 key bits, 10 index bits: 64
-    (2**28, False),     # 29 + 10 + 16 + 10: 65, quicksort and repair
-])
-def test_record_order_one_word_path_up_to_64_bits(cycle_span, one_word):
-    cycle, time, pixel = _unique_columns(1000, cycle_span, sub_ps=False)
-    assert (int(time.max() - time.min()).bit_length(),
-            int(pixel.max()).bit_length()) == (10, 16)
-    got, argsorts, lexsorts = _spied_record_order(cycle, time, pixel)
-    assert np.array_equal(got, np.lexsort((pixel, time, cycle)))
-    assert argsorts == (0 if one_word else 1)
-    assert lexsorts == 0  # unique keys: no tie to repair
-
-
 def _cycle_runs(lengths, rng):
     """Cycles in order, one per entry of ``lengths``, with gaps between
     them; sub-ps and signed-zero times and two pixels, so ties are
@@ -1276,26 +1222,9 @@ def _cycle_runs(lengths, rng):
             rng.integers(0, 2, n).astype(np.uint16))
 
 
-def _spied_keys(cycle, time, pixel):
-    """``record_order``'s result, the columns it built a key of, and
-    whether it ordered the records inside their cycles."""
-    record_key, keyed = timestream._record_key, []
-
-    def spy(*columns, **kwargs):
-        keyed.append(columns)
-        return record_key(*columns, **kwargs)
-
-    with mock.patch.object(timestream, "_record_key", spy), \
-            mock.patch.object(timestream, "_order_in_cycles",
-                              wraps=timestream._order_in_cycles) as local:
-        got = timestream.record_order(cycle, time, pixel)
-    assert np.array_equal(got, np.lexsort((pixel, time, cycle)))
-    return got, keyed, local.called
-
-
 def test_record_order_swaps_cycles_of_two_without_a_sort():
-    # lone records and cycles of two over several pieces: sub-ps times
-    # would take the time rank's argsort on the key path
+    # lone records and cycles of two over several pieces, sub-ps times
+    # among them: one compare-and-swap, and neither argsort nor lexsort
     rng = np.random.default_rng(9)
     columns = _cycle_runs(rng.choice([1, 2], 2 * timestream._PIECE), rng)
     got, argsorts, lexsorts = _spied_record_order(*columns)
@@ -1376,15 +1305,24 @@ def test_record_order_sends_a_nan_in_a_longer_cycle_to_lexsort():
     assert _spied_record_order(cycle, time, pixel)[1:] == (0, 1)
 
 
-def test_record_order_takes_the_stream_key_for_cycles_out_of_order():
-    # cycles of one and two, two of them swapped in the last piece
+@pytest.mark.parametrize("nan", [False, True])
+def test_record_order_lexsorts_cycles_out_of_order(nan):
+    # cycles of one and two, two of them swapped in the last piece, or in
+    # order with a NaN time in a cycle of two: one np.lexsort of the three
+    # columns, and no packed key
     rng = np.random.default_rng(12)
     cycle, time, pixel = _cycle_runs(
         rng.choice([1, 2], 2 * timestream._PIECE), rng)
-    cycle[[-3, -1]] = cycle[[-1, -3]]
-    _, keyed, local = _spied_keys(cycle, time, pixel)
-    assert not local and len(keyed) == 1
-    assert keyed[0][0] is cycle
+    if nan:
+        time[np.flatnonzero(cycle[1:] == cycle[:-1])[-1]] = np.nan
+    else:
+        cycle[[-3, -1]] = cycle[[-1, -3]]
+    with mock.patch.object(timestream, "_record_key",
+                           wraps=timestream._record_key) as record_key:
+        got, argsorts, lexsorts = _spied_record_order(cycle, time, pixel)
+    assert np.array_equal(got, np.lexsort((pixel, time, cycle)))
+    assert (argsorts, lexsorts) == (0, 1)
+    assert not record_key.called
 
 
 # ---------------------------------------------------------------------------
@@ -1462,7 +1400,7 @@ def test_sort_records_of_no_record_and_of_one(n):
     (2**38, False, (0, 1)),
 ])
 def test_sort_records_decodes_keys_up_to_64_bits(cycle_span, others, calls):
-    cycle, time, pixel = _unique_columns(1000, cycle_span, sub_ps=False)
+    cycle, time, pixel = _unique_columns(1000, cycle_span)
     columns = {"cycle_index": cycle, "time_ps": time, "pixel": pixel}
     if others:
         columns["raw_code"] = np.arange(1000, dtype=np.uint32)
@@ -1474,7 +1412,7 @@ def test_sort_records_puts_the_index_in_the_key_only_for_other_columns(
         others, index_bits):
     # 21 + 10 + 16 key bits leave room for the 10 index bits, which only
     # another column needs
-    cycle, time, pixel = _unique_columns(1000, 2**20, sub_ps=False)
+    cycle, time, pixel = _unique_columns(1000, 2**20)
     columns = {"cycle_index": cycle, "time_ps": time, "pixel": pixel}
     if others:
         columns["raw_code"] = np.arange(1000, dtype=np.uint32)
@@ -1504,11 +1442,58 @@ def test_sort_records_keeps_ties_in_index_order_and_zeros_positive():
 
 
 @pytest.mark.parametrize("time, calls", [
-    # fractional: the times' argsort for their ranks, then a gather
-    (np.array([3.5, 1.0, 2.0, 1.0]), (1, 0)),
+    (np.array([3.5, 1.0, 2.0, 1.0]), (0, 1)),  # fractional: np.lexsort
     (np.array([3.0, np.nan, 2.0, 1.0]), (0, 1)),  # NaN: np.lexsort
 ])
 def test_sort_records_gathers_times_it_cannot_decode(time, calls):
     columns = {"cycle_index": np.array([1, 0, 1, 0], dtype=np.uint64),
                "time_ps": time, "pixel": np.array([0, 1, 1, 0], np.uint16)}
     assert _check_sort_records(columns)[1:] == calls
+
+
+def test_sort_records_repairs_ties_in_a_large_run():
+    # runs of ~1.6 * 10^4 equal keys across several pieces, on unordered
+    # cycles spread over 2**41, pixels 0 and 65535 and a lineage column:
+    # 42 + 1 + 16 key bits and 18 index bits are 77, so the key is
+    # quicksorted, the repair restores each run's index order and the
+    # columns are gathered
+    rng = np.random.default_rng(8)
+    n = 3 * timestream._PIECE
+    columns = {"cycle_index": rng.integers(0, 3, n).astype(np.uint64)
+               << np.uint64(40),
+               "time_ps": rng.integers(0, 2, n).astype(np.float64),
+               "pixel": (rng.integers(0, 2, n) * 65535).astype(np.uint16),
+               "origin": np.arange(n, dtype=np.int64)}
+    with mock.patch.object(timestream, "_key_order",
+                           wraps=timestream._key_order) as key_order:
+        _, argsorts, lexsorts = _check_sort_records(columns)
+    assert key_order.call_count == 1
+    assert (argsorts, lexsorts) == (1, 1)
+
+
+@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                    reason="numpy 1.x imports numpy.ma with numpy itself")
+def test_sort_records_repair_never_imports_numpy_ma():
+    # np.union1d's np.unique imports numpy.ma on numpy 2.4, several ms of
+    # a lineage simulation's process.  52 + 1 key bits and 13 index bits
+    # are 66: the tie repair runs, on runs of ~830 equal keys.
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from spadkit import timestream\n"
+        "i = np.arange(5000)\n"
+        "cycle = (i % 3).astype(np.uint64) << np.uint64(50)\n"
+        "columns = {'cycle_index': cycle,\n"
+        "           'time_ps': (i // 3 % 2).astype(np.float64),\n"
+        "           'pixel': np.zeros(5000, np.uint16), 'origin': i}\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+        "timestream.sort_records(columns)\n"
+        "assert (columns['origin'][:3] == [0, 6, 12]).all()\n"
+        "print('numpy.ma' in sys.modules)\n")
+    src = pathlib.Path(timestream.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
