@@ -130,7 +130,10 @@ class DeltaHistogram(Document):
         normalized = median = None
         if doc.get("normalized") is not None:
             # the fit weights and scales by these: a list as long as the
-            # counts, and the median of the counts, so at most the largest
+            # counts, and the median of the counts, so at most the largest.
+            # The fit's weights come from the counts, so the values must
+            # be the counts over the median, exactly (float reprs
+            # round-trip), as normalize_histogram writes them.
             normalized = np.array([as_float(v) for v in
                                    as_list(doc["normalized"])],
                                   dtype=np.float64)
@@ -141,6 +144,13 @@ class DeltaHistogram(Document):
             if not 0 < median <= counts.max(initial=0):
                 raise ValueError(f"median_count {median} is not in "
                                  "(0, largest count]")
+            wrong = np.flatnonzero(normalized != counts / median)
+            if wrong.size:
+                i = wrong[0]
+                raise ValueError(
+                    f"normalized value {float(normalized[i])!r} of bin {i} "
+                    f"is not its count {counts[i]} over median_count "
+                    f"{median!r}")
         return cls(
             pixel_a=as_count(doc["pixel_a"]),
             pixel_b=as_count(doc["pixel_b"]),

@@ -44,11 +44,10 @@ across platforms.
 
 Each trial parameter vector is evaluated once: the accepted trial's
 residual and per-peak exp(-z^2 / 2) then give the Jacobian, and the last
-normal matrix gives the covariance.  A peak is evaluated only on its
-support, |x - mu| <= 40 |sigma|; beyond |z| ~ 38.6 the exponential is
-exactly 0.0 in float64, so the full-length model and Jacobian (the
-Jacobian kept in its (n, p) layout) equal an evaluation over every bin,
-bit for bit.
+normal matrix gives the covariance.  Every peak is evaluated on every
+bin, with the operations of the plain per-fit evaluation in its order,
+and the Jacobian is kept in its (n, p) layout, so a fit's model,
+Jacobian and normal equations are those of that evaluation, bit for bit.
 
 Every fit says why it stopped (``stop_reason`` on the result, ``reason``
 on ``FitError``).  The solver converges on "relative_step" (no parameter
@@ -86,11 +85,9 @@ REL_CHI2_TOL = 1e-10
 LAMBDA_START = 1e-3
 LAMBDA_MAX = 1e12
 SIGNIFICANCE_SIGMAS = 3.0
-# A peak is evaluated where |x - mu| <= SUPPORT_SIGMAS * |sigma|.
-SUPPORT_SIGMAS = 40.0
 # The solver runs its fits in blocks of at most this many bins (fits times
-# bins per fit), so a block's (fits, n, P) Jacobian stays a few MB however
-# many fits a scan holds.
+# bins per fit), so a block's (fits, n) peak values and (fits, n, P)
+# Jacobian stay a few MB however many fits a scan holds.
 BLOCK_BINS = 32 * 2800
 
 # Width of the box filter that places a cross-talk peak before any fit
@@ -110,110 +107,49 @@ SCHEMA_VERSION = 1
 
 class _Gaussians:
     """The model's peaks on one grid ``x`` for a batch of parameter rows,
-    each peak evaluated on its support.
+    shape (B, P), each peak evaluated on every point of the grid.
 
-    exp(-z^2 / 2) underflows to exactly 0.0 in float64 beyond |z| ~ 38.6,
-    so a peak is evaluated only where |x - mu| <= 40 |sigma| and the
-    full-length model and Jacobian hold exact zeros everywhere else: the
-    same numbers as an evaluation over every point.  One stable
-    ``argsort`` of ``x`` makes each support one run of the sorted grid,
-    whatever order ``x`` comes in.  A peak with a non-finite amplitude, or
-    whose z is not finite at an end of the grid (a non-finite center or
-    width, sigma == 0, overflow, a NaN in ``x``), is evaluated everywhere.
-
-    Parameters come as rows, shape (B, P).  The supports of one peak over
-    all rows are held back to back, as flat arrays with the row of each
-    point, so each step is one numpy call for the whole batch.
+    This is the full-length evaluation, operation for operation, so it
+    holds for a grid in any order and for any parameters: a non-finite
+    center or width, sigma == 0 or a NaN in ``x`` give the numbers that
+    evaluation gives.  Each step is one numpy call for the whole batch.
     """
 
     def __init__(self, x):
-        x = np.asarray(x)
-        self.n = len(x)
-        self.order = np.argsort(x, kind="stable")
-        self.sorted = x[self.order]
-        self.ascending = bool(np.array_equal(self.order, np.arange(self.n)))
-        self.ends = self.sorted[[0, -1], None] if self.n \
-            else np.zeros((2, 1))
-
-    def _supports(self, amp, mu, sigma):
-        """(lo, hi) of each row's support: a run of the sorted grid."""
-        with np.errstate(all="ignore"):
-            evaluated = np.isfinite(amp) \
-                & np.isfinite((self.ends - mu) / sigma).all(axis=0)
-            reach = SUPPORT_SIGMAS * np.abs(sigma)
-            lo = np.searchsorted(self.sorted, mu - reach, side="left")
-            hi = np.searchsorted(self.sorted, mu + reach, side="right")
-        if not evaluated.all():
-            lo[~evaluated] = 0
-            hi[~evaluated] = self.n
-        return lo, hi
+        self.x = np.asarray(x)
+        self.n = len(self.x)
 
     def peaks(self, params) -> list:
-        """``(row, where, z, exp(-z^2 / 2))`` of each peak on the supports
-        of all rows: ``where`` indexes the grid, ``row`` the batch."""
+        """``(z, exp(-z^2 / 2))`` of each peak, each of shape (B, n)."""
         out = []
         for i in range(1, params.shape[1], 3):
-            amp, mu, sigma = params[:, i], params[:, i + 1], params[:, i + 2]
-            lo, hi = self._supports(amp, mu, sigma)
-            length = hi - lo
-            row = np.repeat(np.arange(len(params)), length)
-            run_start = np.cumsum(length) - length
-            pos = np.arange(len(row)) + np.repeat(lo - run_start, length)
-            z = (self.sorted[pos] - mu[row]) / sigma[row]
-            out.append((row, self.order[pos], z, np.exp(-0.5 * z * z)))
+            z = (self.x - params[:, i + 1, None]) / params[:, i + 2, None]
+            out.append((z, np.exp(-0.5 * z * z)))
         return out
 
     def model(self, params, peaks) -> np.ndarray:
-        """Shape (B, n)."""
-        y = np.empty((len(params), self.n))
-        y[:] = params[:, :1]
-        flat = y.reshape(-1)
-        for amp, (row, where, _z, e) in zip(params[:, 1::3].T, peaks):
-            flat[row * self.n + where] += amp[row] * e
+        """Shape (B, n): the background plus each peak in turn."""
+        y = params[:, :1]
+        for amp, (_z, e) in zip(params[:, 1::3].T, peaks):
+            y = y + amp[:, None] * e
         return y
 
     def jacobian(self, params, peaks) -> np.ndarray:
         """d model / d params, shape (B, n, P), without any ``exp``."""
-        n_par = params.shape[1]
-        jac = np.zeros((len(params), self.n, n_par))
+        jac = np.empty((len(params), self.n, params.shape[1]))
         jac[:, :, 0] = 1.0
-        columns = _columns(jac)
-        for i, at, values in self.support_entries(params, peaks):
-            for c, v in enumerate(values):
-                columns[i + c][at] = v
-        return jac
-
-    def support_entries(self, params, peaks) -> list:
-        """The Jacobian's entries off column 0 that can be non-zero: per
-        peak, its first column, the flat positions ``row * n + j`` of its
-        support and the values there in each of its three columns.  On an
-        ascending grid, a peak whose supports cover every bin of every row
-        is at every position in order: its positions are one slice."""
-        out = []
-        full = len(params) * self.n
-        for i, (row, where, z, e) in zip(range(1, params.shape[1], 3), peaks):
-            amp, sigma = params[row, i], params[row, i + 2]
+        for i, (z, e) in zip(range(1, params.shape[1], 3), peaks):
+            amp, sigma = params[:, i, None], params[:, i + 2, None]
             aez = amp * e * z
-            at = slice(full) if self.ascending and len(row) == full \
-                else row * self.n + where
-            out.append((i, at, (e, aez / sigma, aez * z / sigma)))
-        return out
-
-
-def _columns(a) -> list:
-    """Views of each column of a (B, n, P) array over all B * n rows."""
-    flat = a.reshape(-1, a.shape[-1])
-    return [flat[:, c] for c in range(a.shape[-1])]
+            jac[:, :, i] = e
+            jac[:, :, i + 1] = aez / sigma
+            jac[:, :, i + 2] = aez * z / sigma
+        return jac
 
 
 def _take_rows(peaks, keep):
-    """The peaks of the rows where ``keep`` is True, renumbered."""
-    renumber = np.cumsum(keep) - 1
-    out = []
-    for row, where, z, e in peaks:
-        sel = keep[row]
-        out.append((renumber[row[sel]], where[sel], z[sel], e[sel]))
-    return out
+    """The peaks of the rows where ``keep`` is True."""
+    return [(z[keep], e[keep]) for z, e in peaks]
 
 
 def gauss_model(x: np.ndarray, params: np.ndarray) -> np.ndarray:
@@ -358,17 +294,6 @@ def _levmar(x, y, weights, p0, *, lower, upper) -> list:
     passes = 0
     out: list = [None] * n_fits
     done = np.zeros(n_fits, dtype=bool)
-    # J and J * W of one block: zero but for J's column 0 of ones, and for
-    # the support entries each use writes and then sets back to 0.0.
-    shape = (min(n_fits, block), gaussians.n, n_par)
-    jac_block, jw_block = np.zeros(shape), np.zeros(shape)
-    jac_block[:, :, 0] = 1.0
-    jac_columns, jw_columns = _columns(jac_block), _columns(jw_block)
-    # J * W from the supports alone holds 0.0 where J does; that equals
-    # the full product, 0.0 * w, for finite weights without a sign bit
-    # (every histogram's).
-    weighted_supports = bool(np.isfinite(weights).all()
-                             and not np.signbit(weights).any())
 
     def trial(rows, params):
         """chi^2 of each row, the row's weights and residuals, and the
@@ -382,29 +307,12 @@ def _levmar(x, y, weights, p0, *, lower, upper) -> list:
 
     def store_normal(rows, params, w, r, peaks):
         """The normal equations of ``rows`` at ``params``."""
-        entries = gaussians.support_entries(params, peaks)
-        for i, at, values in entries:
-            for c, v in enumerate(values):
-                jac_columns[i + c][at] = v
-        jac = jac_block[:len(rows)]
-        if weighted_supports:
-            flat_w = w.reshape(-1)
-            jw_columns[0][:len(flat_w)] = flat_w
-            for i, at, values in entries:
-                w_at = flat_w[at]
-                for c, v in enumerate(values):
-                    jw_columns[i + c][at] = v * w_at
-            jw = jw_block[:len(rows)]
-        else:
-            jw = jac * w[:, :, None]
+        jac = gaussians.jacobian(params, peaks)
+        jw = jac * w[:, :, None]
         # Stacked matmuls make the same BLAS products per fit as the 2-D
         # jac.T @ jw and jw.T @ r, full length in J's (n, p) layout.
         normal[rows] = np.matmul(jac.transpose(0, 2, 1), jw)
         grad[rows] = np.matmul(jw.transpose(0, 2, 1), r[:, :, None])[:, :, 0]
-        for i, at, _values in entries:
-            for c in range(i, i + 3):
-                jac_columns[c][at] = 0.0
-                jw_columns[c][at] = 0.0
 
     def fail(i, message, reason):
         out[i] = FitError(message, last_estimate=p[i].copy(), reason=reason,

@@ -28,6 +28,20 @@ logger = logging.getLogger(__name__)
 MIN_COUNTS_PER_PIXEL = 10_000
 
 SCHEMA_VERSION = 1
+# What a LUT document records of its sensor; it converts only the streams
+# of a sensor with the same values.
+_FINGERPRINT = ("num_pixels", "tdc_bins_per_clock", "clock_period_ps")
+
+
+def _fingerprint(sensor: SensorConfig) -> dict:
+    return {key: getattr(sensor, key) for key in _FINGERPRINT}
+
+
+def _require_sensor(fingerprint: dict, sensor: SensorConfig) -> None:
+    """Refuse a LUT of the sensor ``fingerprint`` for a ``sensor`` stream."""
+    if fingerprint != _fingerprint(sensor):
+        raise CalibrationError(
+            "LUT sensor fingerprint does not match the stream sensor")
 
 
 @dataclass
@@ -73,11 +87,7 @@ class TdcLut(Document):
         return {
             "schema_version": SCHEMA_VERSION,
             "kind": "tdc_lut",
-            "sensor": {
-                "num_pixels": self.sensor.num_pixels,
-                "tdc_bins_per_clock": self.sensor.tdc_bins_per_clock,
-                "clock_period_ps": self.sensor.clock_period_ps,
-            },
+            "sensor": _fingerprint(self.sensor),
             "unusable_pixels": sorted(self.unusable),
             "widths_ps": {str(p): self.widths[p].tolist()
                           for p in range(self.sensor.num_pixels)},
@@ -86,18 +96,13 @@ class TdcLut(Document):
     @classmethod
     def _decode(cls, doc: dict, sensor: SensorConfig | None = None) -> "TdcLut":
         fp = as_object(doc["sensor"])
-        num_pixels = as_count(fp["num_pixels"])
-        bins = as_count(fp["tdc_bins_per_clock"])
-        clock = as_count(fp["clock_period_ps"])
+        fingerprint = {key: as_count(fp[key]) for key in _FINGERPRINT}
         if sensor is None:
-            sensor = SensorConfig(num_pixels=num_pixels,
-                                  tdc_bins_per_clock=bins,
-                                  clock_period_ps=clock)
-        elif (num_pixels, bins, clock) != (sensor.num_pixels,
-                                           sensor.tdc_bins_per_clock,
-                                           sensor.clock_period_ps):
-            raise CalibrationError(
-                "LUT sensor fingerprint does not match the stream sensor")
+            sensor = SensorConfig(**fingerprint)
+        else:
+            _require_sensor(fingerprint, sensor)
+        num_pixels = fingerprint["num_pixels"]
+        bins = fingerprint["tdc_bins_per_clock"]
         # one row of ``bins`` widths per pixel, checked before the table
         # is allocated: its size is then the document's own count of
         # widths, however large a sensor the document declares
@@ -177,10 +182,7 @@ def _check_lut(stream: PhotonStream, lut: TdcLut) -> None:
     column, which a LUT without unusable pixels skips: it blocks no
     record."""
     sensor = stream.sensor
-    if (sensor.num_pixels, sensor.tdc_bins_per_clock, sensor.clock_period_ps) != \
-            (lut.sensor.num_pixels, lut.sensor.tdc_bins_per_clock,
-             lut.sensor.clock_period_ps):
-        raise CalibrationError("LUT sensor fingerprint does not match the stream sensor")
+    _require_sensor(_fingerprint(lut.sensor), sensor)
     if stream.raw_code is None:
         raise DataError("stream carries no raw TDC codes")
     codes = stream.raw_code

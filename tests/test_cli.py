@@ -569,6 +569,12 @@ BAD_INPUTS = [
     # the median of the counts, so at most the largest: squared by the fit
     ("median above every count", ["fit", "--in", FILE],
      changed(normalize_histogram(HIST), median_count=1e308)),
+    # the values the fit takes for data, against weights from the counts
+    ("normalized not the counts over the median", ["fit", "--in", FILE],
+     changed(normalize_histogram(HIST), normalized=[1.0] * 3 + [1.5]
+             + [1.0] * 36),
+     "malformed histogram document: normalized value 1.5 of bin 3 is not "
+     "its count 100 over median_count 100.0"),
     ("fractional gap pixel", ["coincidence", "--in", STREAM, "--pair", "0,1",
                               "--delays", FILE],
      changed(DelayVector(np.zeros(256)), gap_pixels=[[0.5, 1]])),

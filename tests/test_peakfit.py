@@ -432,8 +432,8 @@ def test_flat_fit_reads_the_grid_in_ascending_order():
 #
 # The reference below evaluates every peak on every bin, three times per
 # accepted step, and rebuilds the normal matrix for the covariance: the
-# solver as it was before support-only evaluation.  Every fit must agree
-# with it bit for bit.
+# solver as a plain loop over one fit.  Every fit must agree with it bit
+# for bit.
 
 def _full_model(x, params):
     y = params[0]
@@ -872,23 +872,6 @@ def test_rare_endings_in_a_batch_leave_their_neighbors_alone(monkeypatch):
             == (want.chi2, want.n_iterations, want.stop_reason)
 
 
-def _sliced_peaks(monkeypatch):
-    """Per call of the evaluator's ``support_entries``, the first columns
-    of the peaks whose positions came as one slice, and the parameter
-    rows."""
-    calls = []
-    support_entries = peakfit._Gaussians.support_entries
-
-    def spy(self, params, peaks):
-        out = support_entries(self, params, peaks)
-        calls.append(({i for i, at, _ in out if isinstance(at, slice)},
-                      params.copy()))
-        return out
-
-    monkeypatch.setattr(peakfit._Gaussians, "support_entries", spy)
-    return calls
-
-
 def _assert_levmar_matches_reference(x, y, p0):
     """One batch through ``_levmar`` equals the full-length reference per
     fit, bit for bit."""
@@ -905,16 +888,10 @@ def _assert_levmar_matches_reference(x, y, p0):
         assert (chi2, iterations) == (ref[2], ref[3])
 
 
-def test_a_support_that_stops_covering_the_grid_leaves_no_entry(monkeypatch):
-    # Two-peak fits, one per block, so the blocks share the Jacobian
-    # buffers in turn.  The second peak of the first fit is 60 ps wide and
-    # covers all 201 bins, so its entries go in by one slice; that of the
-    # second fit is 12 ps wide, its entries ragged, and the slice's entries
-    # outside them must have been set back to 0.0, or the first fit's peak
-    # shows in the second's Jacobian.  The third fit's second peak starts
-    # 100 ps wide and narrows to 12 ps: full in one pass, ragged in the
-    # next.
-    calls = _sliced_peaks(monkeypatch)
+def test_two_peak_fits_in_blocks_of_one_match_the_reference(monkeypatch):
+    # Two-peak fits, one per block.  The second peak of the first fit is
+    # 60 ps wide, that of the second 12 ps; the third fit's second peak
+    # starts 100 ps wide and narrows to 12 ps.
     x = np.linspace(-1000.0, 1000.0, 201)
     monkeypatch.setattr(peakfit, "BLOCK_BINS", len(x))
     truth = np.array([[5.0, 200.0, -300.0, 15.0, 150.0, 0.0, 60.0],
@@ -926,17 +903,11 @@ def test_a_support_that_stops_covering_the_grid_leaves_no_entry(monkeypatch):
     p0 = truth * [1.0, 0.75, 0.97, 1.0, 0.8, 1.0, 1.0] + [0, 0, 0, 0, 0, 5, 0]
     p0[2, 6] = 100.0
     _assert_levmar_matches_reference(x, y, p0)
-    assert [sliced for sliced, _ in calls[:3]] == [{4}, set(), {4}]
-    third = [sliced for sliced, params in calls[3:]
-             if abs(params[0, 5] - 350.0) < 50.0]
-    assert set() in third  # once it has narrowed
 
 
-def test_full_supports_on_an_unsorted_grid_take_no_slice(monkeypatch):
-    # A peak wide enough to cover every bin: on the ascending grid its
-    # entries go in by one slice; on the same grid permuted, the rows'
-    # positions are not in order, and each entry goes to its own place.
-    calls = _sliced_peaks(monkeypatch)
+def test_a_peak_wider_than_the_grid_matches_the_reference_in_any_order():
+    # A peak that is non-zero on every bin, on the grid and on the same
+    # grid permuted.
     rng = np.random.default_rng(32)
     truth = np.array([5.0, 200.0, 40.0, 300.0])
     p0 = np.tile([4.0, 150.0, 90.0, 400.0], (2, 1))
@@ -944,9 +915,6 @@ def test_full_supports_on_an_unsorted_grid_take_no_slice(monkeypatch):
         y = rng.poisson(_full_model(x, truth),
                         size=(2, len(x))).astype(np.float64)
         _assert_levmar_matches_reference(x, y, p0)
-        assert all(sliced == ({1} if x is X else set())
-                   for sliced, _ in calls)
-        calls.clear()
 
 
 TDC_BIN_PS = 2500 / 140  # the default sensor's bin: a box of 7 bins
