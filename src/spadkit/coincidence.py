@@ -130,10 +130,10 @@ class DeltaHistogram(Document):
         normalized = median = None
         if doc.get("normalized") is not None:
             # the fit weights and scales by these: a list as long as the
-            # counts, and the median of the counts, so at most the largest.
-            # The fit's weights come from the counts, so the values must
-            # be the counts over the median, exactly (float reprs
-            # round-trip), as normalize_histogram writes them.
+            # counts, and the median of the counts, which puts the flat
+            # background at 1.  The fit's weights come from the counts, so
+            # the values must be the counts over the median, exactly
+            # (float reprs round-trip), as normalize_histogram writes them.
             normalized = np.array([as_float(v) for v in
                                    as_list(doc["normalized"])],
                                   dtype=np.float64)
@@ -141,9 +141,10 @@ class DeltaHistogram(Document):
                 raise ValueError(f"{len(normalized)} normalized values "
                                  f"for {len(counts)} counts")
             median = as_float(doc["median_count"])
-            if not 0 < median <= counts.max(initial=0):
-                raise ValueError(f"median_count {median} is not in "
-                                 "(0, largest count]")
+            if not (counts.any() and median == float(np.median(counts))
+                    and median > 0):
+                raise ValueError(f"median_count {median!r} is not the "
+                                 "positive median of the counts")
             wrong = np.flatnonzero(normalized != counts / median)
             if wrong.size:
                 i = wrong[0]

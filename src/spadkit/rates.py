@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataError
-from .timestream import PhotonStream
+from .timestream import PhotonStream, _pieces
 
 SCHEMA_VERSION = 1
 
@@ -132,16 +132,27 @@ def _span_counts(stream: PhotonStream, bounds: list[int]) -> np.ndarray:
     bounds[k + 1])`` of cycles, and of those from the last bound on: a row
     each, a column per pixel up to the largest.
 
-    Each record's span is found from its cycle, in any cycle order, and
-    one ``bincount`` counts span x pixel."""
+    Counted piece by piece, in any cycle order: a piece whose cycles lie
+    in one span adds its pixels' ``bincount`` to that span's row; any
+    other finds each record's span from its cycle and counts span x
+    pixel."""
     width = max(stream.sensor.num_pixels, int(stream.pixel.max(initial=0)) + 1)
-    span = np.searchsorted(np.array(bounds[1:], dtype=np.uint64),
-                           stream.cycle_index.astype(np.uint64, copy=False),
-                           side="right")
-    span *= width
-    span += stream.pixel
-    return np.bincount(span, minlength=len(bounds) * width).reshape(
-        -1, width)
+    ends = np.array(bounds[1:], dtype=np.uint64)
+    counts = np.zeros((len(bounds), width), dtype=np.intp)
+    for lo, hi in _pieces(stream.n_records):
+        cyc = stream.cycle_index[lo:hi].astype(np.uint64, copy=False)
+        pix = stream.pixel[lo:hi]
+        first, last = np.searchsorted(ends, [cyc.min(), cyc.max()],
+                                      side="right")
+        if first == last:
+            counts[first] += np.bincount(pix, minlength=width)
+            continue
+        span = np.searchsorted(ends, cyc, side="right")
+        span *= width
+        span += pix
+        counts += np.bincount(span, minlength=counts.size).reshape(
+            counts.shape)
+    return counts
 
 
 def _resolve_duration(stream: PhotonStream, duration_s: float | None) -> float:

@@ -42,9 +42,12 @@ permutation, which adds a second 8-byte column.  A stream of one block
 keeps that block's columns, and the columns of several blocks are joined
 one column at a time.  Lineage arrays exist only when ``include_lineage``
 is set.  ``PhotonStream.write`` adds one boundary per cycle and pieces of
-a fixed length.  Traced by ``tracemalloc``, simulating and writing a
-one-block beam run peaks at 1.63x its column bytes, and the code-density
-simulation at 1.54x (the tests bound them at 1.8x and 1.7x).
+a fixed length.  The code-density simulation packs its integer draws
+into one word per record, built in place of the cycle draw, and sorts
+and decodes that (``simulate_code_density``).  Traced by
+``tracemalloc``, simulating and writing a one-block beam run peaks at
+1.63x its column bytes, and the code-density simulation at 1.45x (the
+tests bound them at 1.8x and 1.7x).
 """
 
 from __future__ import annotations
@@ -58,8 +61,8 @@ import numpy as np
 
 from .documents import Document, as_float, as_list, decode_fields, pairs
 from .errors import DataError
-from .timestream import (PhotonStream, SensorConfig, StreamHeader, _pieces,
-                         sort_records)
+from .timestream import (PhotonStream, SensorConfig, StreamHeader, _field,
+                         _pieces, sort_records)
 
 logger = logging.getLogger(__name__)
 
@@ -616,8 +619,26 @@ def simulate_code_density(sensor: SensorConfig, widths_ps, counts_per_pixel,
     single shared row; each detection samples its fine code from those
     widths, which is exactly the population a code-density calibration
     estimates.  Record times carry the correct coarse clock slot plus the
-    nominal (uniform-width) code position.  Widths must be finite and
-    >= 0 (a zero-width code never fires), and ``n_cycles`` at least 1.
+    nominal (uniform-width) code position, ``rint(slot * clock + code *
+    mean_bin_width_ps)``.  Widths must be finite and >= 0 (a zero-width
+    code never fires), and ``n_cycles`` at least 1.
+
+    The records are sorted as one ``uint64`` word each, built in place of
+    the cycle draw from the integer draws:
+
+        word = cycle | slot | code | pixel   (high bits to low)
+
+    each field as wide as its range needs (``n_cycles``, the clock slots
+    of a cycle, ``tdc_bins_per_clock``, ``num_pixels``; 37 bits on the
+    default sensor).  The words are sorted in place and all four columns
+    decoded from them, the times last: no float time, record index or
+    permutation exists before the sort.  Word order is stream order
+    (cycle, time, pixel) only where the time strictly increases over
+    (slot, code), which holds when ``mean_bin_width_ps >= 2``: adjacent
+    positions are then at least 2 ps less rounding apart before ``rint``.
+    A sensor with narrower bins, or fields over 64 bits, takes the times
+    first and ``timestream.sort_records``, with ``raw_code`` following.
+    Both give the same stream.
     """
     widths = np.atleast_2d(np.asarray(widths_ps, dtype=np.float64))
     if widths.shape[0] == 1:
@@ -635,6 +656,7 @@ def simulate_code_density(sensor: SensorConfig, widths_ps, counts_per_pixel,
         raise ValueError(f"n_cycles must be >= 1, got {n_cycles}")
 
     clock = float(sensor.clock_period_ps)
+    width = sensor.mean_bin_width_ps
     n_slots = sensor.cycle_period_ps // sensor.clock_period_ps
     rng = np.random.default_rng(np.random.SeedSequence(seed))
 
@@ -651,21 +673,62 @@ def simulate_code_density(sensor: SensorConfig, widths_ps, counts_per_pixel,
     np.minimum(codes, sensor.tdc_bins_per_clock - 1, out=codes)
 
     cycles = _cycles(rng, 0, n_cycles, total)
-    # rint(slot * clock + code * mean bin width), built in place
-    times = np.multiply(rng.integers(0, n_slots, total), clock)
-    for lo, hi in _pieces(total):
-        times[lo:hi] += codes[lo:hi] * sensor.mean_bin_width_ps
-    np.rint(times, out=times)
-
-    columns = {"cycle_index": cycles, "pixel": pix, "time_ps": times,
-               "raw_code": codes}
-    del cycles, pix, times, codes  # so that the sort frees the old columns
-    sort_records(columns)
+    slots = rng.integers(0, n_slots, total).view(np.uint64)
+    # the word's fields, low to high: pixel, code, slot, cycle
+    pix_bits, code_bits, slot_bits, cycle_bits = (
+        (n - 1).bit_length()
+        for n in (sensor.num_pixels, sensor.tdc_bins_per_clock, n_slots,
+                  n_cycles))
+    if width < 2 or pix_bits + code_bits + slot_bits + cycle_bits > 64:
+        times = np.empty(total)
+        for lo, hi in _pieces(total):
+            _code_times(slots[lo:hi], codes[lo:hi], clock, width,
+                        times[lo:hi])
+        columns = {"cycle_index": cycles, "pixel": pix, "time_ps": times,
+                   "raw_code": codes}
+        del cycles, slots, pix, times, codes  # so that the sort frees them
+        sort_records(columns)
+    else:
+        words = cycles  # built in place, field by field
+        for lo, hi in _pieces(total):
+            part = words[lo:hi]
+            for column, bits in ((slots, slot_bits), (codes, code_bits),
+                                 (pix, pix_bits)):
+                part <<= np.uint64(bits)
+                part |= column[lo:hi]
+        del cycles, slots, pix, codes
+        words.sort()
+        pix = np.empty(total, dtype=np.uint16)
+        codes = np.empty(total, dtype=np.uint32)
+        times = np.empty(total)
+        for lo, hi in _pieces(total):
+            part = words[lo:hi]
+            pix[lo:hi] = _field(part, 0, pix_bits)
+            codes[lo:hi] = _field(part, pix_bits, code_bits)
+            _code_times(_field(part, pix_bits + code_bits, slot_bits),
+                        codes[lo:hi], clock, width, times[lo:hi])
+        # the cycles, decoded in place of the words
+        if cycle_bits:
+            words >>= np.uint64(pix_bits + code_bits + slot_bits)
+        else:
+            words.fill(0)
+        columns = {"cycle_index": words, "pixel": pix, "time_ps": times,
+                   "raw_code": codes}
     return PhotonStream(
         header=StreamHeader(sensor=sensor,
                             metadata={"source": "simulation",
                                       "seed": str(seed)}),
         total_cycles=n_cycles, **columns)
+
+
+def _code_times(slots: np.ndarray, codes: np.ndarray, clock: float,
+                width: float, out: np.ndarray) -> None:
+    """``out = rint(slot * clock + code * width)``: a code-density
+    record's time, its clock slot's start plus its code's nominal
+    (uniform-width) position."""
+    np.multiply(slots, clock, out=out)
+    out += codes * width
+    np.rint(out, out=out)
 
 
 # Cells of the clock in _draw_codes' table: several per TDC bin, so that

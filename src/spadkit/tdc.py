@@ -21,7 +21,8 @@ import numpy as np
 from .documents import (Document, as_count, as_float, as_key, as_list,
                         as_object)
 from .errors import CalibrationError, DataError
-from .timestream import PhotonStream, SensorConfig, record_order
+from .timestream import (PhotonStream, SensorConfig, _bincount, _pieces,
+                         record_order)
 
 logger = logging.getLogger(__name__)
 
@@ -153,11 +154,14 @@ def build_lut(stream: PhotonStream) -> TdcLut:
         bad = int(codes.max())
         raise DataError(f"raw code {bad} out of range (tdc_bins={bins})")
 
-    # one flat (pixel, code) index, built in place
-    flat = stream.pixel.astype(np.intp)
-    flat *= bins
-    flat += codes
-    counts = np.bincount(flat, minlength=sensor.num_pixels * bins)
+    def flat(lo: int, hi: int) -> np.ndarray:
+        # a piece's (pixel, code) index: both are 16-bit, so it fits
+        index = np.multiply(stream.pixel[lo:hi], bins, dtype=np.uint32)
+        index += codes[lo:hi]
+        return index
+
+    counts = _bincount((flat(lo, hi) for lo, hi in _pieces(len(codes))),
+                       sensor.num_pixels * bins)
     counts = counts.reshape(sensor.num_pixels, bins)
     totals = counts.sum(axis=1)
 

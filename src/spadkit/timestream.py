@@ -179,13 +179,24 @@ class StreamHeader:
 
 # Records per piece in passes over whole columns (record_order and
 # sort_records, validate, the writer, the readers' checker, the
-# simulators): a pass holds a few arrays of this length at a time, never
-# one per record.
+# simulators, the counts of rates and build_lut): a pass holds a few
+# arrays of this length at a time, never one per record.
 _PIECE = 1 << 16
 
 
 def _pieces(stop: int, start: int = 0) -> list[tuple[int, int]]:
     return [(lo, min(lo + _PIECE, stop)) for lo in range(start, stop, _PIECE)]
+
+
+def _bincount(pieces: Iterable[np.ndarray], minlength: int) -> np.ndarray:
+    """``np.bincount`` of the pieces' values together, summed from each
+    piece's own: a whole-column count without a whole-column index."""
+    counts = np.zeros(minlength, dtype=np.intp)
+    for values in pieces:
+        part = np.bincount(values, minlength=len(counts))
+        part[:len(counts)] += counts
+        counts = part
+    return counts
 
 
 def _whole(values: np.ndarray) -> bool:
@@ -587,7 +598,9 @@ class PhotonStream:
         return self.total_cycles * self.sensor.cycle_period_ps * 1e-12
 
     def counts_per_pixel(self) -> np.ndarray:
-        return np.bincount(self.pixel, minlength=self.sensor.num_pixels)
+        return _bincount((self.pixel[lo:hi]
+                          for lo, hi in _pieces(self.n_records)),
+                         self.sensor.num_pixels)
 
     def validate(self) -> None:
         """Check the stream invariants; raise StreamFormatError on violation.

@@ -482,6 +482,10 @@ DEEP = b"[" * 100_000
 HIST = DeltaHistogram(pixel_a=0, pixel_b=1, window_ps=1000.0,
                       bin_width_ps=50.0, total_pairs=4000,
                       counts=np.full(40, 100, dtype=np.int64))
+PEAK_HIST = DeltaHistogram(pixel_a=0, pixel_b=1, window_ps=1000.0,
+                           bin_width_ps=50.0, total_pairs=5200,
+                           counts=np.r_[np.full(18, 100), np.full(4, 400),
+                                        np.full(18, 100)])
 LUT = TdcLut(SensorConfig(), np.full((256, 140), 2500 / 140))
 ROWS = LUT.to_json_dict()["widths_ps"]
 
@@ -566,9 +570,17 @@ BAD_INPUTS = [
     ("negative count", ["fit", "--in", FILE],
      changed(HIST, counts=[-3] + [100] * 39)),
     ("negative total", ["fit", "--in", FILE], changed(HIST, total_pairs=-4)),
-    # the median of the counts, so at most the largest: squared by the fit
+    # the median of the counts, as normalize_histogram writes it: the fit
+    # scales and squares it
     ("median above every count", ["fit", "--in", FILE],
      changed(normalize_histogram(HIST), median_count=1e308)),
+    # a smaller one, with the values over it, would put the flat
+    # background at 2: fit_gaussian read bg 1.97 where the median gives 0.98
+    ("median not the counts' median", ["fit", "--in", FILE],
+     changed(PEAK_HIST, normalized=(PEAK_HIST.counts / 50).tolist(),
+             median_count=50.0),
+     "malformed histogram document: median_count 50.0 is not the positive "
+     "median of the counts"),
     # the values the fit takes for data, against weights from the counts
     ("normalized not the counts over the median", ["fit", "--in", FILE],
      changed(normalize_histogram(HIST), normalized=[1.0] * 3 + [1.5]

@@ -1,12 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spadkit import DataError, PhotonStream, SensorConfig, StreamHeader
+from spadkit import (DataError, PhotonStream, SensorConfig, StreamHeader,
+                    timestream)
 from spadkit.rates import (RateReport, _median, _rates_for,
                            _resolve_duration, compute_rates, split_subsets)
 
-from conftest import random_cycles
+from conftest import random_cycles, traced_peak
 
 
 def make_stream(counts_per_pixel, total_cycles, sensor=None, seed=0):
@@ -161,13 +164,15 @@ def test_split_subset_serializes_with_own_cycle_count():
 @given(st.lists(st.tuples(st.integers(0, 29), st.integers(0, 7)),
                 max_size=60),
        st.booleans(), st.integers(1, 30), st.integers(1, 8),
-       st.none() | st.sampled_from([0.5, 3.0, 1e-3]))
+       st.none() | st.sampled_from([0.5, 3.0, 1e-3]),
+       st.sampled_from([1, 2, 5, timestream._PIECE]))
 def test_property_subset_rates_equal_split_subsets(recs, in_order, total, n,
-                                                   duration):
+                                                   duration, piece):
     # The one-pass span count against the reports of split_subsets'
     # streams, on cycle columns in any order, with records past
     # total_cycles (in no span) and pixels past the sensor's 4 (each
     # subset's rates end at its own largest pixel, as its bincount does).
+    # The counts add across pieces of any length, one span or several.
     if in_order:
         recs = sorted(recs)
     stream = PhotonStream(
@@ -181,8 +186,12 @@ def test_property_subset_rates_equal_split_subsets(recs, in_order, total, n,
             compute_rates(stream, duration_s=duration, n_subsets=n,
                           hot_threshold_cps=threshold)
         return
-    report = compute_rates(stream, duration_s=duration, n_subsets=n,
-                           hot_threshold_cps=threshold)
+    with mock.patch.object(timestream, "_PIECE", piece):
+        report = compute_rates(stream, duration_s=duration, n_subsets=n,
+                               hot_threshold_cps=threshold)
+        whole = compute_rates(stream, duration_s=duration,
+                              hot_threshold_cps=threshold)
+    np.testing.assert_array_equal(whole.rates_cps, report.rates_cps)
     total_s = _resolve_duration(stream, duration)
     want = [("", _rates_for(stream.counts_per_pixel(), total_s, threshold))]
     for k, sub in enumerate(split_subsets(stream, n)):
@@ -292,3 +301,19 @@ def test_median_is_np_median_bit_for_bit(dtype, n):
         values[n // 2] = np.nan
         got, want = _median(values), np.median(values)
         assert type(got) is type(want) and np.isnan(got)
+
+
+def test_counts_hold_no_index_per_record():
+    # rates and their spans are counted piece by piece: no int64 copy of
+    # the pixel column, 8 bytes per record, and no span index
+    n = 1_000_000
+    rng = np.random.default_rng(4)
+    stream = PhotonStream(
+        StreamHeader(SensorConfig()),
+        np.sort(rng.integers(0, 5000, n)).astype(np.uint64),
+        rng.integers(0, 256, n).astype(np.uint16), np.zeros(n),
+        total_cycles=5000)
+    for subsets in (None, 4):
+        _report, peak = traced_peak(
+            lambda: compute_rates(stream, n_subsets=subsets))
+        assert peak < 2 * n, subsets

@@ -488,6 +488,90 @@ def test_code_density_on_a_one_bin_sensor():
     assert stream.raw_code.tolist() == [0] * 1000
 
 
+def _code_density_oracle(sensor, widths, counts, seed, n_cycles):
+    """``simulate_code_density``'s columns from the same draws in the same
+    order, times taken first, put in stream order by ``np.lexsort``."""
+    clock = float(sensor.clock_period_ps)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    counts = np.broadcast_to(counts, (sensor.num_pixels,))
+    widths = np.broadcast_to(widths, (sensor.num_pixels,
+                                      sensor.tdc_bins_per_clock))
+    pix = np.repeat(np.arange(sensor.num_pixels, dtype=np.uint16), counts)
+    codes = np.concatenate([
+        np.searchsorted(np.cumsum(widths[p]), rng.uniform(0.0, clock, n),
+                        side="right") for p, n in enumerate(counts)])
+    codes = np.minimum(codes, sensor.tdc_bins_per_clock - 1).astype(np.uint32)
+    cycles = rng.integers(0, n_cycles, len(pix)).astype(np.uint64)
+    slots = rng.integers(0, sensor.cycle_period_ps // sensor.clock_period_ps,
+                         len(pix))
+    times = np.rint(slots * clock + codes * sensor.mean_bin_width_ps)
+    order = np.lexsort((pix, times, cycles))
+    return {"cycle_index": cycles[order], "pixel": pix[order],
+            "time_ps": times[order], "raw_code": codes[order]}
+
+
+def _uneven_widths(sensor, seed=12):
+    widths = np.random.default_rng(seed).uniform(
+        0.2, 1.8, sensor.tdc_bins_per_clock)
+    return widths * (sensor.clock_period_ps / widths.sum())
+
+
+# (sensor, counts per pixel, n_cycles, sorted as packed words?)
+CODE_DENSITY_CASES = {
+    "default sensor": (SensorConfig(), 100, 50, True),
+    "2 pixels": (SensorConfig(num_pixels=2), (700, 300), 20, True),
+    "one bin": (SensorConfig(num_pixels=2, tdc_bins_per_clock=1), 500, 5,
+                True),
+    "zero-count pixels": (SensorConfig(num_pixels=4), (0, 300, 0, 50), 9,
+                          True),
+    "one cycle": (SensorConfig(num_pixels=4), 200, 1, True),
+    "no record": (SensorConfig(num_pixels=4), 0, 10, True),
+    "one record": (SensorConfig(num_pixels=4), (0, 1, 0, 0), 10, True),
+    # mean bin widths of exactly 2 ps and of 2500 / 1251 ps
+    "2 ps bins": (SensorConfig(num_pixels=3, tdc_bins_per_clock=1250), 400,
+                  9, True),
+    "bins under 2 ps": (SensorConfig(num_pixels=3, tdc_bins_per_clock=1251),
+                        400, 9, False),
+    # 2 pixel + 8 code + 11 slot + 50 cycle bits
+    "fields over 64 bits": (SensorConfig(num_pixels=4), 300, 2**50, False),
+}
+
+
+@pytest.mark.parametrize("case", list(CODE_DENSITY_CASES))
+def test_code_density_is_its_draws_in_lexsort_order(case):
+    sensor, counts, n_cycles, packed = CODE_DENSITY_CASES[case]
+    widths = _uneven_widths(sensor)
+    with mock.patch.object(simulator, "sort_records",
+                           wraps=simulator.sort_records) as sort_records:
+        stream = simulate_code_density(sensor, widths, counts, seed=9,
+                                       n_cycles=n_cycles)
+    assert sort_records.call_count == (0 if packed else 1)
+    want = _code_density_oracle(sensor, widths, counts, 9, n_cycles)
+    for name, column in want.items():
+        got = getattr(stream, name)
+        assert got.dtype == column.dtype, name
+        assert got.tobytes() == column.tobytes(), name
+    stream.validate()
+
+
+@pytest.mark.parametrize("case", [case for case, (*_, packed)
+                                  in CODE_DENSITY_CASES.items() if packed])
+def test_code_time_increases_over_every_slot_and_code(case):
+    # the packed words sort as the stream only where (slot, code) order is
+    # time order: every position of the cycle, in that order, is later
+    # than the one before
+    sensor = CODE_DENSITY_CASES[case][0]
+    n_slots = sensor.cycle_period_ps // sensor.clock_period_ps
+    slots, codes = np.divmod(
+        np.arange(n_slots * sensor.tdc_bins_per_clock, dtype=np.uint64),
+        np.uint64(sensor.tdc_bins_per_clock))
+    times = np.empty(len(slots))
+    simulator._code_times(slots, codes, float(sensor.clock_period_ps),
+                          sensor.mean_bin_width_ps, times)
+    assert (np.diff(times) > 0).all()
+    assert times[-1] < sensor.cycle_period_ps
+
+
 # sha256 of the written bytes of small simulated streams: the simulators'
 # byte contract (same config and seed, same stream), pinned across changes
 # to their draws and sorts
@@ -654,7 +738,7 @@ def test_code_density_holds_one_stream_plus_scratch():
     stream, peak = traced_peak(lambda: simulate_code_density(
         sensor, widths, 20_000, seed=5, n_cycles=100))
     assert stream.n_records == 320_000
-    assert peak <= 1.7 * column_bytes(stream)  # measured 1.54x
+    assert peak <= 1.7 * column_bytes(stream)  # measured 1.45x
 
 
 def test_simulators_sort_without_a_permutation():

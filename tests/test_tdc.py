@@ -5,16 +5,20 @@ from __future__ import annotations
 import dataclasses
 import io
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from spadkit import (CalibrationError, DataError, PhotonStream, SensorConfig,
-                     StreamFormatError, StreamHeader)
+                     StreamFormatError, StreamHeader, timestream)
 from spadkit.offsets import apply_delays
 from spadkit.simulator import simulate_code_density
-from spadkit.tdc import TdcLut, _check_lut, apply_lut, build_lut
+from spadkit.tdc import (MIN_COUNTS_PER_PIXEL, TdcLut, _check_lut, apply_lut,
+                         build_lut)
+
+from conftest import traced_peak
 
 SENSOR = SensorConfig()
 CLOCK = SENSOR.clock_period_ps
@@ -57,6 +61,41 @@ def test_uniform_counts_give_mean_bin_width():
     assert lut.widths[3][0] == pytest.approx(17.857142857142858)
     # sum-to-clock invariant, well inside the 1e-6 relative tolerance
     assert abs(lut.widths[3].sum() - CLOCK) / CLOCK < 1e-12
+
+
+@pytest.mark.parametrize("piece", [1, 7, 1000, timestream._PIECE])
+def test_lut_counts_add_across_pieces(piece):
+    # the (pixel, code) counts are summed from pieces of any length; the
+    # oracle counts the whole stream at once
+    rng = np.random.default_rng(5)
+    stream = raw_stream({p: rng.integers(0, BINS, 3000) for p in (0, 3, 255)},
+                        rng=rng)
+    counts = np.bincount(stream.pixel.astype(np.intp) * BINS
+                         + stream.raw_code, minlength=SENSOR.num_pixels * BINS)
+    counts = counts.reshape(SENSOR.num_pixels, BINS)
+    totals = counts.sum(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        widths = CLOCK * counts / totals[:, None]
+    widths[totals == 0] = 0.0
+    with mock.patch.object(timestream, "_PIECE", piece):
+        lut = build_lut(stream)
+    assert lut.widths.tobytes() == widths.tobytes()
+    assert lut.unusable == frozenset(np.flatnonzero(
+        (totals < MIN_COUNTS_PER_PIXEL) | (counts == 0).any(axis=1)).tolist())
+
+
+def test_lut_counts_hold_no_index_per_record():
+    # no whole-stream (pixel, code) index: 8 bytes per record as intp
+    n = 2_000_000
+    rng = np.random.default_rng(6)
+    stream = PhotonStream(
+        header=StreamHeader(SENSOR),
+        cycle_index=np.zeros(n, dtype=np.uint64),
+        pixel=rng.integers(0, SENSOR.num_pixels, n).astype(np.uint16),
+        time_ps=np.zeros(n),
+        raw_code=rng.integers(0, BINS, n).astype(np.uint32))
+    _lut, peak = traced_peak(lambda: build_lut(stream))
+    assert peak < 2 * n
 
 
 def test_apply_midpoint_convention_and_monotonicity():
