@@ -168,6 +168,8 @@ def _cmd_simulate(args) -> int:
         doc["seed"] = args.seed
     config = SimConfig.from_json_dict(doc)
     stream, truth = simulate(config)
+    logger.info("simulate: %d blocks, %d records kept, %d dropped",
+                truth.n_blocks, stream.n_records, truth.n_dropped)
     stream.write(args.out)
     outputs = [args.out]
     if args.truth is not None:

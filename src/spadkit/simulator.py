@@ -31,23 +31,27 @@ source in time by |N(0, ct_jitter)|.
 Memory contract: ``simulate`` and ``simulate_code_density`` hold one
 stream's columns plus bounded scratch.  A block is generated into its
 final columns, with room for the cross-talk spawns behind their sources;
-delays, jitter and rounding act in place; dropping records rebuilds one
-column at a time.  Sorting (``timestream.sort_records``) sorts one packed
-8-byte key per record in place, into which the old cycle column is freed,
-and decodes the columns from it: no permutation exists.  The scratch is
-then at most about one 8-byte column of the largest block: the jitter
-draw or the sort key.  Only with lineage, when the key and the record
-index need more than 64 bits together, does the sort gather through a
-permutation, which adds a second 8-byte column.  A stream of one block
-keeps that block's columns, and the columns of several blocks are joined
-one column at a time.  Lineage arrays exist only when ``include_lineage``
-is set.  ``PhotonStream.write`` adds one boundary per cycle and pieces of
-a fixed length.  The code-density simulation packs its integer draws
-into one word per record, built in place of the cycle draw, and sorts
-and decodes that (``simulate_code_density``).  Traced by
-``tracemalloc``, simulating and writing a one-block beam run peaks at
-1.63x its column bytes, and the code-density simulation at 1.45x (the
-tests bound them at 1.8x and 1.7x).
+delays, jitter and rounding act in place, a piece of ``_PIECE`` records
+at a time, jitter draw included.  A record pushed out of its cycle is
+not gathered away: it is given a cycle past the block's last and leaves
+through the sort, which puts it behind every kept record, and the
+columns are cut to the kept length.  Sorting (``timestream.sort_records``)
+sorts one packed 8-byte key per record in place, into which the old
+cycle column is freed, and decodes the columns from it: no permutation
+exists.  The scratch is then at most about one 8-byte column of the
+largest block: the sort key.  Only with lineage, when the key and the
+record index need more than 64 bits together, does the sort gather
+through a permutation, which adds a second 8-byte column.  A stream of
+one block keeps that block's columns (its kept front), and the columns
+of several blocks are joined one column at a time.  Lineage arrays exist
+only when ``include_lineage`` is set.  ``PhotonStream.write`` adds one
+boundary per cycle and pieces of a fixed length.  The code-density
+simulation packs its integer draws into one word per record, built in
+place of the cycle draw, and sorts and decodes that
+(``simulate_code_density``).  Traced by ``tracemalloc``, simulating and
+writing a one-block beam run peaks at 1.63x its column bytes, in the
+sort, and the code-density simulation at 1.45x (the tests bound them at
+1.8x and 1.7x).
 """
 
 from __future__ import annotations
@@ -272,10 +276,12 @@ class SimTruth:
 
     The count fields satisfy, and tests verify,
     ``n_records = n_dark + n_beam_singles + 2*n_pair_attempts + n_ct
-    - n_dropped``.  ``origin``/``class_id`` are per-record lineage arrays
-    aligned with the stream (present only when requested).  The JSON form
-    carries them only up to ``LINEAGE_JSON_MAX`` records, and logs a
-    warning when it leaves them out.
+    - n_dropped``.  ``n_blocks`` counts the generation blocks, a property
+    of the run rather than of its physics, and stays out of the JSON form.
+    ``origin``/``class_id`` are per-record lineage arrays aligned with the
+    stream (present only when requested).  The JSON form carries them only
+    up to ``LINEAGE_JSON_MAX`` records, and logs a warning when it leaves
+    them out.
     """
 
     delays_ps: np.ndarray
@@ -288,6 +294,7 @@ class SimTruth:
     n_pair_bunched: int = 0
     n_ct: int = 0
     n_dropped: int = 0
+    n_blocks: int = 0
     origin: np.ndarray | None = None
     class_id: np.ndarray | None = None
 
@@ -325,7 +332,20 @@ def simulate(config: SimConfig) -> tuple[PhotonStream, SimTruth]:
     """Generate a stream and its ground truth from a validated config.
 
     Holds the stream's columns (18 bytes per record, 21 with lineage) plus
-    the scratch that the module docstring bounds.
+    the scratch that the module docstring bounds: per block, one sort key
+    (8 bytes per record, dropped records included) and pieces of fixed
+    length for the delays, the jitter and the drop test.
+
+    A dropped record sorts as cycle ``c0 + span``, time 0 and pixel 0 of
+    its block.  That can widen the sort key's cycle field by one bit (a
+    block of 2**k cycles), its time field to span from 0, and the record
+    index by one bit.  A block whose key then no longer fits in 64 bits
+    sorts by ``np.lexsort``, and a lineage block whose index no longer
+    fits beside the key through a permutation: the same stream, at
+    several times the sort's cost.  On every sensor with
+    ``bit_length(cycle_period_ps - 1) + bit_length(num_pixels - 1) <= 41``
+    (the default's is 30) the key of a block, which spans at most 2**22
+    cycles, fits either way.
     """
     config.validated()
     sensor = config.sensor
@@ -357,23 +377,14 @@ def simulate(config: SimConfig) -> tuple[PhotonStream, SimTruth]:
             np.random.SeedSequence(config.seed, spawn_key=(block_idx,)))
         block = _generate_block(rng, config, dark_rates, label_index, c0,
                                 span, period, cycle_s, truth)
-        # delays and detection jitter apply to every record, as
-        # (t + delay) + jitter
-        time, pix = block["time_ps"], block["pixel"]
-        for lo, hi in _pieces(len(time)):
-            time[lo:hi] += delays[pix[lo:hi]]
-        time += rng.normal(0.0, config.jitter_sigma_ps, len(time))
-        np.rint(time, out=time)
-        keep = (time >= 0.0) & (time < period)
-        del time, pix  # so that _gather frees each column it rebuilds
-        dropped = len(keep) - int(np.count_nonzero(keep))
-        truth.n_dropped += dropped
-        if dropped:
-            _gather(block, keep)
-        del keep
+        kept = _detect(rng, block, None if config.delays_ps is None
+                       else delays, config.jitter_sigma_ps, period, c0 + span)
+        truth.n_blocks += 1
+        truth.n_dropped += len(block["pixel"]) - kept
+        # the dropped records sort last, behind every kept cycle
         sort_records(block)
         for name, column in block.items():
-            parts.setdefault(name, []).append(column)
+            parts.setdefault(name, []).append(column[:kept])
 
     header = StreamHeader(sensor=sensor, metadata={
         "source": "simulation", "seed": str(config.seed)})
@@ -387,11 +398,37 @@ def simulate(config: SimConfig) -> tuple[PhotonStream, SimTruth]:
     return stream, truth
 
 
-def _gather(columns: dict[str, np.ndarray], index) -> None:
-    """Replace each column by ``column[index]``, one column at a time, so
-    that at most one column more than the caller's is alive at once."""
-    for name in columns:
-        columns[name] = columns[name][index]
+def _detect(rng, block: dict[str, np.ndarray], delays, sigma: float,
+            period: float, end: int) -> int:
+    """Detect a block's records in place: each time becomes ``rint((t +
+    delays[pixel]) + N(0, sigma))``, piece by piece (``delays`` None adds
+    nothing), and returns how many records stay in their cycle.
+
+    A record pushed out of ``[0, period)`` is marked for dropping: cycle
+    ``end``, one past the block's last, time 0 and pixel 0, so that
+    ``sort_records`` puts it behind every kept record and the caller cuts
+    it off.  The jitter is the block's last draw; ``Generator.normal``
+    keeps no state between calls, so pieces draw the values of one call.
+    """
+    cyc, pix, time = block["cycle_index"], block["pixel"], block["time_ps"]
+    end = np.uint64(end)
+    kept = 0
+    for lo, hi in _pieces(len(time)):
+        t = time[lo:hi]
+        if delays is not None:
+            t += delays[pix[lo:hi]]
+        t += rng.normal(0.0, sigma, hi - lo)
+        np.rint(t, out=t)
+        keep = t >= 0.0
+        keep &= t < period
+        n = int(np.count_nonzero(keep))
+        kept += n
+        if n < hi - lo:
+            out = ~keep
+            cyc[lo:hi][out] = end
+            t[out] = 0.0
+            pix[lo:hi][out] = 0
+    return kept
 
 
 def _join(parts: list[np.ndarray], extra: int = 0) -> np.ndarray:
@@ -486,7 +523,9 @@ def _generate_block(rng, config: SimConfig, dark_rates, label_index,
         n = int(rng.poisson(max(single_rate, 0.0) * span * cycle_s))
         cycles = _cycles(rng, c0, span, n)
         times = rng.uniform(0.0, period, n)
-        class_id = _draw_classes(rng, beam.mix, label_index, n)
+        # the singles' classes are read only as lineage
+        class_id = _draw_classes(rng, beam.mix, label_index, n,
+                                 read=lineage)
         emit(cycles, np.full(n, beam.pixel, dtype=np.uint16), times,
              ORIGIN_BEAM_SINGLE, class_id)
         truth.n_beam_singles += n
@@ -503,7 +542,8 @@ def _generate_block(rng, config: SimConfig, dark_rates, label_index,
         dt = rng.normal(0.0, config.correlation_sigma_ps, n)
         t_indep = rng.uniform(0.0, period, n)
         cyc_indep = _cycles(rng, c0, span, n)
-        matched = cls_a == cls_b
+        # a class is one id where its arm's mix is one class
+        matched = np.broadcast_to(cls_a == cls_b, (n,))
         # t_b = where(matched, t_a + dt, t_indep) + fiber delay
         t_b = np.add(t_a, dt, out=dt)
         np.copyto(t_b, t_indep, where=~matched)
@@ -578,14 +618,25 @@ def _ct_sources(rng, pix: np.ndarray, direction: int, num_pixels: int,
                                    side="right")
 
 
-def _draw_classes(rng, mix, label_index, n) -> np.ndarray:
-    """Class ids for n photons drawn from the (label, weight) mix."""
+def _draw_classes(rng, mix, label_index, n, *, read: bool = True):
+    """Class ids for n photons drawn from the (label, weight) mix.
+
+    The n uniforms are drawn in every case, so that the draws after them
+    stay where they are.  Unless ``read``, the ids are not built (None);
+    a mix whose labels are all one class gives that id, one ``np.int16``.
+    """
+    u = rng.uniform(0.0, 1.0, n)
+    if not read:
+        return None
+    ids = np.array([label_index[label] for label, _ in mix], dtype=np.int16)
+    if (ids == ids[0]).all():
+        return ids[0]
     weights = np.array([w for _, w in mix], dtype=np.float64)
     cdf = np.cumsum(weights)
     cdf /= cdf[-1]
-    picks = np.searchsorted(cdf, rng.uniform(0.0, 1.0, n), side="right")
-    picks = np.minimum(picks, len(mix) - 1)
-    ids = np.array([label_index[label] for label, _ in mix], dtype=np.int16)
+    picks = np.searchsorted(cdf, u, side="right")
+    del u
+    np.minimum(picks, len(mix) - 1, out=picks)
     return ids[picks]
 
 

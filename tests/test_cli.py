@@ -114,6 +114,29 @@ def test_manifest_peak_rss_is_null_without_resource(monkeypatch, tmp_path):
     assert read_manifest(out)["peak_rss_mb"] is None
 
 
+def test_simulate_logs_blocks_and_records(monkeypatch, tmp_path, caplog):
+    # three blocks; the fiber delay pushes arm-b photons off the cycle end
+    monkeypatch.setattr(simulator, "_BLOCK_TARGET_RECORDS", 2000)
+    config = SimConfig(
+        sensor=SensorConfig(num_pixels=16), seed=6, duration_s=0.05,
+        dcr=DcrProfile(base_cps=3000.0),
+        beams=(BeamSpec(pixel=1, rate_cps=20000.0),
+               BeamSpec(pixel=2, rate_cps=20000.0)),
+        pair_fraction=0.5, fiber_delay_ps=3_800_000.0)
+    cfg = write_config(tmp_path / "c.json", config)
+    out = tmp_path / "s.spk1"
+    caplog.set_level(logging.INFO)
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    [record] = [r for r in caplog.records
+                if r.getMessage().startswith("simulate:")]
+    assert record.levelno == logging.INFO
+    stream, truth = simulate(config)
+    assert truth.n_blocks == 3 and truth.n_dropped > 0
+    assert record.args == (truth.n_blocks, stream.n_records, truth.n_dropped)
+    stream.write(str(tmp_path / "api.spk1"))
+    assert out.read_bytes() == (tmp_path / "api.spk1").read_bytes()
+
+
 def test_truth_without_lineage_above_the_limit_warns(monkeypatch, tmp_path,
                                                      caplog):
     config = SimConfig(seed=4, duration_s=0.2,

@@ -603,6 +603,105 @@ def test_simulate_stream_bytes_are_pinned():
         "0e8e99768f4be2c7a3a4c7c5e0a9106de90bcc6a3d193d03b30fa5e9c9dff61d"
 
 
+@pytest.mark.parametrize("piece", [None, 97])
+def test_drops_without_delays_are_pinned(monkeypatch, piece):
+    # one-class mixes, no delays_ps, and a fiber delay that pushes most
+    # arm-b photons off the cycle end; in pieces of 97 records, the jitter
+    # draws and the drop test give the same stream
+    if piece is not None:
+        monkeypatch.setattr(timestream, "_PIECE", piece)
+    config = SimConfig(
+        sensor=small_sensor(), seed=23, duration_s=0.05,
+        dcr=DcrProfile(base_cps=2000.0),
+        beams=(BeamSpec(pixel=4, rate_cps=20000.0),
+               BeamSpec(pixel=11, rate_cps=20000.0)),
+        pair_fraction=0.3, fiber_delay_ps=3_990_000.0,
+        ct_profile=((1, 0.02), (2, 0.005)))
+    stream, truth = simulate(config)
+    assert (stream.n_records, truth.n_dropped) == (3419, 308)
+    assert hashlib.sha256(stream_bytes(stream)).hexdigest() == \
+        "1c5c9a528e339f9a8905088479a6fb2d5e1ea3c0c7b81eccdd7eb571929cc36b"
+
+
+def test_two_class_lineage_over_blocks_is_pinned(monkeypatch):
+    # two-class mixes, delays, drops and five blocks: the stream and its
+    # lineage arrays
+    monkeypatch.setattr(simulator, "_BLOCK_TARGET_RECORDS", 1500)
+    config = SimConfig(
+        sensor=small_sensor(), seed=62, duration_s=0.1,
+        dcr=DcrProfile(base_cps=1500.0),
+        beams=(BeamSpec(pixel=2, rate_cps=20000.0,
+                        mix=(("a", 0.3), ("b", 0.7))),
+               BeamSpec(pixel=6, rate_cps=20000.0,
+                        mix=(("b", 0.6), ("a", 0.4)))),
+        pair_fraction=0.5, fiber_delay_ps=3_800_000.0,
+        ct_profile=((1, 0.02), (3, 0.01)),
+        delays_ps=tuple(float(d) for d in np.linspace(-300.0, 250.5, 16)),
+        include_lineage=True)
+    stream, truth = simulate(config)
+    assert (truth.n_blocks, stream.n_records, truth.n_dropped) == \
+        (5, 5703, 1010)
+    assert truth.origin.dtype == np.uint8
+    assert truth.class_id.dtype == np.int16
+    assert [hashlib.sha256(data).hexdigest() for data in (
+        stream_bytes(stream), truth.origin.tobytes(),
+        truth.class_id.tobytes())] == [
+        "1832a3d5a1f8eec7301421aead869c54dd94102fa917d5e85ac2afab38ffd5ba",
+        "e27ae8d143c4106c89741c946df2c45d8a0fe59bb58442330251d2fe8f9efc66",
+        "9a17d3006130a8681da4036c8f845929a355d1d51b45cc0fec94c20518bccc86"]
+
+
+@pytest.mark.parametrize("mix", [(("b", 1.0),), (("b", 0.3), ("b", 0.7))])
+@pytest.mark.parametrize("n", [0, 1, 1000])
+def test_one_class_mix_draws_as_the_general_mix(mix, n):
+    # a mix of one class gives its id without a search, and, read or not,
+    # draws what a mix of two classes draws
+    label_index = {"a": 0, "b": 1}
+    rng_ref = np.random.default_rng(14)
+    general = simulator._draw_classes(rng_ref, (("a", 0.5), ("b", 0.5)),
+                                      label_index, n)
+    assert general.shape == (n,)
+    for read in (True, False):
+        rng = np.random.default_rng(14)
+        ids = simulator._draw_classes(rng, mix, label_index, n, read=read)
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+        if read:
+            assert ids.dtype == np.int16 and ids == 1
+        else:
+            assert ids is None
+
+
+def test_lineage_drops_on_the_permutation_path():
+    # 18 cycle + 22 time + 8 pixel bits and a record index of 17 bits: 65
+    # bits, so the lineage run sorts through _key_order's permutation,
+    # while the bare run decodes its columns from the key.  Arm-b photons
+    # fall off the cycle end on both.
+    import dataclasses
+
+    config = SimConfig(
+        seed=19, duration_s=1.0, dcr=DcrProfile(base_cps=250.0),
+        beams=(BeamSpec(pixel=100, rate_cps=20000.0),
+               BeamSpec(pixel=103, rate_cps=20000.0)),
+        pair_fraction=0.5, fiber_delay_ps=3_600_000.0,
+        ct_profile=((1, 0.01),))
+    with mock.patch.object(timestream, "_key_order",
+                           wraps=timestream._key_order) as permutation:
+        tagged, truth = simulate(dataclasses.replace(config,
+                                                     include_lineage=True))
+        assert permutation.call_count == 1
+        bare, bare_truth = simulate(config)
+        assert permutation.call_count == 1
+    assert (tagged.n_records, truth.n_dropped, bare_truth.n_dropped) == \
+        (96857, 9023, 9023)
+    assert stream_bytes(tagged) == stream_bytes(bare)
+    assert [hashlib.sha256(data).hexdigest() for data in (
+        stream_bytes(bare), truth.origin.tobytes(),
+        truth.class_id.tobytes())] == [
+        "49ea3eb4ad9bff760b610bf109728698eb8e572d080d1ab0a130a29cbb47dd12",
+        "e97d9d0e9b55017bea2900e8de27ba67bcfef670142a056c353aefc2b3ec38ff",
+        "b2810558fcb301a6122526b27107ead0b0909726ef0faeaa4854c53b839e1d6e"]
+
+
 # ---------------------------------------------------------------------------
 # lineage over several blocks, and memory
 
