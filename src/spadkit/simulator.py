@@ -36,21 +36,21 @@ at a time, jitter draw included.  A record pushed out of its cycle is
 not gathered away: it is given a cycle past the block's last and leaves
 through the sort, which puts it behind every kept record, and the
 columns are cut to the kept length.  Sorting (``timestream.sort_records``)
-sorts one packed 8-byte key per record in place, into which the old
-cycle column is freed, and decodes the columns from it: no permutation
-exists.  The scratch is then at most about one 8-byte column of the
-largest block: the sort key.  Only with lineage, when the key and the
-record index need more than 64 bits together, does the sort gather
-through a permutation, which adds a second 8-byte column.  A stream of
-one block keeps that block's columns (its kept front), and the columns
-of several blocks are joined one column at a time.  Lineage arrays exist
+packs one 8-byte key per record into the block's own cycle column, sorts
+it in place and decodes the columns from it: no key column and no
+permutation, only pieces of fixed length.  With lineage, the sort
+gathers through a permutation, which adds two 8-byte columns of the
+largest block: the permutation and the gathered key.  A stream of one
+block keeps that block's columns (its kept front), and the columns of
+several blocks are joined one column at a time.  Lineage arrays exist
 only when ``include_lineage`` is set.  ``PhotonStream.write`` adds one
 boundary per cycle and pieces of a fixed length.  The code-density
 simulation packs its integer draws into one word per record, built in
 place of the cycle draw, and sorts and decodes that
 (``simulate_code_density``).  Traced by ``tracemalloc``, simulating and
-writing a one-block beam run peaks at 1.63x its column bytes, in the
-sort, and the code-density simulation at 1.45x (the tests bound them at
+writing a one-block beam run peaks at 1.65x its column bytes as the
+first call in a process and at 1.52x when run again, in the write, and
+the code-density simulation at 1.38x and 1.28x (the tests bound them at
 1.8x and 1.7x).
 """
 
@@ -332,17 +332,16 @@ def simulate(config: SimConfig) -> tuple[PhotonStream, SimTruth]:
     """Generate a stream and its ground truth from a validated config.
 
     Holds the stream's columns (18 bytes per record, 21 with lineage) plus
-    the scratch that the module docstring bounds: per block, one sort key
-    (8 bytes per record, dropped records included) and pieces of fixed
-    length for the delays, the jitter and the drop test.
+    the scratch that the module docstring bounds: per block, pieces of
+    fixed length for the delays, the jitter, the drop test and the sort
+    (with lineage, the sort's permutation and gathered key, 16 bytes per
+    record, dropped records included).
 
     A dropped record sorts as cycle ``c0 + span``, time 0 and pixel 0 of
     its block.  That can widen the sort key's cycle field by one bit (a
-    block of 2**k cycles), its time field to span from 0, and the record
-    index by one bit.  A block whose key then no longer fits in 64 bits
-    sorts by ``np.lexsort``, and a lineage block whose index no longer
-    fits beside the key through a permutation: the same stream, at
-    several times the sort's cost.  On every sensor with
+    block of 2**k cycles) and its time field to span from 0.  A block
+    whose key then no longer fits in 64 bits sorts by ``np.lexsort``: the
+    same stream, at several times the sort's cost.  On every sensor with
     ``bit_length(cycle_period_ps - 1) + bit_length(num_pixels - 1) <= 41``
     (the default's is 30) the key of a block, which spans at most 2**22
     cycles, fits either way.

@@ -212,7 +212,6 @@ class _Key(NamedTuple):
     words: np.ndarray    # uint64 per record
     cmin: object         # the cycle field holds cycle - cmin
     tmin: object         # the time field holds time - tmin
-    index_bits: int      # the record index, in the lowest bits
     pix_bits: int
     time_bits: int
     cycle_bits: int
@@ -227,14 +226,17 @@ def _key_columns(cyc: np.ndarray, t: np.ndarray, pix: np.ndarray) -> bool:
         and t.dtype.kind in "uif"
 
 
-def _record_key(cyc: np.ndarray, t: np.ndarray, pix: np.ndarray,
-                index: bool) -> _Key | None:
+def _record_key(cyc: np.ndarray, t: np.ndarray,
+                pix: np.ndarray) -> _Key | None:
     """The packed key of ``sort_records``, or None where only
     ``np.lexsort`` sorts the records: fewer than two, columns of unequal
     lengths or of other dtypes, a negative pixel, a time that is NaN or
     not whole, a span of times of 2**53 or more, or a key over 64 bits.
-    With ``index``, the record index is in the low bits of the words when
-    it fits beside the key (``index_bits`` is 0 otherwise)."""
+
+    Every check runs before any word is written.  The words are packed
+    piece by piece into the cycle column's own buffer when that is a
+    writable ``uint64`` array, which is then overwritten, and into a new
+    ``uint64`` array otherwise."""
     if not _key_columns(cyc, t, pix):
         return None
     n = len(pix)
@@ -247,64 +249,66 @@ def _record_key(cyc: np.ndarray, t: np.ndarray, pix: np.ndarray,
     time_bits = (int(tmax) - int(tmin)).bit_length()
     cmin = cyc.min()
     cycle_bits = (int(cyc.max()) - int(cmin)).bit_length()
-    key_bits = cycle_bits + time_bits + pix_bits
-    if key_bits > 64:
+    if cycle_bits + time_bits + pix_bits > 64:
         return None
-    index_bits = (n - 1).bit_length() if index else 0
-    if key_bits + index_bits > 64:
-        index_bits = 0
 
-    words = np.empty(n, dtype=np.uint64)
-    # in float64, or for integers modulo 2**64: every difference fits,
-    # where the column's own dtype may overflow or round
-    np.subtract(t, tmin, out=words, casting="unsafe",
-                dtype=np.float64 if t.dtype.kind == "f" else np.int64)
-    words <<= pix_bits
-    np.bitwise_or(words, pix, out=words, dtype=np.uint64, casting="unsafe")
+    words = cyc if cyc.dtype == np.uint64 and cyc.flags.writeable \
+        else np.empty(n, dtype=np.uint64)
+    field = np.empty(min(n, _PIECE), dtype=np.uint64)
     for lo, hi in _pieces(n):
-        part = words[lo:hi]
-        if cycle_bits:
-            field = np.subtract(cyc[lo:hi], cmin, dtype=np.uint64,
-                                casting="unsafe")
-            field <<= time_bits + pix_bits
-            part |= field
-        if index_bits:
-            part <<= index_bits
-            part |= np.arange(lo, hi, dtype=np.uint64)
-    return _Key(words, cmin, tmin, index_bits, pix_bits, time_bits,
-                cycle_bits)
+        part, low = words[lo:hi], field[:hi - lo]
+        np.subtract(cyc[lo:hi], cmin, out=part, dtype=np.uint64,
+                    casting="unsafe")
+        # a shift of 64 (no cycle bits) is of zeros, which it keeps
+        part <<= np.uint64(time_bits + pix_bits)
+        # in float64, or for integers modulo 2**64: every difference fits,
+        # where the column's own dtype may overflow or round
+        np.subtract(t[lo:hi], tmin, out=low, casting="unsafe",
+                    dtype=np.float64 if t.dtype.kind == "f" else np.int64)
+        low <<= np.uint64(pix_bits)
+        np.bitwise_or(low, pix[lo:hi], out=low, dtype=np.uint64,
+                      casting="unsafe")
+        part |= low
+    return _Key(words, cmin, tmin, pix_bits, time_bits, cycle_bits)
 
 
-def _tied(first: np.ndarray, n: int) -> np.ndarray:
-    """Positions ``first`` and ``first + 1`` among ``n``, each once, in
-    ascending order: the sorted positions of runs of equal keys, where
-    sorted position i ties with i + 1 for each i in ``first``.  A mask,
-    not ``np.union1d``, whose ``np.unique`` imports ``numpy.ma``."""
-    tied = np.zeros(n, dtype=bool)
-    tied[first] = True
-    tied[first + 1] = True
-    return np.flatnonzero(tied)
+def _repair_ties(order: np.ndarray, values: np.ndarray,
+                 same: np.ndarray | None, *keys: np.ndarray) -> np.ndarray:
+    """Put back each run of ties of the sort ``order`` in ``np.lexsort``
+    order of ``keys`` (the last the primary), index order among equals,
+    and return ``order``.
+
+    Sorted position i ties with i + 1 where ``values`` of the two records
+    are equal and, given ``same``, ``same[i]`` holds.  The runs are found
+    piece by piece; only the records in them are sorted again.  The tied
+    positions are taken from a mask, not from ``np.union1d``, whose
+    ``np.unique`` imports ``numpy.ma``."""
+    first = []
+    for lo, hi in _pieces(len(order) - 1):
+        ordered = values[order[lo:hi + 1]]
+        tie = ordered[1:] == ordered[:-1]
+        if same is not None:
+            tie &= same[lo:hi]
+        first.append(lo + np.flatnonzero(tie))
+    first = np.concatenate(first)
+    if first.size:
+        tied = np.zeros(len(order), dtype=bool)
+        tied[first] = True
+        tied[first + 1] = True
+        tied = np.flatnonzero(tied)
+        picked = order[tied]
+        order[tied] = picked[np.lexsort(
+            (picked,) + tuple(key[picked] for key in keys))]
+    return order
 
 
-def _key_order(key: _Key) -> np.ndarray:
-    """The permutation that sorts ``key``'s records (a key with no index
-    bits), ties in index order.
+def _key_order(words: np.ndarray) -> np.ndarray:
+    """The permutation that sorts the key ``words``, ties in index order.
 
     A quicksort and a repair of the few ties: a stable ``argsort`` of the
     key (timsort) takes two to four times as long on the simulators'
     unordered records, and ``np.lexsort`` about five times."""
-    words = key.words
-    order = np.argsort(words)
-    # sorted position i ties with i + 1: put each run of equal keys back in
-    # original index order
-    first = np.concatenate([
-        lo + np.flatnonzero(np.diff(words[order[lo:hi + 1]]) == 0)
-        for lo, hi in _pieces(len(words) - 1)])
-    if first.size:
-        tied = _tied(first, len(words))
-        picked = order[tied]
-        order[tied] = picked[np.lexsort((picked, words[picked]))]
-    return order
+    return _repair_ties(np.argsort(words), words, None, words)
 
 
 def _same_cycle(cyc: np.ndarray) -> np.ndarray | None:
@@ -388,21 +392,9 @@ def _order_long_cycles(t: np.ndarray, pix: np.ndarray,
     order = np.argsort(key, kind="stable")
     # Sorted position i ties with i + 1 where both have one time in
     # float64 and one rank: the ranks keep their places, so that is where
-    # records i and i + 1 share a cycle.  The runs keep index order.
+    # records i and i + 1 share a cycle.
     times = t if t.dtype.kind == "f" else key.imag
-    first = []
-    for lo, hi in _pieces(len(key) - 1):
-        ordered = times[order[lo:hi + 1]]
-        tie = ordered[1:] == ordered[:-1]
-        tie &= same[lo:hi]
-        first.append(lo + np.flatnonzero(tie))
-    first = np.concatenate(first)
-    if first.size:
-        tied = _tied(first, len(key))
-        picked = order[tied]
-        order[tied] = picked[np.lexsort((pix[picked], t[picked],
-                                         rank[picked]))]
-    return order
+    return _repair_ties(order, times, same, pix, t, rank)
 
 
 def _field(words: np.ndarray, low: int, bits: int) -> np.ndarray:
@@ -489,64 +481,65 @@ def sort_records(columns: dict[str, np.ndarray]) -> None:
     * pixel: the pixel index, in the low bits.
 
     Each field keeps the order of its column, so key order is stream
-    order, and the key holds every bit of the three key columns: the
-    words are sorted in place (``ndarray.sort``, with SIMD kernels on
-    numpy 2) and the three columns decoded from them, with no
-    permutation.  Records with equal keys are equal in all three columns,
-    so their order among themselves cannot show there.  Only for other
-    columns (``raw_code``, lineage) do the words hold the record index,
-    in their low bits, when key and index fit in 64 bits together; those
-    columns follow it.  A decoded time of zero is ``+0.0``, also where the
-    column held ``-0.0``.
+    order, and the key holds every bit of the three key columns.  The key
+    is built in the cycle column's buffer (``_record_key``), and the words
+    are put in order one of two ways:
 
-    Otherwise the columns are gathered through a permutation, one column
-    at a time:
+    * no other column: the words are sorted in place (``ndarray.sort``,
+      with SIMD kernels on numpy 2).  Records with equal keys are equal
+      in all three columns, so their order among themselves cannot show;
+    * other columns (``raw_code``, lineage): the key is quicksorted and
+      its runs of equal keys put back in index order (``_key_order``);
+      the words and each other column are gathered by that permutation.
 
-    * other columns and no room for the index (a lineage run's): the key
-      is quicksorted and its runs of equal keys put back in index order
-      (``_key_order``);
-    * no key -- a time that is NaN or not whole, a span of times of 2**53
-      or more, a key over 64 bits, a negative pixel, fewer than two
-      records or columns a key cannot hold: ``np.lexsort``.
+    Either way the three key columns are then decoded from the sorted
+    words, piece by piece, into the time and pixel arrays and, last, in
+    place of the words, into the cycles.  A decoded time of zero is
+    ``+0.0``, also where the column held ``-0.0``.  Where there is no key
+    -- a time that is NaN or not whole, a span of times of 2**53 or more,
+    a key over 64 bits, a negative pixel, fewer than two records or
+    columns a key cannot hold -- every column is gathered through
+    ``np.lexsort``'s permutation instead.
 
-    The time and pixel arrays are overwritten, and the key's buffer
-    becomes the cycle column (a copy, when that is not ``uint64``).
-    Memory besides the columns: the key, 8 bytes per record, from which
-    the old cycle column is freed; and one other column while it is
-    gathered.
+    With a key, the time and pixel arrays are overwritten, and so is the
+    cycle array when it is a writable ``uint64`` array: its buffer becomes
+    the new cycle column (a copy, when that is not ``uint64``).  Memory
+    besides the columns, with no other column: pieces of ``_PIECE``
+    records, and no key column; with other columns, the permutation and
+    the gathered words (8 bytes per record each), and one other column
+    while it is gathered.
     """
     keys = ("cycle_index", "time_ps", "pixel")
     cyc, t, pix = (columns[name] for name in keys)
-    others = [name for name in columns if name not in keys]
-    key = _record_key(cyc, t, pix, index=bool(others))
-    if key is None or (others and not key.index_bits):
-        order = np.lexsort((pix, t, cyc)) if key is None else _key_order(key)
-        del cyc, t, pix, key  # so that each old column is freed in turn
+    key = _record_key(cyc, t, pix)
+    if key is None:
+        order = np.lexsort((pix, t, cyc))
+        del cyc, t, pix  # so that each old column is freed in turn
         for name in columns:
             columns[name] = columns[name][order]
         return
 
     cycle_dtype = cyc.dtype
-    words = key.words
-    words.sort()
-    columns["cycle_index"] = words  # every old cycle is in the words
     del cyc
-    low = key.index_bits
-    index = np.uint64((1 << low) - 1)
-    pieces = _pieces(len(words))
-    for name in others:
-        column = np.empty_like(columns[name])
-        for lo, hi in pieces:
-            column[lo:hi] = columns[name][words[lo:hi] & index]
-        columns[name] = column
-    for lo, hi in pieces:
+    others = [name for name in columns if name not in keys]
+    if others:
+        order = _key_order(key.words)
+        key = key._replace(words=key.words[order])
+        columns["cycle_index"] = key.words  # frees the unsorted words
+        for name in others:
+            columns[name] = columns[name][order]
+        del order
+    else:
+        key.words.sort()
+    words = columns["cycle_index"] = key.words
+    for lo, hi in _pieces(len(words)):
         part = words[lo:hi]
-        pix[lo:hi] = _field(part, low, key.pix_bits)
-        _add_min(_field(part, low + key.pix_bits, key.time_bits), key.tmin,
+        pix[lo:hi] = _field(part, 0, key.pix_bits)
+        _add_min(_field(part, key.pix_bits, key.time_bits), key.tmin,
                  t[lo:hi])
     # the cycles, decoded in place of the words
     if key.cycle_bits:
-        words >>= np.uint64(low + key.pix_bits + key.time_bits)
+        words >>= np.uint64(key.pix_bits + key.time_bits)
     else:
         words.fill(0)
     _add_min(words, key.cmin, words)

@@ -1353,7 +1353,7 @@ def _check_sort_records(columns, piece=None):
     """``sort_records`` of a copy of ``columns``, checked: every column in
     ``np.lexsort`` order.  Returns the sorted columns and the calls of
     ``np.argsort`` and ``np.lexsort`` that the sort made, which tell its
-    word path (none) from its fallbacks."""
+    in-place word sort (none) from its permutations."""
     want = np.lexsort((columns["pixel"], columns["time_ps"],
                        columns["cycle_index"]))
     got = {name: column.copy() for name, column in columns.items()}
@@ -1388,11 +1388,11 @@ def test_sort_records_of_no_record_and_of_one(n):
 
 
 @pytest.mark.parametrize("cycle_span, others, calls", [
-    # 28 + 10 + 16 key bits and 10 index bits: 64, the word path
-    (2**28 - 1, True, (0, 0)),
-    # 29 + 10 + 16 + 10: 65, a quicksort of the key and a gather
+    # another column: a quicksort of the key and a gather, whatever its
+    # width (28 + 10 + 16 and 29 + 10 + 16 key bits)
+    (2**28 - 1, True, (1, 0)),
     (2**28, True, (1, 0)),
-    # no other column needs no index: 55 bits, the word path
+    # no other column: the words are sorted and decoded (55 bits)
     (2**28, False, (0, 0)),
     # 38 + 10 + 16 key bits: 64, the word path
     (2**38 - 1, False, (0, 0)),
@@ -1407,28 +1407,10 @@ def test_sort_records_decodes_keys_up_to_64_bits(cycle_span, others, calls):
     assert _check_sort_records(columns)[1:] == calls
 
 
-@pytest.mark.parametrize("others, index_bits", [(False, 0), (True, 10)])
-def test_sort_records_puts_the_index_in_the_key_only_for_other_columns(
-        others, index_bits):
-    # 21 + 10 + 16 key bits leave room for the 10 index bits, which only
-    # another column needs
-    cycle, time, pixel = _unique_columns(1000, 2**20)
-    columns = {"cycle_index": cycle, "time_ps": time, "pixel": pixel}
-    if others:
-        columns["raw_code"] = np.arange(1000, dtype=np.uint32)
-    record_key, keys = timestream._record_key, []
-
-    def spy(*args, **kwargs):
-        keys.append(record_key(*args, **kwargs))
-        return keys[-1]
-
-    with mock.patch.object(timestream, "_record_key", spy):
-        assert _check_sort_records(columns)[1:] == (0, 0)
-    assert [key.index_bits for key in keys] == [index_bits]
-
-
 def test_sort_records_keeps_ties_in_index_order_and_zeros_positive():
-    # runs of ~10^4 equal keys over several pieces, zeros of both signs
+    # runs of ~10^4 equal keys over several pieces, zeros of both signs:
+    # the carried column follows the key's permutation, whose tie repair
+    # keeps each run in index order
     rng = np.random.default_rng(8)
     n = 3 * timestream._PIECE
     columns = {"cycle_index": rng.integers(0, 3, n).astype(np.uint64),
@@ -1436,9 +1418,49 @@ def test_sort_records_keeps_ties_in_index_order_and_zeros_positive():
                "pixel": rng.integers(0, 2, n).astype(np.uint16),
                "raw_code": np.arange(n, dtype=np.uint32)}
     got, argsorts, lexsorts = _check_sort_records(columns)
-    assert (argsorts, lexsorts) == (0, 0)
+    assert (argsorts, lexsorts) == (1, 1)
     # the decoded zeros are +0.0; the written bytes cannot tell
     assert not np.signbit(got["time_ps"]).any()
+
+
+def test_sort_records_builds_the_key_in_the_cycle_column():
+    # 1M records, no other column: the words are the cycle array itself,
+    # sorted and decoded in place, so the sort holds pieces, no key column
+    rng = np.random.default_rng(33)
+    n = 1 << 20
+    columns = {"cycle_index": rng.integers(0, 1 << 20, n).astype(np.uint64),
+               "time_ps": np.rint(rng.uniform(0.0, 4e6, n)),
+               "pixel": rng.integers(0, 256, n).astype(np.uint16)}
+    want = np.lexsort((columns["pixel"], columns["time_ps"],
+                       columns["cycle_index"]))
+    want = {name: column[want] for name, column in columns.items()}
+    cycle = columns["cycle_index"]
+    _, peak = traced_peak(lambda: timestream.sort_records(columns))
+    assert columns["cycle_index"] is cycle
+    assert peak < 4 * timestream._PIECE * 8  # a key column is 16x that
+    for name, column in want.items():
+        assert np.array_equal(columns[name], column), name
+
+
+@pytest.mark.parametrize("kind", ["read-only", "int64"])
+def test_sort_records_packs_other_cycle_columns_into_a_copy(kind):
+    rng = np.random.default_rng(34)
+    n = 3 * timestream._PIECE + 5
+    cycle = rng.integers(0, 1000, n).astype(
+        np.int64 if kind == "int64" else np.uint64)
+    cycle.flags.writeable = kind != "read-only"
+    before = cycle.copy()
+    columns = {"cycle_index": cycle,
+               "time_ps": rng.integers(-50, 50, n).astype(np.float64),
+               "pixel": rng.integers(0, 16, n).astype(np.uint16)}
+    order = np.lexsort((columns["pixel"], columns["time_ps"], cycle))
+    want = {name: column[order] for name, column in columns.items()}
+    timestream.sort_records(columns)
+    assert columns["cycle_index"] is not cycle
+    assert np.array_equal(cycle, before)
+    for name, column in want.items():
+        assert columns[name].dtype == column.dtype, name
+        assert np.array_equal(columns[name], column), name
 
 
 @pytest.mark.parametrize("time, calls", [
@@ -1454,9 +1476,8 @@ def test_sort_records_gathers_times_it_cannot_decode(time, calls):
 def test_sort_records_repairs_ties_in_a_large_run():
     # runs of ~1.6 * 10^4 equal keys across several pieces, on unordered
     # cycles spread over 2**41, pixels 0 and 65535 and a lineage column:
-    # 42 + 1 + 16 key bits and 18 index bits are 77, so the key is
-    # quicksorted, the repair restores each run's index order and the
-    # columns are gathered
+    # the key is quicksorted, the repair restores each run's index order
+    # and the columns are gathered
     rng = np.random.default_rng(8)
     n = 3 * timestream._PIECE
     columns = {"cycle_index": rng.integers(0, 3, n).astype(np.uint64)
@@ -1475,8 +1496,8 @@ def test_sort_records_repairs_ties_in_a_large_run():
                     reason="numpy 1.x imports numpy.ma with numpy itself")
 def test_sort_records_repair_never_imports_numpy_ma():
     # np.union1d's np.unique imports numpy.ma on numpy 2.4, several ms of
-    # a lineage simulation's process.  52 + 1 key bits and 13 index bits
-    # are 66: the tie repair runs, on runs of ~830 equal keys.
+    # a lineage simulation's process.  A lineage column: the tie repair
+    # runs, on runs of ~830 equal keys.
     script = (
         "import sys\n"
         "import numpy as np\n"
