@@ -1437,7 +1437,7 @@ def test_sort_records_builds_the_key_in_the_cycle_column():
     cycle = columns["cycle_index"]
     _, peak = traced_peak(lambda: timestream.sort_records(columns))
     assert columns["cycle_index"] is cycle
-    assert peak < 4 * timestream._PIECE * 8  # a key column is 16x that
+    assert peak < 4 * timestream._PIECE * 8  # a key column is 4x that
     for name, column in want.items():
         assert np.array_equal(columns[name], column), name
 
